@@ -18,14 +18,13 @@ from typing import Optional, Sequence, Tuple
 
 from .constructions import FamilyId, build, knot_type
 from .errors import ClosureError, RibbonError
-from .fold_core import FoldProgram, layout, ratio
+from .fold_core import FoldedLayout, FoldProgram, layout, ratio
 from .formulas import bounds_table, closed_form_ratio, quotient_table, significant
 from .knot_id import (
     LaurentPolynomial,
+    _certification_report,
     alexander_polynomial,
-    determinant_invariant,
     extract_diagram,
-    verify_knot_type,
 )
 from .render import RenderOptions, to_svg
 
@@ -237,16 +236,16 @@ def _build_program(config: CommandConfig) -> FoldProgram:
     return build(family, presentation=config.presentation, epsilon=config.epsilon)
 
 
-def _certify(config: CommandConfig, family: FamilyId, program: FoldProgram):
+def _certify(config: CommandConfig, family: FamilyId, lay: FoldedLayout):
     """Certification verdict as (ok, text line)."""
+    diagram = extract_diagram(lay, config.perturbation)
+    delta = alexander_polynomial(diagram)
     params = knot_type(family)
     if params is None:
-        delta = alexander_polynomial(extract_diagram(layout(program),
-                                                     config.perturbation))
         ok = delta == _SEVEN_FOUR_ALEXANDER
         return ok, "knot_check: Alexander %s vs %s -> %s" % (
             delta, _SEVEN_FOUR_ALEXANDER, "MATCH" if ok else "MISMATCH")
-    report = verify_knot_type(program, (params.p, params.q), config.perturbation)
+    report = _certification_report(diagram, delta, (params.p, params.q))
     return report.matches, "knot_check: " + report.summary()
 
 
@@ -256,8 +255,8 @@ def _run_verify(config: CommandConfig) -> int:
     out = sys.stdout
     out.write("family=%s presentation=%s\n" % (family.tag, config.presentation))
     try:
-        program = _build_program(config)
-        measured = ratio(layout(program))
+        lay = layout(_build_program(config))
+        measured = ratio(lay)
     except ClosureError as exc:
         out.write("verify: FAIL (layout does not close: %s)\n" % exc)
         return 1
@@ -277,7 +276,7 @@ def _run_verify(config: CommandConfig) -> int:
         out.write("relative_error=%r tolerance=%r -> %s\n"
                   % (rel, config.tolerance, "OK" if ok else "FAIL"))
     if config.knot_check:
-        cert_ok, line = _certify(config, family, program)
+        cert_ok, line = _certify(config, family, lay)
         out.write(line + "\n")
         ok = ok and cert_ok
     out.write("verify: %s\n" % ("PASS" if ok else "FAIL"))
@@ -313,14 +312,12 @@ def _run_identify(config: CommandConfig) -> int:
             program = FoldProgram.from_json(handle.read())
     else:
         program = _build_program(config)
-    lay = layout(program)
-    diagram = extract_diagram(lay, config.perturbation)
+    diagram = extract_diagram(layout(program), config.perturbation)
     delta = alexander_polynomial(diagram)
-    det = determinant_invariant(diagram)
+    det = abs(int(delta.evaluate(-1)))
     matches = None
     if config.expected is not None:
-        report = verify_knot_type(program, config.expected, config.perturbation)
-        matches = report.matches
+        matches = _certification_report(diagram, delta, config.expected).matches
     if config.as_json:
         payload = {
             "crossings": diagram.crossing_count,

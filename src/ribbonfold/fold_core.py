@@ -265,8 +265,12 @@ class WeaveRule:
     def __post_init__(self):
         if self.mode not in WEAVE_MODES:
             raise MalformedProgramError("unknown weave mode %r" % (self.mode,))
+        if not isinstance(self.pairs, (tuple, list)):
+            raise MalformedProgramError("weave pairs must be a sequence of triples")
         pairs = []
         for entry in self.pairs:
+            if not isinstance(entry, (tuple, list)) or len(entry) != 3:
+                raise MalformedProgramError("weave pair must be a triple (i, j, +-1)")
             i, j, s = entry
             if (
                 isinstance(i, bool)
@@ -483,7 +487,7 @@ class FoldProgram:
                 _require("mode" in raw, "weave object missing field 'mode'")
                 pairs = raw.get("pairs", [])
                 _require(isinstance(pairs, list), "weave pairs must be a list")
-                weave = WeaveRule(raw["mode"], tuple(tuple(p) for p in pairs))
+                weave = WeaveRule(raw["mode"], tuple(pairs))
             else:
                 raise MalformedProgramError("weave must be a string or object")
         return cls(

@@ -11,6 +11,7 @@ construction really ties the knot it claims.
 from __future__ import annotations
 
 import bisect
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,9 +27,6 @@ from .errors import (
 from .fold_core import FoldProgram, FoldedLayout, Point, layout
 
 DEFAULT_PERTURBATION_SCALE = 1e-3
-
-# matrices larger than this use integer evaluation + interpolation
-_INTERPOLATION_THRESHOLD = 14
 
 
 # ------------------------------------------------------------ polynomials
@@ -273,74 +271,67 @@ def _poly_bareiss(matrix: List[List[List[int]]]) -> List[int]:
     return [-c for c in det] if sign < 0 else det
 
 
-def _int_bareiss(matrix: List[List[int]]) -> int:
-    """Fraction-free integer determinant."""
-    n = len(matrix)
-    if n == 0:
-        return 1
-    m = [row[:] for row in matrix]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[i][j] * m[k][k] - m[i][k] * m[k][j]
-                if num % prev != 0:
-                    raise InconsistencyError("integer elimination lost exactness")
-                m[i][j] = num // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
+def _unit_pivot_det(rows: List[Dict[int, List[int]]], columns: Sequence[int]) -> List[int]:
+    """Determinant, up to sign, of a square sparse matrix over Z[t].
 
-
-def _interpolated_det(matrix: List[List[List[int]]]) -> List[int]:
-    """Determinant by integer evaluation and Newton interpolation.
-
-    Entries have degree <= 1, so an s x s determinant has degree <= s
-    and s+1 sample points pin it down exactly.
+    ``rows`` map column -> ascending coefficient list with no zero entries.
+    Elimination pivots only on constant entries +-1, chosen by Markowitz
+    cost (row nnz - 1) * (col nnz - 1) with ties to the lowest (row, col).
+    Dividing by a unit is exact, and units and row/column order change the
+    determinant only by a sign.  The block left when no unit pivot
+    remains goes to fraction-free elimination.
     """
-    s = len(matrix)
-    points = list(range(2, 2 + s + 1))
-    values = []
-    for x in points:
-        m = [
-            [
-                (row[j][0] if row[j] else 0) + (row[j][1] if len(row[j]) > 1 else 0) * x
-                for j in range(s)
-            ]
-            for row in matrix
-        ]
-        values.append(_int_bareiss(m))
-    # Newton divided differences over exact rationals
-    dd = [Fraction(v) for v in values]
-    for level in range(1, len(points)):
-        for i in range(len(points) - 1, level - 1, -1):
-            dd[i] = (dd[i] - dd[i - 1]) / (points[i] - points[i - level])
-    coeffs = [Fraction(0)] * len(points)
-    coeffs[0] = dd[0]
-    basis = [Fraction(1)]
-    for k in range(1, len(points)):
-        new_basis = [Fraction(0)] * (len(basis) + 1)
-        for i, c in enumerate(basis):
-            new_basis[i] -= c * points[k - 1]
-            new_basis[i + 1] += c
-        basis = new_basis
-        for i, c in enumerate(basis):
-            coeffs[i] += dd[k] * c
-    out = []
-    for c in coeffs:
-        if c.denominator != 1:
-            raise InconsistencyError("interpolated determinant is not integral")
-        out.append(int(c))
-    return _pstrip(out)
+    rows = [dict(r) for r in rows]
+    col_rows: Dict[int, set] = {j: set() for j in columns}
+    for i, row in enumerate(rows):
+        for j in row:
+            col_rows[j].add(i)
+    live = set(range(len(rows)))
+    heap: List[Tuple[int, int, int]] = []
+
+    def offer(i: int, j: int) -> None:
+        v = rows[i][j]
+        if len(v) == 1 and (v[0] == 1 or v[0] == -1):
+            heapq.heappush(heap, ((len(rows[i]) - 1) * (len(col_rows[j]) - 1), i, j))
+
+    for i, row in enumerate(rows):
+        for j in row:
+            offer(i, j)
+    while heap:
+        cost, r, c = heapq.heappop(heap)
+        pivot = rows[r]
+        # every change to an entry or its cost pushes a fresh key, so a
+        # key that no longer matches its entry is stale
+        if (r not in live or pivot.get(c) not in ([1], [-1])
+                or cost != (len(pivot) - 1) * (len(col_rows[c]) - 1)):
+            continue
+        # row_i -= (f / u) * pivot, and 1/u == u for a unit u
+        u = pivot.pop(c)[0]
+        live.remove(r)
+        for j in pivot:
+            col_rows[j].discard(r)
+        changed = col_rows.pop(c)
+        changed.discard(r)
+        for i in changed:
+            row = rows[i]
+            factor = [-u * x for x in row.pop(c)]
+            for j, v in pivot.items():
+                entry = _padd(row.get(j, []), _pmul(factor, v))
+                if entry:
+                    row[j] = entry
+                    col_rows[j].add(i)
+                elif j in row:
+                    del row[j]
+                    col_rows[j].discard(i)
+        for i in changed:
+            for j in rows[i]:
+                offer(i, j)
+        for j in pivot:
+            for i in col_rows[j]:
+                offer(i, j)
+    rest = sorted(live)
+    cols = sorted(col_rows)
+    return _poly_bareiss([[rows[i].get(j, []) for j in cols] for i in rest])
 
 
 # ------------------------------------------------------------ diagram types
@@ -455,49 +446,42 @@ def alexander_polynomial(
     diagram: KnotDiagram,
     row: Optional[int] = None,
     col: Optional[int] = None,
-    method: str = "auto",
 ) -> LaurentPolynomial:
     """Normalized Alexander polynomial of a knot diagram.
 
-    Builds the n x n crossing/arc matrix (one row per crossing, one
-    column per arc), deletes one row and one column, and takes the
-    determinant by fraction-free elimination over integer polynomials.
-    Large diagrams instead evaluate the integer matrix at sample points
-    and interpolate, which is exact and much faster.
+    Builds the n x n crossing/arc matrix over Z[t] (one row per crossing,
+    one column per arc), deletes one row and one column (the last by
+    default), and takes the determinant of the minor exactly.  Each
+    crossing row has at most three entries, one of them a constant -1 at
+    the under-out arc (positive crossing) or +1 at the under-in arc
+    (negative crossing), so sparse elimination on these unit pivots
+    removes nearly every row without division.  The few rows left with no
+    unit pivot go to fraction-free (Bareiss) elimination over Z[t].
     """
     n = validate_gauss(diagram.gauss)
     if n != diagram.arcs or n != len(diagram.crossings):
         raise InvalidDiagramError("diagram arc/crossing counts disagree")
-    # dense degree-1 rows: [constant, t] coefficient pairs
-    rows: List[List[List[int]]] = []
-    for c in diagram.crossings:
-        entries = [[0, 0] for _ in range(n)]
-        if c.sign > 0:
-            entries[c.over_arc][0] += 1
-            entries[c.over_arc][1] -= 1
-            entries[c.under_in_arc][1] += 1
-            entries[c.under_out_arc][0] -= 1
-        else:
-            entries[c.over_arc][0] -= 1
-            entries[c.over_arc][1] += 1
-            entries[c.under_in_arc][0] += 1
-            entries[c.under_out_arc][1] -= 1
-        rows.append([_pstrip(e) for e in entries])
     r = n - 1 if row is None else row
     c_ = n - 1 if col is None else col
     if not (0 <= r < n and 0 <= c_ < n):
         raise InvalidInputError("deleted row/column out of range")
-    minor = [
-        [rows[i][j] for j in range(n) if j != c_]
-        for i in range(n)
-        if i != r
-    ]
-    if method not in ("auto", "exact", "interpolate"):
-        raise InvalidInputError("method must be auto, exact, or interpolate")
-    use_interp = method == "interpolate" or (
-        method == "auto" and len(minor) > _INTERPOLATION_THRESHOLD
-    )
-    det = _interpolated_det(minor) if use_interp else _poly_bareiss(minor)
+    minor: List[Dict[int, List[int]]] = []
+    for i, c in enumerate(diagram.crossings):
+        if i == r:
+            continue
+        # (arc, constant, t) coefficients; arcs may coincide, so sum them
+        if c.sign > 0:
+            terms = ((c.over_arc, 1, -1), (c.under_in_arc, 0, 1), (c.under_out_arc, -1, 0))
+        else:
+            terms = ((c.over_arc, -1, 1), (c.under_in_arc, 1, 0), (c.under_out_arc, 0, -1))
+        entries: Dict[int, List[int]] = {}
+        for arc, c0, c1 in terms:
+            if arc != c_:
+                e = entries.setdefault(arc, [0, 0])
+                e[0] += c0
+                e[1] += c1
+        minor.append({arc: _pstrip(e) for arc, e in entries.items() if any(e)})
+    det = _unit_pivot_det(minor, [j for j in range(n) if j != c_])
     poly = LaurentPolynomial.from_list(det)
     if poly.is_zero():
         raise InvalidDiagramError("Alexander determinant vanished; not a knot diagram")
@@ -868,17 +852,22 @@ def verify_knot_type(
     The verdict is in the report; a mismatch is a result, not an error.
     Extraction or polynomial failures propagate as their own errors.
     """
+    diagram = extract_diagram(layout(program), perturbation)
+    return _certification_report(diagram, alexander_polynomial(diagram), expected)
+
+
+def _certification_report(
+    diagram: KnotDiagram,
+    delta: LaurentPolynomial,
+    expected: Tuple[int, int],
+) -> CertificationReport:
+    """Compare a diagram and its Alexander polynomial with a torus knot."""
     p, q = int(expected[0]), int(expected[1])
-    lay = layout(program)
-    diagram = extract_diagram(lay, perturbation)
-    delta = alexander_polynomial(diagram)
     reference = torus_alexander(p, q)
     mirror = LaurentPolynomial(
         {delta.degree - e: c for e, c in delta.coefficients.items()}
     ).normalized()
-    matches = delta == reference or mirror == reference
     bound = min(p * (q - 1), q * (p - 1))
-    det = abs(int(delta.evaluate(-1)))
     return CertificationReport(
         p=p,
         q=q,
@@ -886,8 +875,8 @@ def verify_knot_type(
         gauss=diagram.gauss,
         alexander=delta,
         reference=reference,
-        determinant=det,
+        determinant=abs(int(delta.evaluate(-1))),
         crossing_bound=bound,
         crossing_bound_ok=diagram.crossing_count >= bound,
-        matches=matches,
+        matches=delta == reference or mirror == reference,
     )

@@ -187,6 +187,17 @@ def test_malformed_program_file_exits_two(capsys, tmp_path):
     assert code == 2 and err
 
 
+@pytest.mark.parametrize("pairs", [[[0, 1]], [5]])
+def test_malformed_weave_pairs_exit_two(capsys, tmp_path, pairs):
+    doc = json.loads(run_cli(capsys, "build", "--family", "star", "--p", "7")[1])
+    doc["weave"] = {"mode": "explicit", "pairs": pairs}
+    bad = tmp_path / "weave.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "identify", "--input", str(bad))
+    assert code == 2
+    assert out == "" and "weave pair" in err
+
+
 def test_unknown_arguments_exit_two(capsys):
     assert main(["build", "--family", "odd-wrap", "--q", "3", "--frob"]) == 2
     capsys.readouterr()

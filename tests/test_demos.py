@@ -6,14 +6,19 @@ import sys
 
 import pytest
 
-DEMO_DIR = os.path.join(os.path.dirname(__file__), os.pardir, "demos")
+ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir))
+DEMO_DIR = os.path.join(ROOT, "demos")
 
 
 def run_demo(name, tmp_path, *extra):
     script = os.path.join(DEMO_DIR, name)
+    # the demos run from tmp_path, so a relative src on PYTHONPATH would
+    # not resolve there
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     return subprocess.run(
         [sys.executable, script] + list(extra),
         cwd=tmp_path,
+        env=env,
         capture_output=True,
         text=True,
         timeout=120,

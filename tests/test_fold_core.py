@@ -461,6 +461,20 @@ def test_weave_rule_validation():
         WeaveRule("explicit", ((0, 0, 1),))
     with pytest.raises(MalformedProgramError):
         WeaveRule("explicit", ((0, 1, 2),))
+    with pytest.raises(MalformedProgramError):
+        WeaveRule("explicit", ((0, 1),))
+    with pytest.raises(MalformedProgramError):
+        WeaveRule("explicit", (5,))
+    with pytest.raises(MalformedProgramError):
+        WeaveRule("explicit", 5)
+
+
+@pytest.mark.parametrize("pairs", [[[0, 1]], [5], [[0, 1, 1, 1]], ["abc"], [None]])
+def test_malformed_weave_pairs_in_json(pairs):
+    doc = {"width": 1.0, "presentation": "closed", "creases": [],
+           "weave": {"mode": "explicit", "pairs": pairs}}
+    with pytest.raises(MalformedProgramError):
+        FoldProgram.from_json(json.dumps(doc))
 
 
 def test_closed_round_trip_panel_shapes_with_odd_crease_count():

@@ -15,6 +15,7 @@ from ribbonfold import (
     layout_from_centerline,
     unfold,
 )
+from ribbonfold.constructions import FamilyId, build, knot_type
 from ribbonfold.knot_id import (
     CertificationReport,
     KnotDiagram,
@@ -28,7 +29,7 @@ from ribbonfold.knot_id import (
     verify_knot_type,
 )
 
-from diagram_sources import pretzel_gauss, torus_braid_gauss
+from diagram_sources import dense_alexander, pretzel_gauss, torus_braid_gauss
 
 
 def poly(*coeffs):
@@ -131,17 +132,50 @@ def test_braid_codes_match_torus_polynomials():
         assert alexander_polynomial(diagram) == torus_alexander(p, q), (p, q)
 
 
-def test_large_braid_uses_interpolation_and_agrees():
+def test_large_braid_agrees_with_torus_polynomial():
     diagram = diagram_from_gauss(torus_braid_gauss(14, 5))
     assert diagram.crossing_count == 56
     assert alexander_polynomial(diagram) == torus_alexander(14, 5)
 
 
-def test_determinant_methods_cross_validate():
-    diagram = diagram_from_gauss(torus_braid_gauss(7, 3))
-    exact = alexander_polynomial(diagram, method="exact")
-    interp = alexander_polynomial(diagram, method="interpolate")
-    assert exact == interp == torus_alexander(7, 3)
+def _oracle_diagrams():
+    """Braid, pretzel and extracted diagrams, by name."""
+    out = {"T(%d,%d)" % pq: diagram_from_gauss(torus_braid_gauss(*pq))
+           for pq in [(7, 3), (14, 5), (25, 2)]}
+    for abc in [(1, 1, 1), (3, 3, 1), (3, 3, 3), (5, 3, 1)]:
+        out["P%r" % (abc,)] = diagram_from_gauss(pretzel_gauss(*abc))
+    for tag in ("short_52", "short_72", "rect_74"):
+        out[tag] = extract_diagram(layout(build(FamilyId(tag))))
+    return out
+
+
+def test_sparse_determinant_matches_dense_oracle():
+    diagrams = _oracle_diagrams()
+    # the oracle's two dense methods agree with each other first
+    seven_three = diagrams["T(7,3)"]
+    assert (dense_alexander(seven_three, method="exact")
+            == dense_alexander(seven_three, method="interpolate")
+            == torus_alexander(7, 3))
+    for name, diagram in diagrams.items():
+        assert alexander_polynomial(diagram) == dense_alexander(diagram), name
+        n = diagram.crossing_count
+        if n > 14:
+            continue
+        for r in range(n):
+            for c in range(n):
+                assert (alexander_polynomial(diagram, row=r, col=c)
+                        == dense_alexander(diagram, row=r, col=c)), (name, r, c)
+
+
+@pytest.mark.parametrize(
+    "tag,n", [("odd_wrap", 10), ("odd_wrap", 20), ("pinwheel", 7), ("star_polygon", 101)]
+)
+def test_large_constructions_certify(tag, n):
+    family = FamilyId(tag, n)
+    params = knot_type(family)
+    report = verify_knot_type(build(family), (params.p, params.q))
+    assert report.matches, report.summary()
+    assert report.crossing_bound_ok
 
 
 def test_pretzel_oracles():
