@@ -16,10 +16,10 @@ import tempfile
 from dataclasses import dataclass
 from typing import Optional, Sequence, Tuple
 
-from .constructions import FamilyId, build, knot_type
+from .constructions import _FAMILIES, FamilyId, build, knot_type
 from .errors import ClosureError, RibbonError
 from .fold_core import FoldedLayout, FoldProgram, layout, ratio
-from .formulas import bounds_table, closed_form_ratio, quotient_table, significant
+from .formulas import _bounds_text, closed_form_ratio, quotient_table
 from .knot_id import (
     LaurentPolynomial,
     _certification_report,
@@ -30,18 +30,8 @@ from .render import RenderOptions, to_svg
 
 __all__ = ["CommandConfig", "main", "parse_args", "run"]
 
-_FAMILY_CHOICES = (
-    "odd-wrap",
-    "star",
-    "pinwheel",
-    "even-wrap",
-    "short-52",
-    "short-72",
-    "rect74",
-)
-
-# Alexander polynomial of the 7_4 knot, the target of the rectangle fold
-_SEVEN_FOUR_ALEXANDER = LaurentPolynomial({0: 4, 1: -7, 2: 4}).normalized()
+# the two even wraps share one name and differ by --variant
+_FAMILY_CHOICES = tuple(dict.fromkeys(spec.cli_name for spec in _FAMILIES.values()))
 
 
 class _UsageError(Exception):
@@ -77,8 +67,8 @@ class CommandConfig:
     show_creases: bool = True
 
 
-def _add_family_arguments(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--family", choices=_FAMILY_CHOICES, required=True)
+def _add_family_arguments(parser: argparse.ArgumentParser, required: bool = True) -> None:
+    parser.add_argument("--family", choices=_FAMILY_CHOICES, required=required)
     parser.add_argument("--q", type=int, help="turning parameter for wrap families")
     parser.add_argument("--p", type=int, help="point count for the star family")
     parser.add_argument("--variant", type=int, choices=(2, 4), default=2,
@@ -135,11 +125,7 @@ def parse_args(argv: Optional[Sequence[str]] = None) -> CommandConfig:
     identify_p = sub.add_parser(
         "identify", help="extract the knot diagram and its invariants")
     identify_p.add_argument("--input", help="fold program JSON path")
-    identify_p.add_argument("--family", choices=_FAMILY_CHOICES)
-    identify_p.add_argument("--q", type=int)
-    identify_p.add_argument("--p", type=int)
-    identify_p.add_argument("--variant", type=int, choices=(2, 4), default=2)
-    identify_p.add_argument("--epsilon", type=float, default=1e-3)
+    _add_family_arguments(identify_p, required=False)
     identify_p.add_argument("--expected",
                             help="torus parameters 'p,q' to certify against")
     identify_p.add_argument("--perturbation", type=float,
@@ -189,28 +175,19 @@ def _parse_expected(text: Optional[str]) -> Optional[Tuple[int, int]]:
 
 def _family_id(config: CommandConfig) -> FamilyId:
     name = config.family
-    if name is None:
-        raise _UsageError("a --family is required")
-
-    def need(value, flag):
-        if value is None:
-            raise _UsageError("--family %s needs %s" % (name, flag))
-        return value
-
-    if name == "odd-wrap":
-        return FamilyId("odd_wrap", need(config.q, "--q"))
-    if name == "star":
-        return FamilyId("star_polygon", need(config.p, "--p"))
-    if name == "pinwheel":
-        return FamilyId("pinwheel", need(config.q, "--q"))
-    if name == "even-wrap":
-        tag = "even_wrap_plus2" if config.variant == 2 else "even_wrap_plus4"
-        return FamilyId(tag, need(config.q, "--q"))
-    if name == "short-52":
-        return FamilyId("short_52")
-    if name == "short-72":
-        return FamilyId("short_72")
-    return FamilyId("rect_74")
+    rows = [(tag, spec) for tag, spec in _FAMILIES.items()
+            if spec.cli_name == name and spec.variant in (None, config.variant)]
+    if not rows:
+        raise _UsageError("a --family is required" if name is None
+                          else "unknown --family %r" % name)
+    tag, spec = rows[0]
+    for flag in ("q", "p"):
+        given = getattr(config, flag) is not None
+        if flag == spec.flag and not given:
+            raise _UsageError("--family %s needs --%s" % (name, flag))
+        if flag != spec.flag and given:
+            raise _UsageError("--family %s takes no --%s" % (name, flag))
+    return FamilyId(tag, getattr(config, spec.flag) if spec.flag else None)
 
 
 def _write_text(path: Optional[str], text: str) -> None:
@@ -236,26 +213,32 @@ def _build_program(config: CommandConfig) -> FoldProgram:
     return build(family, presentation=config.presentation, epsilon=config.epsilon)
 
 
-def _certify(config: CommandConfig, family: FamilyId, lay: FoldedLayout):
-    """Certification verdict as (ok, text line)."""
-    diagram = extract_diagram(lay, config.perturbation)
+def _certify(family: FamilyId, lay: FoldedLayout, perturbation: Optional[float] = None):
+    """Certify the knot a family's layout ties, as (ok, summary line).
+
+    Torus families are compared with their torus reference; a family the
+    table gives Alexander coefficients for is compared with those.
+    """
+    diagram = extract_diagram(lay, perturbation)
     delta = alexander_polynomial(diagram)
     params = knot_type(family)
-    if params is None:
-        ok = delta == _SEVEN_FOUR_ALEXANDER
-        return ok, "knot_check: Alexander %s vs %s -> %s" % (
-            delta, _SEVEN_FOUR_ALEXANDER, "MATCH" if ok else "MISMATCH")
-    report = _certification_report(diagram, delta, (params.p, params.q))
-    return report.matches, "knot_check: " + report.summary()
+    if params is not None:
+        report = _certification_report(diagram, delta, (params.p, params.q))
+        return report.matches, report.summary()
+    reference = LaurentPolynomial(dict(enumerate(_FAMILIES[family.tag].knot))).normalized()
+    ok = delta == reference
+    return ok, "Alexander %s vs %s -> %s" % (delta, reference, "MATCH" if ok else "MISMATCH")
 
 
 def _run_verify(config: CommandConfig) -> int:
     family = _family_id(config)
     formula = closed_form_ratio(family, config.presentation)
+    # build first: a rejected parameter exits 2 before anything is written
+    program = build(family, presentation=config.presentation, epsilon=config.epsilon)
     out = sys.stdout
     out.write("family=%s presentation=%s\n" % (family.tag, config.presentation))
     try:
-        lay = layout(_build_program(config))
+        lay = layout(program)
         measured = ratio(lay)
     except ClosureError as exc:
         out.write("verify: FAIL (layout does not close: %s)\n" % exc)
@@ -276,32 +259,11 @@ def _run_verify(config: CommandConfig) -> int:
         out.write("relative_error=%r tolerance=%r -> %s\n"
                   % (rel, config.tolerance, "OK" if ok else "FAIL"))
     if config.knot_check:
-        cert_ok, line = _certify(config, family, lay)
-        out.write(line + "\n")
+        cert_ok, line = _certify(family, lay, config.perturbation)
+        out.write("knot_check: %s\n" % line)
         ok = ok and cert_ok
     out.write("verify: %s\n" % ("PASS" if ok else "FAIL"))
     return 0 if ok else 1
-
-
-def _bounds_text(format: str) -> str:
-    rows = bounds_table()
-    if format == "csv":
-        lines = ["constant,value,symbolic,witness,note"]
-        for row in rows:
-            lines.append("%s,%r,%s,\"%s\",\"%s\""
-                         % (row.constant, row.value, row.symbolic,
-                            row.witness, row.note))
-        return "\n".join(lines) + "\n"
-    header = ["constant", "value", "symbolic", "witness", "note"]
-    cells = [header] + [
-        [row.constant, significant(row.value), row.symbolic, row.witness, row.note]
-        for row in rows
-    ]
-    widths = [max(len(r[i]) for r in cells) for i in range(len(header))]
-    out = ["| " + " | ".join(c.ljust(w) for c, w in zip(row, widths)) + " |"
-           for row in cells]
-    out.insert(1, "| " + " | ".join("-" * w for w in widths) + " |")
-    return "\n".join(out) + "\n"
 
 
 def _run_identify(config: CommandConfig) -> int:

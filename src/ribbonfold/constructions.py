@@ -7,13 +7,16 @@ construction.  The wrap families place their creases as chords of a
 common circle; the two short variants pair creases a small distance
 epsilon apart; the sixteen-panel rectangle walks the same circuit four
 times and lets the stacking order do all the work.
+
+The private ``_FAMILIES`` table holds one row per family; ``FamilyId``,
+``knot_type``, ``build``, the formulas and the CLI all read it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import ParameterError
 from .fold_core import (
@@ -60,19 +63,65 @@ class TorusKnotParams:
             )
 
 
-FAMILY_TAGS = (
-    "odd_wrap",
-    "star_polygon",
-    "pinwheel",
-    "even_wrap_plus2",
-    "even_wrap_plus4",
-    "short_52",
-    "short_72",
-    "rect_74",
-)
+class _Family(NamedTuple):
+    """One row of the family table: everything the package knows of a family."""
 
-# families with no free integer parameter
-_FIXED_TAGS = ("short_52", "short_72", "rect_74")
+    cli_name: str
+    variant: Optional[int]  # --variant value of the two even wraps
+    flag: Optional[str]  # parameter flag, "q" or "p"; None for a fixed fold
+    low: int  # least accepted parameter
+    odd: bool  # whether the parameter must be odd
+    presentations: Tuple[str, ...]
+    # torus (p, q) as a function of the parameter, or Alexander
+    # coefficients for a knot that is not a torus knot
+    knot: Union[Callable[[int], Tuple[int, int]], Tuple[int, ...]]
+    # (coefficient, cot-angle denominator) of the closed ratio, where the
+    # ratio is coefficient * cot(pi / denominator); denominator None means
+    # the ratio is the bare coefficient
+    ratio: Callable[[Optional[int]], Tuple[int, Optional[int]]]
+    limit: bool  # the ratio is only approached as epsilon -> 0
+    quotient_limit: Optional[float]  # None: no parameter to take a limit in
+    # (parameter, presentation, epsilon) -> program; the lambdas look the
+    # builders up as module globals at call time
+    build: Callable[[Optional[int], str, float], FoldProgram]
+
+
+_FAMILIES = {
+    "odd_wrap": _Family(
+        "odd-wrap", None, "q", 2, False, ("closed", "truncated"),
+        lambda q: (q + 1, q), lambda q: (2 * q + 1, 2 * q + 1), False,
+        4.0 / math.pi, lambda q, presentation, _: build_odd_wrap(q, presentation)),
+    "star_polygon": _Family(
+        "star", None, "p", 7, True, ("closed",),
+        lambda p: (p, 2), lambda p: (p, p), False,
+        math.inf, lambda p, *_: build_star_polygon(p)),
+    "pinwheel": _Family(
+        "pinwheel", None, "q", 2, False, ("closed",),
+        lambda q: (2 * q + 1, q), lambda q: (2 * q + 1, 4 * q + 2), False,
+        4.0 / math.pi, lambda q, *_: build_pinwheel(q)),
+    "even_wrap_plus2": _Family(
+        "even-wrap", 2, "q", 3, True, ("closed",),
+        lambda q: (2 * q + 2, q), lambda q: (2 * q + 2, 2 * q + 2), False,
+        2.0 / math.pi, lambda q, *_: build_even_wrap(q, 2)),
+    "even_wrap_plus4": _Family(
+        "even-wrap", 4, "q", 3, True, ("closed",),
+        lambda q: (2 * q + 4, q), lambda q: (2 * q + 4, 2 * q + 4), False,
+        2.0 / math.pi, lambda q, *_: build_even_wrap(q, 4)),
+    "short_52": _Family(
+        "short-52", None, None, 0, False, ("closed",),
+        lambda _: (5, 2), lambda _: (7, 5), True,
+        None, lambda _, __, epsilon: build_short_52(epsilon)),
+    "short_72": _Family(
+        "short-72", None, None, 0, False, ("closed",),
+        lambda _: (7, 2), lambda _: (9, 5), True,
+        None, lambda _, __, epsilon: build_short_72(epsilon)),
+    "rect_74": _Family(
+        "rect74", None, None, 0, False, ("closed",),
+        (4, -7, 4), lambda _: (24, None), False,
+        None, lambda *_: build_74()),
+}
+
+FAMILY_TAGS = tuple(_FAMILIES)
 
 
 @dataclass(frozen=True)
@@ -83,41 +132,32 @@ class FamilyId:
     parameter: Optional[int] = None
 
     def __post_init__(self):
-        if self.tag not in FAMILY_TAGS:
+        spec = _FAMILIES.get(self.tag) if isinstance(self.tag, str) else None
+        if spec is None:
             raise ParameterError("unknown family tag %r" % (self.tag,))
-        if self.tag in _FIXED_TAGS:
-            if self.parameter is not None:
-                raise ParameterError("%s takes no parameter" % self.tag)
-            return
         n = self.parameter
-        if isinstance(n, bool) or not isinstance(n, int):
+        if spec.flag is None:
+            if n is not None:
+                raise ParameterError("%s takes no parameter" % self.tag)
+        elif isinstance(n, bool) or not isinstance(n, int):
             raise ParameterError("%s needs an integer parameter" % self.tag)
-        if self.tag in ("odd_wrap", "pinwheel") and n < 2:
-            raise ParameterError("%s needs q >= 2" % self.tag)
-        if self.tag == "star_polygon" and (n < 7 or n % 2 == 0):
-            raise ParameterError("star_polygon needs odd p >= 7")
-        if self.tag.startswith("even_wrap") and (n < 3 or n % 2 == 0):
-            raise ParameterError("even wraps need odd q >= 3")
+        elif n < spec.low or (spec.odd and n % 2 == 0):
+            raise ParameterError("%s needs %s%s >= %d" % (
+                self.tag, "odd " if spec.odd else "", spec.flag, spec.low))
+
+
+def _spec(family: FamilyId, presentation: str = "closed") -> _Family:
+    """Table row of a family, once its presentation is known to apply."""
+    spec = _FAMILIES[family.tag]
+    if presentation not in spec.presentations:
+        raise ParameterError("%s has no %r presentation" % (family.tag, presentation))
+    return spec
 
 
 def knot_type(family: FamilyId) -> Optional[TorusKnotParams]:
     """Torus knot type a family folds, or None for the 7_4 rectangle."""
-    tag, n = family.tag, family.parameter
-    if tag == "odd_wrap":
-        return TorusKnotParams(n + 1, n)
-    if tag == "star_polygon":
-        return TorusKnotParams(n, 2)
-    if tag == "pinwheel":
-        return TorusKnotParams(2 * n + 1, n)
-    if tag == "even_wrap_plus2":
-        return TorusKnotParams(2 * n + 2, n)
-    if tag == "even_wrap_plus4":
-        return TorusKnotParams(2 * n + 4, n)
-    if tag == "short_52":
-        return TorusKnotParams(5, 2)
-    if tag == "short_72":
-        return TorusKnotParams(7, 2)
-    return None
+    knot = _FAMILIES[family.tag].knot
+    return None if isinstance(knot, tuple) else TorusKnotParams(*knot(family.parameter))
 
 
 def _star_points(n: int, step: int, chord: float) -> List[Point]:
@@ -132,11 +172,6 @@ def _star_points(n: int, step: int, chord: float) -> List[Point]:
     ]
 
 
-def _check_counter(name: str, value, low: int) -> None:
-    if isinstance(value, bool) or not isinstance(value, int) or value < low:
-        raise ParameterError("%s needs integer >= %d" % (name, low))
-
-
 def build_odd_wrap(q: int, presentation: str = "closed") -> FoldProgram:
     """Wrap of the regular (2q+1)-gon of unit side, a (q+1, q) torus knot.
 
@@ -145,9 +180,7 @@ def build_odd_wrap(q: int, presentation: str = "closed") -> FoldProgram:
     presentation keeps all 2q+1 panels; the truncated one drops the
     final panel and cuts both ends parallel to the removed creases.
     """
-    _check_counter("odd wrap", q, 2)
-    if presentation not in ("closed", "truncated"):
-        raise ParameterError("presentation must be 'closed' or 'truncated'")
+    _spec(FamilyId("odd_wrap", q), presentation)
     n = 2 * q + 1
     width = math.cos(math.pi / (2 * n))
     chord = width / math.tan(math.pi / n)
@@ -180,8 +213,7 @@ def build_star_polygon(p: int) -> FoldProgram:
     the panel inner edges leave a smaller regular p-gon uncovered in the
     middle.  Crossings alternate over and under along the strip.
     """
-    if isinstance(p, bool) or not isinstance(p, int) or p < 7 or p % 2 == 0:
-        raise ParameterError("star polygon needs odd integer p >= 7")
+    FamilyId("star_polygon", p)
     width = math.sin(2.0 * math.pi / p)
     chord = 1.0 + math.cos(2.0 * math.pi / p)
     pts = _star_points(p, 2, chord)
@@ -201,7 +233,7 @@ def build_pinwheel(q: int) -> FoldProgram:
     the longer chord 1/tan(pi/(2(2q+1))), which rotates each panel past
     its neighbours instead of stacking them over a polygon.
     """
-    _check_counter("pinwheel", q, 2)
+    FamilyId("pinwheel", q)
     n = 2 * q + 1
     chord = 1.0 / math.tan(math.pi / (2 * n))
     pts = _star_points(n, q, chord)
@@ -220,10 +252,9 @@ def build_even_wrap(q: int, variant: int = 2) -> FoldProgram:
     Only odd q keeps n and q coprime.  variant selects between the two
     even polygon sizes that admit this wrap, n = 2q+2 and n = 2q+4.
     """
-    if isinstance(q, bool) or not isinstance(q, int) or q < 3 or q % 2 == 0:
-        raise ParameterError("even wrap needs odd integer q >= 3")
     if variant not in (2, 4):
         raise ParameterError("variant must be 2 or 4")
+    FamilyId("even_wrap_plus%d" % variant, q)
     n = 2 * q + variant
     width = math.sin(q * math.pi / n)
     chord = width / math.tan(math.pi / n)
@@ -366,21 +397,5 @@ def build(
     presentation only matters for odd_wrap and epsilon only for the two
     short variants; out-of-place values raise ParameterError.
     """
-    tag, n = family.tag, family.parameter
-    if tag != "odd_wrap" and presentation != "closed":
-        raise ParameterError("only odd_wrap has a truncated presentation")
-    if tag == "odd_wrap":
-        return build_odd_wrap(n, presentation)
-    if tag == "star_polygon":
-        return build_star_polygon(n)
-    if tag == "pinwheel":
-        return build_pinwheel(n)
-    if tag == "even_wrap_plus2":
-        return build_even_wrap(n, 2)
-    if tag == "even_wrap_plus4":
-        return build_even_wrap(n, 4)
-    if tag == "short_52":
-        return build_short_52(epsilon)
-    if tag == "short_72":
-        return build_short_72(epsilon)
-    return build_74()
+    spec = _spec(family, presentation)
+    return spec.build(family.parameter, presentation, epsilon)

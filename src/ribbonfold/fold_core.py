@@ -296,6 +296,20 @@ def _require(cond: bool, message: str) -> None:
         raise MalformedProgramError(message)
 
 
+def _json_angle(entry, where: str, extra_keys: Tuple[str, ...] = ()) -> ExactAngle:
+    # checks a crease or cut object and its fields, returns its exact angle
+    _require(isinstance(entry, dict), "%s must be a JSON object" % where)
+    for key in ("position", "angle_num", "angle_den") + extra_keys:
+        _require(key in entry, "%s missing field %r" % (where, key))
+    num, den = entry["angle_num"], entry["angle_den"]
+    _require(
+        all(isinstance(v, int) and not isinstance(v, bool) for v in (num, den)),
+        "%s angle_num and angle_den must be integers" % where,
+    )
+    _require(den > 0, "%s angle_den must be positive" % where)
+    return ExactAngle(num, den)
+
+
 @dataclass(frozen=True)
 class FoldProgram:
     """A complete flat-fold recipe for one ribbon strip.
@@ -453,16 +467,8 @@ class FoldProgram:
         creases = []
         previous = None
         for entry in raw_creases:
-            _require(isinstance(entry, dict), "each crease must be a JSON object")
-            for key in ("position", "angle_num", "angle_den", "layer_shift"):
-                _require(key in entry, "crease missing field %r" % key)
-            num, den = entry["angle_num"], entry["angle_den"]
-            _require(
-                isinstance(num, int) and isinstance(den, int) and not isinstance(num, bool) and not isinstance(den, bool),
-                "angle_num and angle_den must be integers",
-            )
-            _require(den > 0, "angle_den must be positive")
-            crease = CreaseSpec(entry["position"], ExactAngle(num, den), entry["layer_shift"])
+            angle = _json_angle(entry, "crease", ("layer_shift",))
+            crease = CreaseSpec(entry["position"], angle, entry["layer_shift"])
             if previous is not None and crease.position <= previous:
                 raise MalformedProgramError("creases must be sorted by strictly increasing position")
             previous = crease.position
@@ -471,13 +477,7 @@ class FoldProgram:
         for name in ("start_cut", "end_cut"):
             if name in doc and doc[name] is not None:
                 entry = doc[name]
-                _require(isinstance(entry, dict), "%s must be a JSON object" % name)
-                for key in ("position", "angle_num", "angle_den"):
-                    _require(key in entry, "%s missing field %r" % (name, key))
-                _require(entry["angle_den"] > 0, "angle_den must be positive")
-                cuts[name] = CutSpec(
-                    entry["position"], ExactAngle(entry["angle_num"], entry["angle_den"])
-                )
+                cuts[name] = CutSpec(entry["position"], _json_angle(entry, name))
         weave = None
         if "weave" in doc and doc["weave"] is not None:
             raw = doc["weave"]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Union
 
-from .constructions import FamilyId, TorusKnotParams, build, knot_type
+from .constructions import _FAMILIES, FAMILY_TAGS, FamilyId, TorusKnotParams, _spec, build, knot_type
 from .errors import InvalidInputError, NotApplicableError, ParameterError
 from .fold_core import ExactAngle, ratio as measured_ratio
 
@@ -44,8 +44,6 @@ RECT_74_CROSSINGS = 7
 # External comparison value only; no builder here produces it.
 FIGURE_EIGHT_RATIO = 6.0 + 2.0 * math.sqrt(2.0)
 FIGURE_EIGHT_CROSSINGS = 4
-
-_FIXED_TAGS = ("short_52", "short_72", "rect_74")
 
 
 def significant(x: float, digits: int = 6) -> str:
@@ -99,31 +97,12 @@ def closed_form_ratio(family: FamilyId, presentation: str = "closed") -> RatioFo
     limit, flagged as such.  Only odd_wrap accepts a truncated
     presentation.
     """
-    if presentation not in ("closed", "truncated"):
-        raise ParameterError("presentation must be 'closed' or 'truncated'")
-    if presentation == "truncated" and family.tag != "odd_wrap":
-        raise ParameterError("only odd_wrap has a truncated presentation")
-    tag, m = family.tag, family.parameter
-    if tag == "odd_wrap":
-        n = 2 * m + 1
-        count = 2 * m if presentation == "truncated" else n
-        return RatioFormula(Fraction(count), ExactAngle(1, n))
-    if tag == "star_polygon":
-        return RatioFormula(Fraction(m), ExactAngle(1, m))
-    if tag == "pinwheel":
-        n = 2 * m + 1
-        return RatioFormula(Fraction(n), ExactAngle(1, 2 * n))
-    if tag == "even_wrap_plus2":
-        n = 2 * m + 2
-        return RatioFormula(Fraction(n), ExactAngle(1, n))
-    if tag == "even_wrap_plus4":
-        n = 2 * m + 4
-        return RatioFormula(Fraction(n), ExactAngle(1, n))
-    if tag == "short_52":
-        return RatioFormula(Fraction(7), ExactAngle(1, 5), limit=True)
-    if tag == "short_72":
-        return RatioFormula(Fraction(9), ExactAngle(1, 5), limit=True)
-    return RatioFormula(Fraction(24))
+    spec = _spec(family, presentation)
+    coefficient, denominator = spec.ratio(family.parameter)
+    if presentation == "truncated":
+        coefficient -= 1  # the open strip drops the final panel
+    angle = None if denominator is None else ExactAngle(1, denominator)
+    return RatioFormula(Fraction(coefficient), angle, spec.limit)
 
 
 def crossing_number(p: int, q: int) -> int:
@@ -161,15 +140,12 @@ def limit_constant(family: Union[FamilyId, str]) -> float:
     so they raise NotApplicableError.
     """
     tag = family.tag if isinstance(family, FamilyId) else family
-    if tag in ("odd_wrap", "pinwheel"):
-        return 4.0 / math.pi
-    if tag in ("even_wrap_plus2", "even_wrap_plus4"):
-        return 2.0 / math.pi
-    if tag == "star_polygon":
-        return math.inf
-    if tag in _FIXED_TAGS:
+    if tag not in FAMILY_TAGS:
+        raise ParameterError("unknown family tag %r" % (tag,))
+    value = _FAMILIES[tag].quotient_limit
+    if value is None:
         raise NotApplicableError("%s has no parameter limit" % tag)
-    raise ParameterError("unknown family tag %r" % (tag,))
+    return value
 
 
 @dataclass(frozen=True)
@@ -277,40 +253,31 @@ def ratio_reports(q_max: int = 12, p_max: int = 25) -> List[RatioReport]:
         raise ParameterError("q_max must be an integer >= 2")
     if isinstance(p_max, bool) or not isinstance(p_max, int) or p_max < 7:
         raise ParameterError("p_max must be an integer >= 7")
+    caps = {"q": q_max, "p": p_max}
     reports = []
-    for q in range(2, q_max + 1):
-        fam = FamilyId("odd_wrap", q)
-        reports.append(ratio_report(fam, "closed"))
-        reports.append(ratio_report(fam, "truncated"))
-    for p in range(7, p_max + 1, 2):
-        reports.append(ratio_report(FamilyId("star_polygon", p)))
-    for q in range(2, q_max + 1):
-        reports.append(ratio_report(FamilyId("pinwheel", q)))
-    for tag in ("even_wrap_plus2", "even_wrap_plus4"):
-        for q in range(3, q_max + 1, 2):
-            reports.append(ratio_report(FamilyId(tag, q)))
-    reports.append(ratio_report(FamilyId("short_52")))
-    reports.append(ratio_report(FamilyId("short_72")))
-    reports.append(ratio_report(FamilyId("rect_74")))
+    for tag, spec in _FAMILIES.items():
+        if spec.flag is None:
+            members = [None]
+        else:
+            members = range(spec.low, caps[spec.flag] + 1, 2 if spec.odd else 1)
+        for n in members:
+            for presentation in spec.presentations:
+                reports.append(ratio_report(FamilyId(tag, n), presentation))
     return reports
 
 
-def _report_cells(report: RatioReport, full_precision: bool) -> List[str]:
-    if full_precision:
-        num = repr
-    else:
-        num = significant
-    p = "" if report.params is None else str(report.params.p)
-    q = "" if report.params is None else str(report.params.q)
-    return [
-        report.family.tag,
-        p,
-        q,
-        report.presentation,
-        num(report.closed_form),
-        str(report.crossings),
-        num(report.quotient),
-    ]
+def _render(header: List[str], rows: List[List[str]], format: str) -> str:
+    # CSV lines as given, or a markdown table with columns padded to width
+    if format not in ("csv", "markdown"):
+        raise ParameterError("format must be 'csv' or 'markdown'")
+    if format == "csv":
+        return "\n".join(",".join(row) for row in [header] + rows) + "\n"
+    cells = [header] + rows
+    widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
+    lines = ["| " + " | ".join(c.ljust(w) for c, w in zip(row, widths)) + " |"
+             for row in cells]
+    lines.insert(1, "| " + " | ".join("-" * w for w in widths) + " |")
+    return "\n".join(lines) + "\n"
 
 
 def quotient_table(q_max: int = 12, p_max: int = 25, format: str = "csv") -> str:
@@ -319,21 +286,24 @@ def quotient_table(q_max: int = 12, p_max: int = 25, format: str = "csv") -> str
     CSV keeps full float precision; markdown rounds to 6 significant
     digits for reading.
     """
-    if format not in ("csv", "markdown"):
-        raise ParameterError("format must be 'csv' or 'markdown'")
+    num = repr if format == "csv" else significant
+    rows = []
+    for report in ratio_reports(q_max, p_max):
+        p = "" if report.params is None else str(report.params.p)
+        q = "" if report.params is None else str(report.params.q)
+        rows.append([report.family.tag, p, q, report.presentation,
+                     num(report.closed_form), str(report.crossings),
+                     num(report.quotient)])
     header = ["family", "p", "q", "presentation", "ratio", "crossing", "quotient"]
-    rows = ratio_reports(q_max, p_max)
+    return _render(header, rows, format)
+
+
+def _bounds_text(format: str = "csv") -> str:
+    """Render the bounds table as CSV, which quotes the free text, or markdown."""
     if format == "csv":
-        lines = [",".join(header)]
-        for report in rows:
-            lines.append(",".join(_report_cells(report, True)))
-        return "\n".join(lines) + "\n"
-    cells = [header] + [_report_cells(r, False) for r in rows]
-    widths = [max(len(row[i]) for row in cells) for i in range(len(header))]
-    def fmt(row):
-        return "| " + " | ".join(c.ljust(w) for c, w in zip(row, widths)) + " |"
-    lines = [fmt(header)]
-    lines.append("| " + " | ".join("-" * w for w in widths) + " |")
-    for row in cells[1:]:
-        lines.append(fmt(row))
-    return "\n".join(lines) + "\n"
+        num, text = repr, lambda words: '"%s"' % words
+    else:
+        num, text = significant, str
+    rows = [[row.constant, num(row.value), row.symbolic, text(row.witness), text(row.note)]
+            for row in bounds_table()]
+    return _render(["constant", "value", "symbolic", "witness", "note"], rows, format)

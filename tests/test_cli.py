@@ -1,5 +1,6 @@
 """End-to-end tests of the command line front end."""
 
+import hashlib
 import json
 import os
 import xml.etree.ElementTree as ET
@@ -102,6 +103,28 @@ def test_table_markdown_and_output_file(capsys, tmp_path):
     assert out == text
 
 
+# SHA-256 of the default tables' stdout, pinned so a change to the row
+# order or to either renderer shows up as a byte difference
+TABLE_DIGESTS = {
+    ("--quotients", "csv"):
+        "a3c9992184b921ee1b84311db8966272a68af7bf023dd4cfcafcb367386794c9",
+    ("--quotients", "markdown"):
+        "120e6e09e5e2a0d876cb2adc3b0162bea2d50a2307be194b172b33f1e1894c35",
+    ("--bounds", "csv"):
+        "50dbd9f93fd734265fd9bbb7807a9daa4e716250215b7fdc67ced0a9c609abc4",
+    ("--bounds", "markdown"):
+        "dc727237c5ea756ce72139eb8422b5a2aa463509b5252c5afec93af4db088bc2",
+}
+
+
+@pytest.mark.parametrize("kind,format", sorted(TABLE_DIGESTS))
+def test_table_bytes_pinned(capsys, kind, format):
+    code, out, _ = run_cli(capsys, "table", kind, "--format", format)
+    assert code == 0
+    digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+    assert digest == TABLE_DIGESTS[kind, format]
+
+
 def test_render_pipeline(capsys, tmp_path):
     src = tmp_path / "star.json"
     dst = tmp_path / "star.svg"
@@ -172,12 +195,31 @@ def test_identify_json_deterministic(capsys):
         ("identify",),
         ("table", "--q-max", "1"),
         ("render", "--input", "/nonexistent/path.json"),
+        ("verify", "--family", "short-52", "--epsilon", "nan"),
+        # a parameter flag the family does not take
+        ("verify", "--family", "rect74", "--q", "3"),
+        ("build", "--family", "odd-wrap", "--q", "3", "--p", "4"),
+        ("identify", "--family", "star", "--p", "7", "--q", "2"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
-    code, _, err = run_cli(capsys, *argv)
+    code, out, err = run_cli(capsys, *argv)
     assert code == 2
-    assert err
+    assert out == "" and err
+
+
+@pytest.mark.parametrize("den", ["2", None, True])
+@pytest.mark.parametrize("command", ["identify", "render"])
+def test_malformed_cut_angle_exits_two(capsys, tmp_path, command, den):
+    doc = json.loads(run_cli(
+        capsys, "build", "--family", "odd-wrap", "--q", "3",
+        "--presentation", "truncated")[1])
+    doc["start_cut"]["angle_den"] = den
+    bad = tmp_path / "cut.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, command, "--input", str(bad))
+    assert code == 2
+    assert out == "" and "angle_den" in err
 
 
 def test_malformed_program_file_exits_two(capsys, tmp_path):

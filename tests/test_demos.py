@@ -1,4 +1,4 @@
-"""Smoke tests running every demo script end to end."""
+"""Smoke tests running every demo script and the README quick start end to end."""
 
 import os
 import subprocess
@@ -52,3 +52,15 @@ def test_short_sweep_demo_shows_convergence(tmp_path):
     assert result.returncode == 0, result.stderr
     assert "short_52" in result.stdout and "short_72" in result.stdout
     assert "defect/epsilon" in result.stdout
+
+
+def test_readme_quick_start_runs(tmp_path):
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
+        readme = handle.read()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    script = tmp_path / "quick_start.py"
+    script.write_text(block)
+    result = run_demo(str(script), tmp_path)
+    assert result.returncode == 0, result.stderr
+    assert "7*cot(pi/7)" in result.stdout
+    assert result.stdout.rstrip().endswith("-> MATCH")

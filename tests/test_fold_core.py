@@ -450,6 +450,19 @@ def test_json_rejects_missing_and_bad_fields():
         FoldProgram.from_json("[1, 2, 3]")
 
 
+@pytest.mark.parametrize("cut", ["start_cut", "end_cut"])
+@pytest.mark.parametrize("den", ["2", None, True])
+def test_json_rejects_non_integer_cut_angles(cut, den):
+    doc = json.loads(make_truncated(
+        [CreaseSpec(1.0, ExactAngle(1, 3), 1)],
+        start=CutSpec(0.0, ExactAngle(1, 2)),
+        end=CutSpec(2.0, ExactAngle(1, 2)),
+    ).to_json())
+    doc[cut]["angle_den"] = den
+    with pytest.raises(MalformedProgramError):
+        FoldProgram.from_json(json.dumps(doc))
+
+
 def test_weave_rule_validation():
     with pytest.raises(MalformedProgramError):
         WeaveRule("braided")
