@@ -270,6 +270,9 @@ def _run_identify(config: CommandConfig) -> int:
     if (config.input_path is None) == (config.family is None):
         raise _UsageError("identify needs exactly one of --input or --family")
     if config.input_path is not None:
+        for flag in ("q", "p"):
+            if getattr(config, flag) is not None:
+                raise _UsageError("identify --input takes no --%s" % flag)
         with open(config.input_path, "r", encoding="utf-8") as handle:
             program = FoldProgram.from_json(handle.read())
     else:

@@ -1,12 +1,14 @@
 """Family builders for flat-folded torus knot ribbons.
 
-Every construction here is a star polyline centerline handed to
-``fold_core.layout_from_centerline`` and read back through ``unfold``,
-so each emitted program passes the round-trip and closure invariants by
-construction.  The wrap families place their creases as chords of a
-common circle; the two short variants pair creases a small distance
-epsilon apart; the sixteen-panel rectangle walks the same circuit four
-times and lets the stacking order do all the work.
+Every builder emits its creases directly, from exact data.  The five
+star families (odd wraps, star polygons, pinwheels and the two even
+wraps) follow a {n/step} star: crease j sits j chords along the strip
+at step*pi/n or its supplement, so their angles are exact by
+construction.  The sixteen-panel rectangle walks the same 2 x 1 circuit
+four times with integer sides and quarter-turn creases, and lets the
+stacking order do all the work.  The two short variants pair creases a
+small distance epsilon apart; their creases are read off their
+centerline polyline, at angles that are no rational multiple of pi.
 
 The private ``_FAMILIES`` table holds one row per family; ``FamilyId``,
 ``knot_type``, ``build``, the formulas and the CLI all read it.
@@ -16,15 +18,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
 from .errors import ParameterError
 from .fold_core import (
+    CreaseSpec,
+    CutSpec,
+    ExactAngle,
     FoldProgram,
     Point,
     WeaveRule,
-    layout_from_centerline,
-    unfold,
 )
 
 __all__ = [
@@ -160,16 +165,25 @@ def knot_type(family: FamilyId) -> Optional[TorusKnotParams]:
     return None if isinstance(knot, tuple) else TorusKnotParams(*knot(family.parameter))
 
 
-def _star_points(n: int, step: int, chord: float) -> List[Point]:
-    # vertices of the {n/step} star polyline with the given chord length
-    radius = chord / (2.0 * math.sin(step * math.pi / n))
-    return [
-        Point(
-            radius * math.cos(2.0 * math.pi * step * k / n),
-            radius * math.sin(2.0 * math.pi * step * k / n),
-        )
-        for k in range(n)
-    ]
+def _closed_program(width, lines, heights, label, weave=None) -> FoldProgram:
+    # lines holds (position, angle) of creases j = 1, 2, ...; crease j ends
+    # panel j - 1 and climbs to panel j, which wraps to panel 0 at the seam
+    n = len(heights)
+    creases = tuple(CreaseSpec(position, angle, heights[j % n] - heights[j - 1])
+                    for j, (position, angle) in enumerate(lines, 1))
+    return FoldProgram(width, creases, "closed", label, weave=weave)
+
+
+def _star_program(n, step, chord, width, heights, label, weave=None) -> FoldProgram:
+    """Closed program of a strip whose centerline follows the {n/step} star.
+
+    Each vertex turns by 2*step*pi/n and its crease bisects the turn, seen
+    from alternate faces: crease j sits j chords along the strip, at
+    step/n*pi for odd j and (n - step)/n*pi for even j.
+    """
+    angles = (ExactAngle(step, n), ExactAngle(n - step, n))
+    lines = [(j * chord, angles[(j - 1) % 2]) for j in range(1, n + 1)]
+    return _closed_program(width, lines, heights, label, weave)
 
 
 def build_odd_wrap(q: int, presentation: str = "closed") -> FoldProgram:
@@ -184,26 +198,16 @@ def build_odd_wrap(q: int, presentation: str = "closed") -> FoldProgram:
     n = 2 * q + 1
     width = math.cos(math.pi / (2 * n))
     chord = width / math.tan(math.pi / n)
-    pts = _star_points(n, q, chord)
     heights = [((q + 1) * k) % n for k in range(n)]
     label = "odd_wrap q=%d %s" % (q, presentation)
+    program = _star_program(n, q, chord, width, heights, label)
     if presentation == "closed":
-        lay = layout_from_centerline(pts, width, heights, closed=True)
-        return unfold(lay, presentation="closed", label=label)
-    # the end creases still bisect against the removed segment's direction
-    dx = pts[0].x - pts[-1].x
-    dy = pts[0].y - pts[-1].y
-    norm = math.hypot(dx, dy)
-    direction = (dx / norm, dy / norm)
-    lay = layout_from_centerline(
-        pts,
-        width,
-        heights[:-1],
-        closed=False,
-        start_direction=direction,
-        end_direction=direction,
-    )
-    return unfold(lay, presentation="truncated", label=label)
+        return program
+    # the dropped panel's creases become the cuts; the seam one shows
+    # its supplement to the first panel
+    cut = ExactAngle(q + 1, n)
+    return FoldProgram(width, program.creases[:n - 2], "truncated", label,
+                       start_cut=CutSpec(0.0, cut), end_cut=CutSpec((n - 1) * chord, cut))
 
 
 def build_star_polygon(p: int) -> FoldProgram:
@@ -216,14 +220,8 @@ def build_star_polygon(p: int) -> FoldProgram:
     FamilyId("star_polygon", p)
     width = math.sin(2.0 * math.pi / p)
     chord = 1.0 + math.cos(2.0 * math.pi / p)
-    pts = _star_points(p, 2, chord)
-    lay = layout_from_centerline(pts, width, list(range(p)), closed=True)
-    return unfold(
-        lay,
-        presentation="closed",
-        label="star_polygon p=%d" % p,
-        weave=WeaveRule("alternating"),
-    )
+    return _star_program(p, 2, chord, width, range(p), "star_polygon p=%d" % p,
+                         WeaveRule("alternating"))
 
 
 def build_pinwheel(q: int) -> FoldProgram:
@@ -236,14 +234,7 @@ def build_pinwheel(q: int) -> FoldProgram:
     FamilyId("pinwheel", q)
     n = 2 * q + 1
     chord = 1.0 / math.tan(math.pi / (2 * n))
-    pts = _star_points(n, q, chord)
-    lay = layout_from_centerline(pts, 1.0, list(range(n)), closed=True)
-    return unfold(
-        lay,
-        presentation="closed",
-        label="pinwheel q=%d" % q,
-        weave=WeaveRule("torus"),
-    )
+    return _star_program(n, q, chord, 1.0, range(n), "pinwheel q=%d" % q, WeaveRule("torus"))
 
 
 def build_even_wrap(q: int, variant: int = 2) -> FoldProgram:
@@ -258,14 +249,8 @@ def build_even_wrap(q: int, variant: int = 2) -> FoldProgram:
     n = 2 * q + variant
     width = math.sin(q * math.pi / n)
     chord = width / math.tan(math.pi / n)
-    pts = _star_points(n, q, chord)
-    lay = layout_from_centerline(pts, width, list(range(n)), closed=True)
-    return unfold(
-        lay,
-        presentation="closed",
-        label="even_wrap q=%d n=%d" % (q, n),
-        weave=WeaveRule("torus"),
-    )
+    return _star_program(n, q, chord, width, range(n), "even_wrap q=%d n=%d" % (q, n),
+                         WeaveRule("torus"))
 
 
 # Strip-and-collar centerline shared by the two short variants: a stack
@@ -318,13 +303,8 @@ _SCALE_52 = 7.0 * _COT_PI_5 / _limit_length(_SHORT_RAW, 3)
 _SCALE_72 = 9.0 * _COT_PI_5 / _limit_length(_SHORT_RAW, 5)
 
 
-def _short_program(epsilon, scale, drifts, heights, label) -> FoldProgram:
-    if not isinstance(epsilon, (int, float)) or isinstance(epsilon, bool):
-        raise ParameterError("epsilon must be a number")
-    epsilon = float(epsilon)
-    # unit width, so the bound is 0.1 width units
-    if not 0.0 < epsilon < 0.1:
-        raise ParameterError("epsilon must lie in (0, 0.1)")
+def _short_centerline(epsilon: float, scale: float, drifts) -> List[Point]:
+    # closed unit-width centerline of a short variant, one point per vertex
     c = {k: v * scale for k, v in _SHORT_RAW.items()}
     half = 0.5 * epsilon
     if len(drifts) == 4:
@@ -332,9 +312,30 @@ def _short_program(epsilon, scale, drifts, heights, label) -> FoldProgram:
     else:
         ys = (c["D"] - half, -half, c["D"], 0.0, c["D"] + half, half)
     pts = [Point(drift * epsilon, y) for drift, y in zip(drifts, ys)]
-    pts += [Point(x, y) for x, y in _collar(c)]
-    lay = layout_from_centerline(pts, 1.0, list(heights), closed=True)
-    return unfold(lay, presentation="closed", label=label)
+    return pts + [Point(x, y) for x, y in _collar(c)]
+
+
+def _short_program(epsilon, scale, drifts, heights, name) -> FoldProgram:
+    if not isinstance(epsilon, (int, float)) or isinstance(epsilon, bool):
+        raise ParameterError("epsilon must be a number")
+    epsilon = float(epsilon)
+    # unit width, so the bound is 0.1 width units
+    if not 0.0 < epsilon < 0.1:
+        raise ParameterError("epsilon must lie in (0, 0.1)")
+    pts = _short_centerline(epsilon, scale, drifts)
+    n = len(pts)
+    legs = [(b.x - a.x, b.y - a.y) for a, b in zip(pts, pts[1:] + pts[:1])]
+    lines = []
+    for k in range(1, n + 1):
+        # crease k bisects the signed turn at vertex k, seen from the face
+        # panel k - 1 shows; its angle is no rational multiple of pi, so it
+        # takes the nearest fraction, with no preference for simple ones
+        (ux, uy), (vx, vy) = legs[k - 1], legs[k % n]
+        half_turn = 0.5 * math.atan2(ux * vy - uy * vx, ux * vx + uy * vy)
+        turns = Fraction((half_turn if k % 2 else -half_turn) % math.pi) / Fraction(math.pi)
+        position = math.fsum(math.hypot(*leg) for leg in legs[:k])
+        lines.append((position, ExactAngle.from_fraction(turns.limit_denominator(10**12))))
+    return _closed_program(1.0, lines, heights, "%s eps=%g" % (name, epsilon))
 
 
 def build_short_52(epsilon: float = 1e-3) -> FoldProgram:
@@ -344,13 +345,7 @@ def build_short_52(epsilon: float = 1e-3) -> FoldProgram:
     separated by epsilon, which shortens the strip below the five-panel
     wrap; the ratio tends to 7/tan(pi/5) as epsilon goes to zero.
     """
-    return _short_program(
-        epsilon,
-        _SCALE_52,
-        _SHORT_52_DRIFT,
-        _SHORT_52_HEIGHTS,
-        "short_52 eps=%g" % float(epsilon),
-    )
+    return _short_program(epsilon, _SCALE_52, _SHORT_52_DRIFT, _SHORT_52_HEIGHTS, "short_52")
 
 
 def build_short_72(epsilon: float = 1e-3) -> FoldProgram:
@@ -359,18 +354,11 @@ def build_short_72(epsilon: float = 1e-3) -> FoldProgram:
     Same collar as the (5, 2) short with a third doubled fold line in the
     stack; the ratio tends to 9/tan(pi/5) as epsilon goes to zero.
     """
-    return _short_program(
-        epsilon,
-        _SCALE_72,
-        _SHORT_72_DRIFT,
-        _SHORT_72_HEIGHTS,
-        "short_72 eps=%g" % float(epsilon),
-    )
+    return _short_program(epsilon, _SCALE_72, _SHORT_72_DRIFT, _SHORT_72_HEIGHTS, "short_72")
 
 
-# Four passes around one rectangle; the stacking order alone decides the
-# weave.  Certified against the 7_4 Alexander polynomial.
-_RECT_74_CORNERS = ((0.5, 0.5), (2.5, 0.5), (2.5, 1.5), (0.5, 1.5))
+# Four passes around a 2 x 1 rectangle; the stacking order alone decides
+# the weave.  Certified against the 7_4 Alexander polynomial.
 _RECT_74_HEIGHTS = (5, 14, 0, 11, 1, 13, 7, 8, 6, 3, 10, 2, 9, 12, 15, 4)
 
 
@@ -379,11 +367,12 @@ def build_74() -> FoldProgram:
 
     The unit-width centerline walks a 2 x 1 rectangle four times, so the
     folded ribbon exactly tiles a 3 x 2 box and the length-to-width
-    ratio is the integer 24.
+    ratio is the integer 24.  Every corner turns by pi/2, so the creases
+    alternate between pi/4 and 3pi/4.
     """
-    pts = [Point(x, y) for x, y in _RECT_74_CORNERS * 4]
-    lay = layout_from_centerline(pts, 1.0, list(_RECT_74_HEIGHTS), closed=True)
-    return unfold(lay, presentation="closed", label="rect_74")
+    angles = [ExactAngle(1, 4), ExactAngle(3, 4)] * 8
+    lines = zip(map(float, accumulate((2, 1) * 8)), angles)
+    return _closed_program(1.0, lines, _RECT_74_HEIGHTS, "rect_74")
 
 
 def build(

@@ -9,9 +9,12 @@ creases left to right places every panel in the plane as a flat quad.
 
 A fold program is the complete recipe: width, an ordered crease list,
 whether the strip closes into a loop, and optional end cuts for open
-presentations.  ``layout`` realizes a program as placed panels,
-``unfold`` recovers a program from placed panels, and the two are
-mutually inverse up to floating point rounding.
+presentations.  ``layout`` realizes a program as placed panels.
+
+``layout_from_centerline`` places panels straight from a centerline
+polyline and ``unfold`` recovers a program from placed panels.  No
+builder goes through them; they are independent oracles that check a
+program against the geometry it should fold to.
 """
 
 from __future__ import annotations
@@ -30,6 +33,10 @@ from .errors import (
 )
 
 CLOSURE_TOLERANCE = 1e-9
+
+# noise left in an angle measured from placed panels: at most 2.2e-12 rad
+# over the star families at q <= 60 and p <= 301, and at star p = 1001
+_UNFOLD_ANGLE_TOLERANCE = 1e-11
 
 WEAVE_MODES = ("layers", "alternating", "torus", "explicit")
 
@@ -92,17 +99,23 @@ class ExactAngle:
     def from_float(cls, radians: float, *, tolerance: float = 1e-9) -> "ExactAngle":
         """Snap a float angle to the nearest simple rational multiple of pi.
 
-        Denominators up to 1000 are preferred when one matches within
-        ``tolerance``; otherwise the closest dyadic-precision fraction
-        is used so arbitrary angles still round-trip.
+        The closest fraction with denominator up to 10**4 is taken when
+        it lies within ``tolerance * min(1, (1000 / den)**2)``: fractions
+        with denominators near D crowd about D**2 to a unit, so a larger
+        denominator must match more closely to count as the angle meant.
+        Otherwise the closest fraction with denominator up to 10**12 is
+        used, within ``tolerance``, so arbitrary angles still round-trip.
         """
         if not math.isfinite(radians):
             raise InvalidInputError("angle must be finite")
         turns = Fraction(radians) / Fraction(math.pi)
-        for max_den in (1000, 10**12):
-            cand = turns.limit_denominator(max_den)
-            if abs(float(cand) * math.pi - radians) <= tolerance:
-                return cls(cand.numerator, cand.denominator)
+        cand = turns.limit_denominator(10**4)
+        scale = min(1.0, (1000.0 / cand.denominator) ** 2)
+        if abs(float(cand) * math.pi - radians) <= tolerance * scale:
+            return cls(cand.numerator, cand.denominator)
+        cand = turns.limit_denominator(10**12)
+        if abs(float(cand) * math.pi - radians) <= tolerance:
+            return cls(cand.numerator, cand.denominator)
         raise InconsistencyError(
             "no rational multiple of pi within %g of %r" % (tolerance, radians)
         )
@@ -296,8 +309,9 @@ def _require(cond: bool, message: str) -> None:
         raise MalformedProgramError(message)
 
 
-def _json_angle(entry, where: str, extra_keys: Tuple[str, ...] = ()) -> ExactAngle:
-    # checks a crease or cut object and its fields, returns its exact angle
+def _json_line(entry, where: str, extra_keys: Tuple[str, ...] = ()) -> Tuple[object, ExactAngle]:
+    # checks a crease or cut object and its fields, returns its position
+    # (checked by CreaseSpec or CutSpec) and its exact angle
     _require(isinstance(entry, dict), "%s must be a JSON object" % where)
     for key in ("position", "angle_num", "angle_den") + extra_keys:
         _require(key in entry, "%s missing field %r" % (where, key))
@@ -307,7 +321,7 @@ def _json_angle(entry, where: str, extra_keys: Tuple[str, ...] = ()) -> ExactAng
         "%s angle_num and angle_den must be integers" % where,
     )
     _require(den > 0, "%s angle_den must be positive" % where)
-    return ExactAngle(num, den)
+    return entry["position"], ExactAngle(num, den)
 
 
 @dataclass(frozen=True)
@@ -467,8 +481,8 @@ class FoldProgram:
         creases = []
         previous = None
         for entry in raw_creases:
-            angle = _json_angle(entry, "crease", ("layer_shift",))
-            crease = CreaseSpec(entry["position"], angle, entry["layer_shift"])
+            position, angle = _json_line(entry, "crease", ("layer_shift",))
+            crease = CreaseSpec(position, angle, entry["layer_shift"])
             if previous is not None and crease.position <= previous:
                 raise MalformedProgramError("creases must be sorted by strictly increasing position")
             previous = crease.position
@@ -476,8 +490,7 @@ class FoldProgram:
         cuts = {}
         for name in ("start_cut", "end_cut"):
             if name in doc and doc[name] is not None:
-                entry = doc[name]
-                cuts[name] = CutSpec(entry["position"], _json_angle(entry, name))
+                cuts[name] = CutSpec(*_json_line(doc[name], name))
         weave = None
         if "weave" in doc and doc["weave"] is not None:
             raw = doc["weave"]
@@ -670,7 +683,6 @@ def _recovered_angle(
     seg: Tuple[Point, Point],
     side: Tuple[Point, Point],
     orientation: int,
-    tolerance: float,
 ) -> ExactAngle:
     """Strip angle of a boundary line from its placed geometry."""
     ux, uy = seg[1][0] - seg[0][0], seg[1][1] - seg[0][1]
@@ -681,7 +693,7 @@ def _recovered_angle(
     theta = (orientation * phi) % math.pi
     if theta < 1e-12 or math.pi - theta < 1e-12:
         raise InconsistencyError("boundary line is parallel to the centerline")
-    return ExactAngle.from_float(theta, tolerance=tolerance)
+    return ExactAngle.from_float(theta, tolerance=_UNFOLD_ANGLE_TOLERANCE)
 
 
 def unfold(
@@ -690,16 +702,18 @@ def unfold(
     presentation: Optional[str] = None,
     label: Optional[str] = None,
     weave: Optional[WeaveRule] = None,
-    angle_tolerance: float = 1e-9,
 ) -> FoldProgram:
     """Recover the fold program of a placed layout.
 
     The strip is rebuilt from measured panel geometry alone: positions
     from accumulated centerline segment lengths, the width from edge
     side distances, angles from the turn between each centerline
-    segment and its boundary line, snapped back to exact rational
-    multiples of pi.  Raises InconsistencyError when panels disagree
-    about the width or an angle cannot be snapped.
+    segment and its boundary line, snapped back to rational multiples
+    of pi by ``ExactAngle.from_float`` at a fixed 1e-11 rad.  Raises
+    InconsistencyError when panels disagree about the width.
+
+    No builder calls this: it is an oracle, independent of the exact
+    crease data, that tests hold programs against.
     """
     panels = lay.panels
     if not panels:
@@ -733,9 +747,7 @@ def unfold(
     creases = []
     n_inner = len(panels) - 1
     for k in range(n_inner):
-        angle = _recovered_angle(
-            lay.centerline[k], panels[k].side(1), panels[k].orientation, angle_tolerance
-        )
+        angle = _recovered_angle(lay.centerline[k], panels[k].side(1), panels[k].orientation)
         shift = panels[k + 1].layer - panels[k].layer
         if shift == 0:
             raise InconsistencyError("panels %d and %d share a layer" % (k, k + 1))
@@ -743,7 +755,7 @@ def unfold(
     if closed:
         last = len(panels) - 1
         angle = _recovered_angle(
-            lay.centerline[last], panels[last].side(1), panels[last].orientation, angle_tolerance
+            lay.centerline[last], panels[last].side(1), panels[last].orientation
         )
         shift = -sum(c.layer_shift for c in creases)
         if shift == 0:
@@ -756,12 +768,10 @@ def unfold(
             label=label,
             weave=weave,
         )
-    start_angle = _recovered_angle(
-        lay.centerline[0], panels[0].side(3), panels[0].orientation, angle_tolerance
-    )
+    start_angle = _recovered_angle(lay.centerline[0], panels[0].side(3), panels[0].orientation)
     last = len(panels) - 1
     end_angle = _recovered_angle(
-        lay.centerline[last], panels[last].side(1), panels[last].orientation, angle_tolerance
+        lay.centerline[last], panels[last].side(1), panels[last].orientation
     )
     return FoldProgram(
         width=w,
@@ -789,21 +799,18 @@ def layout_from_centerline(
     heights: Sequence[int],
     *,
     closed: bool,
-    start_direction: Optional[Tuple[float, float]] = None,
-    end_direction: Optional[Tuple[float, float]] = None,
 ) -> FoldedLayout:
     """Build a placed layout directly from a centerline polyline.
 
     For a closed polyline ``points`` lists each vertex once; panel k
     runs from vertex k to vertex k+1 (wrapping).  The boundary line at
     a vertex bisects the turn there, which is exactly the line a flat
-    fold must crease along.  For an open polyline the two end boundary
-    lines bisect against ``start_direction`` / ``end_direction`` when
-    given (the direction the virtual neighbouring segment travels), or
-    default to square cuts.
+    fold must crease along.  An open polyline ends in square cuts.
 
     ``heights`` gives each panel's stacking layer.  The result has no
-    source program; pass it to ``unfold`` to recover one.
+    source program; pass it to ``unfold`` to recover one.  Builders do
+    not use it: tests place a family's polyline with it and compare the
+    unfolded program with the one the builder emits.
     """
     pts = [Point(float(p[0]), float(p[1])) for p in points]
     if closed:
@@ -844,18 +851,10 @@ def layout_from_centerline(
             borders.append(bisector(dirs[k - 1], dirs[k]))
         borders.append(borders[0])
     else:
-        if start_direction is not None:
-            u0 = (float(start_direction[0]), float(start_direction[1]))
-            borders.append(bisector(u0, dirs[0]))
-        else:
-            borders.append((-dirs[0][1], dirs[0][0]))
+        borders.append((-dirs[0][1], dirs[0][0]))
         for k in range(1, count):
             borders.append(bisector(dirs[k - 1], dirs[k]))
-        if end_direction is not None:
-            un = (float(end_direction[0]), float(end_direction[1]))
-            borders.append(bisector(dirs[-1], un))
-        else:
-            borders.append((-dirs[-1][1], dirs[-1][0]))
+        borders.append((-dirs[-1][1], dirs[-1][0]))
 
     panels = []
     segments = []

@@ -5,12 +5,16 @@ closures, and odd pretzel knots traced through their three twist
 columns.  Both produce signed Gauss codes in the (id, is_over, sign)
 form consumed by diagram_from_gauss, so the Alexander machinery can be
 checked against knots whose polynomials are known in closed form.  A
-dense determinant oracle checks the sparse one on any diagram.
+dense determinant oracle checks the sparse one on any diagram, and a
+star-polyline oracle checks the exact crease data of the star families
+against the geometry of their centerlines.
 """
 
+import math
 from fractions import Fraction
 from typing import List, Tuple
 
+from ribbonfold.fold_core import FoldProgram, Point, layout_from_centerline, unfold
 from ribbonfold.knot_id import LaurentPolynomial, _poly_bareiss, _pstrip
 
 
@@ -217,3 +221,50 @@ def dense_alexander(diagram, row=None, col=None, method="auto"):
         method = "exact" if len(minor) <= 14 else "interpolate"
     det = _poly_bareiss(minor) if method == "exact" else _interpolated_det(minor)
     return LaurentPolynomial.from_list(det).normalized()
+
+
+# ------------------------------------------------- star-polyline oracle
+
+
+def star_points(n: int, step: int, chord: float) -> List[Point]:
+    """Vertices of the {n/step} star polyline with the given chord length."""
+    radius = chord / (2.0 * math.sin(step * math.pi / n))
+    return [
+        Point(
+            radius * math.cos(2.0 * math.pi * step * k / n),
+            radius * math.sin(2.0 * math.pi * step * k / n),
+        )
+        for k in range(n)
+    ]
+
+
+def star_polyline_program(tag: str, parameter: int) -> FoldProgram:
+    """Closed program of a star family, read back from its placed polyline.
+
+    The centerline visits the vertices of a {n/step} star; every panel
+    is placed from it by ``layout_from_centerline`` and the program is
+    measured off the panels by ``unfold``, so its angles come from the
+    geometry rather than from the construction's formulas.
+    """
+    if tag == "star_polygon":
+        n, step = parameter, 2
+        width = math.sin(2.0 * math.pi / n)
+        chord = 1.0 + math.cos(2.0 * math.pi / n)
+    elif tag == "pinwheel":
+        n, step = 2 * parameter + 1, parameter
+        width = 1.0
+        chord = 1.0 / math.tan(math.pi / (2 * n))
+    else:
+        n = 2 * parameter + {"odd_wrap": 1, "even_wrap_plus2": 2, "even_wrap_plus4": 4}[tag]
+        step = parameter
+        if tag == "odd_wrap":
+            width = math.cos(math.pi / (2 * n))
+        else:
+            width = math.sin(step * math.pi / n)
+        chord = width / math.tan(math.pi / n)
+    if tag == "odd_wrap":
+        heights = [((step + 1) * k) % n for k in range(n)]
+    else:
+        heights = list(range(n))
+    lay = layout_from_centerline(star_points(n, step, chord), width, heights, closed=True)
+    return unfold(lay, presentation="closed")

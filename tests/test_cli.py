@@ -200,6 +200,8 @@ def test_identify_json_deterministic(capsys):
         ("verify", "--family", "rect74", "--q", "3"),
         ("build", "--family", "odd-wrap", "--q", "3", "--p", "4"),
         ("identify", "--family", "star", "--p", "7", "--q", "2"),
+        # family flags next to a program file
+        ("identify", "--input", "/nonexistent/path.json", "--q", "3"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):
@@ -208,18 +210,49 @@ def test_usage_errors_exit_two(capsys, argv):
     assert out == "" and err
 
 
-@pytest.mark.parametrize("den", ["2", None, True])
+# each case maps the start cut object to its malformed replacement, and
+# names a word the error message must hold
+MALFORMED_CUTS = [
+    pytest.param(lambda cut: dict(cut, angle_den="2"), "angle_den", id="2"),
+    pytest.param(lambda cut: dict(cut, angle_den=None), "angle_den", id="None"),
+    pytest.param(lambda cut: dict(cut, angle_den=True), "angle_den", id="True"),
+    pytest.param(lambda cut: {"angle_num": 1, "angle_den": 2}, "position", id="no-position"),
+    pytest.param(lambda cut: [1, 2], "start_cut", id="list"),
+    pytest.param(lambda cut: "x", "start_cut", id="string"),
+]
+
+
+@pytest.mark.parametrize("malform,word", MALFORMED_CUTS)
 @pytest.mark.parametrize("command", ["identify", "render"])
-def test_malformed_cut_angle_exits_two(capsys, tmp_path, command, den):
+def test_malformed_cut_angle_exits_two(capsys, tmp_path, command, malform, word):
     doc = json.loads(run_cli(
         capsys, "build", "--family", "odd-wrap", "--q", "3",
         "--presentation", "truncated")[1])
-    doc["start_cut"]["angle_den"] = den
+    doc["start_cut"] = malform(doc["start_cut"])
     bad = tmp_path / "cut.json"
     bad.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, command, "--input", str(bad))
     assert code == 2
-    assert out == "" and "angle_den" in err
+    assert out == "" and word in err
+
+
+@pytest.mark.parametrize("flag", ["--q", "--p"])
+def test_identify_input_rejects_family_flags(capsys, tmp_path, flag):
+    program = tmp_path / "rect.json"
+    program.write_text(run_cli(capsys, "build", "--family", "rect74")[1])
+    assert run_cli(capsys, "identify", "--input", str(program))[0] == 0
+    code, out, err = run_cli(capsys, "identify", "--input", str(program), flag, "3")
+    assert code == 2
+    assert out == "" and flag in err
+
+
+def test_verify_short_52_where_angles_once_snapped(capsys):
+    # its first crease used to snap to 336/673 pi, and layout then
+    # raised ClosureError
+    code, out, _ = run_cli(capsys, "verify", "--family", "short-52",
+                           "--epsilon", "0.0035022622413135")
+    assert code == 0
+    assert out.endswith("verify: PASS\n")
 
 
 def test_malformed_program_file_exits_two(capsys, tmp_path):

@@ -1,9 +1,11 @@
 """Unit tests for the family builders."""
 
+import hashlib
 import math
 
 import pytest
 
+from diagram_sources import star_polyline_program
 from ribbonfold import (
     ClosureError,
     FamilyId,
@@ -21,6 +23,8 @@ from ribbonfold import (
     layout,
     ratio,
 )
+from ribbonfold import constructions
+from ribbonfold.fold_core import ExactAngle, Point, layout_from_centerline, unfold
 from ribbonfold.knot_id import (
     LaurentPolynomial,
     alexander_polynomial,
@@ -302,6 +306,7 @@ def test_truncated_odd_wrap_has_end_cuts():
         lambda: build_short_52(0.1),
         lambda: build_short_72(0.25),
         lambda: build(FamilyId("star_polygon", 7), presentation="truncated"),
+        lambda: build_short_52(None),
     ],
 )
 def test_parameter_errors(call):
@@ -391,3 +396,102 @@ def test_builders_are_deterministic():
     assert build_74().to_json() == build_74().to_json()
     assert build_short_52(2e-3).to_json() == build_short_52(2e-3).to_json()
     assert build_odd_wrap(5).to_json() == build_odd_wrap(5).to_json()
+
+
+# -------------------------------------------------- geometric oracles
+
+
+def assert_same_creases(program, oracle, angle_tolerance=None):
+    # angles exact, or within angle_tolerance rad for angles that are no
+    # rational multiple of pi; positions within 1e-12 relative
+    assert len(program.creases) == len(oracle.creases)
+    for got, want in zip(program.creases, oracle.creases):
+        if angle_tolerance is None:
+            assert got.angle == want.angle
+        else:
+            assert abs(got.angle.radians - want.angle.radians) <= angle_tolerance
+        assert got.layer_shift == want.layer_shift
+        assert abs(got.position - want.position) <= 1e-12 * want.position
+    # a measured width carries absolute noise, large against a thin star's
+    assert abs(program.width - oracle.width) <= 1e-12
+
+
+STAR_MEMBERS = (
+    [("odd_wrap", q) for q in range(2, 9)]
+    + [("star_polygon", p) for p in range(7, 30, 2)]
+    + [("pinwheel", q) for q in range(2, 9)]
+    + [(tag, q) for tag in ("even_wrap_plus2", "even_wrap_plus4") for q in (3, 5, 7, 9)]
+)
+
+
+@pytest.mark.parametrize("tag,parameter", STAR_MEMBERS)
+def test_star_families_match_polyline_oracle(tag, parameter):
+    program = build(FamilyId(tag, parameter))
+    assert_same_creases(program, star_polyline_program(tag, parameter))
+
+
+@pytest.mark.parametrize("p", [1001, 1653])
+def test_large_star_polygons_match_polyline_oracle(p):
+    # angle denominators past 1000 still snap exactly out of the geometry
+    assert_same_creases(build_star_polygon(p), star_polyline_program("star_polygon", p))
+
+
+@pytest.mark.parametrize("q", [2, 3, 6])
+def test_truncated_odd_wrap_is_the_closed_wrap_less_one_panel(q):
+    # the end cuts lie on the two creases of the dropped panel, so every
+    # placed panel coincides with the closed wrap's
+    closed = layout(build_odd_wrap(q)).panels
+    truncated = layout(build_odd_wrap(q, "truncated")).panels
+    assert len(truncated) == len(closed) - 1
+    for a, b in zip(truncated, closed):
+        assert a.layer == b.layer
+        for (ax, ay), (bx, by) in zip(a.vertices, b.vertices):
+            assert math.hypot(ax - bx, ay - by) <= 1e-12 * (2 * q + 1)
+
+
+def test_rect_74_matches_polyline_oracle():
+    corners = ((0.5, 0.5), (2.5, 0.5), (2.5, 1.5), (0.5, 1.5)) * 4
+    lay = layout_from_centerline([Point(x, y) for x, y in corners], 1.0,
+                                 constructions._RECT_74_HEIGHTS, closed=True)
+    assert_same_creases(build_74(), unfold(lay, presentation="closed"))
+
+
+def test_rect_74_json_pinned():
+    # SHA-256 of the program JSON as built through the unfolded polyline;
+    # the 7_4 certification reads the noise-level signs of its geometry
+    digest = hashlib.sha256(build_74().to_json().encode()).hexdigest()
+    assert digest == "3fb66dd56713e24cd1a7fea3baf6a73a01d94472f7acae5a8f2a8ee91ef5e1c9"
+
+
+# the oracle bisects turns of nearly pi at the paired creases, which
+# costs it about 1e-16 / epsilon rad, so epsilon stays at 1e-4 or more
+@pytest.mark.parametrize("epsilon", [1e-4, 1e-3, 0.0035022622413135, 0.05, 0.099])
+@pytest.mark.parametrize("name", ["short_52", "short_72"])
+def test_shorts_match_polyline_oracle(name, epsilon):
+    builder, scale, drifts, heights = {
+        "short_52": (build_short_52, constructions._SCALE_52,
+                     constructions._SHORT_52_DRIFT, constructions._SHORT_52_HEIGHTS),
+        "short_72": (build_short_72, constructions._SCALE_72,
+                     constructions._SHORT_72_DRIFT, constructions._SHORT_72_HEIGHTS),
+    }[name]
+    pts = constructions._short_centerline(epsilon, scale, drifts)
+    lay = layout_from_centerline(pts, 1.0, heights, closed=True)
+    assert_same_creases(builder(epsilon), unfold(lay, presentation="closed"), 1e-12)
+
+
+def test_large_star_families_have_two_crease_angles():
+    angles = {c.angle for c in build_star_polygon(1001).creases}
+    assert angles == {ExactAngle(2, 1001), ExactAngle(999, 1001)}
+    wrap = build_odd_wrap(600)
+    assert {c.angle for c in wrap.creases} == {ExactAngle(600, 1201), ExactAngle(601, 1201)}
+    truncated = build_odd_wrap(600, "truncated")
+    assert {c.angle for c in truncated.creases} == {ExactAngle(600, 1201), ExactAngle(601, 1201)}
+
+
+def test_short_52_lays_out_where_angles_once_snapped():
+    # a denominator-673 fraction within 1e-9 rad of its first crease used
+    # to be taken for the angle, and the seam then missed its start
+    program = build_short_52(0.0035022622413135)
+    assert all(c.angle.denominator > 10**6 for c in program.creases)
+    limit = 7.0 / math.tan(math.pi / 5.0)
+    assert 0.0 < limit - ratio(layout(program)) <= 10 * 0.0035022622413135

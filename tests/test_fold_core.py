@@ -85,6 +85,17 @@ def test_exact_angle_from_float_keeps_generic_angles():
     assert abs(snapped.radians - value) <= 1e-9
 
 
+def test_exact_angle_from_float_scales_tolerance_past_denominator_1000():
+    for num, den in [(2, 1001), (999, 1001), (2, 1653), (600, 1201)]:
+        snapped = ExactAngle.from_float(num * math.pi / den + 2e-12, tolerance=1e-11)
+        assert snapped == ExactAngle(num, den)
+    # a denominator near 10**4 must match a hundred times closer
+    value = 1234 * math.pi / 9999 + 5e-12
+    snapped = ExactAngle.from_float(value, tolerance=1e-11)
+    assert snapped != ExactAngle(1234, 9999)
+    assert abs(snapped.radians - value) <= 1e-11
+
+
 def test_exact_angle_rejects_bad_input():
     with pytest.raises(InvalidInputError):
         ExactAngle(1, 0)
@@ -451,14 +462,22 @@ def test_json_rejects_missing_and_bad_fields():
 
 
 @pytest.mark.parametrize("cut", ["start_cut", "end_cut"])
-@pytest.mark.parametrize("den", ["2", None, True])
-def test_json_rejects_non_integer_cut_angles(cut, den):
+@pytest.mark.parametrize("malform", [
+    pytest.param(lambda entry: dict(entry, angle_den="2"), id="2"),
+    pytest.param(lambda entry: dict(entry, angle_den=None), id="None"),
+    pytest.param(lambda entry: dict(entry, angle_den=True), id="True"),
+    # a whole cut that is no cut object
+    pytest.param(lambda entry: {"angle_num": 1, "angle_den": 2}, id="no-position"),
+    pytest.param(lambda entry: [1, 2], id="list"),
+    pytest.param(lambda entry: "x", id="string"),
+])
+def test_json_rejects_non_integer_cut_angles(cut, malform):
     doc = json.loads(make_truncated(
         [CreaseSpec(1.0, ExactAngle(1, 3), 1)],
         start=CutSpec(0.0, ExactAngle(1, 2)),
         end=CutSpec(2.0, ExactAngle(1, 2)),
     ).to_json())
-    doc[cut]["angle_den"] = den
+    doc[cut] = malform(doc[cut])
     with pytest.raises(MalformedProgramError):
         FoldProgram.from_json(json.dumps(doc))
 
