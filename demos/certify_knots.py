@@ -3,12 +3,13 @@
 Each closed fold's centerline becomes a knot diagram (coincident runs
 displaced apart deterministically), and the diagram's Alexander
 polynomial is compared against the target torus knot's.  The rectangle
-fold is checked against the 7_4 polynomial instead, through the same
-check as ``ribbonfold verify --knot-check``.
+fold is checked against the 7_4 polynomial instead.  Every case goes
+through ``knot_id.certification_report``, the same check as
+``ribbonfold verify --knot-check``.
 """
 
 from ribbonfold import FamilyId, build, knot_type, layout
-from ribbonfold.cli import _certify
+from ribbonfold.knot_id import alexander_polynomial, certification_report, extract_diagram
 
 CASES = (
     FamilyId("odd_wrap", 2),
@@ -30,13 +31,14 @@ CASES = (
 def main():
     failures = 0
     for family in CASES:
-        ok, summary = _certify(family, layout(build(family)))
+        diagram = extract_diagram(layout(build(family)))
+        report = certification_report(diagram, alexander_polynomial(diagram), family)
         if knot_type(family) is None:
             label = family.tag
         else:
             label = "%s(%s)" % (family.tag, family.parameter)
-        print("%-22s %s" % (label, summary))
-        failures += 0 if ok else 1
+        print("%-22s %s" % (label, report.summary()))
+        failures += 0 if report.matches else 1
 
     print("failures:", failures)
     raise SystemExit(0 if failures == 0 else 1)

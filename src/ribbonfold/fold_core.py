@@ -54,10 +54,6 @@ def _cross(ax: float, ay: float, bx: float, by: float) -> float:
     return ax * by - ay * bx
 
 
-def _hypot(ax: float, ay: float) -> float:
-    return math.hypot(ax, ay)
-
-
 @dataclass(frozen=True)
 class ExactAngle:
     """An angle that is an exact rational multiple of pi.
@@ -166,7 +162,7 @@ class Isometry:
     def reflection(cls, p: Point, q: Point) -> "Isometry":
         """Reflection across the line through p and q."""
         ux, uy = q[0] - p[0], q[1] - p[1]
-        norm = _hypot(ux, uy)
+        norm = math.hypot(ux, uy)
         if norm < 1e-15:
             raise InvalidInputError("reflection line needs two distinct points")
         ux /= norm
@@ -530,7 +526,6 @@ class Panel:
     layer: int
     index: int
     placement: Isometry
-    parallel_pair: Tuple[int, int] = (0, 2)
 
     def side(self, k: int) -> Tuple[Point, Point]:
         a = self.vertices[k % 4]
@@ -638,8 +633,8 @@ def layout(program: FoldProgram) -> FoldedLayout:
         length = program.creases[-1].position
         end = placement.apply(Point(length, 0.0))
         vx, vy = placement.apply_vector(1.0, 0.0)
-        gap = _hypot(end[0], end[1])
-        turn = _hypot(vx - 1.0, vy)
+        gap = math.hypot(end[0], end[1])
+        turn = math.hypot(vx - 1.0, vy)
         if gap > CLOSURE_TOLERANCE or turn > CLOSURE_TOLERANCE:
             raise ClosureError(
                 "seam misses start: offset %.3e, direction error %.3e" % (gap, turn)
@@ -651,7 +646,7 @@ def _panel_width(panel: Panel) -> float:
     """Distance between a panel's two ribbon-edge sides."""
     (a, b) = panel.side(0)
     ux, uy = b[0] - a[0], b[1] - a[1]
-    norm = _hypot(ux, uy)
+    norm = math.hypot(ux, uy)
     if norm < 1e-15:
         raise InconsistencyError("panel %d has a degenerate edge side" % panel.index)
     d2 = abs(_cross(ux, uy, panel.vertices[2][0] - a[0], panel.vertices[2][1] - a[1])) / norm
@@ -666,7 +661,7 @@ def centerline_length(obj: Union[FoldProgram, FoldedLayout]) -> float:
     if isinstance(obj, FoldProgram):
         return obj.length()
     if isinstance(obj, FoldedLayout):
-        return math.fsum(_hypot(b[0] - a[0], b[1] - a[1]) for a, b in obj.centerline)
+        return math.fsum(math.hypot(b[0] - a[0], b[1] - a[1]) for a, b in obj.centerline)
     raise InvalidInputError("expected a FoldProgram or FoldedLayout")
 
 
@@ -687,7 +682,7 @@ def _recovered_angle(
     """Strip angle of a boundary line from its placed geometry."""
     ux, uy = seg[1][0] - seg[0][0], seg[1][1] - seg[0][1]
     vx, vy = side[1][0] - side[0][0], side[1][1] - side[0][1]
-    if _hypot(ux, uy) < 1e-15 or _hypot(vx, vy) < 1e-15:
+    if math.hypot(ux, uy) < 1e-15 or math.hypot(vx, vy) < 1e-15:
         raise InconsistencyError("degenerate segment while recovering an angle")
     phi = math.atan2(_cross(ux, uy, vx, vy), _dot(ux, uy, vx, vy))
     theta = (orientation * phi) % math.pi
@@ -738,7 +733,7 @@ def unfold(
     if src is not None and abs(w - src.width) > 1e-9 * max(w, 1.0):
         raise InconsistencyError("measured width disagrees with the source program")
 
-    lengths = [_hypot(b[0] - a[0], b[1] - a[1]) for a, b in lay.centerline]
+    lengths = [math.hypot(b[0] - a[0], b[1] - a[1]) for a, b in lay.centerline]
     positions = []
     for k in range(1, len(lengths) + 1):
         positions.append(math.fsum(lengths[:k]))
@@ -787,7 +782,7 @@ def unfold(
 def _intersect_lines(p: Point, ux: float, uy: float, q: Point, vx: float, vy: float) -> Point:
     """Intersection of the lines p + t*u and q + s*v."""
     denom = _cross(ux, uy, vx, vy)
-    if abs(denom) < 1e-13 * max(_hypot(ux, uy) * _hypot(vx, vy), 1e-30):
+    if abs(denom) < 1e-13 * max(math.hypot(ux, uy) * math.hypot(vx, vy), 1e-30):
         raise MalformedProgramError("boundary line is parallel to a ribbon edge")
     t = _cross(q[0] - p[0], q[1] - p[1], vx, vy) / denom
     return Point(p[0] + t * ux, p[1] + t * uy)
@@ -832,17 +827,15 @@ def layout_from_centerline(
         a = pts[k]
         b = pts[(k + 1) % len(pts)]
         ux, uy = b[0] - a[0], b[1] - a[1]
-        norm = _hypot(ux, uy)
+        norm = math.hypot(ux, uy)
         if norm < 1e-12:
             raise InvalidInputError("centerline vertices %d and %d coincide" % (k, k + 1))
         dirs.append((ux / norm, uy / norm))
 
     def bisector(u_in, u_out):
-        bx, by = u_in[0] + u_out[0], u_in[1] + u_out[1]
-        if _hypot(bx, by) < 1e-12:
-            # straight-through reversal, crease perpendicular to travel
-            return (-u_in[1], u_in[0])
-        return (bx, by)
+        # normal of u_out - u_in: unlike u_in + u_out it does not cancel
+        # at a turn of nearly pi, and a reversal gives the perpendicular
+        return (u_in[1] - u_out[1], u_out[0] - u_in[0])
 
     # boundary line directions at each panel border
     borders = []

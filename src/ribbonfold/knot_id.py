@@ -4,8 +4,9 @@ The folded centerline of a closed program is a closed polygonal curve.
 Its transverse self-intersections, together with over/under decisions
 read from the panel stacking, form a knot diagram.  The diagram's
 Alexander polynomial is computed exactly from the crossing/arc matrix
-and compared with the classical torus-knot polynomial to certify that a
-construction really ties the knot it claims.
+and compared, by ``certification_report``, with the classical torus-knot
+polynomial or with the 7_4 polynomial the family table holds, to certify
+that a construction really ties the knot it claims.
 """
 
 from __future__ import annotations
@@ -15,8 +16,9 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+from .constructions import _FAMILIES, FamilyId
 from .errors import (
     DegenerateDiagramError,
     InconsistencyError,
@@ -58,10 +60,6 @@ class LaurentPolynomial:
     @property
     def coefficients(self) -> Dict[int, int]:
         return dict(self._coeffs)
-
-    @classmethod
-    def zero(cls) -> "LaurentPolynomial":
-        return cls()
 
     @classmethod
     def one(cls) -> "LaurentPolynomial":
@@ -116,10 +114,6 @@ class LaurentPolynomial:
                 e = e1 + e2
                 out[e] = out.get(e, 0) + c1 * c2
         return LaurentPolynomial(out)
-
-    def shift(self, k: int) -> "LaurentPolynomial":
-        """Multiply by t^k."""
-        return LaurentPolynomial({e + k: c for e, c in self._coeffs.items()})
 
     def evaluate(self, x):
         """Exact value at x (int or Fraction)."""
@@ -811,35 +805,37 @@ def _extract_once(centerline, layers, weave, epsilon) -> KnotDiagram:
 
 @dataclass(frozen=True)
 class CertificationReport:
-    """Outcome of comparing a construction's diagram with a torus knot."""
+    """Outcome of comparing a construction's diagram with the expected knot.
 
-    p: int
-    q: int
+    ``p`` and ``q`` and the crossing bound are None unless the expected
+    knot is a torus knot; ``reference`` and ``matches`` are None when
+    nothing was expected.
+    """
+
+    p: Optional[int]
+    q: Optional[int]
     crossing_count: int
     gauss: Tuple[Tuple[int, bool, int], ...]
     alexander: LaurentPolynomial
-    reference: LaurentPolynomial
+    reference: Optional[LaurentPolynomial]
     determinant: int
-    crossing_bound: int
-    crossing_bound_ok: bool
-    matches: bool
+    crossing_bound: Optional[int]
+    crossing_bound_ok: Optional[bool]
+    matches: Optional[bool]
 
     def summary(self) -> str:
-        verdict = "MATCH" if self.matches else "MISMATCH"
-        return (
-            "(%d,%d): %d crossings (bound %d %s), det %d, Alexander %s vs %s -> %s"
-            % (
+        torus = ""
+        if self.p is not None:
+            torus = "(%d,%d): %d crossings (bound %d %s), det %d, " % (
                 self.p,
                 self.q,
                 self.crossing_count,
                 self.crossing_bound,
                 "ok" if self.crossing_bound_ok else "VIOLATED",
                 self.determinant,
-                self.alexander,
-                self.reference,
-                verdict,
             )
-        )
+        return "%sAlexander %s vs %s -> %s" % (
+            torus, self.alexander, self.reference, "MATCH" if self.matches else "MISMATCH")
 
 
 def verify_knot_type(
@@ -853,21 +849,38 @@ def verify_knot_type(
     Extraction or polynomial failures propagate as their own errors.
     """
     diagram = extract_diagram(layout(program), perturbation)
-    return _certification_report(diagram, alexander_polynomial(diagram), expected)
+    return certification_report(diagram, alexander_polynomial(diagram), expected)
 
 
-def _certification_report(
+def certification_report(
     diagram: KnotDiagram,
     delta: LaurentPolynomial,
-    expected: Tuple[int, int],
+    expected: Union[Tuple[int, int], FamilyId, None],
 ) -> CertificationReport:
-    """Compare a diagram and its Alexander polynomial with a torus knot."""
-    p, q = int(expected[0]), int(expected[1])
-    reference = torus_alexander(p, q)
-    mirror = LaurentPolynomial(
-        {delta.degree - e: c for e, c in delta.coefficients.items()}
-    ).normalized()
-    bound = min(p * (q - 1), q * (p - 1))
+    """Compare a diagram and its Alexander polynomial with the expected knot.
+
+    ``expected`` is a torus knot ``(p, q)``; or a family, whose knot the
+    family table gives (a torus knot, or the Alexander coefficients of
+    the 7_4 rectangle); or None, which only reports the invariants.
+    Either chirality matches.
+    """
+    p = q = bound = reference = matches = None
+    if isinstance(expected, FamilyId):
+        knot = _FAMILIES[expected.tag].knot
+        if isinstance(knot, tuple):
+            reference = LaurentPolynomial(dict(enumerate(knot))).normalized()
+        else:
+            p, q = knot(expected.parameter)
+    elif expected is not None:
+        p, q = int(expected[0]), int(expected[1])
+    if p is not None:
+        reference = torus_alexander(p, q)
+        bound = min(p * (q - 1), q * (p - 1))
+    if reference is not None:
+        mirror = LaurentPolynomial(
+            {delta.degree - e: c for e, c in delta.coefficients.items()}
+        ).normalized()
+        matches = delta == reference or mirror == reference
     return CertificationReport(
         p=p,
         q=q,
@@ -877,6 +890,6 @@ def _certification_report(
         reference=reference,
         determinant=abs(int(delta.evaluate(-1))),
         crossing_bound=bound,
-        crossing_bound_ok=diagram.crossing_count >= bound,
-        matches=delta == reference or mirror == reference,
+        crossing_bound_ok=None if bound is None else diagram.crossing_count >= bound,
+        matches=matches,
     )

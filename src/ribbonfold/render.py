@@ -68,6 +68,9 @@ class RenderOptions:
             raise ParameterError("scale must be a positive number")
         if not (isinstance(self.epsilon_display, (int, float)) and self.epsilon_display >= 0):
             raise ParameterError("epsilon_display must be nonnegative")
+        for name in ("scale", "epsilon_display"):
+            if math.isinf(getattr(self, name)):
+                raise ParameterError("%s must be finite" % name)
 
 
 def _num(x: float) -> str:

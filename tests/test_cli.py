@@ -125,6 +125,46 @@ def test_table_bytes_pinned(capsys, kind, format):
     assert digest == TABLE_DIGESTS[kind, format]
 
 
+# argv, exit code and SHA-256 of stdout of the certifying commands, pinned
+# so that a change to a knot_check line or to identify's report shows up
+# as a byte difference; RECT stands for a built rect74 program file
+RECT = "rect.json"
+CERTIFY_DIGESTS = {
+    "verify-odd-wrap-5": (
+        ("verify", "--family", "odd-wrap", "--q", "5", "--knot-check"), 0,
+        "a0beb3a287d462dec31648a46aa41083376aab80da5bd94be103ec1a55332561"),
+    "verify-rect74": (
+        ("verify", "--family", "rect74", "--knot-check"), 0,
+        "a7b4e0e1f86052feabd1bd197cb2ede3e75603a4630215f8dfd1f6ce840a8189"),
+    "verify-short-52": (
+        ("verify", "--family", "short-52", "--epsilon", "0.003", "--knot-check"), 0,
+        "cf90f8646011d68c46c7a63d66750a1ea812f8527b4eafe72be07b72be15acbe"),
+    "identify-odd-wrap-5": (
+        ("identify", "--family", "odd-wrap", "--q", "5"), 0,
+        "78d2be8eafd1c75a4613d9e402c1ea2d5fa8b6103f3007decab2f06a41a46635"),
+    "identify-odd-wrap-5-expected-json": (
+        ("identify", "--family", "odd-wrap", "--q", "5", "--expected", "6,5", "--json"), 0,
+        "6768b5c496d181848718ad4ba94679f46572f777f07da962c6ae08eb3ae9a02a"),
+    "identify-odd-wrap-5-mismatch": (
+        ("identify", "--family", "odd-wrap", "--q", "5", "--expected", "7,2"), 1,
+        "81f1b1b9b8662f2143ece3a2c651c435c3457f883ab367ae54554c934a0735da"),
+    "identify-rect74-input": (
+        ("identify", "--input", RECT), 0,
+        "a538bad3da40c8bfe580474937d9f77e1a3674d1659cb5643c4ad0a99fd88ffe"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CERTIFY_DIGESTS))
+def test_certification_bytes_pinned(capsys, tmp_path, name):
+    argv, want_code, want_digest = CERTIFY_DIGESTS[name]
+    program = tmp_path / RECT
+    program.write_text(run_cli(capsys, "build", "--family", "rect74")[1])
+    argv = [str(program) if arg == RECT else arg for arg in argv]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == want_code
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == want_digest
+
+
 def test_render_pipeline(capsys, tmp_path):
     src = tmp_path / "star.json"
     dst = tmp_path / "star.svg"
@@ -138,6 +178,15 @@ def test_render_pipeline(capsys, tmp_path):
     kinds = [el.tag.split("}")[-1] for el in root]
     assert kinds.count("polygon") == 7
     assert kinds.count("circle") == 1
+
+
+@pytest.mark.parametrize("flag", ["--scale", "--epsilon-display"])
+def test_render_rejects_infinite_sizes(capsys, tmp_path, flag):
+    src = tmp_path / "star.json"
+    src.write_text(run_cli(capsys, "build", "--family", "star", "--p", "7")[1])
+    code, out, err = run_cli(capsys, "render", "--input", str(src), flag, "inf")
+    assert code == 2
+    assert out == "" and "finite" in err
 
 
 def test_render_determinism(capsys, tmp_path):

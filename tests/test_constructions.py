@@ -463,9 +463,9 @@ def test_rect_74_json_pinned():
     assert digest == "3fb66dd56713e24cd1a7fea3baf6a73a01d94472f7acae5a8f2a8ee91ef5e1c9"
 
 
-# the oracle bisects turns of nearly pi at the paired creases, which
-# costs it about 1e-16 / epsilon rad, so epsilon stays at 1e-4 or more
-@pytest.mark.parametrize("epsilon", [1e-4, 1e-3, 0.0035022622413135, 0.05, 0.099])
+# the paired creases turn by nearly pi, where a bisector from the sum of
+# the two directions cancelled and lost about 1e-16 / epsilon rad
+@pytest.mark.parametrize("epsilon", [1e-7, 1e-6, 1e-4, 1e-3, 0.0035022622413135, 0.05, 0.099])
 @pytest.mark.parametrize("name", ["short_52", "short_72"])
 def test_shorts_match_polyline_oracle(name, epsilon):
     builder, scale, drifts, heights = {

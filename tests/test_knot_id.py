@@ -21,6 +21,7 @@ from ribbonfold.knot_id import (
     KnotDiagram,
     LaurentPolynomial,
     alexander_polynomial,
+    certification_report,
     determinant_invariant,
     diagram_from_gauss,
     extract_diagram,
@@ -176,6 +177,25 @@ def test_large_constructions_certify(tag, n):
     report = verify_knot_type(build(family), (params.p, params.q))
     assert report.matches, report.summary()
     assert report.crossing_bound_ok
+
+
+def test_certification_report_expected_forms():
+    seven_four = diagram_from_gauss(pretzel_gauss(3, 3, 1))
+    delta = alexander_polynomial(seven_four)
+    # the rectangle's family compares with the table's 7_4 coefficients
+    report = certification_report(seven_four, delta, FamilyId("rect_74"))
+    assert report.matches and report.reference == poly(4, -7, 4)
+    assert (report.p, report.crossing_bound, report.determinant) == (None, None, 15)
+    assert report.summary() == "Alexander 4*t^2 - 7*t + 4 vs 4*t^2 - 7*t + 4 -> MATCH"
+    # nothing expected: invariants only, no verdict
+    bare = certification_report(seven_four, delta, None)
+    assert (bare.reference, bare.matches, bare.determinant) == (None, None, 15)
+    # a torus family resolves to the same report as its (p, q)
+    trefoil = diagram_from_gauss(torus_braid_gauss(3, 2))
+    delta = alexander_polynomial(trefoil)
+    assert (certification_report(trefoil, delta, FamilyId("odd_wrap", 2))
+            == certification_report(trefoil, delta, (3, 2)))
+    assert not certification_report(trefoil, delta, (5, 2)).matches
 
 
 def test_pretzel_oracles():

@@ -140,6 +140,11 @@ def test_options_validate():
         RenderOptions(scale=-2.0)
     with pytest.raises(ParameterError):
         RenderOptions(epsilon_display=-0.1)
+    # an infinite size once drew "inf" points and all-nan polygons
+    with pytest.raises(ParameterError):
+        RenderOptions(scale=math.inf)
+    with pytest.raises(ParameterError):
+        RenderOptions(epsilon_display=math.inf)
 
 
 def test_chart_rejects_empty_list():
