@@ -13,11 +13,10 @@ from ribbonfold import RenderOptions, build_74, layout, ratio, to_svg
 from ribbonfold.knot_id import (
     LaurentPolynomial,
     alexander_polynomial,
-    determinant_invariant,
     extract_diagram,
 )
 
-SEVEN_FOUR = LaurentPolynomial({0: 4, 1: -7, 2: 4}).normalized()
+SEVEN_FOUR = LaurentPolynomial({0: 4, 1: -7, 2: 4})
 
 
 def main():
@@ -35,7 +34,7 @@ def main():
     delta = alexander_polynomial(diagram)
     print("crossings in diagram:", diagram.crossing_count)
     print("Alexander: %s (reference %s)" % (delta, SEVEN_FOUR))
-    print("determinant:", determinant_invariant(diagram))
+    print("determinant:", abs(delta.evaluate(-1)))
     print("match:", delta == SEVEN_FOUR)
 
     path = os.path.join(args.output, "rectangle_74.svg")

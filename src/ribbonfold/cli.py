@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -40,6 +41,16 @@ def _expected(text: str) -> Tuple[int, int]:
         return (int(parts[0]), int(parts[1]))
     except ValueError:
         raise argparse.ArgumentTypeError("needs two integers 'p,q'")
+
+
+def _tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("needs a number")
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError("needs a finite number >= 0")
+    return value
 
 
 def _family_id(args: argparse.Namespace) -> FamilyId:
@@ -209,7 +220,7 @@ def _parser() -> argparse.ArgumentParser:
     _add_family_arguments(verify_p)
     verify_p.add_argument("--presentation", choices=("closed", "truncated"),
                           default="closed")
-    verify_p.add_argument("--tolerance", type=float, default=1e-9,
+    verify_p.add_argument("--tolerance", type=_tolerance, default=1e-9,
                           help="relative tolerance (default 1e-9); short variants"
                                " instead allow a defect of up to 10*epsilon below"
                                " their limit ratio")

@@ -272,6 +272,10 @@ _SHORT_RAW = {
 # unscaled so the first-order ratio defect stays O(epsilon)
 _SHORT_52_DRIFT = (-1.2, 1.2, 0.0, -0.6)
 _SHORT_72_DRIFT = (-1.5, 1.5, 0.0, -0.75, 0.75, -0.3)
+# least accepted epsilon: down to about 1e-11 the ratio defect stays
+# within 1% of its first-order value, while near 1e-15 it is float noise
+# (0 or negative), so the limit check 0 < defect <= 10 epsilon needs margin
+_SHORT_EPSILON_MIN = 1e-9
 # stacking orders certified by the knot checks; stable across the whole
 # accepted epsilon range
 _SHORT_52_HEIGHTS = (0, 3, 1, 4, 6, 2, 5)
@@ -318,10 +322,11 @@ def _short_centerline(epsilon: float, scale: float, drifts) -> List[Point]:
 def _short_program(epsilon, scale, drifts, heights, name) -> FoldProgram:
     if not isinstance(epsilon, (int, float)) or isinstance(epsilon, bool):
         raise ParameterError("epsilon must be a number")
+    # unit width, so the bounds are in width units; compared before the
+    # float conversion, which overflows on a huge int
+    if not _SHORT_EPSILON_MIN <= epsilon < 0.1:
+        raise ParameterError("epsilon must lie in [1e-9, 0.1)")
     epsilon = float(epsilon)
-    # unit width, so the bound is 0.1 width units
-    if not 0.0 < epsilon < 0.1:
-        raise ParameterError("epsilon must lie in (0, 0.1)")
     pts = _short_centerline(epsilon, scale, drifts)
     n = len(pts)
     legs = [(b.x - a.x, b.y - a.y) for a, b in zip(pts, pts[1:] + pts[:1])]
@@ -344,6 +349,8 @@ def build_short_52(epsilon: float = 1e-3) -> FoldProgram:
     Two of the five effective fold lines are doubled into parallel pairs
     separated by epsilon, which shortens the strip below the five-panel
     wrap; the ratio tends to 7/tan(pi/5) as epsilon goes to zero.
+    Epsilon must lie in [1e-9, 0.1): below 1e-9 the ratio defect nears
+    float noise and the limit check could no longer tell it from zero.
     """
     return _short_program(epsilon, _SCALE_52, _SHORT_52_DRIFT, _SHORT_52_HEIGHTS, "short_52")
 
@@ -353,6 +360,7 @@ def build_short_72(epsilon: float = 1e-3) -> FoldProgram:
 
     Same collar as the (5, 2) short with a third doubled fold line in the
     stack; the ratio tends to 9/tan(pi/5) as epsilon goes to zero.
+    Epsilon must lie in [1e-9, 0.1), for the reason given at build_short_52.
     """
     return _short_program(epsilon, _SCALE_72, _SHORT_72_DRIFT, _SHORT_72_HEIGHTS, "short_72")
 

@@ -128,12 +128,6 @@ class ExactAngle:
         """pi minus this angle."""
         return ExactAngle(self.denominator - self.numerator, self.denominator)
 
-    def __add__(self, other: "ExactAngle") -> "ExactAngle":
-        return ExactAngle.from_fraction(self.fraction + other.fraction)
-
-    def __sub__(self, other: "ExactAngle") -> "ExactAngle":
-        return ExactAngle.from_fraction(self.fraction - other.fraction)
-
     def __repr__(self) -> str:
         return "ExactAngle(%d, %d)" % (self.numerator, self.denominator)
 
@@ -211,6 +205,16 @@ def reflect_point(p: Point, line: Tuple[Point, Point]) -> Point:
     return Isometry.reflection(line[0], line[1]).apply(Point(p[0], p[1]))
 
 
+def _real(value, what: str) -> float:
+    """A JSON number as a float; an int past the float range reads as inf."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise MalformedProgramError("%s must be a number" % what)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 @dataclass(frozen=True)
 class CreaseSpec:
     """One fold line: centerline position, exact angle, layer jump."""
@@ -220,16 +224,15 @@ class CreaseSpec:
     layer_shift: int = 1
 
     def __post_init__(self):
-        pos = self.position
-        if isinstance(pos, bool) or not isinstance(pos, (int, float)):
-            raise MalformedProgramError("crease position must be a number")
-        pos = float(pos)
+        pos = _real(self.position, "crease position")
         if not math.isfinite(pos) or pos <= 0.0:
             raise MalformedProgramError("crease position must be finite and positive")
         object.__setattr__(self, "position", pos)
         if not isinstance(self.angle, ExactAngle):
             raise MalformedProgramError("crease angle must be an ExactAngle")
-        if not 0 < self.angle.fraction < 1:
+        # tested on the float that layout divides by: an angle within about
+        # 1e-308 pi of 0 has radians 0.0 and sine 0
+        if not 0.0 < self.angle.radians < math.pi:
             raise MalformedProgramError("crease angle must lie strictly between 0 and pi")
         if isinstance(self.layer_shift, bool) or not isinstance(self.layer_shift, int):
             raise MalformedProgramError("layer_shift must be an integer")
@@ -245,16 +248,13 @@ class CutSpec:
     angle: ExactAngle = ExactAngle(1, 2)
 
     def __post_init__(self):
-        pos = self.position
-        if isinstance(pos, bool) or not isinstance(pos, (int, float)):
-            raise MalformedProgramError("cut position must be a number")
-        pos = float(pos)
+        pos = _real(self.position, "cut position")
         if not math.isfinite(pos):
             raise MalformedProgramError("cut position must be finite")
         object.__setattr__(self, "position", pos)
         if not isinstance(self.angle, ExactAngle):
             raise MalformedProgramError("cut angle must be an ExactAngle")
-        if not 0 < self.angle.fraction < 1:
+        if not 0.0 < self.angle.radians < math.pi:
             raise MalformedProgramError("cut angle must lie strictly between 0 and pi")
 
 
@@ -339,10 +339,7 @@ class FoldProgram:
     weave: Optional[WeaveRule] = None
 
     def __post_init__(self):
-        w = self.width
-        if isinstance(w, bool) or not isinstance(w, (int, float)):
-            raise MalformedProgramError("width must be a number")
-        w = float(w)
+        w = _real(self.width, "width")
         _require(math.isfinite(w) and w > 0.0, "width must be finite and positive")
         object.__setattr__(self, "width", w)
         creases = tuple(self.creases)
@@ -571,7 +568,7 @@ def _boundaries(program: FoldProgram) -> list:
         if len(program.creases) % 2 == 1:
             # an odd crease count closes with a reflection, which shows
             # the seam line to the first panel at the supplementary angle
-            seam = ExactAngle(seam.denominator - seam.numerator, seam.denominator)
+            seam = seam.supplement()
         bounds = [(0.0, seam, False)]
         bounds += [(c.position, c.angle, True) for c in program.creases]
         return bounds

@@ -1,8 +1,7 @@
 """Closed-form ratios, crossing numbers, quotients, and bound tables.
 
 All values here are arithmetic on the family formulas; nothing in this
-module builds geometry unless a caller explicitly asks a report to
-measure its layout.  Every ratio is reported as value plus an exact
+module builds geometry.  Every ratio is reported as value plus an exact
 symbolic form, since the interesting constants are cotangents of
 rational angles rather than pretty decimals.
 """
@@ -14,9 +13,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Union
 
-from .constructions import _FAMILIES, FAMILY_TAGS, FamilyId, TorusKnotParams, _spec, build, knot_type
+from .constructions import _FAMILIES, FAMILY_TAGS, FamilyId, TorusKnotParams, _spec, knot_type
 from .errors import InvalidInputError, NotApplicableError, ParameterError
-from .fold_core import ExactAngle, ratio as measured_ratio
+from .fold_core import ExactAngle
 
 __all__ = [
     "BoundsRow",
@@ -192,7 +191,7 @@ def bounds_table() -> List[BoundsRow]:
         ),
         BoundsRow(
             "c2_truncated",
-            (3.0 + math.sqrt(2.0)) / 2.0,
+            FIGURE_EIGHT_RATIO / FIGURE_EIGHT_CROSSINGS,
             "(3+sqrt(2))/2",
             "figure-eight fold at ratio 6+2*sqrt(2), an external"
             " reference value no builder here produces",
@@ -213,27 +212,12 @@ class RatioReport:
     crossings: int
     quotient: float
     limit: bool = False
-    geometric_ratio: Optional[float] = None
 
 
-def ratio_report(
-    family: FamilyId,
-    presentation: str = "closed",
-    *,
-    measure: bool = False,
-) -> RatioReport:
-    """Assemble the report row for one family member.
-
-    With ``measure`` the member is actually built and its layout ratio
-    recorded next to the closed form; the two agree to 1e-9 relative
-    except for the short variants, which only reach their formula in
-    the epsilon -> 0 limit.
-    """
+def ratio_report(family: FamilyId, presentation: str = "closed") -> RatioReport:
+    """Assemble the report row for one family member."""
     formula = closed_form_ratio(family, presentation)
     crossings = family_crossing_number(family)
-    geometric = None
-    if measure:
-        geometric = measured_ratio(build(family, presentation=presentation))
     return RatioReport(
         family=family,
         params=knot_type(family),
@@ -243,7 +227,6 @@ def ratio_report(
         crossings=crossings,
         quotient=formula.value / crossings,
         limit=formula.limit,
-        geometric_ratio=geometric,
     )
 
 

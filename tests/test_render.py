@@ -147,6 +147,14 @@ def test_options_validate():
         RenderOptions(epsilon_display=math.inf)
 
 
+def test_overflowing_viewport_is_rejected():
+    # a finite scale that overflows the drawing's extent once drew width="inf"
+    with pytest.raises(ParameterError):
+        to_svg(heptagon_layout(), RenderOptions(scale=1e308))
+    with pytest.raises(ParameterError):
+        to_svg(heptagon_layout(), RenderOptions(scale=1e300, epsilon_display=1e10))
+
+
 def test_chart_rejects_empty_list():
     with pytest.raises(InvalidInputError):
         render_table_figure([])
