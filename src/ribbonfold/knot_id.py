@@ -29,6 +29,7 @@ from .errors import (
 from .fold_core import FoldProgram, FoldedLayout, Point, layout
 
 DEFAULT_PERTURBATION_SCALE = 1e-3
+_TORUS_DEGREE_LIMIT = 10**6
 
 
 # ------------------------------------------------------------ polynomials
@@ -419,13 +420,18 @@ def torus_alexander(p: int, q: int) -> LaurentPolynomial:
 
     Computed as the exact quotient (t^{pq} - 1)(t - 1) divided by
     (t^p - 1)(t^q - 1); either parameter equal to 1 gives the unknot
-    polynomial 1.
+    polynomial 1.  The degree (p-1)(q-1) may be at most 10**6: a diagram
+    with that polynomial has more crossings than any this module extracts.
     """
     for v in (p, q):
         if isinstance(v, bool) or not isinstance(v, int) or v < 1:
             raise InvalidInputError("torus parameters must be integers >= 1")
     if math.gcd(p, q) != 1:
         raise InvalidInputError("torus knot parameters must be coprime")
+    if (p - 1) * (q - 1) > _TORUS_DEGREE_LIMIT:
+        raise InvalidInputError("torus knot degree (p-1)(q-1) exceeds %d" % _TORUS_DEGREE_LIMIT)
+    if min(p, q) == 1:
+        return LaurentPolynomial.from_list([1])
 
     def cyclo(k: int) -> List[int]:
         out = [0] * (k + 1)
@@ -453,44 +459,80 @@ def _canonical_line(a: Point, ux: float, uy: float) -> Tuple[float, float, float
     return nx, ny, nx * a.x + ny * a.y
 
 
+# directions closer than this mod pi always count as parallel candidates;
+# it holds every pair that the collinear-group test (|sin| < 1e-9) or the
+# crossing test (|denom| < 1e-12 * norm) calls parallel
+_DIRECTION_WINDOW = 1e-6
+
+
+def _parallel_partners(vectors) -> List[int]:
+    """Per segment, a bit mask of the others whose direction agrees mod pi.
+
+    Directions are sorted on their angle mod pi and each is paired with
+    its neighbours within ``_DIRECTION_WINDOW``, walking on past pi so that
+    angles just above 0 meet angles just below pi.
+    """
+    m = len(vectors)
+    angles = sorted((math.atan2(vy, vx) % math.pi, k) for k, (vx, vy) in enumerate(vectors))
+    partners = [0] * m
+    for r, (theta, k) in enumerate(angles):
+        for step in range(1, m):
+            other, j = angles[(r + step) % m]
+            if other + (math.pi if r + step >= m else 0.0) - theta > _DIRECTION_WINDOW:
+                break
+            partners[k] |= 1 << j
+            partners[j] |= 1 << k
+    return partners
+
+
 def _collinear_groups(centerline, scale: float) -> List[List[int]]:
-    """Indices of segments sharing a supporting line, in strand order."""
+    """Indices of segments sharing a supporting line, in strand order.
+
+    Each segment joins the first group, in order of creation, whose
+    leading segment it matches; only parallel partners can match.
+    """
     keys = []
     for (a, b) in centerline:
         ux, uy = b.x - a.x, b.y - a.y
         norm = math.hypot(ux, uy)
         keys.append(_canonical_line(a, ux / norm, uy / norm))
-    groups: List[List[int]] = []
+    partners = _parallel_partners([(b.x - a.x, b.y - a.y) for a, b in centerline])
+    # groups by leading segment, in order of creation
+    groups: Dict[int, List[int]] = {}
+    leaders = 0
     tol_d = 1e-9 * max(scale, 1.0)
     for i, (nx, ny, d) in enumerate(keys):
-        for group in groups:
-            gx, gy, gd = keys[group[0]]
+        mask = partners[i] & leaders
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            lead = low.bit_length() - 1
+            gx, gy, gd = keys[lead]
             if abs(nx * gy - ny * gx) >= 1e-9:
                 continue
             # the sign canonicalization can flip on noise-level direction
             # components, so match the offset against either orientation
             dd = d - gd if nx * gx + ny * gy > 0 else d + gd
             if abs(dd) < tol_d:
-                group.append(i)
+                groups[lead].append(i)
                 break
         else:
-            groups.append([i])
-    return [g for g in groups if len(g) > 1]
+            groups[i] = [i]
+            leaders |= 1 << i
+    return [g for g in groups.values() if len(g) > 1]
 
 
-def _perturbed_polyline(centerline, epsilon: float):
+def _perturbed_polyline(centerline, groups: List[List[int]], epsilon: float):
     """Displace collinear runs apart and re-intersect consecutive lines.
 
     Returns the new vertex list (one per segment start).  Segments not
-    in any collinear group keep their exact supporting lines, so fully
-    generic layouts pass through unchanged.
+    in any of the collinear ``groups`` keep their exact supporting lines,
+    so with no groups the vertices do not depend on ``epsilon``.
     """
     m = len(centerline)
     vectors = [(b.x - a.x, b.y - a.y) for a, b in centerline]
-    xs = [abs(v) for a, _ in centerline for v in a] or [1.0]
-    scale = max(xs)
     bases = [a for a, _ in centerline]
-    for group in _collinear_groups(centerline, scale):
+    for group in groups:
         g = len(group)
         # displace every member along the first member's normal so the
         # separation is consistent whatever each segment's travel sense
@@ -523,11 +565,73 @@ def _perturbed_polyline(centerline, epsilon: float):
         ux, uy = vectors[k]
         if (b.x - a.x) * ux + (b.y - a.y) * uy <= 0:
             raise DegenerateDiagramError("perturbation collapsed segment %d" % k)
+    if not all(math.isfinite(v.x) and math.isfinite(v.y) for v in vertices):
+        raise DegenerateDiagramError("perturbed centerline is not finite")
     return vertices
 
 
+def _candidate_pairs(segs, scale: float, tol_param: float):
+    """Segment pairs (i, j) the crossing test must see, in ascending order.
+
+    A superset of the pairs that can cross, touch or coincide: those whose
+    bounding boxes, grown by the ``tol_param`` extent and a margin, share
+    a cell of a uniform grid, and the parallel partners.  Outside the
+    direction window |sin| >= 1e-6, so rounding moves a computed crossing
+    by under 1e-8 * scale, far inside the margin.  Each grid cell holds
+    an integer bit mask over segment indices.
+    """
+    m = len(segs)
+    margin = 1e-6 * max(scale, 1.0)
+    boxes = []
+    for a, dx, dy in segs:
+        ex = tol_param * abs(dx) + margin
+        ey = tol_param * abs(dy) + margin
+        bx, by = a.x + dx, a.y + dy
+        boxes.append((min(a.x, bx) - ex, min(a.y, by) - ey,
+                      max(a.x, bx) + ex, max(a.y, by) + ey))
+    x0 = min(box[0] for box in boxes)
+    y0 = min(box[1] for box in boxes)
+    cells_per_side = math.isqrt(m) + 1
+    cw = (max(box[2] for box in boxes) - x0) / cells_per_side
+    ch = (max(box[3] for box in boxes) - y0) / cells_per_side
+
+    def cell(v, origin, size):
+        # near the float limit an extent overflows and c is inf or nan;
+        # both go to the last cell, which keeps the map monotone
+        c = (v - origin) / size
+        return int(c) if c < cells_per_side - 1 else cells_per_side - 1
+
+    grid = [0] * (cells_per_side * cells_per_side)
+    covers = []
+    for k, (bx0, by0, bx1, by1) in enumerate(boxes):
+        cells = [cx * cells_per_side + cy
+                 for cx in range(cell(bx0, x0, cw), cell(bx1, x0, cw) + 1)
+                 for cy in range(cell(by0, y0, ch), cell(by1, y0, ch) + 1)]
+        for c in cells:
+            grid[c] |= 1 << k
+        covers.append(cells)
+    partners = _parallel_partners([(dx, dy) for _, dx, dy in segs])
+    for i in range(m):
+        mask = partners[i]
+        for c in covers[i]:
+            mask |= grid[c]
+        # neighbours and the closing pair (0, m - 1) are never tested
+        mask >>= i + 2
+        if i == 0:
+            mask &= ~(1 << (m - 3))
+        while mask:
+            low = mask & -mask
+            yield i, i + 1 + low.bit_length()
+            mask ^= low
+
+
 def _find_crossings(vertices, scale: float):
-    """Transverse interior intersections of the closed polyline."""
+    """Transverse interior intersections of the closed polyline.
+
+    ``vertices`` are finite with no two consecutive ones equal, and
+    ``scale`` is their largest coordinate magnitude.  Hits come in
+    ascending segment-pair order.
+    """
     m = len(vertices)
     segs = []
     for k in range(m):
@@ -535,41 +639,43 @@ def _find_crossings(vertices, scale: float):
         b = vertices[(k + 1) % m]
         segs.append((a, b.x - a.x, b.y - a.y))
     tol_param = 1e-9
+    tol_point = 1e-12 * max(scale, 1.0)
     hits = []
-    for i in range(m):
+    for i, j in _candidate_pairs(segs, scale, tol_param):
         ai, dix, diy = segs[i]
-        for j in range(i + 2, m):
-            if i == 0 and j == m - 1:
-                continue
-            aj, djx, djy = segs[j]
-            denom = dix * djy - diy * djx
-            norm = math.hypot(dix, diy) * math.hypot(djx, djy)
-            if abs(denom) < 1e-12 * max(norm, 1e-30):
-                # parallel tracks never cross; a coincident overlap is
-                # degenerate
-                rx, ry = aj.x - ai.x, aj.y - ai.y
-                dist = abs(rx * diy - ry * dix) / math.hypot(dix, diy)
-                if dist < 1e-12 * max(scale, 1.0):
-                    raise DegenerateDiagramError(
-                        "segments %d and %d remain coincident" % (i, j)
-                    )
-                continue
+        aj, djx, djy = segs[j]
+        denom = dix * djy - diy * djx
+        norm = math.hypot(dix, diy) * math.hypot(djx, djy)
+        if abs(denom) < 1e-12 * max(norm, 1e-30):
+            # parallel tracks never cross; a coincident overlap is
+            # degenerate
             rx, ry = aj.x - ai.x, aj.y - ai.y
-            t = (rx * djy - ry * djx) / denom
-            s = (rx * diy - ry * dix) / denom
-            if t < -tol_param or t > 1 + tol_param or s < -tol_param or s > 1 + tol_param:
-                continue
-            interior_t = tol_param < t < 1 - tol_param
-            interior_s = tol_param < s < 1 - tol_param
-            if not (interior_t and interior_s):
+            dist = abs(rx * diy - ry * dix) / math.hypot(dix, diy)
+            if dist < tol_point:
                 raise DegenerateDiagramError(
-                    "segments %d and %d touch at an endpoint" % (i, j)
+                    "segments %d and %d remain coincident" % (i, j)
                 )
-            hits.append((i, t, j, s, Point(ai.x + t * dix, ai.y + t * diy)))
-    for a in range(len(hits)):
-        for b in range(a + 1, len(hits)):
-            pa, pb = hits[a][4], hits[b][4]
-            if math.hypot(pa.x - pb.x, pa.y - pb.y) < 1e-12 * max(scale, 1.0):
+            continue
+        rx, ry = aj.x - ai.x, aj.y - ai.y
+        t = (rx * djy - ry * djx) / denom
+        s = (rx * diy - ry * dix) / denom
+        if t < -tol_param or t > 1 + tol_param or s < -tol_param or s > 1 + tol_param:
+            continue
+        interior_t = tol_param < t < 1 - tol_param
+        interior_s = tol_param < s < 1 - tol_param
+        if not (interior_t and interior_s):
+            raise DegenerateDiagramError(
+                "segments %d and %d touch at an endpoint" % (i, j)
+            )
+        hits.append((i, t, j, s, Point(ai.x + t * dix, ai.y + t * diy)))
+    # two hits closer than tol_point differ by less than it in x
+    by_x = sorted((h[4] for h in hits), key=lambda p: p.x)
+    for a, pa in enumerate(by_x):
+        for b in range(a + 1, len(by_x)):
+            pb = by_x[b]
+            if pb.x - pa.x >= tol_point:
+                break
+            if math.hypot(pa.x - pb.x, pa.y - pb.y) < tol_point:
                 raise DegenerateDiagramError("multiple crossings coincide at one point")
     return segs, hits
 
@@ -646,10 +752,12 @@ def extract_diagram(
 
     Exactly coincident collinear runs (of the built families only the
     7_4 rectangle has them) are displaced apart by ``perturbation`` along
-    their shared normal before intersecting; the extraction is re-run at half
-    the displacement and must produce the identical Gauss code, which
-    guards against the displacement itself creating or destroying
-    crossings.
+    their shared normal before intersecting.  When there are such runs,
+    the extraction is re-run at half the displacement and must produce
+    the identical Gauss code, which guards against the displacement
+    itself creating or destroying crossings.  With none, nothing is
+    displaced and a second pass would repeat the first exactly, so it is
+    skipped.
     """
     src = lay.source
     if src is not None and src.presentation != "closed":
@@ -669,17 +777,20 @@ def extract_diagram(
             raise DegenerateDiagramError("centerline is not a closed loop")
     layers = [p.layer for p in lay.panels]
     weave = src.weave if src is not None else None
-    first = _extract_once(lay.centerline, layers, weave, perturbation)
-    second = _extract_once(lay.centerline, layers, weave, perturbation / 2.0)
-    if first.gauss != second.gauss:
-        raise DegenerateDiagramError(
-            "Gauss code changed under perturbation halving; displacement too large"
-        )
+    scale = max(abs(v) for a, _ in lay.centerline for v in a)
+    groups = _collinear_groups(lay.centerline, scale)
+    first = _extract_once(lay.centerline, groups, layers, weave, perturbation)
+    if groups:
+        second = _extract_once(lay.centerline, groups, layers, weave, perturbation / 2.0)
+        if first.gauss != second.gauss:
+            raise DegenerateDiagramError(
+                "Gauss code changed under perturbation halving; displacement too large"
+            )
     return first
 
 
-def _extract_once(centerline, layers, weave, epsilon) -> KnotDiagram:
-    vertices = _perturbed_polyline(centerline, epsilon)
+def _extract_once(centerline, groups, layers, weave, epsilon) -> KnotDiagram:
+    vertices = _perturbed_polyline(centerline, groups, epsilon)
     scale = max(max(abs(v.x), abs(v.y)) for v in vertices)
     cx = math.fsum(v.x for v in vertices) / len(vertices)
     cy = math.fsum(v.y for v in vertices) / len(vertices)

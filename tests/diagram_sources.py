@@ -7,15 +7,17 @@ form consumed by diagram_from_gauss, so the Alexander machinery can be
 checked against knots whose polynomials are known in closed form.  A
 dense determinant oracle checks the sparse one on any diagram, and a
 star-polyline oracle checks the exact crease data of the star families
-against the geometry of their centerlines.
+against the geometry of their centerlines.  All-pairs oracles check the
+crossing search and the collinear grouping of diagram extraction.
 """
 
 import math
 from fractions import Fraction
 from typing import List, Tuple
 
+from ribbonfold.errors import DegenerateDiagramError
 from ribbonfold.fold_core import FoldProgram, Point, layout_from_centerline, unfold
-from ribbonfold.knot_id import LaurentPolynomial, _poly_bareiss, _pstrip
+from ribbonfold.knot_id import LaurentPolynomial, _canonical_line, _poly_bareiss, _pstrip
 
 
 def torus_braid_gauss(p: int, q: int) -> List[Tuple[int, bool, int]]:
@@ -268,3 +270,97 @@ def star_polyline_program(tag: str, parameter: int) -> FoldProgram:
         heights = list(range(n))
     lay = layout_from_centerline(star_points(n, step, chord), width, heights, closed=True)
     return unfold(lay, presentation="closed")
+
+
+# ------------------------------------------------- all-pairs extraction oracles
+
+
+def all_pairs_crossings(vertices, scale: float):
+    """Transverse interior intersections of the closed polyline.
+
+    The reference for ``knot_id._find_crossings``: every pair of
+    non-adjacent segments is tested, then every pair of hits.
+    """
+    m = len(vertices)
+    segs = []
+    for k in range(m):
+        a = vertices[k]
+        b = vertices[(k + 1) % m]
+        segs.append((a, b.x - a.x, b.y - a.y))
+    tol_param = 1e-9
+    hits = []
+    for i in range(m):
+        ai, dix, diy = segs[i]
+        for j in range(i + 2, m):
+            if i == 0 and j == m - 1:
+                continue
+            aj, djx, djy = segs[j]
+            denom = dix * djy - diy * djx
+            norm = math.hypot(dix, diy) * math.hypot(djx, djy)
+            if abs(denom) < 1e-12 * max(norm, 1e-30):
+                # parallel tracks never cross; a coincident overlap is
+                # degenerate
+                rx, ry = aj.x - ai.x, aj.y - ai.y
+                dist = abs(rx * diy - ry * dix) / math.hypot(dix, diy)
+                if dist < 1e-12 * max(scale, 1.0):
+                    raise DegenerateDiagramError(
+                        "segments %d and %d remain coincident" % (i, j)
+                    )
+                continue
+            rx, ry = aj.x - ai.x, aj.y - ai.y
+            t = (rx * djy - ry * djx) / denom
+            s = (rx * diy - ry * dix) / denom
+            if t < -tol_param or t > 1 + tol_param or s < -tol_param or s > 1 + tol_param:
+                continue
+            interior_t = tol_param < t < 1 - tol_param
+            interior_s = tol_param < s < 1 - tol_param
+            if not (interior_t and interior_s):
+                raise DegenerateDiagramError(
+                    "segments %d and %d touch at an endpoint" % (i, j)
+                )
+            hits.append((i, t, j, s, Point(ai.x + t * dix, ai.y + t * diy)))
+    for a in range(len(hits)):
+        for b in range(a + 1, len(hits)):
+            pa, pb = hits[a][4], hits[b][4]
+            if math.hypot(pa.x - pb.x, pa.y - pb.y) < 1e-12 * max(scale, 1.0):
+                raise DegenerateDiagramError("multiple crossings coincide at one point")
+    return segs, hits
+
+
+def crossing_outcome(search, vertices):
+    """A crossing search's hits as text, or the class and message it raised.
+
+    ``scale`` is taken as extraction takes it, the largest coordinate
+    magnitude.
+    """
+    try:
+        return repr(search(vertices, max(max(abs(v.x), abs(v.y)) for v in vertices))[1])
+    except DegenerateDiagramError as exc:
+        return type(exc), str(exc)
+
+
+def all_groups_collinear(centerline, scale: float):
+    """Indices of segments sharing a supporting line, in strand order.
+
+    The reference for ``knot_id._collinear_groups``: each segment is
+    compared with the leading segment of every group made so far.
+    """
+    keys = []
+    for (a, b) in centerline:
+        ux, uy = b.x - a.x, b.y - a.y
+        norm = math.hypot(ux, uy)
+        keys.append(_canonical_line(a, ux / norm, uy / norm))
+    groups = []
+    tol_d = 1e-9 * max(scale, 1.0)
+    for i, (nx, ny, d) in enumerate(keys):
+        for group in groups:
+            gx, gy, gd = keys[group[0]]
+            if abs(nx * gy - ny * gx) >= 1e-9:
+                continue
+            dd = d - gd if nx * gx + ny * gy > 0 else d + gd
+            if abs(dd) < tol_d:
+                group.append(i)
+                break
+        else:
+            groups.append([i])
+    return [g for g in groups if len(g) > 1]

@@ -269,6 +269,8 @@ def test_identify_json_deterministic(capsys):
         ("verify", "--family", "rect74", "--tolerance", "inf"),
         # an epsilon whose limit defect would be float noise
         ("verify", "--family", "short-52", "--epsilon", "1e-300"),
+        # a torus knot too large to build a reference polynomial for
+        ("identify", "--family", "star", "--p", "7", "--expected", "99999999999999999999,2"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):

@@ -1,10 +1,13 @@
-"""Fuzz the fold program JSON: malformed input may only raise RibbonError.
+"""Fuzz the inputs: malformed input may only raise RibbonError.
 
-Each case takes the JSON of a built program and mutates it: fields are
-deleted, replaced by wrong types, NaN and infinities, huge integers or
-nested junk, or nudged to other plausible numbers, and sometimes the
-text is cut short.  The run is
-derandomized, so it checks the same documents every time.
+Program JSON: each case takes the JSON of a built program and mutates
+it: fields are deleted, replaced by wrong types, NaN and infinities,
+huge integers or nested junk, or nudged to other plausible numbers, and
+sometimes the text is cut short.  Command lines: each case draws a set
+of flags and values for one subcommand and runs it in-process; it must
+exit 0, 1 or 2 without a traceback.  Closed polylines, some snapped to a
+coarse lattice, check the crossing search against its all-pairs oracle.
+Every run is derandomized, so it checks the same cases every time.
 """
 
 import contextlib
@@ -17,10 +20,12 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from ribbonfold import FamilyId, FoldProgram, RibbonError, build, cli, layout
-from ribbonfold.knot_id import alexander_polynomial, extract_diagram
+from ribbonfold import FamilyId, FoldProgram, Point, RibbonError, build, cli, layout
+from ribbonfold.knot_id import _find_crossings, alexander_polynomial, extract_diagram
+
+from diagram_sources import all_pairs_crossings, crossing_outcome
 
 
 def _base_documents():
@@ -126,3 +131,127 @@ def test_cli_exits_cleanly_on_fuzzed_files(text):
                     contextlib.redirect_stderr(io.StringIO()):
                 code = cli.main([command, "--input", path])
             assert code in (0, 1, 2), (command, text)
+
+
+# ------------------------------------------------------------ command lines
+
+# files each command-line case finds in its directory, written as "{tmp}"
+FILES = {
+    "star.json": build(FamilyId("star_polygon", 7)).to_json(),
+    "rect.json": build(FamilyId("rect_74")).to_json(),
+    "trunc.json": build(FamilyId("odd_wrap", 3), presentation="truncated").to_json(),
+    "junk.json": "{not json",
+}
+# paths are only ever these, so that no case writes outside its directory
+INPUTS = st.sampled_from(["{tmp}/" + name for name in FILES] + ["{tmp}/missing.json", "{tmp}"])
+OUTPUTS = st.sampled_from(["-", "{tmp}/out.txt", "{tmp}/missing/out.txt", "{tmp}"])
+PATHS = (INPUTS, OUTPUTS)
+# valid numbers stay small: a wrap of parameter q has about 2q^2 crossings
+INTS = st.integers(-2, 12).map(str)
+JUNK_TEXT = st.sampled_from(["", "x", "nan", "inf", "-inf", "1e400", "-0", "1.5", "0x10",
+                             "1_000", " 3", "99999999999999999999", "-99999999999999999999"])
+FLOATS = (st.floats(allow_nan=True, allow_infinity=True).map(repr)
+          | st.sampled_from(["1e-3", "0.05", "1e-9", "0.3", "1e308", "5e-324"]))
+# 10**20 + 1 is prime to every small parameter
+TORUS = st.sampled_from(["-1", "0", "1", "2", "3", "4", "5", "7", "100000000000000000001"])
+EXPECTED = st.tuples(TORUS, TORUS).map(",".join)
+FAMILY = [("--family", st.sampled_from(cli._FAMILY_CHOICES + ("nope",))), ("--q", INTS),
+          ("--p", INTS), ("--variant", st.sampled_from(["2", "4", "3"])), ("--epsilon", FLOATS)]
+# what a command works on, with the flags it needs, so that most cases
+# get past the argument checks; the empty block leaves it to the flags
+FAMILY_BLOCKS = [
+    ["--family", "odd-wrap", "--q", "3"], ["--family", "pinwheel", "--q", "2"],
+    ["--family", "even-wrap", "--q", "3", "--variant", "4"], ["--family", "star", "--p", "7"],
+    ["--family", "short-52"], ["--family", "short-72", "--epsilon", "0.01"],
+    ["--family", "rect74"], [],
+]
+SOURCES = {
+    "build": FAMILY_BLOCKS,
+    "verify": FAMILY_BLOCKS,
+    "identify": FAMILY_BLOCKS + [["--input", "{tmp}/" + name] for name in FILES],
+}
+SOURCE_FLAGS = [flag for flag, _ in FAMILY] + ["--input"]
+PRESENTATION = ("--presentation", st.sampled_from(["closed", "truncated"]))
+# each subcommand's flags, with a strategy for the value or None for a switch
+FLAGS = {
+    "build": FAMILY + [PRESENTATION, ("--output", OUTPUTS)],
+    "verify": FAMILY + [PRESENTATION, ("--tolerance", FLOATS), ("--knot-check", None)],
+    "table": [("--quotients", None), ("--bounds", None),
+              ("--format", st.sampled_from(["csv", "markdown"])),
+              ("--q-max", st.integers(-2, 30).map(str)),
+              ("--p-max", st.integers(-2, 40).map(str)), ("--output", OUTPUTS)],
+    "render": [("--input", INPUTS), ("--output", OUTPUTS), ("--scale", FLOATS),
+               ("--epsilon-display", FLOATS), ("--circumcircle", None),
+               ("--centerline", None), ("--no-creases", None)],
+    "identify": [("--input", INPUTS)] + FAMILY
+                + [("--expected", EXPECTED), ("--perturbation", FLOATS), ("--json", None)],
+}
+
+
+@st.composite
+def command_lines(draw, command):
+    argv = [command]
+    flags = FLAGS[command]
+    if command in SOURCES:
+        block = draw(st.sampled_from(SOURCES[command]))
+        argv += block
+        if block:
+            flags = [(flag, values) for flag, values in flags if flag not in SOURCE_FLAGS]
+    for flag, values in flags:
+        if draw(st.integers(0, 2)) != 0:
+            continue
+        argv.append(flag)
+        if values is not None:
+            junk = values not in PATHS and draw(st.integers(0, 4)) == 0
+            argv.append(draw(JUNK_TEXT if junk else values))
+    return argv
+
+
+@pytest.mark.parametrize("command", sorted(FLAGS))
+@settings(_FUZZ, max_examples=80)
+@given(data=st.data())
+def test_command_lines_exit_cleanly(command, data):
+    argv = data.draw(command_lines(command))
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in FILES.items():
+            with open(os.path.join(tmp, name), "w", encoding="utf-8") as handle:
+                handle.write(text)
+        argv = [arg.replace("{tmp}", tmp) for arg in argv]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(argv)
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue(), argv
+
+
+# ------------------------------------------------------------ crossing search
+
+
+@st.composite
+def closed_polylines(draw):
+    """Closed polylines with no zero-length segment.
+
+    Most are snapped to a coarse lattice, which makes touches and
+    collinear pairs common; some join lattice points to their mirror
+    images through the origin, so several segments meet there.
+    """
+    kind = draw(st.sampled_from(("float", "lattice", "diameters")))
+    if kind == "float":
+        coord = st.floats(-10, 10)
+    else:
+        unit = draw(st.sampled_from([1.0, 0.1, 1e-3, 1e3]))
+        reach = draw(st.sampled_from([2, 5, 20]))
+        coord = st.integers(-reach, reach).map(lambda k: k * unit)
+    points = draw(st.lists(st.tuples(coord, coord), min_size=2 if kind == "diameters" else 3,
+                           max_size=12))
+    if kind == "diameters":
+        points = [q for x, y in points for q in ((x, y), (-x, -y))]
+    assume(all(points[k] != points[k - 1] for k in range(len(points))))
+    return [Point(x, y) for x, y in points]
+
+
+@settings(_FUZZ, max_examples=300)
+@given(closed_polylines())
+def test_crossing_search_matches_oracle_on_polylines(vertices):
+    assert crossing_outcome(_find_crossings, vertices) == \
+        crossing_outcome(all_pairs_crossings, vertices)

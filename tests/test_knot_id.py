@@ -102,6 +102,15 @@ def test_torus_alexander_rejects_bad_input():
         torus_alexander(0, 1)
 
 
+def test_torus_alexander_degree_limit():
+    # the reference is dense in its degree (p-1)(q-1), at most 10**6
+    with pytest.raises(InvalidInputError, match="exceeds 1000000"):
+        torus_alexander(10**20 - 1, 2)
+    with pytest.raises(InvalidInputError, match="exceeds 1000000"):
+        torus_alexander(1002, 1001)
+    assert torus_alexander(1, 10**20) == torus_alexander(10**20, 1) == poly(1)
+
+
 def test_torus_alexander_degree_and_symmetry():
     for p, q in [(3, 2), (5, 2), (4, 3), (5, 3), (8, 3), (7, 4), (11, 5)]:
         delta = torus_alexander(p, q)
