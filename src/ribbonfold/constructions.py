@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import accumulate
 from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
@@ -30,6 +29,8 @@ from .fold_core import (
     FoldProgram,
     Point,
     WeaveRule,
+    _limit_denominator,
+    _pi_turns,
 )
 
 __all__ = [
@@ -82,7 +83,8 @@ class _Family(NamedTuple):
     knot: Union[Callable[[int], Tuple[int, int]], Tuple[int, ...]]
     # (coefficient, cot-angle denominator) of the closed ratio, where the
     # ratio is coefficient * cot(pi / denominator); denominator None means
-    # the ratio is the bare coefficient
+    # the ratio is the bare coefficient.  For a family with a parameter the
+    # coefficient is the closed panel count, one per chord of the star
     ratio: Callable[[Optional[int]], Tuple[int, Optional[int]]]
     limit: bool  # the ratio is only approached as epsilon -> 0
     quotient_limit: Optional[float]  # None: no parameter to take a limit in
@@ -128,6 +130,10 @@ _FAMILIES = {
 
 FAMILY_TAGS = tuple(_FAMILIES)
 
+# largest closed panel count a parameter may ask for; a program that size
+# builds in about 0.35 s and 30 MB, far past every size that lays out
+_MAX_PANELS = 10**5
+
 
 @dataclass(frozen=True)
 class FamilyId:
@@ -149,6 +155,9 @@ class FamilyId:
         elif n < spec.low or (spec.odd and n % 2 == 0):
             raise ParameterError("%s needs %s%s >= %d" % (
                 self.tag, "odd " if spec.odd else "", spec.flag, spec.low))
+        elif spec.ratio(n)[0] > _MAX_PANELS:
+            raise ParameterError("%s with this %s would have more than %d panels" % (
+                self.tag, spec.flag, _MAX_PANELS))
 
 
 def _spec(family: FamilyId, presentation: str = "closed") -> _Family:
@@ -337,9 +346,9 @@ def _short_program(epsilon, scale, drifts, heights, name) -> FoldProgram:
         # takes the nearest fraction, with no preference for simple ones
         (ux, uy), (vx, vy) = legs[k - 1], legs[k % n]
         half_turn = 0.5 * math.atan2(ux * vy - uy * vx, ux * vx + uy * vy)
-        turns = Fraction((half_turn if k % 2 else -half_turn) % math.pi) / Fraction(math.pi)
+        turns = _pi_turns((half_turn if k % 2 else -half_turn) % math.pi)
         position = math.fsum(math.hypot(*leg) for leg in legs[:k])
-        lines.append((position, ExactAngle.from_fraction(turns.limit_denominator(10**12))))
+        lines.append((position, ExactAngle(*_limit_denominator(*turns, 10**12))))
     return _closed_program(1.0, lines, heights, "%s eps=%g" % (name, epsilon))
 
 

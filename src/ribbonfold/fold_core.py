@@ -54,6 +54,46 @@ def _cross(ax: float, ay: float, bx: float, by: float) -> float:
     return ax * by - ay * bx
 
 
+_PI_NUM, _PI_DEN = math.pi.as_integer_ratio()
+
+
+def _pi_turns(radians: float) -> Tuple[int, int]:
+    """radians / math.pi as a reduced fraction (n, d) with d > 0."""
+    n, d = radians.as_integer_ratio()
+    n *= _PI_DEN
+    d *= _PI_NUM
+    g = math.gcd(n, d)
+    return n // g, d // g
+
+
+def _limit_denominator(n: int, d: int, max_den: int) -> Tuple[int, int]:
+    """Closest fraction to n/d with denominator at most max_den.
+
+    n/d must be reduced with d > 0; the result is reduced too.  This is
+    ``Fraction.limit_denominator`` on integers: the same walk along the
+    continued fraction to the last convergent p1/q1 within max_den, the
+    same semiconvergent pk/qk beside it, and the same tie rule, which
+    keeps p1/q1.
+    """
+    if d <= max_den:
+        return n, d
+    p0, q0, p1, q1 = 0, 1, 1, 0
+    a, b = n, d
+    while True:
+        t = a // b
+        q2 = q0 + t * q1
+        if q2 > max_den:
+            break
+        p0, q0, p1, q1 = p1, q1, p0 + t * p1, q2
+        a, b = b, a - t * b
+    k = (max_den - q0) // q1
+    pk, qk = p0 + k * p1, q0 + k * q1
+    # |p1/q1 - n/d| <= |pk/qk - n/d|, cross-multiplied
+    if abs(p1 * d - n * q1) * qk <= abs(pk * d - n * qk) * q1:
+        return p1, q1
+    return pk, qk
+
+
 @dataclass(frozen=True)
 class ExactAngle:
     """An angle that is an exact rational multiple of pi.
@@ -88,10 +128,6 @@ class ExactAngle:
         object.__setattr__(self, "denominator", den // g)
 
     @classmethod
-    def from_fraction(cls, frac: Fraction) -> "ExactAngle":
-        return cls(frac.numerator, frac.denominator)
-
-    @classmethod
     def from_float(cls, radians: float, *, tolerance: float = 1e-9) -> "ExactAngle":
         """Snap a float angle to the nearest simple rational multiple of pi.
 
@@ -104,14 +140,14 @@ class ExactAngle:
         """
         if not math.isfinite(radians):
             raise InvalidInputError("angle must be finite")
-        turns = Fraction(radians) / Fraction(math.pi)
-        cand = turns.limit_denominator(10**4)
-        scale = min(1.0, (1000.0 / cand.denominator) ** 2)
-        if abs(float(cand) * math.pi - radians) <= tolerance * scale:
-            return cls(cand.numerator, cand.denominator)
-        cand = turns.limit_denominator(10**12)
-        if abs(float(cand) * math.pi - radians) <= tolerance:
-            return cls(cand.numerator, cand.denominator)
+        n, d = _pi_turns(radians)
+        num, den = _limit_denominator(n, d, 10**4)
+        scale = min(1.0, (1000.0 / den) ** 2)
+        if abs(num / den * math.pi - radians) <= tolerance * scale:
+            return cls(num, den)
+        num, den = _limit_denominator(n, d, 10**12)
+        if abs(num / den * math.pi - radians) <= tolerance:
+            return cls(num, den)
         raise InconsistencyError(
             "no rational multiple of pi within %g of %r" % (tolerance, radians)
         )
@@ -122,7 +158,8 @@ class ExactAngle:
 
     @property
     def radians(self) -> float:
-        return float(self.fraction) * math.pi
+        # the float of the fraction: int true division rounds correctly
+        return self.numerator / self.denominator * math.pi
 
     def supplement(self) -> "ExactAngle":
         """pi minus this angle."""
@@ -168,19 +205,9 @@ class Isometry:
         ty = py - (b * px - a * py)
         return cls(a, b, tx, b, -a, ty)
 
-    @classmethod
-    def reflection_at(cls, point: Point, angle: ExactAngle) -> "Isometry":
-        """Reflection across the line through ``point`` at ``angle``."""
-        r = angle.radians
-        q = Point(point[0] + math.cos(r), point[1] + math.sin(r))
-        return cls.reflection(Point(point[0], point[1]), q)
-
     def apply(self, p: Point) -> Point:
         x, y = p[0], p[1]
         return Point(self.a * x + self.b * y + self.tx, self.c * x + self.d * y + self.ty)
-
-    def apply_vector(self, vx: float, vy: float) -> Tuple[float, float]:
-        return (self.a * vx + self.b * vy, self.c * vx + self.d * vy)
 
     def compose(self, other: "Isometry") -> "Isometry":
         """Return self after other, i.e. the map p -> self(other(p))."""
@@ -584,15 +611,30 @@ def layout(program: FoldProgram) -> FoldedLayout:
 
     Panels are laid down left to right; each crease reflects the rest
     of the strip across its line, so panel k is carried by the product
-    of the first k-1 crease reflections.  Raises MalformedProgramError
-    if consecutive boundary lines cross inside the strip, and
-    ClosureError if a closed program's seam fails to meet its start.
+    of the first k-1 crease reflections.  Cosine and sine are taken
+    once per distinct boundary angle, and the running placement is kept
+    as the six floats of an affine map, composed with each crease's
+    reflection in the order of ``Isometry.reflection`` and
+    ``Isometry.compose``; only ``Panel.placement`` holds an Isometry.
+    Raises MalformedProgramError if consecutive boundary lines cross
+    inside the strip, and ClosureError if a closed program's seam fails
+    to meet its start.
     """
     w = program.width
     half = 0.5 * w
     bounds = _boundaries(program)
+    # (cos, sin) of each boundary angle, computed once per distinct angle
+    trig = {}
+    cos_sin = []
+    for _, angle, _ in bounds:
+        key = (angle.numerator, angle.denominator)
+        pair = trig.get(key)
+        if pair is None:
+            r = angle.radians
+            pair = trig[key] = (math.cos(r), math.sin(r))
+        cos_sin.append(pair)
     # x offset of each boundary line where it meets the two edges
-    reaches = [half * math.cos(a.radians) / math.sin(a.radians) for _, a, _ in bounds]
+    reaches = [half * cos / sin for cos, sin in cos_sin]
     tol = 1e-9 * max(w, 1.0)
     for k in range(len(bounds) - 1):
         xa, xb = bounds[k][0], bounds[k + 1][0]
@@ -603,35 +645,61 @@ def layout(program: FoldProgram) -> FoldedLayout:
             )
     panels = []
     segments = []
-    placement = Isometry.identity()
+    # the placement maps (x, y) to (a*x + b*y + tx, c*x + d*y + ty)
+    a, b, tx, c, d, ty = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0
+    # builds a Point without the Python-level call of Point's own __new__
+    new_point = tuple.__new__
     layer = 0
     count = len(bounds) - 1
     for k in range(count):
-        xa, aa, _ = bounds[k]
-        xb, ab, b_is_crease = bounds[k + 1]
+        xa = bounds[k][0]
+        xb, _, b_is_crease = bounds[k + 1]
         ca, cb = reaches[k], reaches[k + 1]
-        corners = (
-            Point(xa - ca, -half),
-            Point(xb - cb, -half),
-            Point(xb + cb, half),
-            Point(xa + ca, half),
+        # the placed corners (xa - ca, -half), (xb - cb, -half),
+        # (xb + cb, half) and (xa + ca, half)
+        x0, x1, x2, x3 = xa - ca, xb - cb, xb + cb, xa + ca
+        placed = (
+            new_point(Point, (a * x0 + b * -half + tx, c * x0 + d * -half + ty)),
+            new_point(Point, (a * x1 + b * -half + tx, c * x1 + d * -half + ty)),
+            new_point(Point, (a * x2 + b * half + tx, c * x2 + d * half + ty)),
+            new_point(Point, (a * x3 + b * half + tx, c * x3 + d * half + ty)),
         )
-        placed = tuple(placement.apply(p) for p in corners)
-        panels.append(Panel(placed, layer, k, placement))
-        segments.append((placement.apply(Point(xa, 0.0)), placement.apply(Point(xb, 0.0))))
+        panels.append(Panel(placed, layer, k, Isometry(a, b, tx, c, d, ty)))
+        segments.append((new_point(Point, (a * xa + b * 0.0 + tx, c * xa + d * 0.0 + ty)),
+                         new_point(Point, (a * xb + b * 0.0 + tx, c * xb + d * 0.0 + ty))))
         if b_is_crease:
-            crease = program.creases[k]
-            mirror = Isometry.reflection_at(Point(xb, 0.0), ab)
-            placement = placement.compose(mirror)
+            # reflection across the line through (xb, 0) at angle ab,
+            # as Isometry.reflection builds it from (xb, 0) and
+            # (xb + cos, 0 + sin); sin is positive on (0, pi)
+            cos_b, sin_b = cos_sin[k + 1]
+            ux, uy = (xb + cos_b) - xb, sin_b
+            norm = math.hypot(ux, uy)
+            if norm < 1e-15:
+                raise InvalidInputError("reflection line needs two distinct points")
+            ux /= norm
+            uy /= norm
+            ma = ux * ux - uy * uy
+            mb = 2.0 * ux * uy
+            mtx = xb - (ma * xb + mb * 0.0)
+            mty = 0.0 - (mb * xb - ma * 0.0)
+            # the placement after the mirror (ma, mb, mtx, mb, -ma, mty),
+            # as compose builds it
+            md = -ma
+            a, b, tx, c, d, ty = (
+                a * ma + b * mb,
+                a * mb + b * md,
+                a * mtx + b * mty + tx,
+                c * ma + d * mb,
+                c * mb + d * md,
+                c * mtx + d * mty + ty,
+            )
             if k < count - 1:
-                layer += crease.layer_shift
+                layer += program.creases[k].layer_shift
     if program.presentation == "closed":
         # placement now carries the full product of all crease reflections
         length = program.creases[-1].position
-        end = placement.apply(Point(length, 0.0))
-        vx, vy = placement.apply_vector(1.0, 0.0)
-        gap = math.hypot(end[0], end[1])
-        turn = math.hypot(vx - 1.0, vy)
+        gap = math.hypot(a * length + b * 0.0 + tx, c * length + d * 0.0 + ty)
+        turn = math.hypot(a * 1.0 + b * 0.0 - 1.0, c * 1.0 + d * 0.0)
         if gap > CLOSURE_TOLERANCE or turn > CLOSURE_TOLERANCE:
             raise ClosureError(
                 "seam misses start: offset %.3e, direction error %.3e" % (gap, turn)

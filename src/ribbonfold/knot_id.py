@@ -492,9 +492,13 @@ def _collinear_groups(centerline, scale: float) -> List[List[int]]:
     leading segment it matches; only parallel partners can match.
     """
     keys = []
-    for (a, b) in centerline:
+    for k, (a, b) in enumerate(centerline):
         ux, uy = b.x - a.x, b.y - a.y
         norm = math.hypot(ux, uy)
+        # a zero length, or one that overflows while both components are
+        # finite, leaves no unit direction to divide out
+        if norm == 0.0 or (norm == math.inf and math.isfinite(ux) and math.isfinite(uy)):
+            raise DegenerateDiagramError("segment %d has no unit direction (length %g)" % (k, norm))
         keys.append(_canonical_line(a, ux / norm, uy / norm))
     partners = _parallel_partners([(b.x - a.x, b.y - a.y) for a, b in centerline])
     # groups by leading segment, in order of creation

@@ -271,6 +271,8 @@ def test_identify_json_deterministic(capsys):
         ("verify", "--family", "short-52", "--epsilon", "1e-300"),
         # a torus knot too large to build a reference polynomial for
         ("identify", "--family", "star", "--p", "7", "--expected", "99999999999999999999,2"),
+        # a parameter past 10**5 panels, rejected before anything is built
+        ("verify", "--family", "odd-wrap", "--q", "10000000"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):

@@ -85,6 +85,12 @@ def test_family_id_accepts_documented_ranges():
     FamilyId("short_52")
     FamilyId("short_72")
     FamilyId("rect_74")
+    # the largest parameters within 10**5 panels
+    FamilyId("odd_wrap", 49999)
+    FamilyId("star_polygon", 99999)
+    FamilyId("pinwheel", 49999)
+    FamilyId("even_wrap_plus2", 49999)
+    FamilyId("even_wrap_plus4", 49997)
 
 
 @pytest.mark.parametrize(
@@ -101,6 +107,14 @@ def test_family_id_accepts_documented_ranges():
         ("short_52", 3),
         ("rect_74", 0),
         ("heptagon", 7),
+        # more than 10**5 panels
+        ("odd_wrap", 50000),
+        ("odd_wrap", 100000),
+        ("star_polygon", 100001),
+        ("pinwheel", 50000),
+        ("even_wrap_plus2", 50001),
+        ("even_wrap_plus4", 49999),
+        pytest.param("odd_wrap", 10**5000, id="odd_wrap-10**5000"),
     ],
 )
 def test_family_id_rejects_out_of_range(tag, parameter):

@@ -7,7 +7,7 @@ import math
 
 import pytest
 
-from ribbonfold import (DegenerateDiagramError, FamilyId, Point, build, layout,
+from ribbonfold import (DegenerateDiagramError, FamilyId, FoldedLayout, Point, build, layout,
                         layout_from_centerline)
 from ribbonfold import knot_id
 from ribbonfold.knot_id import (
@@ -96,6 +96,26 @@ def test_overflowing_vertices_are_rejected():
     lay = layout_from_centerline(points, 0.1, [0, 1, 2, 3, 4], closed=True)
     with pytest.raises(DegenerateDiagramError, match="perturbed centerline is not finite"):
         extract_diagram(lay, 1.0)
+
+
+def test_segment_without_unit_direction_is_rejected():
+    # at radius 1e308, segment 1 has finite components but its length
+    # overflows, so its unit direction would come out as (0, 0)
+    def pentagram(radius):
+        points = [Point(radius * math.cos(0.8 * math.pi * k), radius * math.sin(0.8 * math.pi * k))
+                  for k in range(5)]
+        return layout_from_centerline(points, 0.1, [0, 1, 2, 3, 4], closed=True)
+
+    with pytest.raises(DegenerateDiagramError, match="segment 1 has no unit direction"):
+        extract_diagram(pentagram(1e308), 1.0)
+    # segment 1 shrunk to a point
+    lay = pentagram(1.0)
+    segs = list(lay.centerline)
+    start = segs[1][0]
+    segs[1] = (start, start)
+    segs[2] = (start, segs[2][1])
+    with pytest.raises(DegenerateDiagramError, match="segment 1 has no unit direction"):
+        extract_diagram(FoldedLayout(lay.panels, tuple(segs), None), 1e-3)
 
 
 def gauss_digest(diagram):

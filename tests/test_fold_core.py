@@ -3,6 +3,7 @@
 import json
 import math
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -27,6 +28,7 @@ from ribbonfold import (
     reflect_point,
     unfold,
 )
+from ribbonfold.fold_core import _limit_denominator, _pi_turns
 
 
 def assert_points_close(actual, expected, tol=1e-12):
@@ -92,6 +94,61 @@ def test_exact_angle_from_float_scales_tolerance_past_denominator_1000():
     snapped = ExactAngle.from_float(value, tolerance=1e-11)
     assert snapped != ExactAngle(1234, 9999)
     assert abs(snapped.radians - value) <= 1e-11
+
+
+def farey_midpoint(rng, max_den):
+    """A fraction exactly halfway between two neighbours of denominator
+    at most max_den, so that limit_denominator meets a tie."""
+    while True:
+        b = rng.randint(1, max_den)
+        e = rng.randint(max(1, max_den - b + 1), max_den)
+        if math.gcd(b, e) == 1:
+            break
+    # a/b < c/e with c*b - a*e = 1, shifted by a whole number
+    a = -pow(e, -1, b) % b if b > 1 else 0
+    c = (1 + a * e) // b
+    shift = rng.randint(-3, 3)
+    a, c = a + shift * b, c + shift * e
+    mid = Fraction(a * e + c * b, 2 * b * e)
+    return mid.numerator, mid.denominator
+
+
+def limit_denominator_sample(max_den):
+    rng = random.Random(max_den)
+    pairs = [farey_midpoint(rng, max_den) for _ in range(300)]
+    pairs += [(1, 2), (0, 1), (-7, 3), (max_den - 1, max_den), (1, max_den)]
+    for _ in range(300):
+        den = rng.randint(1, max_den)
+        pairs.append((rng.randint(-5 * den, 5 * den), den))
+    for _ in range(300):
+        den = rng.randint(max_den + 1, max_den**3)
+        pairs.append((rng.randint(-5 * den, 5 * den), den))
+    for n in (3, 7, 1001, 1653, 20001):
+        for k in range(1, 2 * n, max(1, n // 20)):
+            pairs.append(_pi_turns(k * math.pi / n))
+            pairs.append(_pi_turns(k * math.pi / n + 3e-12))
+    pairs.append(_pi_turns(-2.5))
+    return [(f.numerator, f.denominator) for f in (Fraction(n, d) for n, d in pairs)]
+
+
+@pytest.mark.parametrize("max_den", [10**4, 10**12])
+def test_limit_denominator_matches_fraction(max_den):
+    ties = 0
+    for n, d in limit_denominator_sample(max_den):
+        want = Fraction(n, d).limit_denominator(max_den)
+        assert _limit_denominator(n, d, max_den) == (want.numerator, want.denominator), (n, d)
+        # count the ties: the reflection of the answer through n/d is
+        # another fraction within max_den
+        other = 2 * Fraction(n, d) - want
+        ties += other != want and other.denominator <= max_den
+    assert ties >= 300
+
+
+def test_pi_turns_is_the_fraction_of_radians_over_pi():
+    for radians in (0.0, 1.0, -2.5, math.pi, 1e-300, 5e-324, 1e300, 3 * math.pi / 7):
+        n, d = _pi_turns(radians)
+        assert Fraction(n, d) == Fraction(radians) / Fraction(math.pi)
+        assert d > 0 and math.gcd(n, d) == 1
 
 
 def test_exact_angle_rejects_bad_input():
