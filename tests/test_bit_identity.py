@@ -67,8 +67,9 @@ def unfold_digest(lay):
     return hashlib.sha256(unfold(lay).to_json().encode()).hexdigest()
 
 
-# SHA-256 of layout_digest and unfold_digest, taken with the kernel that
-# turned each angle into a Fraction and composed one Isometry per crease
+# (layout_digest, unfold_digest), taken from the kernel that turned each
+# angle into a Fraction and composed one Isometry per crease, which these
+# outputs must match bit for bit
 PINNED = {
     "odd_wrap-7-closed": (
         "e6d9c4fbd4275f3b143b0143491e6dabf636b36384115b4baa2900be9119c943",
