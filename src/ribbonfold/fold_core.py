@@ -46,10 +46,6 @@ class Point(NamedTuple):
     y: float
 
 
-def _dot(ax: float, ay: float, bx: float, by: float) -> float:
-    return ax * bx + ay * by
-
-
 def _cross(ax: float, ay: float, bx: float, by: float) -> float:
     return ax * by - ay * bx
 
@@ -167,69 +163,6 @@ class ExactAngle:
 
     def __repr__(self) -> str:
         return "ExactAngle(%d, %d)" % (self.numerator, self.denominator)
-
-
-@dataclass(frozen=True)
-class Isometry:
-    """A planar isometry stored as a 2x3 affine matrix.
-
-    Maps (x, y) to (a*x + b*y + tx, c*x + d*y + ty).  Only rigid
-    motions and reflections are ever constructed, so the linear part is
-    always orthogonal.
-    """
-
-    a: float = 1.0
-    b: float = 0.0
-    tx: float = 0.0
-    c: float = 0.0
-    d: float = 1.0
-    ty: float = 0.0
-
-    @classmethod
-    def identity(cls) -> "Isometry":
-        return cls()
-
-    @classmethod
-    def reflection(cls, p: Point, q: Point) -> "Isometry":
-        """Reflection across the line through p and q."""
-        ux, uy = q[0] - p[0], q[1] - p[1]
-        norm = math.hypot(ux, uy)
-        if norm < 1e-15:
-            raise InvalidInputError("reflection line needs two distinct points")
-        ux /= norm
-        uy /= norm
-        a = ux * ux - uy * uy
-        b = 2.0 * ux * uy
-        px, py = p[0], p[1]
-        tx = px - (a * px + b * py)
-        ty = py - (b * px - a * py)
-        return cls(a, b, tx, b, -a, ty)
-
-    def apply(self, p: Point) -> Point:
-        x, y = p[0], p[1]
-        return Point(self.a * x + self.b * y + self.tx, self.c * x + self.d * y + self.ty)
-
-    def compose(self, other: "Isometry") -> "Isometry":
-        """Return self after other, i.e. the map p -> self(other(p))."""
-        oa, ob, otx, oc, od, oty = other.a, other.b, other.tx, other.c, other.d, other.ty
-        return Isometry(
-            self.a * oa + self.b * oc,
-            self.a * ob + self.b * od,
-            self.a * otx + self.b * oty + self.tx,
-            self.c * oa + self.d * oc,
-            self.c * ob + self.d * od,
-            self.c * otx + self.d * oty + self.ty,
-        )
-
-    @property
-    def orientation(self) -> int:
-        """+1 for rigid motions, -1 for reflections."""
-        return 1 if self.a * self.d - self.b * self.c > 0 else -1
-
-
-def reflect_point(p: Point, line: Tuple[Point, Point]) -> Point:
-    """Reflect a point across the line through two distinct points."""
-    return Isometry.reflection(line[0], line[1]).apply(Point(p[0], p[1]))
 
 
 def _real(value, what: str) -> float:
@@ -541,15 +474,12 @@ class Panel:
     ``vertices`` are four corners in cyclic order.  Sides 0 and 2 (the
     side from vertex 0 to 1 and the side from vertex 2 to 3) lie on the
     ribbon edges and are parallel; sides 3 and 1 are the entering and
-    leaving fold lines (or end cuts).  ``layer`` is the stacking height
-    and ``placement`` the isometry that carried the panel from strip
-    coordinates to the plane.
+    leaving fold lines (or end cuts).  ``layer`` is the stacking height.
     """
 
     vertices: Tuple[Point, Point, Point, Point]
     layer: int
     index: int
-    placement: Isometry
 
     def side(self, k: int) -> Tuple[Point, Point]:
         a = self.vertices[k % 4]
@@ -611,14 +541,13 @@ def layout(program: FoldProgram) -> FoldedLayout:
 
     Panels are laid down left to right; each crease reflects the rest
     of the strip across its line, so panel k is carried by the product
-    of the first k-1 crease reflections.  Cosine and sine are taken
-    once per distinct boundary angle, and the running placement is kept
-    as the six floats of an affine map, composed with each crease's
-    reflection in the order of ``Isometry.reflection`` and
-    ``Isometry.compose``; only ``Panel.placement`` holds an Isometry.
-    Raises MalformedProgramError if consecutive boundary lines cross
-    inside the strip, and ClosureError if a closed program's seam fails
-    to meet its start.
+    of the first k-1 crease reflections, kept as six affine floats.
+    Cosine and sine are taken once per distinct boundary angle.  The
+    order of every float operation below, including the
+    ``(xb + cos) - xb`` and ``* 0.0`` terms, is pinned bit for bit by
+    ``tests/test_bit_identity.py`` and must not be reordered.  Raises
+    MalformedProgramError if consecutive boundary lines cross inside the
+    strip, and ClosureError if a closed program's seam misses its start.
     """
     w = program.width
     half = 0.5 * w
@@ -645,7 +574,7 @@ def layout(program: FoldProgram) -> FoldedLayout:
             )
     panels = []
     segments = []
-    # the placement maps (x, y) to (a*x + b*y + tx, c*x + d*y + ty)
+    # the running map sends (x, y) to (a*x + b*y + tx, c*x + d*y + ty)
     a, b, tx, c, d, ty = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0
     # builds a Point without the Python-level call of Point's own __new__
     new_point = tuple.__new__
@@ -664,13 +593,12 @@ def layout(program: FoldProgram) -> FoldedLayout:
             new_point(Point, (a * x2 + b * half + tx, c * x2 + d * half + ty)),
             new_point(Point, (a * x3 + b * half + tx, c * x3 + d * half + ty)),
         )
-        panels.append(Panel(placed, layer, k, Isometry(a, b, tx, c, d, ty)))
+        panels.append(Panel(placed, layer, k))
         segments.append((new_point(Point, (a * xa + b * 0.0 + tx, c * xa + d * 0.0 + ty)),
                          new_point(Point, (a * xb + b * 0.0 + tx, c * xb + d * 0.0 + ty))))
         if b_is_crease:
-            # reflection across the line through (xb, 0) at angle ab,
-            # as Isometry.reflection builds it from (xb, 0) and
-            # (xb + cos, 0 + sin); sin is positive on (0, pi)
+            # the mirror (ma, mb, mtx, mb, -ma, mty) across the line through
+            # (xb, 0) and (xb + cos, sin); sin is positive on (0, pi)
             cos_b, sin_b = cos_sin[k + 1]
             ux, uy = (xb + cos_b) - xb, sin_b
             norm = math.hypot(ux, uy)
@@ -682,8 +610,7 @@ def layout(program: FoldProgram) -> FoldedLayout:
             mb = 2.0 * ux * uy
             mtx = xb - (ma * xb + mb * 0.0)
             mty = 0.0 - (mb * xb - ma * 0.0)
-            # the placement after the mirror (ma, mb, mtx, mb, -ma, mty),
-            # as compose builds it
+            # the running map after the mirror: map . mirror
             md = -ma
             a, b, tx, c, d, ty = (
                 a * ma + b * mb,
@@ -696,7 +623,7 @@ def layout(program: FoldProgram) -> FoldedLayout:
             if k < count - 1:
                 layer += program.creases[k].layer_shift
     if program.presentation == "closed":
-        # placement now carries the full product of all crease reflections
+        # the running map is now the product of all crease reflections
         length = program.creases[-1].position
         gap = math.hypot(a * length + b * 0.0 + tx, c * length + d * 0.0 + ty)
         turn = math.hypot(a * 1.0 + b * 0.0 - 1.0, c * 1.0 + d * 0.0)
@@ -749,11 +676,30 @@ def _recovered_angle(
     vx, vy = side[1][0] - side[0][0], side[1][1] - side[0][1]
     if math.hypot(ux, uy) < 1e-15 or math.hypot(vx, vy) < 1e-15:
         raise InconsistencyError("degenerate segment while recovering an angle")
-    phi = math.atan2(_cross(ux, uy, vx, vy), _dot(ux, uy, vx, vy))
+    phi = math.atan2(_cross(ux, uy, vx, vy), ux * vx + uy * vy)
     theta = (orientation * phi) % math.pi
     if theta < 1e-12 or math.pi - theta < 1e-12:
         raise InconsistencyError("boundary line is parallel to the centerline")
     return ExactAngle.from_float(theta, tolerance=_UNFOLD_ANGLE_TOLERANCE)
+
+
+def _prefix_sums(values: Sequence[float]) -> list:
+    """``math.fsum(values[:k])`` for k = 1 .. len(values), in linear time.
+
+    Finite values are summed exactly, as integers over their common
+    power-of-two denominator, and each prefix is rounded once by int true
+    division, which rounds correctly as fsum does.  As in fsum, from the
+    first non-finite value on a prefix is the sum of the non-finite ones.
+    """
+    ratios = [v.as_integer_ratio() if math.isfinite(v) else (0, 1) for v in values]
+    den = max((d for _, d in ratios), default=1)
+    total, special, sums = 0, 0.0, []
+    for v, (n, d) in zip(values, ratios):
+        total += n * (den // d)
+        if not math.isfinite(v):
+            special += v
+        sums.append(special or total / den)
+    return sums
 
 
 def unfold(
@@ -798,10 +744,9 @@ def unfold(
     if src is not None and abs(w - src.width) > 1e-9 * max(w, 1.0):
         raise InconsistencyError("measured width disagrees with the source program")
 
-    lengths = [math.hypot(b[0] - a[0], b[1] - a[1]) for a, b in lay.centerline]
-    positions = []
-    for k in range(1, len(lengths) + 1):
-        positions.append(math.fsum(lengths[:k]))
+    positions = _prefix_sums(
+        [math.hypot(b[0] - a[0], b[1] - a[1]) for a, b in lay.centerline]
+    )
 
     closed = presentation == "closed"
     creases = []
@@ -929,6 +874,6 @@ def layout_from_centerline(
         p2 = _intersect_lines(top, ux, uy, b, db[0], db[1])
         p3 = _intersect_lines(top, ux, uy, a, da[0], da[1])
         quad = (p0, p1, p2, p3) if k % 2 == 0 else (p3, p2, p1, p0)
-        panels.append(Panel(quad, int(heights[k]), k, Isometry.identity()))
+        panels.append(Panel(quad, int(heights[k]), k))
         segments.append((a, b))
     return FoldedLayout(tuple(panels), tuple(segments), None)

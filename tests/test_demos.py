@@ -1,5 +1,7 @@
-"""Smoke tests running every demo script and the README quick start end to end."""
+"""Smoke tests running every demo script and the README quick start end to
+end, and a check of the README's standard-library-only claim."""
 
+import json
 import os
 import subprocess
 import sys
@@ -64,3 +66,19 @@ def test_readme_quick_start_runs(tmp_path):
     assert result.returncode == 0, result.stderr
     assert "7*cot(pi/7)" in result.stdout
     assert result.stdout.rstrip().endswith("-> MATCH")
+
+
+def test_package_loads_only_standard_library_modules(tmp_path):
+    script = tmp_path / "imports.py"
+    script.write_text(
+        "import json, sys\n"
+        "before = set(sys.modules)\n"
+        "import ribbonfold, ribbonfold.cli, ribbonfold.knot_id\n"
+        "print(json.dumps(sorted({m.split('.')[0] for m in set(sys.modules) - before})))\n"
+    )
+    result = run_demo(str(script), tmp_path)
+    assert result.returncode == 0, result.stderr
+    loaded = json.loads(result.stdout)
+    assert "ribbonfold" in loaded
+    outside = [m for m in loaded if m != "ribbonfold" and m not in sys.stdlib_module_names]
+    assert outside == []

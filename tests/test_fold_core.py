@@ -12,23 +12,23 @@ from ribbonfold import (
     CreaseSpec,
     CutSpec,
     ExactAngle,
+    FamilyId,
     FoldProgram,
     FoldedLayout,
     InconsistencyError,
     InvalidInputError,
-    Isometry,
     MalformedProgramError,
     Panel,
     Point,
     WeaveRule,
+    build,
     centerline_length,
     layout,
     layout_from_centerline,
     ratio,
-    reflect_point,
     unfold,
 )
-from ribbonfold.fold_core import _limit_denominator, _pi_turns
+from ribbonfold.fold_core import _limit_denominator, _pi_turns, _prefix_sums
 
 
 def assert_points_close(actual, expected, tol=1e-12):
@@ -158,47 +158,6 @@ def test_exact_angle_rejects_bad_input():
         ExactAngle(1.5, 2)
     with pytest.raises(InvalidInputError):
         ExactAngle.from_float(float("nan"))
-
-
-# ----------------------------------------------------------------- reflection
-
-
-def test_reflect_point_axes():
-    y_axis = (Point(0.0, 0.0), Point(0.0, 1.0))
-    x_axis = (Point(0.0, 0.0), Point(1.0, 0.0))
-    assert reflect_point(Point(1.0, 0.0), y_axis) == pytest.approx((-1.0, 0.0))
-    assert reflect_point(Point(3.0, 4.0), x_axis) == pytest.approx((3.0, -4.0))
-
-
-def test_reflect_point_fixes_points_on_the_line():
-    line = (Point(1.0, 1.0), Point(4.0, 3.0))
-    mid = Point(2.5, 2.0)
-    assert reflect_point(mid, line) == pytest.approx(mid, abs=1e-12)
-
-
-def test_reflect_point_is_an_involution():
-    rng = random.Random(12345)
-    for _ in range(100):
-        p = Point(rng.uniform(-5, 5), rng.uniform(-5, 5))
-        a = Point(rng.uniform(-5, 5), rng.uniform(-5, 5))
-        b = Point(a.x + rng.uniform(0.1, 2), a.y + rng.uniform(-2, 2))
-        q = reflect_point(reflect_point(p, (a, b)), (a, b))
-        assert q == pytest.approx(p, abs=1e-12)
-
-
-def test_isometry_compose_matches_sequential_apply():
-    r1 = Isometry.reflection(Point(0, 0), Point(1, 1))
-    r2 = Isometry.reflection(Point(2, 0), Point(2, 5))
-    combined = r1.compose(r2)
-    p = Point(0.3, -1.7)
-    assert combined.apply(p) == pytest.approx(r1.apply(r2.apply(p)), abs=1e-12)
-    assert r1.orientation == -1
-    assert combined.orientation == 1
-
-
-def test_reflection_needs_distinct_points():
-    with pytest.raises(InvalidInputError):
-        Isometry.reflection(Point(1, 1), Point(1, 1))
 
 
 # ------------------------------------------------------------------ programs
@@ -431,11 +390,39 @@ def test_unfold_rejects_inconsistent_widths():
         (good.vertices[0], good.vertices[1], Point(5.0, 0.9), good.vertices[3]),
         good.layer,
         good.index,
-        good.placement,
     )
     bad = FoldedLayout((skewed,), lay.centerline, None)
     with pytest.raises(InconsistencyError):
         unfold(bad, presentation="truncated")
+
+
+def test_unfold_positions_are_the_fsum_prefixes_of_the_lengths():
+    # 3200 panels: unfold sums the lengths once, where fsum over every
+    # prefix would be quadratic, and must still give fsum's floats
+    lay = layout(build(FamilyId("odd_wrap", 1600), presentation="truncated"))
+    assert len(lay.panels) == 3200
+    lengths = [math.hypot(b[0] - a[0], b[1] - a[1]) for a, b in lay.centerline]
+    want = [math.fsum(lengths[:k]) for k in range(1, len(lengths) + 1)]
+    prog = unfold(lay)
+    assert [c.position for c in prog.creases] == want[:-1]
+    assert prog.end_cut.position == want[-1]
+
+
+def test_prefix_sums_match_fsum_on_wide_and_non_finite_values():
+    rng = random.Random(1600)
+    cases = [
+        [],
+        [0.0, 0.0],
+        [0.1] * 100,
+        [1e308, 1e-308, 5e-324, 1.0],
+        [1.0, math.inf, 2.0],
+        [1.0, math.nan, 2.0, math.inf],
+        [abs(rng.gauss(0, 1)) * 2.0 ** rng.randint(-1070, 1000) for _ in range(300)],
+    ]
+    for values in cases:
+        want = [math.fsum(values[:k]) for k in range(1, len(values) + 1)]
+        # by repr, so that nan equals nan and the sign of zero counts
+        assert [repr(x) for x in _prefix_sums(values)] == [repr(x) for x in want]
 
 
 def test_open_centerline_builder_round_trips():

@@ -135,6 +135,13 @@ def test_validate_gauss_rejects_malformed_codes():
         validate_gauss([(1, True, 2), (1, False, 2)])
 
 
+def test_alexander_rejects_crossings_that_disagree_with_the_gauss_code():
+    diagram = diagram_from_gauss(torus_braid_gauss(3, 2))
+    short = KnotDiagram(diagram.gauss, diagram.crossings[:-1])
+    with pytest.raises(InvalidDiagramError):
+        alexander_polynomial(short)
+
+
 def test_single_kink_is_the_unknot():
     diagram = diagram_from_gauss([(1, True, 1), (1, False, 1)])
     assert alexander_polynomial(diagram) == poly(1)
