@@ -160,6 +160,91 @@ def test_exact_angle_rejects_bad_input():
         ExactAngle.from_float(float("nan"))
 
 
+# ----------------------------------------------------------------- reflection
+# layout carries each panel by the product of the crease reflections before
+# it; these tests check that product against reflections computed here
+
+
+def mirror(p, line):
+    """Reflect p across the line through two distinct points."""
+    (ax, ay), (bx, by) = line
+    ux, uy = bx - ax, by - ay
+    t = ((p[0] - ax) * ux + (p[1] - ay) * uy) / (ux * ux + uy * uy)
+    fx, fy = ax + t * ux, ay + t * uy
+    return Point(2.0 * fx - p[0], 2.0 * fy - p[1])
+
+
+def strip_line(crease):
+    """The crease line in strip coordinates, before any folding."""
+    r = crease.angle.radians
+    return (Point(crease.position, 0.0), Point(crease.position + math.cos(r), math.sin(r)))
+
+
+def test_reflect_point_axes():
+    # a perpendicular crease mirrors the rest of the strip across a vertical axis
+    crease = CreaseSpec(2.0, ExactAngle(1, 2))
+    lay = layout(make_truncated([crease], start=CutSpec(0.0), end=CutSpec(3.0)))
+    want = ((2.0, -0.5), (1.0, -0.5), (1.0, 0.5), (2.0, 0.5))
+    assert_points_close(lay.panels[1].vertices, want)
+    assert_points_close(lay.centerline[1], ((2.0, 0.0), (1.0, 0.0)))
+    # after a diagonal fold sends the strip up, a perpendicular crease lies
+    # on the horizontal line y = 1 and mirrors the rest across it
+    lay = layout(
+        make_truncated(
+            [CreaseSpec(2.0, ExactAngle(1, 4)), CreaseSpec(3.0, ExactAngle(1, 2))],
+            start=CutSpec(0.0),
+            end=CutSpec(4.0),
+        )
+    )
+    assert_points_close(lay.centerline[1], ((2.0, 0.0), (2.0, 1.0)))
+    assert_points_close(lay.centerline[2], ((2.0, 1.0), (2.0, 0.0)))
+
+
+def test_reflect_point_fixes_points_on_the_line():
+    # the points of each crease line stay put: the two panels it joins
+    # share its end points, and the centerline meets on it
+    rng = random.Random(12345)
+    creases = []
+    x = 0.0
+    for _ in range(40):
+        x += rng.uniform(2.0, 3.0)
+        creases.append(CreaseSpec(x, ExactAngle(rng.randint(1, 5), 6)))
+    lay = layout(make_truncated(creases))
+    for left, right in zip(lay.panels, lay.panels[1:]):
+        shared = (left.vertices[1], left.vertices[2])
+        assert_points_close((right.vertices[0], right.vertices[3]), shared, tol=1e-9)
+    for (_, end), (start, _) in zip(lay.centerline, lay.centerline[1:]):
+        assert_points_close((start,), (end,), tol=1e-9)
+
+
+def test_reflect_point_is_an_involution():
+    # mirroring the folded panel back across its crease unfolds it: the
+    # crease reflection undoes itself
+    rng = random.Random(12345)
+    for _ in range(100):
+        pos = rng.uniform(1.0, 5.0)
+        angle = ExactAngle.from_float(rng.uniform(0.3, math.pi - 0.3))
+        crease = CreaseSpec(pos, angle)
+        lay = layout(make_truncated([crease], start=CutSpec(pos - 2.0), end=CutSpec(pos + 2.0)))
+        reach = 0.5 / math.tan(angle.radians)
+        folded, first = lay.panels[1], lay.panels[0]
+        unfolded = [mirror(p, first.side(1)) for p in folded.vertices]
+        want = ((pos - reach, -0.5), (pos + 2.0, -0.5), (pos + 2.0, 0.5), (pos + reach, 0.5))
+        assert_points_close(unfolded, want, tol=1e-9)
+
+
+def test_isometry_compose_matches_sequential_apply():
+    c1 = CreaseSpec(1.0, ExactAngle(1, 4))
+    c2 = CreaseSpec(3.0, ExactAngle(2, 3))
+    lay = layout(make_truncated([c1, c2], start=CutSpec(0.0), end=CutSpec(4.5)))
+    # panel 3 is carried by the first reflection after the second
+    reach = 0.5 / math.tan(c2.angle.radians)
+    corners = ((3.0 - reach, -0.5), (4.5, -0.5), (4.5, 0.5), (3.0 + reach, 0.5))
+    want = [mirror(mirror(p, strip_line(c2)), strip_line(c1)) for p in corners]
+    assert_points_close(lay.panels[2].vertices, want, tol=1e-12)
+    assert [p.orientation for p in lay.panels] == [1, -1, 1]
+
+
 # ------------------------------------------------------------------ programs
 
 
