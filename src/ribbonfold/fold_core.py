@@ -265,19 +265,46 @@ def _require(cond: bool, message: str) -> None:
         raise MalformedProgramError(message)
 
 
-def _json_line(entry, where: str, extra_keys: Tuple[str, ...] = ()) -> Tuple[object, ExactAngle]:
+def _json_line(
+    entry, where: str, angles: dict, extra_keys: Tuple[str, ...] = ()
+) -> Tuple[object, ExactAngle]:
     # checks a crease or cut object and its fields, returns its position
-    # (checked by CreaseSpec or CutSpec) and its exact angle
-    _require(isinstance(entry, dict), "%s must be a JSON object" % where)
+    # (checked by CreaseSpec or CutSpec) and its exact angle, shared through
+    # ``angles`` with every line of the document at the same (num, den); a
+    # message is formatted only once its check has failed
+    if not isinstance(entry, dict):
+        raise MalformedProgramError("%s must be a JSON object" % where)
     for key in ("position", "angle_num", "angle_den") + extra_keys:
-        _require(key in entry, "%s missing field %r" % (where, key))
+        if key not in entry:
+            raise MalformedProgramError("%s missing field %r" % (where, key))
     num, den = entry["angle_num"], entry["angle_den"]
-    _require(
-        all(isinstance(v, int) and not isinstance(v, bool) for v in (num, den)),
-        "%s angle_num and angle_den must be integers" % where,
-    )
-    _require(den > 0, "%s angle_den must be positive" % where)
-    return entry["position"], ExactAngle(num, den)
+    if (
+        not isinstance(num, int)
+        or not isinstance(den, int)
+        or isinstance(num, bool)
+        or isinstance(den, bool)
+    ):
+        raise MalformedProgramError("%s angle_num and angle_den must be integers" % where)
+    if not den > 0:
+        raise MalformedProgramError("%s angle_den must be positive" % where)
+    angle = angles.get((num, den))
+    if angle is None:
+        angle = angles[num, den] = ExactAngle(num, den)
+    return entry["position"], angle
+
+
+# one crease, one cut and one explicit weave pair of FoldProgram.to_json,
+# indented as json.dumps(..., indent=2) indents them in the document
+_CREASE_JSON = (
+    '    {\n      "angle_den": %d,\n      "angle_num": %d,\n'
+    '      "layer_shift": %d,\n      "position": %r\n    }'
+)
+_CUT_JSON = '{\n    "angle_den": %d,\n    "angle_num": %d,\n    "position": %r\n  }'
+_PAIR_JSON = "      [\n        %d,\n        %d,\n        %d\n      ]"
+
+
+def _cut_json(cut: CutSpec) -> str:
+    return _CUT_JSON % (cut.angle.denominator, cut.angle.numerator, cut.position)
 
 
 @dataclass(frozen=True)
@@ -383,41 +410,34 @@ class FoldProgram:
         return end.position - start.position
 
     def to_json(self) -> str:
-        doc = {
-            "width": self.width,
-            "presentation": self.presentation,
-            "label": self.label,
-            "creases": [
-                {
-                    "position": c.position,
-                    "angle_num": c.angle.numerator,
-                    "angle_den": c.angle.denominator,
-                    "layer_shift": c.layer_shift,
-                }
-                for c in self.creases
-            ],
-        }
-        if self.start_cut is not None:
-            doc["start_cut"] = {
-                "position": self.start_cut.position,
-                "angle_num": self.start_cut.angle.numerator,
-                "angle_den": self.start_cut.angle.denominator,
-            }
+        """The program as the bytes of ``json.dumps(doc, sort_keys=True, indent=2)``.
+
+        Each crease and cut is written by one template with its keys in
+        sorted order; ints go through ``%d`` and floats through ``repr``,
+        as json writes them (every position and the width are finite).
+        Only strings go through ``json.dumps``, for their escapes.
+        """
+        creases = ",\n".join([
+            _CREASE_JSON % (c.angle.denominator, c.angle.numerator, c.layer_shift, c.position)
+            for c in self.creases
+        ])
+        fields = ['{\n  "creases": ' + ("[\n%s\n  ]" % creases if creases else "[]")]
         if self.end_cut is not None:
-            doc["end_cut"] = {
-                "position": self.end_cut.position,
-                "angle_num": self.end_cut.angle.numerator,
-                "angle_den": self.end_cut.angle.denominator,
-            }
+            fields.append('  "end_cut": ' + _cut_json(self.end_cut))
+        fields.append('  "label": ' + json.dumps(self.label))
+        fields.append('  "presentation": ' + json.dumps(self.presentation))
+        if self.start_cut is not None:
+            fields.append('  "start_cut": ' + _cut_json(self.start_cut))
         if self.weave is not None:
             if self.weave.mode == "explicit":
-                doc["weave"] = {
-                    "mode": "explicit",
-                    "pairs": [list(p) for p in self.weave.pairs],
-                }
+                pairs = ",\n".join([_PAIR_JSON % pair for pair in self.weave.pairs])
+                fields.append(
+                    '  "weave": {\n    "mode": "explicit",\n    "pairs": [\n%s\n    ]\n  }' % pairs
+                )
             else:
-                doc["weave"] = self.weave.mode
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+                fields.append('  "weave": ' + json.dumps(self.weave.mode))
+        fields.append('  "width": %r' % (self.width,))
+        return ",\n".join(fields) + "\n}\n"
 
     @classmethod
     def from_json(cls, text: str) -> "FoldProgram":
@@ -433,8 +453,9 @@ class FoldProgram:
         _require(isinstance(raw_creases, list), "'creases' must be a list")
         creases = []
         previous = None
+        angles: dict = {}
         for entry in raw_creases:
-            position, angle = _json_line(entry, "crease", ("layer_shift",))
+            position, angle = _json_line(entry, "crease", angles, ("layer_shift",))
             crease = CreaseSpec(position, angle, entry["layer_shift"])
             if previous is not None and crease.position <= previous:
                 raise MalformedProgramError("creases must be sorted by strictly increasing position")
@@ -443,7 +464,7 @@ class FoldProgram:
         cuts = {}
         for name in ("start_cut", "end_cut"):
             if name in doc and doc[name] is not None:
-                cuts[name] = CutSpec(*_json_line(doc[name], name))
+                cuts[name] = CutSpec(*_json_line(doc[name], name, angles))
         weave = None
         if "weave" in doc and doc["weave"] is not None:
             raw = doc["weave"]
@@ -603,7 +624,12 @@ def layout(program: FoldProgram) -> FoldedLayout:
             ux, uy = (xb + cos_b) - xb, sin_b
             norm = math.hypot(ux, uy)
             if norm < 1e-15:
-                raise InvalidInputError("reflection line needs two distinct points")
+                # an angle so near 0 or pi that cos is lost against xb and
+                # sin is below 1e-15 leaves no line to reflect across
+                raise MalformedProgramError(
+                    "crease %d at position %r: its angle is too close to 0 or pi "
+                    "for a crease line at that position" % (k, xb)
+                )
             ux /= norm
             uy /= norm
             ma = ux * ux - uy * uy

@@ -74,33 +74,14 @@ class RenderOptions:
 
 
 def _num(x: float) -> str:
-    text = "%.6g" % (x + 0.0)
-    if text == "-0":
-        return "0"
-    return text
-
-
-def _emit(x: float, y: float, scale: float) -> Tuple[str, str]:
-    # the single place where the y axis flips to screen convention
-    return _num(scale * x), _num(-scale * y)
-
-
-def _displaced(panel, epsilon: float) -> List[Point]:
-    dx = epsilon * panel.layer
-    return [Point(v[0] + dx, v[1] + dx) for v in panel.vertices]
+    # + 0.0 turns -0.0 into 0.0, so a zero never prints as "-0"
+    return "%.6g" % (x + 0.0)
 
 
 def _centerline_center(layout: FoldedLayout) -> Point:
     starts = [seg[0] for seg in layout.centerline]
     n = float(len(starts))
     return Point(sum(p[0] for p in starts) / n, sum(p[1] for p in starts) / n)
-
-
-def _crease_segments(layout: FoldedLayout) -> List[Tuple[Point, Point]]:
-    panels = layout.panels
-    closed = layout.source is not None and layout.source.presentation == "closed"
-    picked = panels if closed else panels[:-1]
-    return [panel.side(1) for panel in picked]
 
 
 def to_svg(layout: FoldedLayout, options: RenderOptions = RenderOptions()) -> str:
@@ -114,13 +95,31 @@ def to_svg(layout: FoldedLayout, options: RenderOptions = RenderOptions()) -> st
         raise InvalidInputError("cannot render a layout with no panels")
     order = sorted(layout.panels, key=lambda panel: (panel.layer, panel.index))
     eps = options.epsilon_display
+    s = options.scale
+    # the y axis flips to screen convention by the factor -s, and only
+    # where a coordinate is written
+    ns = -s
+    # one template per layer fill; each coordinate is written as %.6g of
+    # its scaled value plus 0.0, as _num writes it
+    polygon = [
+        '<polygon points="%%.6g,%%.6g %%.6g,%%.6g %%.6g,%%.6g %%.6g,%%.6g" '
+        'fill="%s" fill-opacity="0.85" stroke="%s" '
+        'stroke-width="%s" stroke-linejoin="round"/>' % (fill, _PANEL_STROKE, _num(0.025 * s))
+        for fill in _LAYER_FILLS
+    ]
+    fills = len(polygon)
 
     xs: List[float] = []
     ys: List[float] = []
+    polygons = []
     for panel in order:
-        for v in _displaced(panel, eps):
-            xs.append(v[0])
-            ys.append(v[1])
+        dx = eps * panel.layer
+        x0, y0, x1, y1, x2, y2, x3, y3 = [c + dx for v in panel.vertices for c in v]
+        xs += (x0, x1, x2, x3)
+        ys += (y0, y1, y2, y3)
+        polygons.append(polygon[panel.layer % fills] % (
+            s * x0 + 0.0, ns * y0 + 0.0, s * x1 + 0.0, ns * y1 + 0.0,
+            s * x2 + 0.0, ns * y2 + 0.0, s * x3 + 0.0, ns * y3 + 0.0))
     center = _centerline_center(layout)
     radius = 0.0
     if options.show_circumcircle:
@@ -141,7 +140,6 @@ def to_svg(layout: FoldedLayout, options: RenderOptions = RenderOptions()) -> st
     min_y -= pad_y
     max_y += pad_y
 
-    s = options.scale
     view_w = s * (max_x - min_x)
     view_h = s * (max_y - min_y)
     # after the y flip the top of the viewport is -max_y
@@ -158,42 +156,35 @@ def to_svg(layout: FoldedLayout, options: RenderOptions = RenderOptions()) -> st
     ]
 
     if options.show_circumcircle:
-        cx, cy = _emit(center[0], center[1], s)
         parts.append(
             '<circle cx="%s" cy="%s" r="%s" fill="none" stroke="%s" '
             'stroke-width="%s" stroke-dasharray="%s %s"/>'
-            % (cx, cy, _num(s * radius), _CIRCLE_STROKE, _num(0.02 * s), _num(0.1 * s), _num(0.07 * s))
+            % (_num(s * center[0]), _num(ns * center[1]), _num(s * radius), _CIRCLE_STROKE,
+               _num(0.02 * s), _num(0.1 * s), _num(0.07 * s))
         )
 
-    for panel in order:
-        points = " ".join(
-            "%s,%s" % _emit(v[0], v[1], s) for v in _displaced(panel, eps)
-        )
-        fill = _LAYER_FILLS[panel.layer % len(_LAYER_FILLS)]
-        parts.append(
-            '<polygon points="%s" fill="%s" fill-opacity="0.85" stroke="%s" '
-            'stroke-width="%s" stroke-linejoin="round"/>'
-            % (points, fill, _PANEL_STROKE, _num(0.025 * s))
-        )
+    parts += polygons
 
     if options.show_creases:
-        for a, b in _crease_segments(layout):
-            x1, y1 = _emit(a[0], a[1], s)
-            x2, y2 = _emit(b[0], b[1], s)
-            parts.append(
-                '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="%s" '
-                'stroke-width="%s" stroke-dasharray="%s %s"/>'
-                % (x1, y1, x2, y2, _CREASE_STROKE, _num(0.02 * s), _num(0.08 * s), _num(0.05 * s))
-            )
+        line = (
+            '<line x1="%%.6g" y1="%%.6g" x2="%%.6g" y2="%%.6g" stroke="%s" '
+            'stroke-width="%s" stroke-dasharray="%s %s"/>'
+            % (_CREASE_STROKE, _num(0.02 * s), _num(0.08 * s), _num(0.05 * s))
+        )
+        closed = layout.source is not None and layout.source.presentation == "closed"
+        # each crease is side 1 of the panel before it; an open strip's
+        # last panel ends in a cut, not a crease
+        for panel in layout.panels if closed else layout.panels[:-1]:
+            _, (ax, ay), (bx, by), _ = panel.vertices
+            parts.append(line % (s * ax + 0.0, ns * ay + 0.0, s * bx + 0.0, ns * by + 0.0))
 
     if options.show_centerline:
-        for a, b in layout.centerline:
-            x1, y1 = _emit(a[0], a[1], s)
-            x2, y2 = _emit(b[0], b[1], s)
-            parts.append(
-                '<line x1="%s" y1="%s" x2="%s" y2="%s" stroke="%s" stroke-width="%s"/>'
-                % (x1, y1, x2, y2, _CENTERLINE_STROKE, _num(0.03 * s))
-            )
+        line = (
+            '<line x1="%%.6g" y1="%%.6g" x2="%%.6g" y2="%%.6g" stroke="%s" stroke-width="%s"/>'
+            % (_CENTERLINE_STROKE, _num(0.03 * s))
+        )
+        for (ax, ay), (bx, by) in layout.centerline:
+            parts.append(line % (s * ax + 0.0, ns * ay + 0.0, s * bx + 0.0, ns * by + 0.0))
 
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -1,9 +1,12 @@
-"""Layout and unfold outputs pinned bit for bit.
+"""Layout, unfold, JSON and SVG outputs pinned bit for bit.
 
 The digests hash every float that ``layout`` and ``unfold`` produce, by
 its exact repr, so a change to the fold kernel that reorders or
 shortens any floating-point operation fails here even when every
-tolerance-based test still passes.
+tolerance-based test still passes.  The SVG digests pin the bytes of
+``to_svg`` under four option sets, and ``FoldProgram.to_json``, which
+writes its document by hand, is compared byte for byte with
+``json.dumps``.
 """
 
 import hashlib
@@ -14,7 +17,20 @@ from fractions import Fraction
 
 import pytest
 
-from ribbonfold import ExactAngle, FamilyId, build, layout, unfold
+from ribbonfold import (
+    ClosureError,
+    CreaseSpec,
+    CutSpec,
+    ExactAngle,
+    FamilyId,
+    FoldProgram,
+    RenderOptions,
+    WeaveRule,
+    build,
+    layout,
+    to_svg,
+    unfold,
+)
 
 # (family, presentation, epsilon): one member of each family and
 # presentation, both shorts at a fixed epsilon, and the largest star the
@@ -117,6 +133,188 @@ def test_layout_pinned(member):
 @pytest.mark.parametrize("member", MEMBERS, ids=member_id)
 def test_unfold_pinned(member):
     assert unfold_digest(layout(program_of(member))) == PINNED[member_id(member)][1]
+
+
+SVG_OPTIONS = (
+    RenderOptions(),
+    RenderOptions(epsilon_display=0.013, show_circumcircle=True, show_centerline=True),
+    RenderOptions(show_creases=False),
+    RenderOptions(scale=1.0),
+)
+
+# SHA-256 of to_svg under each of SVG_OPTIONS, in order, from the renderer
+# that formatted every coordinate through its own helper call
+SVG_PINNED = {
+    "odd_wrap-7-closed": (
+        "e36b51fa80edd6f53a3f9c54e580dfeb42ad81d5f8ca45e133fb7289266400ff",
+        "f4e56831e5e0266301618c06f48bf5c38e9d5d7acaab0f5e02bf73b8beaecc30",
+        "ea0543cf22b7ec067dcea4e27cbc327764820cef413ab00433a9d652aade42b9",
+        "fa992ce9c0ea031d308312797b0bfd293838053296ae7dbd6c00a88f44c057c7"),
+    "odd_wrap-7-truncated": (
+        "314062b0a8b401373eee44fcf28b517c2c11280cd3f1dad18e4a5551e1f9d4e6",
+        "749107f0681dfd90c53be656f79eeb09d2bebf7ea7c07ae8e6457ba1443550cd",
+        "2ce3864cc5e5d91ba52b0a4e3a15131e8394e8f325dc5f520fd3fad7cade1986",
+        "87d555d53e4bd13268c0b5fbfed31666430dea2edd10cde4b3585cf63709bf66"),
+    "odd_wrap-40-closed": (
+        "e5813f14f57e940b76017397d6a0f7ebf0ef5e1efeb6e7a4347b9d2bee1046a1",
+        "eddd88d32690d8478150034f4d4fcba7699c5b6ef022df2c179ff0ba928b9029",
+        "438c06f96e48383ef9fc087ac9d9ff6f235a61a622da09adaf1a3be679d90291",
+        "bd35e1a76855634b3df72299570c58b08705acd247b0708c95a3c8b703ced7c7"),
+    "odd_wrap-40-truncated": (
+        "bbefe3d554250f9077ebee6ff5f23da246407a81c2c332d34bf47c9b4210fed9",
+        "bb4b1ae49dae4c7f535c2d03795d03de9f0614f87ad86931745873e85aa815fc",
+        "ad341681921e248955a63c36b6a39c2fc6069dbf053eeb604691ebcde2f0c9fc",
+        "ff6a2daf1223a059b4d3cc2a5513e1fe7c61efed73a5a6a6847b3e7e415b9d38"),
+    "star_polygon-31-closed": (
+        "878dfddb350b13fc1500736ae8d3c201f1be3ab02ce3860973661b3b04174567",
+        "92997c972b63e2638790d046ccac05da3c91a70e038463f3a4f47271de0910b0",
+        "615ee121340a147be5639781793bd483c1dc26666ce402933f799fefff62630a",
+        "38e77a888252631740da10e0bd7fbfc1749ca6a1345f07cb209dd992841321b8"),
+    "star_polygon-1001-closed": (
+        "0e67ba53fddf80212df06a5138f6a4045d1587a1f354ed51ca148262b4f8d2a8",
+        "034bdf85e48f11313e410864f570ee0bb8915cda07282a6e0d27e33a98ac895a",
+        "89cbab715e3d09caf7000dbf5c4e60c56b78cf2c8e312b746b15ca1850de03c7",
+        "2369fc1716d0b293465e90e0b471ee152b7493e2abbdfa17dd4505601b3b7ebc"),
+    "pinwheel-10-closed": (
+        "43773fa325e6b477251e5a42f0115204e61e4e16aa3a92a53af0ec5e2ad046f8",
+        "6e441d6cbd3a5113e49985a6ac231c11e9045780c5f4721a2bcfa9ba5e1e9191",
+        "31737d7b665ce4e38e3996c3a37077f7851f34fb231e2b45ae851abd8c431888",
+        "4fe39c83a31b8e5f3542cbe07cd6a305a08236deaf59ccaf8d1e46396bcbb85b"),
+    "even_wrap_plus2-9-closed": (
+        "4d61bce75ecc1adf16c4b2c722a78fddc760cce49f76f5c66762ad88f4132055",
+        "4a8183c58586a9e8e9d77c9f3421b662bd98d5564cfd91f7a54628a159caca48",
+        "72d04ea670f2d365fcb552410653b08e32b1c7648f023c772f780e96837b1d1e",
+        "9a5d5201ad8d975b01f1fb1d64be3e31e2b7c7c7930f79ad387dba08837cc1ca"),
+    "even_wrap_plus4-9-closed": (
+        "6a1dedb7f9515886e3b1b1be9dbcd242f7313da5edcbf6b1dce96444e192df4c",
+        "a979aecd250011e7e6c8fa26b439d4350d151fb16e53a6bf9a1af6f0110ea706",
+        "b88d3f0a65068f27022d4d509ca74a65ea6d22a52fdb2d566697fa419120cb82",
+        "f57ff60b7e9e0b98e1035050a069e56fa9ee6f15a9d86fc340d6e91079ea6b46"),
+    "short_52-closed-0.001": (
+        "7b0d1b3e87eb2964b0a487aab68477d13fe681778c2a11c0ae591166e8d1f11e",
+        "c7a048762a300131b701ffba81019a0078bb13fb5b797b8f561a8954fcc75cc6",
+        "957f4977840fcf9deec8d6f7adc69252fe3ae38f739ad300473764019deef54c",
+        "d362060229011a37c033561236722bd108e3a8da19412e8498c31d69ef2b8ec1"),
+    "short_72-closed-0.003": (
+        "9dd133bb23f5a857571511315f0f90c364d506655de40fd345fadc112a3831b3",
+        "af147fa604887194c7e2a5860b20ee7748e9e3862dd4ac4325a31dc17d07a0f5",
+        "9e73c58b4bab7b3151bc99d6336f2a3083491e5f75a36e6bdfdc0c53e77193fb",
+        "e021f1dca5c8c2e03f8f01790fdaa5495a3f3bfc0527f30aeff6d0e8657ccde9"),
+    "rect_74-closed": (
+        "c20cf996f7e791162980cf339730b458180f47f538c7f774e8e17d3d2f52dab7",
+        "8e02ded624f651e2f562227f2b64990238b4e5838276ece0d5fdf20d80f93689",
+        "c64c4844e61e38ea9642851631db25c2decba8bffc56ba408ccf1a1e36954b31",
+        "46a8271a868ca5fc18748767014911e0e36648e56a3da6fe2d33472d19b7b3ec"),
+}
+
+
+@pytest.mark.parametrize("member", MEMBERS, ids=member_id)
+def test_svg_pinned(member):
+    lay = layout(program_of(member))
+    got = tuple(hashlib.sha256(to_svg(lay, options).encode()).hexdigest()
+                for options in SVG_OPTIONS)
+    assert got == SVG_PINNED[member_id(member)]
+
+
+def json_oracle(program):
+    """The document that to_json writes, through json's own encoder."""
+    doc = {
+        "width": program.width,
+        "presentation": program.presentation,
+        "label": program.label,
+        "creases": [
+            {
+                "position": c.position,
+                "angle_num": c.angle.numerator,
+                "angle_den": c.angle.denominator,
+                "layer_shift": c.layer_shift,
+            }
+            for c in program.creases
+        ],
+    }
+    for name in ("start_cut", "end_cut"):
+        cut = getattr(program, name)
+        if cut is not None:
+            doc[name] = {
+                "position": cut.position,
+                "angle_num": cut.angle.numerator,
+                "angle_den": cut.angle.denominator,
+            }
+    if program.weave is not None:
+        if program.weave.mode == "explicit":
+            doc["weave"] = {"mode": "explicit", "pairs": [list(p) for p in program.weave.pairs]}
+        else:
+            doc["weave"] = program.weave.mode
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+
+
+def assert_json_matches_oracle(program):
+    text = program.to_json()
+    assert text == json_oracle(program)
+    assert FoldProgram.from_json(text) == program
+
+
+def geometry_families():
+    """(family, presentation, epsilon) for each member that the benchmark's
+    geometry workload builds, lays out, unfolds and serialises."""
+    members = []
+    for q in range(2, 61):
+        members += [(FamilyId("odd_wrap", q), "closed", None),
+                    (FamilyId("odd_wrap", q), "truncated", None)]
+    members += [(FamilyId("pinwheel", q), "closed", None) for q in range(2, 51)]
+    for q in range(3, 60, 2):
+        members += [(FamilyId("even_wrap_plus2", q), "closed", None),
+                    (FamilyId("even_wrap_plus4", q), "closed", None)]
+    members += [(FamilyId("star_polygon", p), "closed", None) for p in range(7, 302, 2)]
+    members += [(FamilyId("short_52"), "closed", 1e-3), (FamilyId("short_72"), "closed", 3e-3),
+                (FamilyId("rect_74"), "closed", None)]
+    # the closures past CLOSURE_TOLERANCE, and the largest star
+    members += [(FamilyId(tag, n), "closed", None)
+                for tag, n in (("odd_wrap", 74), ("pinwheel", 54), ("even_wrap_plus2", 77),
+                               ("even_wrap_plus4", 79), ("star_polygon", 1001))]
+    return members
+
+
+def test_to_json_matches_json_dumps_on_geometry_members_and_their_unfolds():
+    members = geometry_families()
+    assert len(members) == 381
+    unfolded = 0
+    for member in members:
+        program = program_of(member)
+        assert_json_matches_oracle(program)
+        try:
+            lay = layout(program)
+        except ClosureError:
+            continue
+        assert_json_matches_oracle(unfold(lay))
+        unfolded += 1
+    assert unfolded == 377
+
+
+def test_to_json_matches_json_dumps_on_edge_cases():
+    closed = (CreaseSpec(1.0, ExactAngle(1, 3), 1),
+              CreaseSpec(2.0, ExactAngle(2, 3), -1))
+    programs = [
+        FoldProgram(1.0, closed, weave=WeaveRule("explicit", ((0, 1, 1), (1, 0, -1), (-3, 7, 1)))),
+        FoldProgram(1.0, closed, weave=WeaveRule("torus")),
+        FoldProgram(1.0, closed, weave=WeaveRule("layers")),
+        FoldProgram(1.0, closed, label='say "hi" \\ back\tslash\x00\x1f\x7f caf\u00e9 \u6298\U0001f380'),
+        FoldProgram(0.5, (), presentation="truncated",
+                    start_cut=CutSpec(-2.5, ExactAngle(1, 3)), end_cut=CutSpec(4.0)),
+        FoldProgram(
+            5e-324,
+            (CreaseSpec(5e-324, ExactAngle(1, 2), 7),
+             CreaseSpec(2.2250738585072014e-308, ExactAngle(10**30 + 1, 3 * 10**30), -12),
+             CreaseSpec(1e300, ExactAngle(2, 3), 1)),
+            presentation="truncated",
+            start_cut=CutSpec(-1e300, ExactAngle(1, 7)),
+            end_cut=CutSpec(1.7976931348623157e308),
+        ),
+        FoldProgram(1e300, (CreaseSpec(1e300, ExactAngle(1, 2)),), presentation="truncated",
+                    start_cut=CutSpec(-0.0)),
+    ]
+    for program in programs:
+        assert_json_matches_oracle(program)
 
 
 def test_radians_is_the_float_of_the_fraction_times_pi():

@@ -8,7 +8,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from ribbonfold.cli import main
-from ribbonfold.fold_core import FoldProgram, layout
+from ribbonfold.fold_core import CreaseSpec, ExactAngle, FoldProgram, layout
 
 
 def run_cli(capsys, *argv):
@@ -331,6 +331,18 @@ def test_malformed_program_file_exits_two(capsys, tmp_path):
     bad.write_text("{\"width\": -1")
     code, _, err = run_cli(capsys, "render", "--input", str(bad))
     assert code == 2 and err
+
+
+def test_crease_line_lost_to_rounding_exits_two(capsys, tmp_path):
+    # FoldProgram accepts this crease; layout finds no line to reflect across
+    program = FoldProgram(1.0, (CreaseSpec(1e17, ExactAngle(1, 10**17)),),
+                          presentation="truncated")
+    src = tmp_path / "steep.json"
+    src.write_text(program.to_json())
+    code, out, err = run_cli(capsys, "render", "--input", str(src))
+    assert code == 2
+    assert out == "" and "crease 0 at position 1e+17" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("pairs", [[[0, 1]], [5]])

@@ -522,6 +522,15 @@ def test_open_centerline_builder_round_trips():
     assert len(placed.panels) == 2
 
 
+def test_crease_line_lost_to_rounding_is_malformed():
+    # at position 1e17, (xb + cos) - xb rounds to 0 for the angle pi/1e17,
+    # whose sine is 3e-17, so no crease line is left to reflect across;
+    # layout once raised InvalidInputError about two points here
+    prog = make_truncated([CreaseSpec(1e17, ExactAngle(1, 10**17))])
+    with pytest.raises(MalformedProgramError, match=r"crease 0 at position 1e\+17"):
+        layout(prog)
+
+
 # ---------------------------------------------------------------------- JSON
 
 
