@@ -40,6 +40,10 @@ _UNFOLD_ANGLE_TOLERANCE = 1e-11
 
 WEAVE_MODES = ("layers", "alternating", "torus", "explicit")
 
+# a reduced angle's integers then have at most 601 digits; no setting of
+# CPython's int-string limit applies below 640, so every angle's JSON reads back
+_MAX_ANGLE_DENOMINATOR = 10**600
+
 
 class Point(NamedTuple):
     x: float
@@ -118,6 +122,8 @@ class ExactAngle:
         g = math.gcd(num, den)
         num //= g
         den //= g
+        if den > _MAX_ANGLE_DENOMINATOR:
+            raise MalformedProgramError("angle denominator must be at most 10**600 once reduced")
         num %= 2 * den
         g = math.gcd(num, den)
         object.__setattr__(self, "numerator", num // g)
@@ -531,7 +537,7 @@ class FoldedLayout:
     def width(self) -> float:
         if self.source is not None:
             return self.source.width
-        return _panel_width(self.panels[0])
+        return _panel_frames(self.panels[:1])[0][0]
 
     def bounding_box(self) -> Tuple[float, float, float, float]:
         xs = [p[0] for panel in self.panels for p in panel.vertices]
@@ -660,18 +666,26 @@ def layout(program: FoldProgram) -> FoldedLayout:
     return FoldedLayout(tuple(panels), tuple(segments), program)
 
 
-def _panel_width(panel: Panel) -> float:
-    """Distance between a panel's two ribbon-edge sides."""
-    (a, b) = panel.side(0)
-    ux, uy = b[0] - a[0], b[1] - a[1]
-    norm = math.hypot(ux, uy)
-    if norm < 1e-15:
-        raise InconsistencyError("panel %d has a degenerate edge side" % panel.index)
-    d2 = abs(_cross(ux, uy, panel.vertices[2][0] - a[0], panel.vertices[2][1] - a[1])) / norm
-    d3 = abs(_cross(ux, uy, panel.vertices[3][0] - a[0], panel.vertices[3][1] - a[1])) / norm
-    if abs(d2 - d3) > 1e-9 * max(d2, d3, 1.0):
-        raise InconsistencyError("panel %d edge sides are not parallel" % panel.index)
-    return 0.5 * (d2 + d3)
+def _panel_frames(panels: Sequence[Panel]) -> Tuple[list, list, list]:
+    """Width, Panel.orientation sign and leaving side vector of each panel,
+    from one read of its corners; its two ribbon-edge sides must be parallel."""
+    widths, signs, leaving = [], [], []
+    for panel in panels:
+        (x0, y0), (x1, y1), (x2, y2), (x3, y3) = panel.vertices
+        ux, uy = x1 - x0, y1 - y0
+        norm = math.hypot(ux, uy)
+        if norm < 1e-15:
+            raise InconsistencyError("panel %d has a degenerate edge side" % panel.index)
+        d2 = abs(ux * (y2 - y0) - uy * (x2 - x0)) / norm
+        d3 = abs(ux * (y3 - y0) - uy * (x3 - x0)) / norm
+        if abs(d2 - d3) > 1e-9 * max(d2, d3, 1.0):
+            raise InconsistencyError("panel %d edge sides are not parallel" % panel.index)
+        widths.append(0.5 * (d2 + d3))
+        area2 = ((x0 * y1 - y0 * x1) + (x1 * y2 - y1 * x2)
+                 + (x2 * y3 - y2 * x3) + (x3 * y0 - y3 * x0))
+        signs.append(1 if area2 > 0 else -1)
+        leaving.append((x2 - x1, y2 - y1))
+    return widths, signs, leaving
 
 
 def centerline_length(obj: Union[FoldProgram, FoldedLayout]) -> float:
@@ -694,19 +708,30 @@ def ratio(obj: Union[FoldProgram, FoldedLayout]) -> float:
 
 def _recovered_angle(
     seg: Tuple[Point, Point],
-    side: Tuple[Point, Point],
+    side: Tuple[float, float],
     orientation: int,
+    memo: list,
 ) -> ExactAngle:
-    """Strip angle of a boundary line from its placed geometry."""
+    """Strip angle of a boundary line, from its centerline segment, the
+    vector of its panel side and that panel's winding sign; ``memo`` holds
+    (num, den, scale, angle) of up to 16 angles snapped with den <= 10**4."""
     ux, uy = seg[1][0] - seg[0][0], seg[1][1] - seg[0][1]
-    vx, vy = side[1][0] - side[0][0], side[1][1] - side[0][1]
+    vx, vy = side
     if math.hypot(ux, uy) < 1e-15 or math.hypot(vx, vy) < 1e-15:
         raise InconsistencyError("degenerate segment while recovering an angle")
     phi = math.atan2(_cross(ux, uy, vx, vy), ux * vx + uy * vy)
     theta = (orientation * phi) % math.pi
     if theta < 1e-12 or math.pi - theta < 1e-12:
         raise InconsistencyError("boundary line is parallel to the centerline")
-    return ExactAngle.from_float(theta, tolerance=_UNFOLD_ANGLE_TOLERANCE)
+    for num, den, scale, angle in memo:
+        if abs(num / den * math.pi - theta) <= _UNFOLD_ANGLE_TOLERANCE * scale:
+            return angle
+    angle = ExactAngle.from_float(theta, tolerance=_UNFOLD_ANGLE_TOLERANCE)
+    den = angle.denominator
+    # the bound keeps a miss cheap when a layout has many distinct angles
+    if den <= 10**4 and len(memo) < 16:
+        memo.append((angle.numerator, den, min(1.0, (1000.0 / den) ** 2), angle))
+    return angle
 
 
 def _prefix_sums(values: Sequence[float]) -> list:
@@ -741,8 +766,13 @@ def unfold(
     from accumulated centerline segment lengths, the width from edge
     side distances, angles from the turn between each centerline
     segment and its boundary line, snapped back to rational multiples
-    of pi by ``ExactAngle.from_float`` at a fixed 1e-11 rad.  Raises
-    InconsistencyError when panels disagree about the width.
+    of pi as ``ExactAngle.from_float`` snaps them at a fixed 1e-11 rad.
+    Each distinct angle of denominator up to 10**4 is snapped once per
+    call; a later angle that passes its test in ``from_float``, within
+    1e-11 / pi of num/den, is well inside 1/(2 * den * 10**4), the
+    distance from num/den within which no other fraction of denominator
+    up to 10**4 lies (Farey spacing), so ``from_float`` would return it
+    too.  Raises InconsistencyError when panels disagree about the width.
 
     No builder calls this: it is an oracle, independent of the exact
     crease data, that tests hold programs against.
@@ -762,7 +792,7 @@ def unfold(
     if weave is None and src is not None:
         weave = src.weave
 
-    widths = [_panel_width(p) for p in panels]
+    widths, signs, leaving = _panel_frames(panels)
     w = widths[0]
     for k, wk in enumerate(widths):
         if abs(wk - w) > 1e-9 * max(w, 1.0):
@@ -774,20 +804,17 @@ def unfold(
         [math.hypot(b[0] - a[0], b[1] - a[1]) for a, b in lay.centerline]
     )
 
-    closed = presentation == "closed"
+    memo: list = []
+    centerline, last = lay.centerline, len(panels) - 1
     creases = []
-    n_inner = len(panels) - 1
-    for k in range(n_inner):
-        angle = _recovered_angle(lay.centerline[k], panels[k].side(1), panels[k].orientation)
+    for k in range(last):
+        angle = _recovered_angle(centerline[k], leaving[k], signs[k], memo)
         shift = panels[k + 1].layer - panels[k].layer
         if shift == 0:
             raise InconsistencyError("panels %d and %d share a layer" % (k, k + 1))
         creases.append(CreaseSpec(positions[k], angle, shift))
-    if closed:
-        last = len(panels) - 1
-        angle = _recovered_angle(
-            lay.centerline[last], panels[last].side(1), panels[last].orientation
-        )
+    if presentation == "closed":
+        angle = _recovered_angle(centerline[last], leaving[last], signs[last], memo)
         shift = -sum(c.layer_shift for c in creases)
         if shift == 0:
             raise InconsistencyError("seam panels share a layer")
@@ -799,11 +826,9 @@ def unfold(
             label=label,
             weave=weave,
         )
-    start_angle = _recovered_angle(lay.centerline[0], panels[0].side(3), panels[0].orientation)
-    last = len(panels) - 1
-    end_angle = _recovered_angle(
-        lay.centerline[last], panels[last].side(1), panels[last].orientation
-    )
+    (x0, y0), _, _, (x3, y3) = panels[0].vertices
+    start_angle = _recovered_angle(centerline[0], (x0 - x3, y0 - y3), signs[0], memo)
+    end_angle = _recovered_angle(centerline[last], leaving[last], signs[last], memo)
     return FoldProgram(
         width=w,
         creases=tuple(creases),

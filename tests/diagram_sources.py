@@ -9,14 +9,25 @@ dense determinant oracle checks the sparse one on any diagram, and a
 star-polyline oracle checks the exact crease data of the star families
 against the geometry of their centerlines.  All-pairs oracles check the
 crossing search and the collinear grouping of diagram extraction.
+``snapped_boundary_angle`` measures a boundary angle with no memo, as
+``unfold`` once did for every crease; ``boundary_outcomes`` holds the
+memoized measurement against it, and ``farey_memo`` preloads the memo
+with the fractions nearest the one meant.
 """
 
 import math
 from fractions import Fraction
 from typing import List, Tuple
 
-from ribbonfold.errors import DegenerateDiagramError
-from ribbonfold.fold_core import FoldProgram, Point, layout_from_centerline, unfold
+from ribbonfold.errors import DegenerateDiagramError, InconsistencyError, RibbonError
+from ribbonfold.fold_core import (
+    ExactAngle,
+    FoldProgram,
+    Point,
+    _recovered_angle,
+    layout_from_centerline,
+    unfold,
+)
 from ribbonfold.knot_id import LaurentPolynomial, _canonical_line, _poly_bareiss, _pstrip
 
 
@@ -364,3 +375,58 @@ def all_groups_collinear(centerline, scale: float):
         else:
             groups.append([i])
     return [g for g in groups if len(g) > 1]
+
+
+def snapped_boundary_angle(seg, side, orientation: int) -> ExactAngle:
+    """Strip angle of a boundary line measured from a centerline segment,
+    the vector of a panel side and the panel's winding sign: atan2 of
+    the turn between them, snapped by ``ExactAngle.from_float`` at the
+    1e-11 rad that ``unfold`` uses, afresh for every line."""
+    ux, uy = seg[1][0] - seg[0][0], seg[1][1] - seg[0][1]
+    vx, vy = side
+    if math.hypot(ux, uy) < 1e-15 or math.hypot(vx, vy) < 1e-15:
+        raise InconsistencyError("degenerate segment while recovering an angle")
+    phi = math.atan2(ux * vy - uy * vx, ux * vx + uy * vy)
+    theta = (orientation * phi) % math.pi
+    if theta < 1e-12 or math.pi - theta < 1e-12:
+        raise InconsistencyError("boundary line is parallel to the centerline")
+    return ExactAngle.from_float(theta, tolerance=1e-11)
+
+
+_ALONG_X = (Point(0.0, 0.0), Point(1.0, 0.0))
+
+
+def _outcome(measure, theta: float):
+    try:
+        return measure(_ALONG_X, (math.cos(theta), math.sin(theta)), 1)
+    except RibbonError as exc:
+        return (type(exc), str(exc))
+
+
+def boundary_outcomes(theta: float, memo: list):
+    """(memoized, oracle) for a boundary line at theta to a centerline along
+    +x: what ``_recovered_angle`` with ``memo`` and what
+    ``snapped_boundary_angle`` give, each an ExactAngle or the type and
+    message of the error raised."""
+    memoized = _outcome(lambda seg, side, sign: _recovered_angle(seg, side, sign, memo), theta)
+    return memoized, _outcome(snapped_boundary_angle, theta)
+
+
+def farey_memo(k: int, n: int) -> list:
+    """An ``unfold`` angle memo holding, as measuring them puts them, the
+    neighbours of the reduced k/n in the Farey sequence of order 10**4 that
+    lie strictly between 0 and 1: a/b with k*b - n*a = 1 and c/d with
+    n*c - k*d = 1, each with the largest denominator up to 10**4."""
+    order = 10**4
+    if n == 1:
+        neighbours = [(k * order - 1, order), (k * order + 1, order)]
+    else:
+        inverse = pow(k, -1, n)
+        b = inverse + n * ((order - inverse) // n)
+        d = (n - inverse) + n * ((order - (n - inverse)) // n)
+        neighbours = [((k * b - 1) // n, b), ((k * d + 1) // n, d)]
+    memo: list = []
+    for a, b in neighbours:
+        if 0 < a < b:
+            boundary_outcomes(a / b * math.pi, memo)
+    return memo

@@ -32,6 +32,8 @@ from ribbonfold import (
     unfold,
 )
 
+from diagram_sources import snapped_boundary_angle
+
 # (family, presentation, epsilon): one member of each family and
 # presentation, both shorts at a fixed epsilon, and the largest star the
 # benchmark lays out
@@ -287,6 +289,35 @@ def test_to_json_matches_json_dumps_on_geometry_members_and_their_unfolds():
         except ClosureError:
             continue
         assert_json_matches_oracle(unfold(lay))
+        unfolded += 1
+    assert unfolded == 377
+
+
+def side_vector(panel, k):
+    a, b = panel.side(k)
+    return (b[0] - a[0], b[1] - a[1])
+
+
+def test_unfold_angles_are_from_float_of_each_measured_angle():
+    # unfold snaps each distinct angle once; every crease and cut must
+    # still be what from_float gives for its own measured angle
+    unfolded = 0
+    for member in geometry_families():
+        try:
+            lay = layout(program_of(member))
+        except ClosureError:
+            continue
+        program = unfold(lay)
+        panels, centerline = lay.panels, lay.centerline
+        want = [snapped_boundary_angle(centerline[k], side_vector(panel, 1), panel.orientation)
+                for k, panel in enumerate(panels)]
+        if program.presentation == "closed":
+            assert [c.angle for c in program.creases] == want
+        else:
+            assert [c.angle for c in program.creases] == want[:-1]
+            assert program.end_cut.angle == want[-1]
+            assert program.start_cut.angle == snapped_boundary_angle(
+                centerline[0], side_vector(panels[0], 3), panels[0].orientation)
         unfolded += 1
     assert unfolded == 377
 

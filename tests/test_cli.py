@@ -345,6 +345,21 @@ def test_crease_line_lost_to_rounding_exits_two(capsys, tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["identify", "render"])
+def test_angle_denominator_past_the_bound_exits_two(capsys, tmp_path, command):
+    # a quarter turn give or take pi/10**601: read, laid out and identified
+    # until ExactAngle bounded its denominator
+    doc = json.loads(run_cli(capsys, "build", "--family", "odd-wrap", "--q", "3",
+                             "--presentation", "truncated")[1])
+    doc["start_cut"].update(angle_num=10**601 // 2 + 1, angle_den=10**601)
+    bad = tmp_path / "huge.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, command, "--input", str(bad))
+    assert code == 2
+    assert out == "" and "angle denominator must be at most 10**600" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("pairs", [[[0, 1]], [5]])
 def test_malformed_weave_pairs_exit_two(capsys, tmp_path, pairs):
     doc = json.loads(run_cli(capsys, "build", "--family", "star", "--p", "7")[1])

@@ -30,6 +30,8 @@ from ribbonfold import (
 )
 from ribbonfold.fold_core import _limit_denominator, _pi_turns, _prefix_sums
 
+from diagram_sources import boundary_outcomes, farey_memo
+
 
 def assert_points_close(actual, expected, tol=1e-12):
     flat_a = [coord for pt in actual for coord in pt]
@@ -158,6 +160,20 @@ def test_exact_angle_rejects_bad_input():
         ExactAngle(1.5, 2)
     with pytest.raises(InvalidInputError):
         ExactAngle.from_float(float("nan"))
+
+
+def test_exact_angle_bounds_its_reduced_denominator():
+    # to_json of this angle once raised a bare ValueError from CPython's
+    # limit on the digits of an int turned into a string
+    with pytest.raises(MalformedProgramError, match="at most 10"):
+        ExactAngle(10**5000 + 1, 3 * 10**5000)
+    with pytest.raises(MalformedProgramError):
+        ExactAngle(1, 10**600 + 1)
+    # the bound is on the reduced fraction; the shorts' 10**12 is far inside
+    assert ExactAngle(10**5000, 2 * 10**5000) == ExactAngle(1, 2)
+    assert ExactAngle(1, 10**12).denominator == 10**12
+    largest = make_truncated([CreaseSpec(1.0, ExactAngle(10**600 // 2 + 1, 10**600))])
+    assert FoldProgram.from_json(largest.to_json()) == largest
 
 
 # ----------------------------------------------------------------- reflection
@@ -491,6 +507,69 @@ def test_unfold_positions_are_the_fsum_prefixes_of_the_lengths():
     prog = unfold(lay)
     assert [c.position for c in prog.creases] == want[:-1]
     assert prog.end_cut.position == want[-1]
+
+
+def test_unfold_still_checks_that_panels_are_strips():
+    # the truncated strip drifts off one width with no closure to catch it
+    lay = layout(build(FamilyId("odd_wrap", 3000), presentation="truncated"))
+    with pytest.raises(InconsistencyError, match="^panel 4071 edge sides are not parallel$"):
+        unfold(lay)
+
+
+def ulp_steps(theta, count):
+    """theta with the ``count`` floats on either side of it, in order."""
+    below, above = [theta], [theta]
+    for _ in range(count):
+        below.append(math.nextafter(below[-1], 0.0))
+        above.append(math.nextafter(above[-1], 4.0))
+    return below[::-1] + above[1:]
+
+
+def test_unfold_angle_memo_snaps_as_from_float_does():
+    # near k/n up to twice from_float's tolerance either way, the memoized
+    # angle must be from_float's, with the memo already holding k/n's
+    # nearest neighbours of denominator up to 10**4
+    rng = random.Random(1011)
+    fractions = [(1, 2), (1, 3), (2, 7), (1, 1000), (2, 1001), (999, 1001), (600, 1201),
+                 (1234, 9999), (1, 10000), (9999, 10000)]
+    fractions += [(q, 2 * q + 1) for q in (2, 7, 60)] + [(1, 2 * q + 1) for q in (2, 7, 60)]
+    for _ in range(120):
+        n = rng.randint(2, 10**4)
+        k = rng.randint(1, n - 1)
+        g = math.gcd(k, n)
+        fractions.append((k // g, n // g))
+    for k, n in fractions:
+        memo = farey_memo(k, n)
+        meant = k / n * math.pi
+        tol = 1e-11 * min(1.0, (1000.0 / n) ** 2)
+        for factor in (0.0, 0.5, -0.5, 0.999, -0.999, 1.0, -1.0, 1.001, -1.001, 2.0, -2.0):
+            # at the edge, ulp steps carry the measured angle across the test
+            thetas = ulp_steps(meant + factor * tol, 4 if abs(factor) == 1.0 else 0)
+            for theta in thetas:
+                memoized, oracle = boundary_outcomes(theta, memo)
+                assert memoized == oracle, (k, n, factor, theta)
+            if abs(factor) == 1.0:
+                measured = [math.atan2(math.sin(t), math.cos(t)) for t in thetas]
+                assert {abs(meant - m) <= tol for m in measured} == {True, False}
+        assert (k, n) in [(num, den) for num, den, _, _ in memo]
+    # generic angles, as the shorts' creases give, snap past 10**4 and
+    # never enter the memo
+    memo = farey_memo(1, 3)
+    assert len(memo) == 2
+    shorts = [build(FamilyId("short_52"), epsilon=1e-3), build(FamilyId("short_72"), epsilon=3e-3)]
+    for crease in [c for program in shorts for c in program.creases]:
+        memoized, oracle = boundary_outcomes(crease.angle.radians, memo)
+        assert memoized == oracle
+    for _ in range(200):
+        memoized, oracle = boundary_outcomes(rng.uniform(1e-6, math.pi - 1e-6), memo)
+        assert memoized == oracle
+    assert len(memo) == 2
+    # a full memo takes no more entries and still snaps as from_float does
+    memo = []
+    for den in range(3, 40):
+        memoized, oracle = boundary_outcomes(math.pi / den, memo)
+        assert memoized == oracle == ExactAngle(1, den)
+    assert len(memo) == 16
 
 
 def test_prefix_sums_match_fsum_on_wide_and_non_finite_values():

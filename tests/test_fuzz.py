@@ -13,6 +13,7 @@ Every run is derandomized, so it checks the same cases every time.
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 
@@ -25,7 +26,7 @@ from hypothesis import HealthCheck, assume, given, settings, strategies as st
 from ribbonfold import FamilyId, FoldProgram, Point, RibbonError, build, cli, layout
 from ribbonfold.knot_id import _find_crossings, alexander_polynomial, extract_diagram
 
-from diagram_sources import all_pairs_crossings, crossing_outcome
+from diagram_sources import all_pairs_crossings, boundary_outcomes, crossing_outcome, farey_memo
 
 
 def _base_documents():
@@ -255,3 +256,31 @@ def closed_polylines(draw):
 def test_crossing_search_matches_oracle_on_polylines(vertices):
     assert crossing_outcome(_find_crossings, vertices) == \
         crossing_outcome(all_pairs_crossings, vertices)
+
+
+@st.composite
+def angles_near_fractions(draw):
+    n = draw(st.integers(1, 10**4))
+    k = draw(st.integers(0, n))
+    g = math.gcd(k, n)
+    factor = draw(st.sampled_from([-1.0, 1.0]) | st.floats(-2.0, 2.0))
+    return k // g, n // g, factor, draw(st.integers(-4, 4)), draw(st.booleans())
+
+
+@settings(_FUZZ, max_examples=300)
+@given(angles_near_fractions(), st.floats(1e-9, math.pi - 1e-9))
+def test_unfold_angle_memo_matches_from_float(case, generic):
+    # an angle near k/n, up to twice from_float's tolerance and a few ulps
+    # either way, and a generic angle: the memo must give what from_float
+    # gives, whether or not k/n itself was snapped first
+    k, n, factor, steps, meant_first = case
+    memo = farey_memo(k, n)
+    theta = k / n * math.pi
+    if meant_first:
+        boundary_outcomes(theta, memo)
+    theta += factor * 1e-11 * min(1.0, (1000.0 / n) ** 2)
+    for _ in range(abs(steps)):
+        theta = math.nextafter(theta, math.copysign(math.inf, steps))
+    for angle in (theta, generic):
+        memoized, oracle = boundary_outcomes(angle, memo)
+        assert memoized == oracle
