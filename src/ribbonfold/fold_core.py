@@ -124,10 +124,9 @@ class ExactAngle:
         den //= g
         if den > _MAX_ANGLE_DENOMINATOR:
             raise MalformedProgramError("angle denominator must be at most 10**600 once reduced")
-        num %= 2 * den
-        g = math.gcd(num, den)
-        object.__setattr__(self, "numerator", num // g)
-        object.__setattr__(self, "denominator", den // g)
+        # num % (2 * den) is congruent to num mod den, so stays coprime to it
+        object.__setattr__(self, "numerator", num % (2 * den))
+        object.__setattr__(self, "denominator", den)
 
     @classmethod
     def from_float(cls, radians: float, *, tolerance: float = 1e-9) -> "ExactAngle":

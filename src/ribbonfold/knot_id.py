@@ -11,12 +11,11 @@ that a construction really ties the knot it claims.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .constructions import _FAMILIES, FamilyId
 from .errors import (
@@ -96,6 +95,11 @@ class LaurentPolynomial:
 
     def evaluate(self, x):
         """Exact value at x (int or Fraction)."""
+        if isinstance(x, int):
+            value = 0
+            for c in reversed(self._coeffs):
+                value = value * x + c
+            return value
         total = Fraction(0)
         for e, c in enumerate(self._coeffs):
             total += c * Fraction(x) ** e
@@ -137,13 +141,19 @@ def _pstrip(a: List[int]) -> List[int]:
     return a
 
 
-def _padd(a: List[int], b: List[int]) -> List[int]:
-    n = max(len(a), len(b))
-    out = [0] * n
-    for i, c in enumerate(a):
-        out[i] += c
-    for i, c in enumerate(b):
-        out[i] += c
+def _paxpy(acc: List[int], f: List[int], v: List[int]) -> List[int]:
+    """acc + f * v over Z[t], as a new stripped list.
+
+    Each nonzero term of the shorter factor adds its shifted multiple of
+    the longer one in a single pass.
+    """
+    if len(f) > len(v):
+        f, v = v, f
+    width = len(v)
+    out = acc + [0] * (len(f) + width - 1 - len(acc))
+    for i, c in enumerate(f):
+        if c:
+            out[i:i + width] = [x + c * y for x, y in zip(out[i:i + width], v)]
     return _pstrip(out)
 
 
@@ -202,7 +212,7 @@ def _poly_bareiss(matrix: List[List[List[int]]]) -> List[int]:
         for i in range(k + 1, n):
             neg = [-c for c in m[i][k]]
             for j in range(k + 1, n):
-                num = _padd(_pmul(m[i][j], m[k][k]), _pmul(neg, m[k][j]))
+                num = _paxpy(_pmul(m[i][j], m[k][k]), neg, m[k][j])
                 m[i][j] = _pdiv_exact(num, prev)
             m[i][k] = []
         prev = m[k][k]
@@ -255,7 +265,7 @@ def _unit_pivot_det(rows: List[Dict[int, List[int]]], columns: Sequence[int]) ->
             row = rows[i]
             factor = [-u * x for x in row.pop(c)]
             for j, v in pivot.items():
-                entry = _padd(row.get(j, []), _pmul(factor, v))
+                entry = _paxpy(row.get(j, []), factor, v)
                 if entry:
                     row[j] = entry
                     col_rows[j].add(i)
@@ -276,8 +286,7 @@ def _unit_pivot_det(rows: List[Dict[int, List[int]]], columns: Sequence[int]) ->
 # ------------------------------------------------------------ diagram types
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     """One transverse double point of the diagram."""
 
     id: int
@@ -336,33 +345,29 @@ def diagram_from_gauss(gauss: Sequence[Tuple[int, bool, int]]) -> KnotDiagram:
 
 
 def _crossings_from_gauss(gauss: Tuple[Tuple[int, bool, int], ...]) -> Tuple[Crossing, ...]:
-    """Arc incidences for every crossing of a validated Gauss code.
+    """Arc incidences for every crossing of a validated Gauss code, in id order.
 
     Arc k runs from the k-th under-passage (exclusive) to the next one
-    (inclusive), wrapping around the strand.
+    (inclusive), wrapping around the strand.  One walk along the strand
+    counts the under-passages passed: the strand is on arc k - 1 before
+    the k-th of them, and on the last arc before the first.
     """
-    under_pos = [i for i, (_, over, _) in enumerate(gauss) if not over]
-    n = len(under_pos)
+    # a validated code holds each crossing once over and once under
+    n = len(gauss) // 2
     if n == 0:
         raise InvalidDiagramError("diagram has no under-passages")
-    under_index = {pos: k for k, pos in enumerate(under_pos)}
-    over_at: Dict[int, int] = {}
-    under_at: Dict[int, int] = {}
-    sign_of: Dict[int, int] = {}
-    for i, (cid, over, sign) in enumerate(gauss):
-        sign_of[cid] = sign
+    over_arc: Dict[int, int] = {}
+    under: Dict[int, Tuple[int, int, int]] = {}
+    arc = n - 1
+    passed = 0
+    for cid, over, sign in gauss:
         if over:
-            over_at[cid] = i
+            over_arc[cid] = arc
         else:
-            under_at[cid] = i
-    crossings = []
-    for cid in sorted(over_at):
-        k = under_index[under_at[cid]]
-        # an over passage belongs to the arc begun at the previous
-        # under-passage; bisect finds the first under at or after it
-        idx = bisect.bisect_left(under_pos, over_at[cid])
-        crossings.append(Crossing(cid, (idx - 1) % n, (k - 1) % n, k, sign_of[cid]))
-    return tuple(crossings)
+            under[cid] = (arc, passed, sign)
+            arc = passed
+            passed += 1
+    return tuple(Crossing(cid, over_arc[cid], *under[cid]) for cid in sorted(under))
 
 
 # --------------------------------------------------------------- Alexander
@@ -387,6 +392,12 @@ def alexander_polynomial(
     n = validate_gauss(diagram.gauss)
     if n != len(diagram.crossings):
         raise InvalidDiagramError("diagram crossing count disagrees with its Gauss code")
+    arcs = range(n)
+    for c in diagram.crossings:
+        if c.over_arc not in arcs or c.under_in_arc not in arcs or c.under_out_arc not in arcs:
+            raise InvalidDiagramError("crossing %r has an arc outside 0..%d" % (c.id, n - 1))
+        if c.sign not in (-1, 1):
+            raise InvalidDiagramError("crossing %r has sign %r, not +1 or -1" % (c.id, c.sign))
     r = n - 1 if row is None else row
     c_ = n - 1 if col is None else col
     if not (0 <= r < n and 0 <= c_ < n):
@@ -573,8 +584,9 @@ def _perturbed_polyline(centerline, groups: List[List[int]], epsilon: float):
     return vertices
 
 
-def _candidate_pairs(segs, scale: float, tol_param: float):
-    """Segment pairs (i, j) the crossing test must see, in ascending order.
+def _candidate_masks(segs, scale: float, tol_param: float) -> List[int]:
+    """Per segment i, a bit mask of the segments j the crossing test must
+    pair it with, bit b standing for j = i + 2 + b.
 
     A superset of the pairs that can cross, touch or coincide: those whose
     bounding boxes, grown by the ``tol_param`` extent and a margin, share
@@ -614,18 +626,15 @@ def _candidate_pairs(segs, scale: float, tol_param: float):
             grid[c] |= 1 << k
         covers.append(cells)
     partners = _parallel_partners([(dx, dy) for _, dx, dy in segs])
+    masks = []
     for i in range(m):
         mask = partners[i]
         for c in covers[i]:
             mask |= grid[c]
         # neighbours and the closing pair (0, m - 1) are never tested
-        mask >>= i + 2
-        if i == 0:
-            mask &= ~(1 << (m - 3))
-        while mask:
-            low = mask & -mask
-            yield i, i + 1 + low.bit_length()
-            mask ^= low
+        masks.append(mask >> (i + 2))
+    masks[0] &= ~(1 << (m - 3))
+    return masks
 
 
 def _find_crossings(vertices, scale: float):
@@ -643,34 +652,40 @@ def _find_crossings(vertices, scale: float):
         segs.append((a, b.x - a.x, b.y - a.y))
     tol_param = 1e-9
     tol_point = 1e-12 * max(scale, 1.0)
+    lengths = [math.hypot(dx, dy) for _, dx, dy in segs]
     hits = []
-    for i, j in _candidate_pairs(segs, scale, tol_param):
+    for i, mask in enumerate(_candidate_masks(segs, scale, tol_param)):
         ai, dix, diy = segs[i]
-        aj, djx, djy = segs[j]
-        denom = dix * djy - diy * djx
-        norm = math.hypot(dix, diy) * math.hypot(djx, djy)
-        if abs(denom) < 1e-12 * max(norm, 1e-30):
-            # parallel tracks never cross; a coincident overlap is
-            # degenerate
+        length_i = lengths[i]
+        while mask:
+            low = mask & -mask
+            mask ^= low
+            j = i + 1 + low.bit_length()
+            aj, djx, djy = segs[j]
+            denom = dix * djy - diy * djx
+            norm = length_i * lengths[j]
+            if abs(denom) < 1e-12 * max(norm, 1e-30):
+                # parallel tracks never cross; a coincident overlap is
+                # degenerate
+                rx, ry = aj.x - ai.x, aj.y - ai.y
+                dist = abs(rx * diy - ry * dix) / length_i
+                if dist < tol_point:
+                    raise DegenerateDiagramError(
+                        "segments %d and %d remain coincident" % (i, j)
+                    )
+                continue
             rx, ry = aj.x - ai.x, aj.y - ai.y
-            dist = abs(rx * diy - ry * dix) / math.hypot(dix, diy)
-            if dist < tol_point:
+            t = (rx * djy - ry * djx) / denom
+            s = (rx * diy - ry * dix) / denom
+            if t < -tol_param or t > 1 + tol_param or s < -tol_param or s > 1 + tol_param:
+                continue
+            interior_t = tol_param < t < 1 - tol_param
+            interior_s = tol_param < s < 1 - tol_param
+            if not (interior_t and interior_s):
                 raise DegenerateDiagramError(
-                    "segments %d and %d remain coincident" % (i, j)
+                    "segments %d and %d touch at an endpoint" % (i, j)
                 )
-            continue
-        rx, ry = aj.x - ai.x, aj.y - ai.y
-        t = (rx * djy - ry * djx) / denom
-        s = (rx * diy - ry * dix) / denom
-        if t < -tol_param or t > 1 + tol_param or s < -tol_param or s > 1 + tol_param:
-            continue
-        interior_t = tol_param < t < 1 - tol_param
-        interior_s = tol_param < s < 1 - tol_param
-        if not (interior_t and interior_s):
-            raise DegenerateDiagramError(
-                "segments %d and %d touch at an endpoint" % (i, j)
-            )
-        hits.append((i, t, j, s, Point(ai.x + t * dix, ai.y + t * diy)))
+            hits.append((i, t, j, s, Point(ai.x + t * dix, ai.y + t * diy)))
     # two hits closer than tol_point differ by less than it in x
     by_x = sorted((h[4] for h in hits), key=lambda p: p.x)
     for a, pa in enumerate(by_x):
@@ -804,13 +819,18 @@ def _extract_once(centerline, groups, layers, weave, epsilon) -> KnotDiagram:
     for h, (i, t, j, s, pos) in enumerate(hits):
         order.append((i, t, h, True))
         order.append((j, s, h, False))
-    order.sort(key=lambda rec: (rec[0], rec[1]))
+    # passages that tie on (segment, parameter) fall to the hit index,
+    # which is the order they were appended in, so sorting whole records
+    # gives strand order as a stable sort on those two fields would
+    order.sort()
     over_is_i = _decide_over(hits, segs, order, layers, weave, Point(cx, cy), scale)
     signs = []
     for flag, (i, t, j, s, pos) in zip(over_is_i, hits):
-        uo = (segs[i][1], segs[i][2]) if flag else (segs[j][1], segs[j][2])
-        uu = (segs[j][1], segs[j][2]) if flag else (segs[i][1], segs[i][2])
-        signs.append(1 if uo[0] * uu[1] - uo[1] * uu[0] > 0 else -1)
+        _, dix, diy = segs[i]
+        _, djx, djy = segs[j]
+        # the sign of over x under; under x over is its exact negation
+        cross = dix * djy - diy * djx
+        signs.append(1 if (cross > 0 if flag else cross < 0) else -1)
     ids: Dict[int, int] = {}
     gauss = []
     for seg, t, h, is_i in order:

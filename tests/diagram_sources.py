@@ -5,7 +5,8 @@ closures, and odd pretzel knots traced through their three twist
 columns.  Both produce signed Gauss codes in the (id, is_over, sign)
 form consumed by diagram_from_gauss, so the Alexander machinery can be
 checked against knots whose polynomials are known in closed form.  A
-dense determinant oracle checks the sparse one on any diagram, and a
+dense determinant oracle, with Z[t] arithmetic of its own, checks the
+sparse one on any diagram, and a
 star-polyline oracle checks the exact crease data of the star families
 against the geometry of their centerlines.  All-pairs oracles check the
 crossing search and the collinear grouping of diagram extraction.
@@ -28,7 +29,7 @@ from ribbonfold.fold_core import (
     layout_from_centerline,
     unfold,
 )
-from ribbonfold.knot_id import LaurentPolynomial, _canonical_line, _poly_bareiss, _pstrip
+from ribbonfold.knot_id import LaurentPolynomial, _canonical_line
 
 
 def torus_braid_gauss(p: int, q: int) -> List[Tuple[int, bool, int]]:
@@ -141,6 +142,88 @@ def pretzel_gauss(a: int, b: int, c: int) -> List[Tuple[int, bool, int]]:
 
 
 # ------------------------------------------------- dense determinant oracle
+
+# Z[t] arithmetic on dense ascending coefficient lists, as knot_id had it
+# before its determinant fused each product into its sum
+
+
+def _pstrip(a: List[int]) -> List[int]:
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _padd(a: List[int], b: List[int]) -> List[int]:
+    n = max(len(a), len(b))
+    out = [0] * n
+    for i, c in enumerate(a):
+        out[i] += c
+    for i, c in enumerate(b):
+        out[i] += c
+    return _pstrip(out)
+
+
+def _pmul(a: List[int], b: List[int]) -> List[int]:
+    if not a or not b:
+        return []
+    out = [0] * (len(a) + len(b) - 1)
+    for i, ca in enumerate(a):
+        if ca:
+            for j, cb in enumerate(b):
+                if cb:
+                    out[i + j] += ca * cb
+    return _pstrip(out)
+
+
+def _pdiv_exact(a: List[int], b: List[int]) -> List[int]:
+    """Exact division in Z[t]; raises if the quotient is not integral."""
+    if not b:
+        raise InconsistencyError("polynomial division by zero")
+    if not a:
+        return []
+    rem = list(a)
+    out = [0] * (len(a) - len(b) + 1)
+    lead = b[-1]
+    for k in range(len(out) - 1, -1, -1):
+        c = rem[k + len(b) - 1]
+        if c % lead != 0:
+            raise InconsistencyError("polynomial division is not exact")
+        q = c // lead
+        out[k] = q
+        if q:
+            for j, cb in enumerate(b):
+                rem[k + j] -= q * cb
+    if any(rem):
+        raise InconsistencyError("polynomial division left a remainder")
+    return _pstrip(out)
+
+
+def _poly_bareiss(matrix: List[List[List[int]]]) -> List[int]:
+    """Fraction-free determinant of a matrix of integer polynomials."""
+    n = len(matrix)
+    if n == 0:
+        return [1]
+    m = [row[:] for row in matrix]
+    sign = 1
+    prev = [1]
+    for k in range(n - 1):
+        if not m[k][k]:
+            for r in range(k + 1, n):
+                if m[r][k]:
+                    m[k], m[r] = m[r], m[k]
+                    sign = -sign
+                    break
+            else:
+                return []
+        for i in range(k + 1, n):
+            neg = [-c for c in m[i][k]]
+            for j in range(k + 1, n):
+                num = _padd(_pmul(m[i][j], m[k][k]), _pmul(neg, m[k][j]))
+                m[i][j] = _pdiv_exact(num, prev)
+            m[i][k] = []
+        prev = m[k][k]
+    det = m[n - 1][n - 1]
+    return [-c for c in det] if sign < 0 else det
 
 
 def _int_bareiss(matrix):

@@ -6,7 +6,9 @@ shortens any floating-point operation fails here even when every
 tolerance-based test still passes.  The SVG digests pin the bytes of
 ``to_svg`` under four option sets, and ``FoldProgram.to_json``, which
 writes its document by hand, is compared byte for byte with
-``json.dumps``.
+``json.dumps``.  For every member of the benchmark's knot workload, the
+extracted Gauss code and crossing records are pinned, and so is the
+Alexander polynomial of every member it certifies.
 """
 
 import hashlib
@@ -31,6 +33,7 @@ from ribbonfold import (
     to_svg,
     unfold,
 )
+from ribbonfold.knot_id import alexander_polynomial, extract_diagram
 
 from diagram_sources import snapped_boundary_angle
 
@@ -362,3 +365,182 @@ def test_radians_is_the_float_of_the_fraction_times_pi():
         angle = ExactAngle(num, den)
         want = float(Fraction(angle.numerator, angle.denominator)) * math.pi
         assert angle.radians == want, (num, den)
+
+
+# (family, presentation, epsilon) for each member of the benchmark's knot
+# workload: the 37 it certifies, with the shorts at fixed epsilons, then
+# the 6 it only extracts
+KNOT_CERTIFY = (
+    [(FamilyId(tag, q), "closed", None) for q in range(2, 6) for tag in ("odd_wrap", "pinwheel")]
+    + [(FamilyId(tag, q), "closed", None)
+       for q in (3, 5) for tag in ("even_wrap_plus2", "even_wrap_plus4")]
+    + [(FamilyId("star_polygon", p), "closed", None) for p in range(7, 50, 2)]
+    + [(FamilyId("short_52"), "closed", 1e-3), (FamilyId("short_72"), "closed", 3e-3),
+       (FamilyId("rect_74"), "closed", None)]
+)
+KNOT_EXTRACT = [(FamilyId(tag, n), "closed", None)
+                for tag, n in (("odd_wrap", 20), ("pinwheel", 20), ("even_wrap_plus2", 21),
+                               ("even_wrap_plus4", 21), ("star_polygon", 401),
+                               ("star_polygon", 1001))]
+
+
+def diagram_digest(diagram):
+    doc = {
+        "gauss": [list(entry) for entry in diagram.gauss],
+        "crossings": [[c.id, c.over_arc, c.under_in_arc, c.under_out_arc, c.sign]
+                      for c in diagram.crossings],
+    }
+    return hashlib.sha256(json.dumps(doc).encode()).hexdigest()
+
+
+def alexander_digest(delta):
+    return hashlib.sha256(json.dumps(sorted(delta.coefficients.items())).encode()).hexdigest()
+
+
+# (diagram_digest, alexander_digest) from the extraction that found each
+# crossing's arcs with one bisect per crossing and the determinant that
+# added every product through a separate sum; None where the workload
+# only extracts
+KNOT_PINNED = {
+    "odd_wrap-2-closed": (
+        "2d155016dd967f5a8de3a5aff848e991694088e240b249186d4b7bb9eaf65392",
+        "f13e3f0c6239cd938457a7f3bf5086de6ca7e7b371ad0cb7e687cd6050b39bd6"),
+    "pinwheel-2-closed": (
+        "912cfa7e4e670f690a5de8d91083a164aa036b588583ce91264eaa4d0146eb3d",
+        "8f90d56b8262683a9d23af7b810ba2c5d411e2142d64b3abd9ef1e9bff5165e6"),
+    "odd_wrap-3-closed": (
+        "0041823780ad582fe507bf0c4e20de796b9240c4b44f29607cb27c71ac1b7219",
+        "1b94b6f5eb6b154d294d1be33ddf0e25225b16062725e41399b1a79b9a116006"),
+    "pinwheel-3-closed": (
+        "260449cbf0f397de86868ac04d54bc47316ea5708bebee8d32b42945494336d2",
+        "0180e49e8c60bffb7a851dcdbe19c83cced382084de951f2b63052209466d305"),
+    "odd_wrap-4-closed": (
+        "287d048e1323dcb155b21d6110fabe9dca1ac99e47702e4bfa43109857ae8e5d",
+        "de6ee7c583570b2acedac33b452281c545ba8c1d5986b61b9f54469496d2bf53"),
+    "pinwheel-4-closed": (
+        "9c07ee1f23bd2409623d7edc8ca0575bc460f0bb5cd473bc3e679808603bca29",
+        "ab6368cc6264ef00c98a634235d1fba8c386dcaec292e81f09ab6194a1a67be1"),
+    "odd_wrap-5-closed": (
+        "a583b32b18f93750615b3ff775f31bb8e5adaaec0d69df97e0ba2581c9f26112",
+        "d910b381031af88390e0ada3f4d6c62fb66f3feb6458f7a2c4f4a14e30f407f9"),
+    "pinwheel-5-closed": (
+        "4ad75854acf3a3dd8eb8793808ca933fbe04b7ba3fee4eebd72c62fdb04a2093",
+        "433ac7da59769a7b7ad39ff3bd1f8dd85557c1c3af8ac0457db3b0388bc72204"),
+    "even_wrap_plus2-3-closed": (
+        "a8ad5a4f28997a663f0f6c03c8cbc99a15dd0c5067a9dbe8c42982fdc2805217",
+        "b947c541a298dbd63b372bc7455bb1f2944de70303f0d24a58556a0b1050fcb2"),
+    "even_wrap_plus4-3-closed": (
+        "69012d4290cf3064c30a3df51d26b51817ed44557bdf7aae7fcaaaf4df177817",
+        "236e37dfa1b851b5a00c5dba69ab5ecb028f9229cfe10bdb7cf9653b7d11cb66"),
+    "even_wrap_plus2-5-closed": (
+        "dd95f3149977c3415023bd8aa85496e7bb6ba9858310862309fcd7e9f370bccc",
+        "7bf86eb7f1170da6b780bb65332ad3d3e52b4dff1bf58a9938d23828e4314ef3"),
+    "even_wrap_plus4-5-closed": (
+        "1a73c569468e30d1a5e9f8055811e00fe4c5d9df3af8ba3cb20a869423fcd9fe",
+        "e751d107d4d9a3dfc49c2272f59680c0304ed4afcf19678f96e72ad541e84c48"),
+    "star_polygon-7-closed": (
+        "36701cb3abb10f983483a29830f1495d3943240575c6119c278df511dea78ea9",
+        "7399c8364bc0789f8e838f6202e14ec01d6f67b3b5501811b358669c4e37c0bb"),
+    "star_polygon-9-closed": (
+        "56246da80ae1d1029b68313b9201d4bef41e67817ba4a5c1da1d35d04714a018",
+        "6aab2fa0523a605a941404779fb2ecd0e9eda3d971411fc61b6f90878aac93d4"),
+    "star_polygon-11-closed": (
+        "83b4bc56a5d372eda826d4fa2f5cfa07ff98a565ee8fb9055a3e86c835ffb9bf",
+        "00e3523cb1f50b1c38a492fd2a7f7d5d77a165b2f6c02b4a2affb7856486b917"),
+    "star_polygon-13-closed": (
+        "8a2c5fab5dc357cd5033334c1459478cbdc1abe0693fd66b1519e4f75e78211b",
+        "706a6ef7b0021e9bd3223264f9ad3b9d07c3d7c6b305fde0abd54c6890fd390d"),
+    "star_polygon-15-closed": (
+        "46f9213c4f0bdc914c724b4919b4d9fa0f4f19224b887bfa4f546c4a7894e652",
+        "72bd32f5d3212faa8e711f46381f8673822513e0190a61935f0a02b73fb42ba3"),
+    "star_polygon-17-closed": (
+        "c00cc5489046cdd8fc7d3a845facbccca8e93073b1bdb67f4dd40162dc785674",
+        "67ed4b319317b6040b3246d891ea4518a46b5f1a978c19edc2e6564bd82cb2f5"),
+    "star_polygon-19-closed": (
+        "7160b337584dda5c7184da3572437dae8927b454a82d5543fad6503f9ca817fe",
+        "36a003202ed57e939d77b440d9ae33af799e6e712e7864355994b1dc95ee8529"),
+    "star_polygon-21-closed": (
+        "7f307583c0f7cbb867fab18ffbce700aa227c9c4376e7f0bb64061861b29cb21",
+        "da62ed8dd7e996021669b9f194d821887e66e8a5229b16c904085a8a742fed07"),
+    "star_polygon-23-closed": (
+        "a8ca8acb761f0e931ca6da0baa721cf908cd0c6640295379ffa9ff5efc1d90eb",
+        "7591465b22c841305dab7e2309733ca191b58a1458b6032b1901f90d755e368f"),
+    "star_polygon-25-closed": (
+        "d1bef5bd5d39d2b039ac3526f9cd114361fc02bc0b254b30994f6d38c83cc571",
+        "d3efc5c69118e6c5387738079f0a84ea5b040ed33249fbb584075a1f0e67b001"),
+    "star_polygon-27-closed": (
+        "f1392cb0b6059eb469cb08e48c62e2df7830de0ebf23caeb3a4cee4cdf6b1d23",
+        "7742091f021870ba22c1d41a7a3ac343ee6355e05509bf7496d8822ffb12f141"),
+    "star_polygon-29-closed": (
+        "e56e16ac696e4259f7bd633674b8c9a2496319e1837e3e26e128de80ac5cf83f",
+        "8558a10083f61fd5d0cbe647e784e3f98f9660b67bb57ae99ad4eb8c43afe343"),
+    "star_polygon-31-closed": (
+        "603d880eff715ad8be08a503962b6075be77fa2b574a79d30fa1f14a43f3602f",
+        "5d493a4e4a45e9e813a668260f2f5c01f288d0206a6a7382c01643e64dcefd28"),
+    "star_polygon-33-closed": (
+        "137f7e568a3e4a0c917a5ebe263a9ecb4abbd81567fa6d080afa4a9a44c984e7",
+        "eb0764ea97cec24b272d0b79e209bc2573c29829494116a2fff923fd966c14a1"),
+    "star_polygon-35-closed": (
+        "042ccf7d95ae4bf6b77fb9aa7fe50e685ed98acb46d0e5984730f06f37cb5ccb",
+        "c6f78ad4f6a6c0aceacdc22282c5ac4ff15180e3d90bb5f5c6c843e47fa5a3f7"),
+    "star_polygon-37-closed": (
+        "baadf860f0a6defc61b935770ae191e26ee32d7191ca6ea1fca29a502cfba47d",
+        "d7ea694873fcebb3177808d1b933a5bbc69c3b07f7199a7fa0783256fe440f82"),
+    "star_polygon-39-closed": (
+        "52abc01bafa04682ac53632081a5e776e97482d7ac04bf618e13181ac22030f1",
+        "633cf8812c58c2ce1a2b70819d32aef08e8f849de0955a4bd79299878e1c9ba5"),
+    "star_polygon-41-closed": (
+        "3f6bfba92061c3ba34952409e1d5edb67a2ef2ee074cec84237349a47783d275",
+        "3bd925ddc0b91eb50162505e4cb54d61a1fb6b344c2796ef8dfb68f27b5e6371"),
+    "star_polygon-43-closed": (
+        "c3462d9c07b98f063d39aa52771717fca289a9db4a9e56840c8de55625b70b42",
+        "798d11b8e28a3f9fee5878049e6e74525aff186a54048aedb1e951cc24775d99"),
+    "star_polygon-45-closed": (
+        "5a11f2f0bac6c90f4b26ebcbfd16875d0966105cec1337112a4c2a0b9c20b2bb",
+        "7eae4dd3f184184f6de96ef8269d9b8f1c582c902ef755d4ecc291082fdb4481"),
+    "star_polygon-47-closed": (
+        "0561a89d9a474eaacb169b94a29c1839d94b21fd8141ca7a0099a9a53ebfe0a6",
+        "dcbed99fd9763b90d877943682bb0956566bd30aac7ea22a39a114f67dcf25e4"),
+    "star_polygon-49-closed": (
+        "4773fe42bc39338e897057d93da2682db4642d780c9b4c9235d84b906afcbe0d",
+        "e1f71bdc11d9c040750680eab9eb5953c5415805ef212bd669645bf52b1f4a8d"),
+    "short_52-closed-0.001": (
+        "da391a86f6b8c8933bdde7b35048c75140e529d12c3ee2467ee8627538aaf852",
+        "8f90d56b8262683a9d23af7b810ba2c5d411e2142d64b3abd9ef1e9bff5165e6"),
+    "short_72-closed-0.003": (
+        "7956cc87958d781d38228b31020220b2dfaff670605c9ed6b5bfab90d549dfc2",
+        "7399c8364bc0789f8e838f6202e14ec01d6f67b3b5501811b358669c4e37c0bb"),
+    "rect_74-closed": (
+        "cd4f92ba0d06eb80fd8b4d8ebb4fe906b6cf5fe9f130f2061aac760bd32f975f",
+        "7b60d7fd32c6a19f9bae1d8b58c3cc301b6dc2ceeec1249e26cbdc46731fcc5b"),
+    "odd_wrap-20-closed": (
+        "c2c89ab28131552ade2a5741ae3156d66b5fe0b785308ea7378443c7e3201daa",
+        None),
+    "pinwheel-20-closed": (
+        "443eeaf5cbada3bda4e7e360edb3b404a025614f728ee3109fc0e32dd853dd82",
+        None),
+    "even_wrap_plus2-21-closed": (
+        "4f6a453fd49c2f1d92fbfbefe1ada03d969a6a654b9261fa957449a6bf8e12e9",
+        None),
+    "even_wrap_plus4-21-closed": (
+        "0ab79dd916af4d7b191126e82648160a3e035987c049391c9bfd6f16bebd96e1",
+        None),
+    "star_polygon-401-closed": (
+        "7cdd9e3e8863189b5474a3cdcf1bdddfbc15f8fd11b24dbc7756a579a2351cfa",
+        None),
+    "star_polygon-1001-closed": (
+        "f05df6e5c4a6c23ea18f7f04bece6256b139db9713954a7a27370ce9dcc289f1",
+        None),
+}
+
+
+@pytest.mark.parametrize("member", KNOT_CERTIFY + KNOT_EXTRACT, ids=member_id)
+def test_knot_diagram_pinned(member):
+    diagram = extract_diagram(layout(program_of(member)))
+    assert diagram_digest(diagram) == KNOT_PINNED[member_id(member)][0]
+
+
+@pytest.mark.parametrize("member", KNOT_CERTIFY, ids=member_id)
+def test_alexander_pinned(member):
+    delta = alexander_polynomial(extract_diagram(layout(program_of(member))))
+    assert alexander_digest(delta) == KNOT_PINNED[member_id(member)][1]

@@ -66,6 +66,13 @@ def test_exact_angle_reduces_and_normalizes():
     assert ExactAngle(9, 3) == ExactAngle(1, 1)
     assert ExactAngle(2, 1) == ExactAngle(0, 1)
     assert ExactAngle(1, -2) == ExactAngle(3, 2)
+    big = 10**300
+    for num, den in [(0, 5), (0, -7), (-3, 6), (-9, -4), (7, -2), (-12, 4), (4, 2),
+                     (big, 3), (-big, 3), (big + 1, big), (-(big + 1), big),
+                     (6 * big, 4 * big), (-(2 * big + 14), big + 7), (3 * big - 1, -big)]:
+        angle = ExactAngle(num, den)
+        want = Fraction(num, den) % 2
+        assert (angle.numerator, angle.denominator) == (want.numerator, want.denominator)
 
 
 def test_exact_angle_radians_and_supplement():

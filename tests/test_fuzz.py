@@ -7,6 +7,8 @@ sometimes the text is cut short.  Command lines: each case draws a set
 of flags and values for one subcommand and runs it in-process; it must
 exit 0, 1 or 2 without a traceback.  Closed polylines, some snapped to a
 coarse lattice, check the crossing search against its all-pairs oracle.
+Coefficient lists check the determinant's fused Z[t] update against a
+separate product and sum.
 Every run is derandomized, so it checks the same cases every time.
 """
 
@@ -24,9 +26,16 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from ribbonfold import FamilyId, FoldProgram, Point, RibbonError, build, cli, layout
-from ribbonfold.knot_id import _find_crossings, alexander_polynomial, extract_diagram
+from ribbonfold.knot_id import _find_crossings, _paxpy, alexander_polynomial, extract_diagram
 
-from diagram_sources import all_pairs_crossings, boundary_outcomes, crossing_outcome, farey_memo
+from diagram_sources import (
+    _padd,
+    _pmul,
+    all_pairs_crossings,
+    boundary_outcomes,
+    crossing_outcome,
+    farey_memo,
+)
 
 
 def _base_documents():
@@ -256,6 +265,19 @@ def closed_polylines(draw):
 def test_crossing_search_matches_oracle_on_polylines(vertices):
     assert crossing_outcome(_find_crossings, vertices) == \
         crossing_outcome(all_pairs_crossings, vertices)
+
+
+COEFFICIENT_LISTS = st.lists(
+    st.integers(-3, 3) | st.sampled_from([10**30, -(2**70)]), max_size=9)
+
+
+@settings(_FUZZ, max_examples=300)
+@given(COEFFICIENT_LISTS, COEFFICIENT_LISTS, COEFFICIENT_LISTS)
+def test_paxpy_matches_separate_product_and_sum(acc, f, v):
+    inputs = (list(acc), list(f), list(v))
+    got = _paxpy(acc, f, v)
+    assert got == _padd(acc, _pmul(f, v))
+    assert (acc, f, v) == inputs and got is not acc
 
 
 @st.composite

@@ -1,6 +1,7 @@
 """Unit tests for diagram extraction and Alexander certification."""
 
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -18,6 +19,7 @@ from ribbonfold import (
 from ribbonfold.constructions import FamilyId, build, knot_type
 from ribbonfold.knot_id import (
     CertificationReport,
+    Crossing,
     KnotDiagram,
     LaurentPolynomial,
     alexander_polynomial,
@@ -58,6 +60,19 @@ def test_polynomial_basics():
     assert not p.is_zero()
     assert p.evaluate(2) == 3
     assert p.evaluate(-1) == 3
+
+
+def test_evaluate_matches_fraction_reference():
+    def reference(delta, x):
+        total = sum((c * Fraction(x) ** e for e, c in delta.coefficients.items()), Fraction(0))
+        return int(total) if total.denominator == 1 else total
+
+    polys = [torus_alexander(3, 2), torus_alexander(5, 3), poly(4, -7, 4), poly(1),
+             LaurentPolynomial()]
+    for delta in polys:
+        for x in (0, 1, -1, 2, 10**50, -(10**50), Fraction(1, 3), Fraction(-4, 2)):
+            got, want = delta.evaluate(x), reference(delta, x)
+            assert got == want and type(got) is type(want), (delta, x)
     assert str(poly(4, -7, 4)) == "4*t^2 - 7*t + 4"
     assert str(poly(1, -1, 1)) == "t^2 - t + 1"
 
@@ -140,6 +155,32 @@ def test_alexander_rejects_crossings_that_disagree_with_the_gauss_code():
     short = KnotDiagram(diagram.gauss, diagram.crossings[:-1])
     with pytest.raises(InvalidDiagramError):
         alexander_polynomial(short)
+
+
+def _with_first_crossing(diagram, **fields):
+    first = diagram.crossings[0]._replace(**fields)
+    return KnotDiagram(diagram.gauss, (first,) + diagram.crossings[1:])
+
+
+def test_alexander_rejects_arcs_outside_the_diagram():
+    diagram = diagram_from_gauss(torus_braid_gauss(3, 2))
+    for field in ("over_arc", "under_in_arc", "under_out_arc"):
+        for arc in (7, 3, -1):
+            with pytest.raises(InvalidDiagramError, match="arc outside 0..2"):
+                alexander_polynomial(_with_first_crossing(diagram, **{field: arc}))
+
+
+def test_alexander_rejects_signs_other_than_plus_or_minus_one():
+    diagram = diagram_from_gauss(torus_braid_gauss(3, 2))
+    for sign in (5, 0, -2):
+        with pytest.raises(InvalidDiagramError, match="sign %d, not" % sign):
+            alexander_polynomial(_with_first_crossing(diagram, sign=sign))
+
+
+def test_crossing_is_a_named_tuple_of_its_fields():
+    c = Crossing(4, 0, 1, 2, -1)
+    assert tuple(c) == (4, 0, 1, 2, -1)
+    assert Crossing._fields == ("id", "over_arc", "under_in_arc", "under_out_arc", "sign")
 
 
 def test_single_kink_is_the_unknot():
