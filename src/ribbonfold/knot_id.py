@@ -14,7 +14,6 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .constructions import _FAMILIES, FamilyId
@@ -94,18 +93,11 @@ class LaurentPolynomial:
         return LaurentPolynomial.from_list(self._coeffs[::-1])
 
     def evaluate(self, x):
-        """Exact value at x (int or Fraction)."""
-        if isinstance(x, int):
-            value = 0
-            for c in reversed(self._coeffs):
-                value = value * x + c
-            return value
-        total = Fraction(0)
-        for e, c in enumerate(self._coeffs):
-            total += c * Fraction(x) ** e
-        if total.denominator == 1:
-            return int(total)
-        return total
+        """Exact value at x (int or Fraction), an int when it is integral."""
+        value = 0
+        for c in reversed(self._coeffs):
+            value = value * x + c
+        return int(value) if value.denominator == 1 else value
 
     def __str__(self) -> str:
         if not self._coeffs:
@@ -144,28 +136,21 @@ def _pstrip(a: List[int]) -> List[int]:
 def _paxpy(acc: List[int], f: List[int], v: List[int]) -> List[int]:
     """acc + f * v over Z[t], as a new stripped list.
 
-    Each nonzero term of the shorter factor adds its shifted multiple of
-    the longer one in a single pass.
+    Each nonzero term of the shorter factor adds its multiple of every
+    nonzero term of the longer one; the entries Bareiss elimination
+    multiplies are long but mostly zero.
     """
     if len(f) > len(v):
         f, v = v, f
-    width = len(v)
-    out = acc + [0] * (len(f) + width - 1 - len(acc))
+    if not f:
+        # a zero product; padding to len(v) would only be stripped again
+        return _pstrip(list(acc))
+    terms = [(j, y) for j, y in enumerate(v) if y]
+    out = acc + [0] * (len(f) + len(v) - 1 - len(acc))
     for i, c in enumerate(f):
         if c:
-            out[i:i + width] = [x + c * y for x, y in zip(out[i:i + width], v)]
-    return _pstrip(out)
-
-
-def _pmul(a: List[int], b: List[int]) -> List[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca:
-            for j, cb in enumerate(b):
-                if cb:
-                    out[i + j] += ca * cb
+            for j, y in terms:
+                out[i + j] += c * y
     return _pstrip(out)
 
 
@@ -212,7 +197,7 @@ def _poly_bareiss(matrix: List[List[List[int]]]) -> List[int]:
         for i in range(k + 1, n):
             neg = [-c for c in m[i][k]]
             for j in range(k + 1, n):
-                num = _paxpy(_pmul(m[i][j], m[k][k]), neg, m[k][j])
+                num = _paxpy(_paxpy([], m[i][j], m[k][k]), neg, m[k][j])
                 m[i][j] = _pdiv_exact(num, prev)
             m[i][k] = []
         prev = m[k][k]
@@ -390,14 +375,10 @@ def alexander_polynomial(
     unit pivot go to fraction-free (Bareiss) elimination over Z[t].
     """
     n = validate_gauss(diagram.gauss)
-    if n != len(diagram.crossings):
-        raise InvalidDiagramError("diagram crossing count disagrees with its Gauss code")
-    arcs = range(n)
-    for c in diagram.crossings:
-        if c.over_arc not in arcs or c.under_in_arc not in arcs or c.under_out_arc not in arcs:
-            raise InvalidDiagramError("crossing %r has an arc outside 0..%d" % (c.id, n - 1))
-        if c.sign not in (-1, 1):
-            raise InvalidDiagramError("crossing %r has sign %r, not +1 or -1" % (c.id, c.sign))
+    # a valid Gauss code fixes every crossing record, so any other
+    # records (wrong count, arc or sign) describe a different diagram
+    if tuple(diagram.crossings) != _crossings_from_gauss(diagram.gauss):
+        raise InvalidDiagramError("diagram crossings disagree with its Gauss code")
     r = n - 1 if row is None else row
     c_ = n - 1 if col is None else col
     if not (0 <= r < n and 0 <= c_ < n):
@@ -449,7 +430,7 @@ def torus_alexander(p: int, q: int) -> LaurentPolynomial:
         out[k] = 1
         return out
 
-    numerator = _pmul(cyclo(p * q), cyclo(1))
+    numerator = _paxpy([], cyclo(p * q), cyclo(1))
     quotient = _pdiv_exact(numerator, cyclo(p))
     quotient = _pdiv_exact(quotient, cyclo(q))
     return LaurentPolynomial.from_list(quotient)
