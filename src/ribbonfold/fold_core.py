@@ -225,12 +225,14 @@ class CutSpec:
 
 @dataclass(frozen=True)
 class WeaveRule:
-    """How crossings decide over/under when panel layers tie.
+    """How crossings decide over/under.
 
     Modes: "layers" reads panel heights (the default behaviour when no
-    rule is given), "alternating" alternates over/under along the
-    strand, "torus" sends the outward-bound strand over, and
-    "explicit" lists signed crossing pairs directly.
+    rule is given) and rejects a crossing of two equal layers.  Every
+    other mode replaces the layer order at every crossing: "alternating"
+    alternates over/under along the strand, "torus" sends the
+    outward-bound strand over, and "explicit" lists signed crossing
+    pairs directly.
     """
 
     mode: str

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .constructions import _FAMILIES, FamilyId
@@ -283,76 +283,63 @@ class Crossing(NamedTuple):
 
 @dataclass(frozen=True)
 class KnotDiagram:
-    """Signed Gauss code plus derived crossing/arc data.
+    """A knot diagram, built from its signed Gauss code alone.
 
     ``gauss`` lists, in strand order, triples (crossing id, is_over,
     sign); each crossing id appears exactly twice, once over and once
-    under, with the same sign both times.  A knot diagram has as many
-    arcs as crossings, so ``crossings`` also numbers the arcs.
+    under, with the same sign +-1 both times.  Construction normalizes
+    the entries to (int, bool, int), rejects any other code with
+    InvalidDiagramError, and in the same walk derives ``crossings``, the
+    arc incidences of every crossing in id order.  A knot diagram has as
+    many arcs as crossings: arc k runs from the k-th under-passage
+    (exclusive) to the next one (inclusive), wrapping around the strand.
     """
 
     gauss: Tuple[Tuple[int, bool, int], ...]
-    crossings: Tuple[Crossing, ...]
+    crossings: Tuple[Crossing, ...] = field(init=False)
+
+    def __post_init__(self) -> None:
+        entries = []
+        over_arc: Dict[int, Tuple[int, int]] = {}
+        under: Dict[int, Tuple[int, int, int]] = {}
+        # the strand is on arc k - 1 before the k-th under-passage, and on
+        # the last arc, -1 mod the final count of under-passages, before
+        # the first
+        arc = -1
+        passed = 0
+        for cid, over, sign in self.gauss:
+            cid, sign = int(cid), int(sign)
+            if sign not in (-1, 1):
+                raise InvalidDiagramError("crossing sign must be +1 or -1")
+            if over:
+                over_arc[cid] = (arc, sign)
+                entries.append((cid, True, sign))
+            else:
+                under[cid] = (arc, passed, sign)
+                arc = passed
+                passed += 1
+                entries.append((cid, False, sign))
+        if not entries:
+            raise InvalidDiagramError("empty Gauss code")
+        # a repeated passage overwrites its first record, so the two maps
+        # hold one record per entry only when no passage repeats; with the
+        # same keys, each crossing then passes once over and once under
+        # (which also rules out an odd length)
+        if len(over_arc) + len(under) != len(entries) or over_arc.keys() != under.keys():
+            raise InvalidDiagramError("every crossing must pass once over and once under")
+        crossings = []
+        for cid in sorted(under):
+            o_arc, o_sign = over_arc[cid]
+            in_arc, out_arc, sign = under[cid]
+            if o_sign != sign:
+                raise InvalidDiagramError("crossing %d has inconsistent signs" % cid)
+            crossings.append(Crossing._make((cid, o_arc % passed, in_arc % passed, out_arc, sign)))
+        object.__setattr__(self, "gauss", tuple(entries))
+        object.__setattr__(self, "crossings", tuple(crossings))
 
     @property
     def crossing_count(self) -> int:
         return len(self.crossings)
-
-
-def validate_gauss(gauss: Sequence[Tuple[int, bool, int]]) -> int:
-    """Check knot-diagram Gauss validity; returns the crossing count."""
-    if len(gauss) % 2 != 0:
-        raise InvalidDiagramError("Gauss code length must be even")
-    seen: Dict[int, List[Tuple[bool, int]]] = {}
-    for cid, over, sign in gauss:
-        if sign not in (-1, 1):
-            raise InvalidDiagramError("crossing sign must be +1 or -1")
-        seen.setdefault(cid, []).append((over, sign))
-    for cid, entries in seen.items():
-        if len(entries) != 2:
-            raise InvalidDiagramError("crossing %d appears %d times" % (cid, len(entries)))
-        (o1, s1), (o2, s2) = entries
-        if o1 == o2:
-            raise InvalidDiagramError("crossing %d lacks an over/under pair" % cid)
-        if s1 != s2:
-            raise InvalidDiagramError("crossing %d has inconsistent signs" % cid)
-    return len(seen)
-
-
-def diagram_from_gauss(gauss: Sequence[Tuple[int, bool, int]]) -> KnotDiagram:
-    """Build a KnotDiagram (with arc incidences) from a signed Gauss code."""
-    entries = tuple((int(c), bool(o), int(s)) for c, o, s in gauss)
-    n = validate_gauss(entries)
-    if n == 0:
-        raise InvalidDiagramError("empty Gauss code")
-    crossings = _crossings_from_gauss(entries)
-    return KnotDiagram(entries, crossings)
-
-
-def _crossings_from_gauss(gauss: Tuple[Tuple[int, bool, int], ...]) -> Tuple[Crossing, ...]:
-    """Arc incidences for every crossing of a validated Gauss code, in id order.
-
-    Arc k runs from the k-th under-passage (exclusive) to the next one
-    (inclusive), wrapping around the strand.  One walk along the strand
-    counts the under-passages passed: the strand is on arc k - 1 before
-    the k-th of them, and on the last arc before the first.
-    """
-    # a validated code holds each crossing once over and once under
-    n = len(gauss) // 2
-    if n == 0:
-        raise InvalidDiagramError("diagram has no under-passages")
-    over_arc: Dict[int, int] = {}
-    under: Dict[int, Tuple[int, int, int]] = {}
-    arc = n - 1
-    passed = 0
-    for cid, over, sign in gauss:
-        if over:
-            over_arc[cid] = arc
-        else:
-            under[cid] = (arc, passed, sign)
-            arc = passed
-            passed += 1
-    return tuple(Crossing(cid, over_arc[cid], *under[cid]) for cid in sorted(under))
 
 
 # --------------------------------------------------------------- Alexander
@@ -366,21 +353,21 @@ def alexander_polynomial(
     """Normalized Alexander polynomial of a knot diagram.
 
     Builds the n x n crossing/arc matrix over Z[t] (one row per crossing,
-    one column per arc), deletes one row and one column (the last by
-    default), and takes the determinant of the minor exactly.  Each
+    one column per arc), deletes row ``row`` and column ``col`` (ints
+    in [0, n), the last by default), and takes the determinant of the
+    minor exactly.  Each
     crossing row has at most three entries, one of them a constant -1 at
     the under-out arc (positive crossing) or +1 at the under-in arc
     (negative crossing), so sparse elimination on these unit pivots
     removes nearly every row without division.  The few rows left with no
     unit pivot go to fraction-free (Bareiss) elimination over Z[t].
     """
-    n = validate_gauss(diagram.gauss)
-    # a valid Gauss code fixes every crossing record, so any other
-    # records (wrong count, arc or sign) describe a different diagram
-    if tuple(diagram.crossings) != _crossings_from_gauss(diagram.gauss):
-        raise InvalidDiagramError("diagram crossings disagree with its Gauss code")
+    n = diagram.crossing_count
     r = n - 1 if row is None else row
     c_ = n - 1 if col is None else col
+    for v in (r, c_):
+        if isinstance(v, bool) or not isinstance(v, int):
+            raise InvalidInputError("deleted row/column must be an integer")
     if not (0 <= r < n and 0 <= c_ < n):
         raise InvalidInputError("deleted row/column out of range")
     minor: List[Dict[int, List[int]]] = []
@@ -818,10 +805,7 @@ def _extract_once(centerline, groups, layers, weave, epsilon) -> KnotDiagram:
         if h not in ids:
             ids[h] = len(ids) + 1
         gauss.append((ids[h], over_is_i[h] == is_i, signs[h]))
-    gauss_t = tuple(gauss)
-    validate_gauss(gauss_t)
-    crossings = _crossings_from_gauss(gauss_t)
-    return KnotDiagram(gauss_t, crossings)
+    return KnotDiagram(tuple(gauss))
 
 
 # ------------------------------------------------------------ certification
@@ -858,6 +842,8 @@ class CertificationReport:
                 "ok" if self.crossing_bound_ok else "VIOLATED",
                 self.determinant,
             )
+        if self.matches is None:
+            return "%sAlexander %s, no reference" % (torus, self.alexander)
         return "%sAlexander %s vs %s -> %s" % (
             torus, self.alexander, self.reference, "MATCH" if self.matches else "MISMATCH")
 

@@ -3,8 +3,11 @@
 Two generators feed the knot-identification tests: torus knots as braid
 closures, and odd pretzel knots traced through their three twist
 columns.  Both produce signed Gauss codes in the (id, is_over, sign)
-form consumed by diagram_from_gauss, so the Alexander machinery can be
-checked against knots whose polynomials are known in closed form.  A
+form ``KnotDiagram`` is built from, so the Alexander machinery can be
+checked against knots whose polynomials are known in closed form.
+``gauss_oracle`` validates a code and derives its crossing records in
+two separate walks: the oracle for the one walk that builds a
+``KnotDiagram``.  A
 dense determinant oracle, with Z[t] arithmetic of its own, checks the
 sparse one on any diagram, and a
 star-polyline oracle checks the exact crease data of the star families
@@ -18,9 +21,14 @@ with the fractions nearest the one meant.
 
 import math
 from fractions import Fraction
-from typing import List, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from ribbonfold.errors import DegenerateDiagramError, InconsistencyError, RibbonError
+from ribbonfold.errors import (
+    DegenerateDiagramError,
+    InconsistencyError,
+    InvalidDiagramError,
+    RibbonError,
+)
 from ribbonfold.fold_core import (
     ExactAngle,
     FoldProgram,
@@ -29,7 +37,7 @@ from ribbonfold.fold_core import (
     layout_from_centerline,
     unfold,
 )
-from ribbonfold.knot_id import LaurentPolynomial, _canonical_line
+from ribbonfold.knot_id import Crossing, LaurentPolynomial, _canonical_line
 
 
 def torus_braid_gauss(p: int, q: int) -> List[Tuple[int, bool, int]]:
@@ -139,6 +147,67 @@ def pretzel_gauss(a: int, b: int, c: int) -> List[Tuple[int, bool, int]]:
         sign = 1 if d_over[0] * d_under[1] - d_over[1] * d_under[0] > 0 else -1
         out.append((cid, over, sign))
     return out
+
+
+# ----------------------------------------------------- Gauss code oracle
+
+# validation and arc derivation as two separate walks, as knot_id had
+# them before ``KnotDiagram`` did both while building itself
+
+
+def validate_gauss(gauss: Sequence[Tuple[int, bool, int]]) -> int:
+    """Check knot-diagram Gauss validity; returns the crossing count."""
+    if len(gauss) % 2 != 0:
+        raise InvalidDiagramError("Gauss code length must be even")
+    seen: Dict[int, List[Tuple[bool, int]]] = {}
+    for cid, over, sign in gauss:
+        if sign not in (-1, 1):
+            raise InvalidDiagramError("crossing sign must be +1 or -1")
+        seen.setdefault(cid, []).append((over, sign))
+    for cid, entries in seen.items():
+        if len(entries) != 2:
+            raise InvalidDiagramError("crossing %d appears %d times" % (cid, len(entries)))
+        (o1, s1), (o2, s2) = entries
+        if o1 == o2:
+            raise InvalidDiagramError("crossing %d lacks an over/under pair" % cid)
+        if s1 != s2:
+            raise InvalidDiagramError("crossing %d has inconsistent signs" % cid)
+    return len(seen)
+
+
+def crossings_from_gauss(gauss: Tuple[Tuple[int, bool, int], ...]) -> Tuple[Crossing, ...]:
+    """Arc incidences for every crossing of a validated Gauss code, in id order.
+
+    Arc k runs from the k-th under-passage (exclusive) to the next one
+    (inclusive), wrapping around the strand.  One walk along the strand
+    counts the under-passages passed: the strand is on arc k - 1 before
+    the k-th of them, and on the last arc before the first.
+    """
+    # a validated code holds each crossing once over and once under
+    n = len(gauss) // 2
+    if n == 0:
+        raise InvalidDiagramError("diagram has no under-passages")
+    over_arc: Dict[int, int] = {}
+    under: Dict[int, Tuple[int, int, int]] = {}
+    arc = n - 1
+    passed = 0
+    for cid, over, sign in gauss:
+        if over:
+            over_arc[cid] = arc
+        else:
+            under[cid] = (arc, passed, sign)
+            arc = passed
+            passed += 1
+    return tuple(Crossing(cid, over_arc[cid], *under[cid]) for cid in sorted(under))
+
+
+def gauss_oracle(gauss):
+    """(gauss, crossings) of a diagram built from a Gauss code, by the
+    normalize, validate, reject-empty and derive steps in turn."""
+    entries = tuple((int(c), bool(o), int(s)) for c, o, s in gauss)
+    if validate_gauss(entries) == 0:
+        raise InvalidDiagramError("empty Gauss code")
+    return entries, crossings_from_gauss(entries)
 
 
 # ------------------------------------------------- dense determinant oracle

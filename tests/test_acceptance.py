@@ -34,10 +34,9 @@ from ribbonfold.formulas import (
 )
 from ribbonfold.fold_core import layout, ratio, unfold
 from ribbonfold.knot_id import (
+    KnotDiagram,
     alexander_polynomial,
-    diagram_from_gauss,
     extract_diagram,
-    validate_gauss,
     verify_knot_type,
 )
 from ribbonfold.render import RenderOptions, to_svg
@@ -183,7 +182,7 @@ def test_criterion_5_knot_certification():
         checked += 1
 
     # oracle: the 7_4 polynomial from an independent pretzel Gauss code
-    reference = alexander_polynomial(diagram_from_gauss(pretzel_gauss(3, 3, 1)))
+    reference = alexander_polynomial(KnotDiagram(pretzel_gauss(3, 3, 1)))
     extracted = alexander_polynomial(extract_diagram(layout(build_74())))
     assert extracted == reference
     assert sorted(reference.coefficients.items()) == [(0, 4), (1, -7), (2, 4)]
@@ -266,14 +265,14 @@ def test_criterion_6_invariant_suites():
     # Gauss validity, Alexander palindromicity, |delta(1)| = 1
     for program in (build_odd_wrap(2), build_star_polygon(7), build_pinwheel(2)):
         diagram = extract_diagram(layout(program))
-        validate_gauss(diagram.gauss)
+        assert KnotDiagram(diagram.gauss) == diagram
         delta = alexander_polynomial(diagram)
         assert delta.mirror() == delta
         assert abs(delta.evaluate(1)) == 1
 
     # row/column deletion independence on small diagrams
     for gauss in (torus_braid_gauss(3, 2), torus_braid_gauss(4, 3)):
-        diagram = diagram_from_gauss(gauss)
+        diagram = KnotDiagram(gauss)
         assert diagram.crossing_count <= 10
         reference = alexander_polynomial(diagram)
         for r in range(diagram.crossing_count):

@@ -8,7 +8,9 @@ of flags and values for one subcommand and runs it in-process; it must
 exit 0, 1 or 2 without a traceback.  Closed polylines, some snapped to a
 coarse lattice, check the crossing search against its all-pairs oracle.
 Coefficient lists check the determinant's fused Z[t] update against a
-separate product and sum.
+separate product and sum.  Signed Gauss codes, valid or with one
+corruption, check ``KnotDiagram``'s one walk against a separate
+validation and derivation.
 Every run is derandomized, so it checks the same cases every time.
 """
 
@@ -25,8 +27,23 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
-from ribbonfold import FamilyId, FoldProgram, Point, RibbonError, build, cli, layout
-from ribbonfold.knot_id import _find_crossings, _paxpy, alexander_polynomial, extract_diagram
+from ribbonfold import (
+    FamilyId,
+    FoldProgram,
+    InvalidDiagramError,
+    Point,
+    RibbonError,
+    build,
+    cli,
+    layout,
+)
+from ribbonfold.knot_id import (
+    KnotDiagram,
+    _find_crossings,
+    _paxpy,
+    alexander_polynomial,
+    extract_diagram,
+)
 
 from diagram_sources import (
     _padd,
@@ -35,6 +52,7 @@ from diagram_sources import (
     boundary_outcomes,
     crossing_outcome,
     farey_memo,
+    gauss_oracle,
 )
 
 
@@ -278,6 +296,67 @@ def test_paxpy_matches_separate_product_and_sum(acc, f, v):
     got = _paxpy(acc, f, v)
     assert got == _padd(acc, _pmul(f, v))
     assert (acc, f, v) == inputs and got is not acc
+
+
+@st.composite
+def gauss_codes(draw):
+    """Signed Gauss codes of up to 8 crossings, valid or with one corruption.
+
+    A corruption drops an entry, flips an over flag, flips one sign,
+    gives an entry another entry's id or an unused one, gives both
+    entries of a crossing another crossing's id, or sets the sign of one
+    entry, or of both entries of its crossing, to 0 or 2.  Over flags
+    are sometimes the ints 0 and 1, which construction normalizes.
+    """
+    n = draw(st.integers(0, 8))
+    ids = draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n, unique=True))
+    signs = {cid: draw(st.sampled_from([-1, 1])) for cid in ids}
+    passages = draw(st.permutations([(cid, over) for cid in ids for over in (True, False)]))
+    flag = draw(st.sampled_from([bool, int]))
+    gauss = [[cid, flag(over), signs[cid]] for cid, over in passages]
+    corruption = draw(st.sampled_from(
+        ("none", "drop", "over", "sign", "id", "fresh", "merge", "zero", "two")))
+    if gauss and corruption != "none":
+        k = draw(st.integers(0, len(gauss) - 1))
+        if corruption == "drop":
+            del gauss[k]
+        elif corruption == "over":
+            gauss[k][1] = flag(not gauss[k][1])
+        elif corruption == "sign":
+            gauss[k][2] = -gauss[k][2]
+        elif corruption == "id":
+            gauss[k][0] = gauss[draw(st.integers(0, len(gauss) - 1))][0]
+        elif corruption == "fresh":
+            gauss[k][0] = 51
+        elif corruption == "merge":
+            cid, other = gauss[k][0], gauss[draw(st.integers(0, len(gauss) - 1))][0]
+            for entry in gauss:
+                if entry[0] == cid:
+                    entry[0] = other
+        else:
+            cid = gauss[k][0]
+            both = draw(st.booleans())
+            for entry in gauss:
+                if entry is gauss[k] or (both and entry[0] == cid):
+                    entry[2] = 0 if corruption == "zero" else 2
+    return [tuple(entry) for entry in gauss]
+
+
+def _diagram_outcome(make, gauss):
+    try:
+        return make(gauss)
+    except InvalidDiagramError:
+        return "rejected"
+
+
+@settings(_FUZZ, max_examples=400)
+@given(gauss_codes())
+def test_knot_diagram_matches_separate_validation_and_derivation(gauss):
+    def construct(code):
+        diagram = KnotDiagram(code)
+        return diagram.gauss, diagram.crossings
+
+    assert _diagram_outcome(construct, gauss) == _diagram_outcome(gauss_oracle, gauss)
 
 
 @st.composite

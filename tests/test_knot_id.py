@@ -1,5 +1,6 @@
 """Unit tests for diagram extraction and Alexander certification."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -24,10 +25,8 @@ from ribbonfold.knot_id import (
     LaurentPolynomial,
     alexander_polynomial,
     certification_report,
-    diagram_from_gauss,
     extract_diagram,
     torus_alexander,
-    validate_gauss,
     verify_knot_type,
 )
 
@@ -132,50 +131,40 @@ def test_torus_alexander_degree_and_symmetry():
 # -------------------------------------------------------------- Gauss codes
 
 
-def test_validate_gauss_rejects_malformed_codes():
-    with pytest.raises(InvalidDiagramError):
-        validate_gauss([(1, True, 1)])
-    with pytest.raises(InvalidDiagramError):
-        validate_gauss([(1, True, 1), (1, True, 1)])
-    with pytest.raises(InvalidDiagramError):
-        validate_gauss([(1, True, 1), (1, False, -1)])
-    with pytest.raises(InvalidDiagramError):
-        validate_gauss([(1, True, 1), (1, False, 1), (2, True, 1), (2, True, -1)])
-    with pytest.raises(InvalidDiagramError):
-        validate_gauss([(1, True, 2), (1, False, 2)])
+def test_knot_diagram_rejects_malformed_codes():
+    for gauss in ([],
+                  [(1, True, 1)],
+                  [(1, True, 1), (1, True, 1)],
+                  [(1, True, 1), (1, False, -1)],
+                  [(1, True, 1), (1, False, 1), (2, True, 1), (2, True, -1)],
+                  [(1, True, 2), (1, False, 2)],
+                  [(1, True, 0), (1, False, 0)],
+                  [(1, True, 1), (2, False, 1)],
+                  [(1, True, 1), (1, True, 1), (1, True, 1), (1, False, 1)],
+                  [(1, True, 1), (1, False, 1), (1, True, 1), (1, False, 1)]):
+        with pytest.raises(InvalidDiagramError):
+            KnotDiagram(gauss)
 
 
-def test_alexander_rejects_crossings_that_disagree_with_the_gauss_code():
-    diagram = diagram_from_gauss(torus_braid_gauss(3, 2))
-    short = KnotDiagram(diagram.gauss, diagram.crossings[:-1])
-    with pytest.raises(InvalidDiagramError, match="disagree with its Gauss code"):
-        alexander_polynomial(short)
-    # arcs in range but not the ones the code gives
-    first = diagram.crossings[0]
-    for fields in ({"under_in_arc": first.under_out_arc, "under_out_arc": first.under_in_arc},
-                   {"over_arc": (first.over_arc + 1) % 3}):
-        with pytest.raises(InvalidDiagramError, match="disagree with its Gauss code"):
-            alexander_polynomial(_with_first_crossing(diagram, **fields))
+def test_knot_diagram_is_built_from_its_gauss_code_only():
+    diagram = KnotDiagram(torus_braid_gauss(3, 2))
+    with pytest.raises(TypeError):
+        KnotDiagram(diagram.gauss, diagram.crossings)
+    with pytest.raises(ValueError):
+        dataclasses.replace(diagram, crossings=diagram.crossings[:-1])
+    assert dataclasses.replace(diagram) == diagram
 
 
-def _with_first_crossing(diagram, **fields):
-    first = diagram.crossings[0]._replace(**fields)
-    return KnotDiagram(diagram.gauss, (first,) + diagram.crossings[1:])
-
-
-def test_alexander_rejects_arcs_outside_the_diagram():
-    diagram = diagram_from_gauss(torus_braid_gauss(3, 2))
-    for field in ("over_arc", "under_in_arc", "under_out_arc"):
-        for arc in (7, 3, -1):
-            with pytest.raises(InvalidDiagramError, match="disagree with its Gauss code"):
-                alexander_polynomial(_with_first_crossing(diagram, **{field: arc}))
-
-
-def test_alexander_rejects_signs_other_than_plus_or_minus_one():
-    diagram = diagram_from_gauss(torus_braid_gauss(3, 2))
-    for sign in (5, 0, -2):
-        with pytest.raises(InvalidDiagramError, match="disagree with its Gauss code"):
-            alexander_polynomial(_with_first_crossing(diagram, sign=sign))
+def test_alexander_rejects_deleted_rows_and_columns_that_are_not_integers():
+    diagram = KnotDiagram(torus_braid_gauss(3, 2))
+    for bad in (1.5, 1.0, True, False, "1"):
+        for kwargs in ({"row": bad}, {"col": bad}):
+            with pytest.raises(InvalidInputError, match="must be an integer"):
+                alexander_polynomial(diagram, **kwargs)
+    for bad in (-1, 3):
+        for kwargs in ({"row": bad}, {"col": bad}):
+            with pytest.raises(InvalidInputError, match="out of range"):
+                alexander_polynomial(diagram, **kwargs)
 
 
 def test_crossing_is_a_named_tuple_of_its_fields():
@@ -185,29 +174,29 @@ def test_crossing_is_a_named_tuple_of_its_fields():
 
 
 def test_single_kink_is_the_unknot():
-    diagram = diagram_from_gauss([(1, True, 1), (1, False, 1)])
+    diagram = KnotDiagram([(1, True, 1), (1, False, 1)])
     assert alexander_polynomial(diagram) == poly(1)
 
 
 def test_braid_codes_match_torus_polynomials():
     for p, q in [(3, 2), (5, 2), (7, 2), (4, 3), (5, 3), (7, 3), (5, 4), (8, 3), (10, 3)]:
-        diagram = diagram_from_gauss(torus_braid_gauss(p, q))
+        diagram = KnotDiagram(torus_braid_gauss(p, q))
         assert diagram.crossing_count == p * (q - 1)
         assert alexander_polynomial(diagram) == torus_alexander(p, q), (p, q)
 
 
 def test_large_braid_agrees_with_torus_polynomial():
-    diagram = diagram_from_gauss(torus_braid_gauss(14, 5))
+    diagram = KnotDiagram(torus_braid_gauss(14, 5))
     assert diagram.crossing_count == 56
     assert alexander_polynomial(diagram) == torus_alexander(14, 5)
 
 
 def _oracle_diagrams():
     """Braid, pretzel and extracted diagrams, by name."""
-    out = {"T(%d,%d)" % pq: diagram_from_gauss(torus_braid_gauss(*pq))
+    out = {"T(%d,%d)" % pq: KnotDiagram(torus_braid_gauss(*pq))
            for pq in [(7, 3), (14, 5), (25, 2)]}
     for abc in [(1, 1, 1), (3, 3, 1), (3, 3, 3), (5, 3, 1)]:
-        out["P%r" % (abc,)] = diagram_from_gauss(pretzel_gauss(*abc))
+        out["P%r" % (abc,)] = KnotDiagram(pretzel_gauss(*abc))
     for tag in ("short_52", "short_72", "rect_74"):
         out[tag] = extract_diagram(layout(build(FamilyId(tag))))
     return out
@@ -243,7 +232,7 @@ def test_large_constructions_certify(tag, n):
 
 
 def test_certification_report_expected_forms():
-    seven_four = diagram_from_gauss(pretzel_gauss(3, 3, 1))
+    seven_four = KnotDiagram(pretzel_gauss(3, 3, 1))
     delta = alexander_polynomial(seven_four)
     # the rectangle's family compares with the table's 7_4 coefficients
     report = certification_report(seven_four, delta, FamilyId("rect_74"))
@@ -254,37 +243,50 @@ def test_certification_report_expected_forms():
     bare = certification_report(seven_four, delta, None)
     assert (bare.reference, bare.matches, bare.determinant) == (None, None, 15)
     # a torus family resolves to the same report as its (p, q)
-    trefoil = diagram_from_gauss(torus_braid_gauss(3, 2))
+    trefoil = KnotDiagram(torus_braid_gauss(3, 2))
     delta = alexander_polynomial(trefoil)
     assert (certification_report(trefoil, delta, FamilyId("odd_wrap", 2))
             == certification_report(trefoil, delta, (3, 2)))
     assert not certification_report(trefoil, delta, (5, 2)).matches
 
 
+def test_summary_without_a_reference_gives_no_verdict():
+    trefoil = KnotDiagram(torus_braid_gauss(3, 2))
+    delta = alexander_polynomial(trefoil)
+    assert (certification_report(trefoil, delta, None).summary()
+            == "Alexander t^2 - t + 1, no reference")
+    assert (certification_report(trefoil, delta, (3, 2)).summary()
+            == "(3,2): 3 crossings (bound 3 ok), det 3, Alexander t^2 - t + 1 vs t^2 - t + 1"
+            " -> MATCH")
+    assert (certification_report(trefoil, delta, (5, 2)).summary()
+            == "(5,2): 3 crossings (bound 5 VIOLATED), det 3, Alexander t^2 - t + 1"
+            " vs t^4 - t^3 + t^2 - t + 1 -> MISMATCH")
+
+
 def test_pretzel_oracles():
     # pretzel (a,b,c) has determinant ab+bc+ca; (3,3,1) is the knot
     # whose Alexander polynomial certifies the rectangle construction
-    trefoil = diagram_from_gauss(pretzel_gauss(1, 1, 1))
+    trefoil = KnotDiagram(pretzel_gauss(1, 1, 1))
     assert alexander_polynomial(trefoil) == torus_alexander(3, 2)
-    seven_four = diagram_from_gauss(pretzel_gauss(3, 3, 1))
+    seven_four = KnotDiagram(pretzel_gauss(3, 3, 1))
     assert seven_four.crossing_count == 7
     delta = alexander_polynomial(seven_four)
     assert delta == poly(4, -7, 4)
     assert abs(delta.evaluate(-1)) == 15
-    assert alexander_polynomial(diagram_from_gauss(pretzel_gauss(3, 3, 3))) == poly(7, -13, 7)
-    assert alexander_polynomial(diagram_from_gauss(pretzel_gauss(5, 3, 1))) == poly(6, -11, 6)
+    assert alexander_polynomial(KnotDiagram(pretzel_gauss(3, 3, 3))) == poly(7, -13, 7)
+    assert alexander_polynomial(KnotDiagram(pretzel_gauss(5, 3, 1))) == poly(6, -11, 6)
 
 
 def test_determinant_invariant_values():
     for p in (3, 5, 7):
-        diagram = diagram_from_gauss(torus_braid_gauss(p, 2))
+        diagram = KnotDiagram(torus_braid_gauss(p, 2))
         report = certification_report(diagram, alexander_polynomial(diagram), None)
         assert report.determinant == p
 
 
 def test_row_column_independence():
     for p, q in [(3, 2), (4, 3)]:
-        diagram = diagram_from_gauss(torus_braid_gauss(p, q))
+        diagram = KnotDiagram(torus_braid_gauss(p, q))
         n = diagram.crossing_count
         assert n <= 10
         reference = alexander_polynomial(diagram)
@@ -295,7 +297,7 @@ def test_row_column_independence():
 
 def test_alexander_symmetry_from_braids():
     for p, q in [(3, 2), (5, 2), (4, 3), (7, 3)]:
-        delta = alexander_polynomial(diagram_from_gauss(torus_braid_gauss(p, q)))
+        delta = alexander_polynomial(KnotDiagram(torus_braid_gauss(p, q)))
         assert delta.mirror() == delta
         assert abs(delta.evaluate(1)) == 1
 
@@ -365,7 +367,7 @@ def test_explicit_weave_missing_pair_is_an_error():
 def test_gauss_validity_of_extracted_diagram():
     prog = pentagram_program([0, 1, 2, 3, 4], weave=WeaveRule("alternating"))
     diagram = extract_diagram(layout(prog))
-    assert validate_gauss(diagram.gauss) == 5
+    assert KnotDiagram(diagram.gauss).crossing_count == 5
     assert sorted(cid for cid, _, _ in diagram.gauss) == sorted(
         list(range(1, 6)) + list(range(1, 6))
     )
