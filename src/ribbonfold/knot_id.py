@@ -287,12 +287,13 @@ class KnotDiagram:
 
     ``gauss`` lists, in strand order, triples (crossing id, is_over,
     sign); each crossing id appears exactly twice, once over and once
-    under, with the same sign +-1 both times.  Construction normalizes
-    the entries to (int, bool, int), rejects any other code with
-    InvalidDiagramError, and in the same walk derives ``crossings``, the
-    arc incidences of every crossing in id order.  A knot diagram has as
-    many arcs as crossings: arc k runs from the k-th under-passage
-    (exclusive) to the next one (inclusive), wrapping around the strand.
+    under, with the same sign +-1 both times.  Ids and signs are ints;
+    is_over is a bool, or the int 0 or 1, kept as a bool.  Construction
+    rejects any other code with InvalidDiagramError, and in the same walk
+    derives ``crossings``, the arc incidences of every crossing in id
+    order.  A knot diagram has as many arcs as crossings: arc k runs from
+    the k-th under-passage (exclusive) to the next one (inclusive),
+    wrapping around the strand.
     """
 
     gauss: Tuple[Tuple[int, bool, int], ...]
@@ -308,17 +309,20 @@ class KnotDiagram:
         arc = -1
         passed = 0
         for cid, over, sign in self.gauss:
-            cid, sign = int(cid), int(sign)
-            if sign not in (-1, 1):
-                raise InvalidDiagramError("crossing sign must be +1 or -1")
+            # type checks, not int(), which would pass a float or a string
+            if type(cid) is not int or type(sign) is not int or (sign != 1 and sign != -1):
+                raise InvalidDiagramError("crossing ids must be ints, signs the ints +1 or -1")
+            if over is not True and over is not False:
+                if type(over) is not int or (over != 0 and over != 1):
+                    raise InvalidDiagramError("over flag must be a bool, 0 or 1")
+                over = over == 1
             if over:
                 over_arc[cid] = (arc, sign)
-                entries.append((cid, True, sign))
             else:
                 under[cid] = (arc, passed, sign)
                 arc = passed
                 passed += 1
-                entries.append((cid, False, sign))
+            entries.append((cid, over, sign))
         if not entries:
             raise InvalidDiagramError("empty Gauss code")
         # a repeated passage overwrites its first record, so the two maps
@@ -443,15 +447,15 @@ def _canonical_line(a: Point, ux: float, uy: float) -> Tuple[float, float, float
 _DIRECTION_WINDOW = 1e-6
 
 
-def _parallel_partners(vectors) -> List[int]:
+def _parallel_partners(dxs: List[float], dys: List[float]) -> List[int]:
     """Per segment, a bit mask of the others whose direction agrees mod pi.
 
-    Directions are sorted on their angle mod pi and each is paired with
-    its neighbours within ``_DIRECTION_WINDOW``, walking on past pi so that
-    angles just above 0 meet angles just below pi.
+    Directions (dxs[k], dys[k]) are sorted on their angle mod pi and each
+    is paired with its neighbours within ``_DIRECTION_WINDOW``, walking on
+    past pi so that angles just above 0 meet angles just below pi.
     """
-    m = len(vectors)
-    angles = sorted((math.atan2(vy, vx) % math.pi, k) for k, (vx, vy) in enumerate(vectors))
+    m = len(dxs)
+    angles = sorted(zip([a % math.pi for a in map(math.atan2, dys, dxs)], range(m)))
     partners = [0] * m
     for r, (theta, k) in enumerate(angles):
         for step in range(1, m):
@@ -463,28 +467,28 @@ def _parallel_partners(vectors) -> List[int]:
     return partners
 
 
-def _collinear_groups(centerline, scale: float) -> List[List[int]]:
+def _collinear_groups(centerline, scale: float, partners=None) -> List[List[int]]:
     """Indices of segments sharing a supporting line, in strand order.
 
     Each segment joins the first group, in order of creation, whose
-    leading segment it matches; only parallel partners can match.
+    leading segment it matches; only ``partners`` (sorted here if not
+    given) can match, so a segment with none gets no line.
     """
-    keys = []
-    for k, (a, b) in enumerate(centerline):
-        ux, uy = b.x - a.x, b.y - a.y
-        norm = math.hypot(ux, uy)
-        # a zero length, or one that overflows while both components are
-        # finite, leaves no unit direction to divide out
-        if norm == 0.0 or (norm == math.inf and math.isfinite(ux) and math.isfinite(uy)):
-            raise DegenerateDiagramError("segment %d has no unit direction (length %g)" % (k, norm))
-        keys.append(_canonical_line(a, ux / norm, uy / norm))
-    partners = _parallel_partners([(b.x - a.x, b.y - a.y) for a, b in centerline])
+    if partners is None:
+        partners = _parallel_partners(*zip(*[(b.x - a.x, b.y - a.y) for a, b in centerline]))
+    keys: Dict[int, Tuple[float, float, float]] = {}
     # groups by leading segment, in order of creation
     groups: Dict[int, List[int]] = {}
     leaders = 0
     tol_d = 1e-9 * max(scale, 1.0)
-    for i, (nx, ny, d) in enumerate(keys):
-        mask = partners[i] & leaders
+    for i, mask in enumerate(partners):
+        if not mask:
+            continue
+        a, b = centerline[i]
+        ux, uy = b.x - a.x, b.y - a.y
+        norm = math.hypot(ux, uy)
+        nx, ny, d = keys[i] = _canonical_line(a, ux / norm, uy / norm)
+        mask &= leaders
         while mask:
             low = mask & -mask
             mask ^= low
@@ -552,52 +556,52 @@ def _perturbed_polyline(centerline, groups: List[List[int]], epsilon: float):
     return vertices
 
 
-def _candidate_masks(segs, scale: float, tol_param: float) -> List[int]:
+def _candidate_masks(xs, ys, dxs, dys, scale: float, tol_param: float, partners) -> List[int]:
     """Per segment i, a bit mask of the segments j the crossing test must
     pair it with, bit b standing for j = i + 2 + b.
 
-    A superset of the pairs that can cross, touch or coincide: those whose
-    bounding boxes, grown by the ``tol_param`` extent and a margin, share
-    a cell of a uniform grid, and the parallel partners.  Outside the
-    direction window |sin| >= 1e-6, so rounding moves a computed crossing
-    by under 1e-8 * scale, far inside the margin.  Each grid cell holds
-    an integer bit mask over segment indices.
+    Segment k runs from (xs[k], ys[k]) by (dxs[k], dys[k]).  A superset of
+    the pairs that can cross, touch or coincide: those whose bounding boxes,
+    grown by the ``tol_param`` extent and a margin, share a cell of a uniform
+    grid, and the parallel ``partners``.  Outside the direction window
+    |sin| >= 1e-6, so rounding moves a computed crossing by under 1e-8 *
+    scale, far inside the margin.  Grid cells hold bit masks of segments.
     """
-    m = len(segs)
+    m = len(xs)
     margin = 1e-6 * max(scale, 1.0)
-    boxes = []
-    for a, dx, dy in segs:
-        ex = tol_param * abs(dx) + margin
-        ey = tol_param * abs(dy) + margin
-        bx, by = a.x + dx, a.y + dy
-        boxes.append((min(a.x, bx) - ex, min(a.y, by) - ey,
-                      max(a.x, bx) + ex, max(a.y, by) + ey))
-    x0 = min(box[0] for box in boxes)
-    y0 = min(box[1] for box in boxes)
-    cells_per_side = math.isqrt(m) + 1
-    cw = (max(box[2] for box in boxes) - x0) / cells_per_side
-    ch = (max(box[3] for box in boxes) - y0) / cells_per_side
+    side = math.isqrt(m) + 1
+    last = side - 1
 
-    def cell(v, origin, size):
-        # near the float limit an extent overflows and c is inf or nan;
-        # both go to the last cell, which keeps the map monotone
-        c = (v - origin) / size
-        return int(c) if c < cells_per_side - 1 else cells_per_side - 1
+    def spans(starts, steps):
+        # first and last cell of each box along one axis; a coordinate that
+        # overflows to inf or nan goes to the last cell, keeping the map monotone
+        lo, hi = [], []
+        for a, d in zip(starts, steps):
+            e = tol_param * abs(d) + margin
+            b = a + d
+            lo.append((b if b < a else a) - e)
+            hi.append((b if b > a else a) + e)
+        origin = min(lo)
+        size = (max(hi) - origin) / side
+        return [[int(c) if c < last else last for c in [(v - origin) / size for v in ends]]
+                for ends in (lo, hi)]
 
-    grid = [0] * (cells_per_side * cells_per_side)
+    grid = [0] * (side * side)
     covers = []
-    for k, (bx0, by0, bx1, by1) in enumerate(boxes):
-        cells = [cx * cells_per_side + cy
-                 for cx in range(cell(bx0, x0, cw), cell(bx1, x0, cw) + 1)
-                 for cy in range(cell(by0, y0, ch), cell(by1, y0, ch) + 1)]
+    bit = 1
+    for cx0, cx1, cy0, cy1 in zip(*spans(xs, dxs), *spans(ys, dys)):
+        if cx0 == cx1 and cy0 == cy1:
+            cells = (cx0 * side + cy0,)
+        else:
+            cells = [cx * side + cy for cx in range(cx0, cx1 + 1) for cy in range(cy0, cy1 + 1)]
         for c in cells:
-            grid[c] |= 1 << k
+            grid[c] |= bit
         covers.append(cells)
-    partners = _parallel_partners([(dx, dy) for _, dx, dy in segs])
+        bit <<= 1
     masks = []
-    for i in range(m):
+    for i, cells in enumerate(covers):
         mask = partners[i]
-        for c in covers[i]:
+        for c in cells:
             mask |= grid[c]
         # neighbours and the closing pair (0, m - 1) are never tested
         masks.append(mask >> (i + 2))
@@ -605,55 +609,54 @@ def _candidate_masks(segs, scale: float, tol_param: float) -> List[int]:
     return masks
 
 
-def _find_crossings(vertices, scale: float):
+def _find_crossings(vertices, scale: float, partners=None):
     """Transverse interior intersections of the closed polyline.
 
     ``vertices`` are finite with no two consecutive ones equal, and
-    ``scale`` is their largest coordinate magnitude.  Hits come in
-    ascending segment-pair order.
+    ``scale`` is their largest coordinate magnitude; ``partners`` are sorted
+    here if not given.  Returns the segment vectors as lists (dxs, dys),
+    and the hits in ascending segment-pair order.
     """
-    m = len(vertices)
-    segs = []
-    for k in range(m):
-        a = vertices[k]
-        b = vertices[(k + 1) % m]
-        segs.append((a, b.x - a.x, b.y - a.y))
+    xs = [v[0] for v in vertices]
+    ys = [v[1] for v in vertices]
+    dxs = [b - a for a, b in zip(xs, xs[1:] + xs[:1])]
+    dys = [b - a for a, b in zip(ys, ys[1:] + ys[:1])]
+    if partners is None:
+        partners = _parallel_partners(dxs, dys)
     tol_param = 1e-9
+    t_lo, t_hi, inner_hi = -tol_param, 1 + tol_param, 1 - tol_param
     tol_point = 1e-12 * max(scale, 1.0)
-    lengths = [math.hypot(dx, dy) for _, dx, dy in segs]
+    lengths = list(map(math.hypot, dxs, dys))
+    # builds a Point without the Python-level call of Point's own __new__
+    new_point = tuple.__new__
     hits = []
-    for i, mask in enumerate(_candidate_masks(segs, scale, tol_param)):
-        ai, dix, diy = segs[i]
-        length_i = lengths[i]
+    for i, mask in enumerate(_candidate_masks(xs, ys, dxs, dys, scale, tol_param, partners)):
+        axi, ayi, dix, diy, length_i = xs[i], ys[i], dxs[i], dys[i], lengths[i]
         while mask:
             low = mask & -mask
             mask ^= low
             j = i + 1 + low.bit_length()
-            aj, djx, djy = segs[j]
+            djx, djy = dxs[j], dys[j]
             denom = dix * djy - diy * djx
             norm = length_i * lengths[j]
-            if abs(denom) < 1e-12 * max(norm, 1e-30):
+            rx, ry = xs[j] - axi, ys[j] - ayi
+            if abs(denom) < 1e-12 * (norm if norm > 1e-30 else 1e-30):
                 # parallel tracks never cross; a coincident overlap is
                 # degenerate
-                rx, ry = aj.x - ai.x, aj.y - ai.y
-                dist = abs(rx * diy - ry * dix) / length_i
-                if dist < tol_point:
+                if abs(rx * diy - ry * dix) / length_i < tol_point:
                     raise DegenerateDiagramError(
                         "segments %d and %d remain coincident" % (i, j)
                     )
                 continue
-            rx, ry = aj.x - ai.x, aj.y - ai.y
             t = (rx * djy - ry * djx) / denom
             s = (rx * diy - ry * dix) / denom
-            if t < -tol_param or t > 1 + tol_param or s < -tol_param or s > 1 + tol_param:
+            if t < t_lo or t > t_hi or s < t_lo or s > t_hi:
                 continue
-            interior_t = tol_param < t < 1 - tol_param
-            interior_s = tol_param < s < 1 - tol_param
-            if not (interior_t and interior_s):
+            if not (tol_param < t < inner_hi and tol_param < s < inner_hi):
                 raise DegenerateDiagramError(
                     "segments %d and %d touch at an endpoint" % (i, j)
                 )
-            hits.append((i, t, j, s, Point(ai.x + t * dix, ai.y + t * diy)))
+            hits.append((i, t, j, s, new_point(Point, (axi + t * dix, ayi + t * diy))))
     # two hits closer than tol_point differ by less than it in x
     by_x = sorted((h[4] for h in hits), key=lambda p: p.x)
     for a, pa in enumerate(by_x):
@@ -663,14 +666,13 @@ def _find_crossings(vertices, scale: float):
                 break
             if math.hypot(pa.x - pb.x, pa.y - pb.y) < tol_point:
                 raise DegenerateDiagramError("multiple crossings coincide at one point")
-    return segs, hits
+    return (dxs, dys), hits
 
 
-def _decide_over(hits, segs, order, layers, weave, centroid, scale):
+def _decide_over(hits, dxs, dys, order, layers, weave, vertices, scale):
     """Over/under decision per crossing; returns over_is_i flags.
 
-    ``order`` lists the passages (segment, parameter, hit, is_i) in
-    strand order.
+    ``order`` lists the passages (parameter, hit, is_i) in strand order.
     """
     mode = "layers" if weave is None else weave.mode
     if mode == "layers":
@@ -696,14 +698,13 @@ def _decide_over(hits, segs, order, layers, weave, centroid, scale):
             flags.append(table[(i, j)] > 0)
         return flags
     if mode == "torus":
+        cx = math.fsum(v[0] for v in vertices) / len(vertices)
+        cy = math.fsum(v[1] for v in vertices) / len(vertices)
         flags = []
         for (i, t, j, s, pos) in hits:
-            ui = segs[i][1], segs[i][2]
-            uj = segs[j][1], segs[j][2]
-            ni = math.hypot(*ui)
-            nj = math.hypot(*uj)
-            out_i = (ui[0] * (pos.x - centroid.x) + ui[1] * (pos.y - centroid.y)) / ni
-            out_j = (uj[0] * (pos.x - centroid.x) + uj[1] * (pos.y - centroid.y)) / nj
+            rx, ry = pos.x - cx, pos.y - cy
+            out_i = (dxs[i] * rx + dys[i] * ry) / math.hypot(dxs[i], dys[i])
+            out_j = (dxs[j] * rx + dys[j] * ry) / math.hypot(dxs[j], dys[j])
             if abs(out_i - out_j) < 1e-9 * max(scale, 1.0):
                 raise LayeringInconsistencyError(
                     "outbound rule cannot order segments %d and %d" % (i, j)
@@ -714,18 +715,14 @@ def _decide_over(hits, segs, order, layers, weave, centroid, scale):
         # passage ranks along the strand; over on even ranks
         first_rank = {}
         flags = [None] * len(hits)
-        for rank, (seg, t, h, is_i) in enumerate(order):
+        for rank, (_, h, is_i) in enumerate(order):
             if h not in first_rank:
                 first_rank[h] = rank
-                over_here = rank % 2 == 0
-            else:
-                if (rank - first_rank[h]) % 2 == 0:
-                    raise LayeringInconsistencyError(
-                        "alternating weave is inconsistent at crossing %d" % h
-                    )
-                over_here = rank % 2 == 0
-            if flags[h] is None:
-                flags[h] = over_here if is_i else not over_here
+                flags[h] = (rank % 2 == 0) == is_i
+            elif (rank - first_rank[h]) % 2 == 0:
+                raise LayeringInconsistencyError(
+                    "alternating weave is inconsistent at crossing %d" % h
+                )
         return flags
     raise LayeringInconsistencyError("unsupported weave mode %r" % mode)
 
@@ -742,8 +739,11 @@ def extract_diagram(
     the extraction is re-run at half the displacement and must produce
     the identical Gauss code, which guards against the displacement
     itself creating or destroying crossings.  With none, nothing is
-    displaced and a second pass would repeat the first exactly, so it is
-    skipped.
+    displaced and the search runs once, on the centerline's start points.
+    Their polyline turns each direction by at most the widest closure gap
+    over the shortest segment; under 1e-7 the direction window still holds
+    the search's parallel pairs and the grid margin every other pair, so
+    one direction sort serves both the group test and the search.
     """
     src = lay.source
     if src is not None and src.presentation != "closed":
@@ -755,19 +755,36 @@ def extract_diagram(
         perturbation = DEFAULT_PERTURBATION_SCALE * w
     if not (perturbation > 0 and math.isfinite(perturbation)):
         raise InvalidInputError("perturbation must be a positive real")
-    m = len(lay.centerline)
-    for k in range(m):
-        b = lay.centerline[k][1]
-        a_next = lay.centerline[(k + 1) % m][0]
-        if math.hypot(b.x - a_next.x, b.y - a_next.y) > 1e-6 * max(w, 1.0):
+    tol_close = 1e-6 * max(w, 1.0)
+    dxs, dys, lengths = [], [], []
+    scale = widest_gap = 0.0
+    for k, ((ax, ay), (bx, by)) in enumerate(lay.centerline):
+        px, py = lay.centerline[k - 1][1]
+        gap = math.hypot(px - ax, py - ay)
+        if gap > tol_close:
             raise DegenerateDiagramError("centerline is not a closed loop")
+        widest_gap = max(widest_gap, gap)
+        ux, uy = bx - ax, by - ay
+        norm = math.hypot(ux, uy)
+        # a zero length, or one that overflows while both components are
+        # finite, leaves no unit direction to divide out
+        if norm == 0.0 or (norm == math.inf and math.isfinite(ux) and math.isfinite(uy)):
+            raise DegenerateDiagramError("segment %d has no unit direction (length %g)" % (k, norm))
+        scale = max(scale, abs(ax), abs(ay))
+        dxs.append(ux)
+        dys.append(uy)
+        lengths.append(norm)
+    # past those checks a length is finite exactly when its vector is
+    if not all(map(math.isfinite, lengths)):
+        raise DegenerateDiagramError("perturbed centerline is not finite")
+    partners = _parallel_partners(dxs, dys)
+    groups = _collinear_groups(lay.centerline, scale, partners)
+    shared = partners if not groups and widest_gap < 1e-7 * min(lengths) else None
     layers = [p.layer for p in lay.panels]
     weave = src.weave if src is not None else None
-    scale = max(abs(v) for a, _ in lay.centerline for v in a)
-    groups = _collinear_groups(lay.centerline, scale)
-    first = _extract_once(lay.centerline, groups, layers, weave, perturbation)
+    first = _extract_once(lay.centerline, groups, shared, scale, layers, weave, perturbation)
     if groups:
-        second = _extract_once(lay.centerline, groups, layers, weave, perturbation / 2.0)
+        second = _extract_once(lay.centerline, groups, None, scale, layers, weave, perturbation / 2)
         if first.gauss != second.gauss:
             raise DegenerateDiagramError(
                 "Gauss code changed under perturbation halving; displacement too large"
@@ -775,35 +792,34 @@ def extract_diagram(
     return first
 
 
-def _extract_once(centerline, groups, layers, weave, epsilon) -> KnotDiagram:
-    vertices = _perturbed_polyline(centerline, groups, epsilon)
-    scale = max(max(abs(v.x), abs(v.y)) for v in vertices)
-    cx = math.fsum(v.x for v in vertices) / len(vertices)
-    cy = math.fsum(v.y for v in vertices) / len(vertices)
-    segs, hits = _find_crossings(vertices, scale)
+def _extract_once(centerline, groups, partners, scale, layers, weave, epsilon) -> KnotDiagram:
+    if groups:
+        vertices = _perturbed_polyline(centerline, groups, epsilon)
+        scale = max(max(abs(v.x), abs(v.y)) for v in vertices)
+    else:
+        vertices = [a for a, _ in centerline]
+    (dxs, dys), hits = _find_crossings(vertices, scale, partners)
     if not hits:
         raise DegenerateDiagramError("centerline has no self-intersections")
-    order = []
-    for h, (i, t, j, s, pos) in enumerate(hits):
-        order.append((i, t, h, True))
-        order.append((j, s, h, False))
-    # passages that tie on (segment, parameter) fall to the hit index,
-    # which is the order they were appended in, so sorting whole records
-    # gives strand order as a stable sort on those two fields would
-    order.sort()
-    over_is_i = _decide_over(hits, segs, order, layers, weave, Point(cx, cy), scale)
-    signs = []
-    for flag, (i, t, j, s, pos) in zip(over_is_i, hits):
-        _, dix, diy = segs[i]
-        _, djx, djy = segs[j]
-        # the sign of over x under; under x over is its exact negation
-        cross = dix * djy - diy * djx
-        signs.append(1 if (cross > 0 if flag else cross < 0) else -1)
+    # strand order, segment by segment; passages that tie on the parameter
+    # fall to the hit index, as in a sort on (segment, parameter, hit)
+    buckets: List[list] = [[] for _ in vertices]
+    for h, (i, t, j, s, _) in enumerate(hits):
+        buckets[i].append((t, h, True))
+        buckets[j].append((s, h, False))
+    order = [passage for bucket in buckets for passage in sorted(bucket)]
+    over_is_i = _decide_over(hits, dxs, dys, order, layers, weave, vertices, scale)
+    # ids number the crossings in order of first passage
     ids: Dict[int, int] = {}
+    signs = [0] * len(hits)
     gauss = []
-    for seg, t, h, is_i in order:
+    for _, h, is_i in order:
         if h not in ids:
             ids[h] = len(ids) + 1
+            i, _, j, _, _ = hits[h]
+            # the sign of over x under; under x over is its exact negation
+            cross = dxs[i] * dys[j] - dys[i] * dxs[j]
+            signs[h] = 1 if (cross > 0 if over_is_i[h] else cross < 0) else -1
         gauss.append((ids[h], over_is_i[h] == is_i, signs[h]))
     return KnotDiagram(tuple(gauss))
 

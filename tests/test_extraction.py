@@ -1,5 +1,7 @@
 """Diagram extraction: the crossing search against its all-pairs oracle,
-its degeneracy checks, pinned Gauss codes and the perturbation passes."""
+its degeneracy checks, pinned Gauss codes, the perturbation passes, and
+the direction sort and start points that one extraction shares between
+its group test and its search."""
 
 import hashlib
 import json
@@ -87,25 +89,27 @@ def test_crossing_search_near_the_float_limit():
         crossing_outcome(all_pairs_crossings, vertices)
 
 
-def test_overflowing_vertices_are_rejected():
-    # the centerline is finite, but its directions overflow and the
-    # re-intersected vertices are not
-    radius = 1.7e308
+def pentagram(radius):
     points = [Point(radius * math.cos(0.8 * math.pi * k), radius * math.sin(0.8 * math.pi * k))
               for k in range(5)]
-    lay = layout_from_centerline(points, 0.1, [0, 1, 2, 3, 4], closed=True)
+    return layout_from_centerline(points, 0.1, [0, 1, 2, 3, 4], closed=True)
+
+
+def test_overflowing_vertices_are_rejected(monkeypatch):
+    # the start points are finite, but the segment vectors overflow; they
+    # are rejected before any direction sort or crossing search
+    def unreachable(*args):
+        raise AssertionError("the search was reached")
+
+    monkeypatch.setattr(knot_id, "_parallel_partners", unreachable)
+    monkeypatch.setattr(knot_id, "_find_crossings", unreachable)
     with pytest.raises(DegenerateDiagramError, match="perturbed centerline is not finite"):
-        extract_diagram(lay, 1.0)
+        extract_diagram(pentagram(1.7e308), 1.0)
 
 
 def test_segment_without_unit_direction_is_rejected():
     # at radius 1e308, segment 1 has finite components but its length
     # overflows, so its unit direction would come out as (0, 0)
-    def pentagram(radius):
-        points = [Point(radius * math.cos(0.8 * math.pi * k), radius * math.sin(0.8 * math.pi * k))
-                  for k in range(5)]
-        return layout_from_centerline(points, 0.1, [0, 1, 2, 3, 4], closed=True)
-
     with pytest.raises(DegenerateDiagramError, match="segment 1 has no unit direction"):
         extract_diagram(pentagram(1e308), 1.0)
     # segment 1 shrunk to a point
@@ -178,3 +182,79 @@ def test_no_groups_means_no_displacement(family):
     epsilon = DEFAULT_PERTURBATION_SCALE * lay.width
     assert repr(_perturbed_polyline(lay.centerline, [], epsilon)) == \
         repr(_perturbed_polyline(lay.centerline, [], epsilon / 2))
+
+
+def count_direction_sorts(monkeypatch):
+    calls = []
+    sort = knot_id._parallel_partners
+
+    def counted(dxs, dys):
+        calls.append(len(dxs))
+        return sort(dxs, dys)
+
+    monkeypatch.setattr(knot_id, "_parallel_partners", counted)
+    return calls
+
+
+def record_searches(monkeypatch):
+    calls = []
+
+    def recorded(vertices, scale, partners=None):
+        calls.append((vertices, scale, partners))
+        return _find_crossings(vertices, scale, partners)
+
+    monkeypatch.setattr(knot_id, "_find_crossings", recorded)
+    return calls
+
+
+@pytest.mark.parametrize("family, sorts", [
+    (FamilyId("odd_wrap", 5), 1),
+    (FamilyId("star_polygon", 7), 1),
+    (FamilyId("short_52"), 1),
+    # the centerline's, then one per displaced pass
+    (FamilyId("rect_74"), 3),
+], ids=str)
+def test_one_direction_sort_serves_the_group_test_and_the_search(family, sorts, monkeypatch):
+    calls = count_direction_sorts(monkeypatch)
+    extract_diagram(layout(build(family)))
+    assert len(calls) == sorts
+
+
+@pytest.mark.parametrize("family", [FamilyId("odd_wrap", 5), FamilyId("star_polygon", 7),
+                                    FamilyId("short_52")], ids=str)
+def test_search_without_runs_reads_the_start_points(family, monkeypatch):
+    lay = layout(build(family))
+    calls = record_searches(monkeypatch)
+    extract_diagram(lay)
+    assert [vertices for vertices, _, _ in calls] == [[a for a, _ in lay.centerline]]
+
+
+@pytest.mark.parametrize("family", WORKLOAD_MEMBERS, ids=str)
+def test_extraction_searches_match_all_pairs_oracle(family, monkeypatch):
+    # every search an extraction makes, with the direction sort it is
+    # handed, finds what the all-pairs oracle finds on its vertices
+    calls = record_searches(monkeypatch)
+    extract_diagram(layout(build(family)))
+    assert len(calls) == (2 if family == FamilyId("rect_74") else 1)
+    for vertices, scale, partners in calls:
+        assert scale == max(max(abs(v.x), abs(v.y)) for v in vertices)
+        assert crossing_outcome(lambda v, s: _find_crossings(v, s, partners), vertices) == \
+            crossing_outcome(all_pairs_crossings, vertices)
+
+
+@pytest.mark.parametrize("gap, sorts", [(1e-9, 1), (3e-7, 2)])
+def test_closure_gaps_decide_whether_the_search_shares_the_sort(gap, sorts, monkeypatch):
+    # each segment of a unit pentagram (length 1.9) ends `gap` off the next
+    # start: under 1e-7 of the length the search reuses the centerline's
+    # direction sort, above it the start points' polyline sorts its own
+    lay = pentagram(1.0)
+    segs = []
+    for a, b in lay.centerline:
+        ux, uy = b.x - a.x, b.y - a.y
+        n = math.hypot(ux, uy)
+        segs.append((a, Point(b.x - gap * uy / n, b.y + gap * ux / n)))
+    gapped = FoldedLayout(lay.panels, tuple(segs), None)
+    expected = extract_diagram(lay)
+    calls = count_direction_sorts(monkeypatch)
+    assert extract_diagram(gapped) == expected
+    assert len(calls) == sorts

@@ -141,9 +141,21 @@ def test_knot_diagram_rejects_malformed_codes():
                   [(1, True, 0), (1, False, 0)],
                   [(1, True, 1), (2, False, 1)],
                   [(1, True, 1), (1, True, 1), (1, True, 1), (1, False, 1)],
-                  [(1, True, 1), (1, False, 1), (1, True, 1), (1, False, 1)]):
+                  [(1, True, 1), (1, False, 1), (1, True, 1), (1, False, 1)],
+                  # entries that int() and truth value would coerce
+                  [(1.5, "no", 1.9), (1, "", 1)],
+                  [(1.0, True, 1), (1.0, False, 1)],
+                  [("1", True, 1), ("1", False, 1)],
+                  [(True, True, 1), (True, False, 1)],
+                  [(1, True, 1.0), (1, False, 1.0)],
+                  [(1, True, True), (1, False, True)],
+                  [(1, 2, 1), (1, 0, 1)],
+                  [(1, 1.0, 1), (1, 0, 1)],
+                  [(1, "yes", 1), (1, None, 1)]):
         with pytest.raises(InvalidDiagramError):
             KnotDiagram(gauss)
+    # the ints 0 and 1 stand for the over flags False and True
+    assert KnotDiagram([(1, 1, -1), (1, 0, -1)]).gauss == ((1, True, -1), (1, False, -1))
 
 
 def test_knot_diagram_is_built_from_its_gauss_code_only():

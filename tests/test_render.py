@@ -7,7 +7,7 @@ import pytest
 
 from ribbonfold.constructions import FamilyId, build_74, build_odd_wrap
 from ribbonfold.errors import InvalidInputError, ParameterError
-from ribbonfold.fold_core import FoldedLayout, Point, layout, layout_from_centerline
+from ribbonfold.fold_core import FoldedLayout, Point, layout, layout_from_centerline, unfold
 from ribbonfold.formulas import ratio_report, ratio_reports
 from ribbonfold.render import RenderOptions, render_table_figure, to_svg
 
@@ -113,6 +113,15 @@ def test_crease_lines_follow_presentation():
     assert svg_children(closed).count("line") == 7
     truncated = to_svg(layout(build_odd_wrap(3, "truncated")), RenderOptions())
     assert svg_children(truncated).count("line") == 5
+
+
+def test_sourceless_closed_layout_draws_its_seam_crease():
+    triangle = layout_from_centerline([(0, 0), (4, 0), (2, 3)], 0.2, [0, 1, 2], closed=True)
+    assert svg_children(to_svg(triangle)).count("line") == 3
+    relaid = layout(unfold(triangle, presentation="closed"))
+    assert svg_children(to_svg(relaid)).count("line") == 3
+    strip = layout_from_centerline([(0, 0), (4, 0), (2, 3)], 0.2, [0, 1], closed=False)
+    assert svg_children(to_svg(strip)).count("line") == 1
 
 
 def test_centerline_lines_counted():
