@@ -94,7 +94,7 @@ def _limit_denominator(n: int, d: int, max_den: int) -> Tuple[int, int]:
     return pk, qk
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExactAngle:
     """An angle that is an exact rational multiple of pi.
 
@@ -172,6 +172,8 @@ class ExactAngle:
 
 def _real(value, what: str) -> float:
     """A JSON number as a float; an int past the float range reads as inf."""
+    if type(value) is float:
+        return value
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise MalformedProgramError("%s must be a number" % what)
     try:
@@ -180,7 +182,7 @@ def _real(value, what: str) -> float:
         return math.inf
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CreaseSpec:
     """One fold line: centerline position, exact angle, layer jump."""
 
@@ -188,39 +190,48 @@ class CreaseSpec:
     angle: ExactAngle
     layer_shift: int = 1
 
-    def __post_init__(self):
-        pos = _real(self.position, "crease position")
+    # written by hand so that each field is checked, then stored, once
+    def __init__(self, position: float, angle: ExactAngle, layer_shift: int = 1):
+        pos = _real(position, "crease position")
         if not math.isfinite(pos) or pos <= 0.0:
             raise MalformedProgramError("crease position must be finite and positive")
-        object.__setattr__(self, "position", pos)
-        if not isinstance(self.angle, ExactAngle):
+        if not isinstance(angle, ExactAngle):
             raise MalformedProgramError("crease angle must be an ExactAngle")
         # tested on the float that layout divides by: an angle within about
         # 1e-308 pi of 0 has radians 0.0 and sine 0
-        if not 0.0 < self.angle.radians < math.pi:
+        if not 0.0 < angle.radians < math.pi:
             raise MalformedProgramError("crease angle must lie strictly between 0 and pi")
-        if isinstance(self.layer_shift, bool) or not isinstance(self.layer_shift, int):
+        if type(layer_shift) is not int and (
+            isinstance(layer_shift, bool) or not isinstance(layer_shift, int)
+        ):
             raise MalformedProgramError("layer_shift must be an integer")
-        if self.layer_shift == 0:
+        if layer_shift == 0:
             raise MalformedProgramError("layer_shift must be nonzero")
+        object.__setattr__(self, "position", pos)
+        object.__setattr__(self, "angle", angle)
+        object.__setattr__(self, "layer_shift", layer_shift)
 
 
-@dataclass(frozen=True)
+_RIGHT_ANGLE = ExactAngle(1, 2)
+
+
+@dataclass(frozen=True, slots=True)
 class CutSpec:
     """A straight end cut for an open presentation."""
 
     position: float
-    angle: ExactAngle = ExactAngle(1, 2)
+    angle: ExactAngle = _RIGHT_ANGLE
 
-    def __post_init__(self):
-        pos = _real(self.position, "cut position")
+    def __init__(self, position: float, angle: ExactAngle = _RIGHT_ANGLE):
+        pos = _real(position, "cut position")
         if not math.isfinite(pos):
             raise MalformedProgramError("cut position must be finite")
-        object.__setattr__(self, "position", pos)
-        if not isinstance(self.angle, ExactAngle):
+        if not isinstance(angle, ExactAngle):
             raise MalformedProgramError("cut angle must be an ExactAngle")
-        if not 0.0 < self.angle.radians < math.pi:
+        if not 0.0 < angle.radians < math.pi:
             raise MalformedProgramError("cut angle must lie strictly between 0 and pi")
+        object.__setattr__(self, "position", pos)
+        object.__setattr__(self, "angle", angle)
 
 
 @dataclass(frozen=True)
@@ -285,12 +296,8 @@ def _json_line(
         if key not in entry:
             raise MalformedProgramError("%s missing field %r" % (where, key))
     num, den = entry["angle_num"], entry["angle_den"]
-    if (
-        not isinstance(num, int)
-        or not isinstance(den, int)
-        or isinstance(num, bool)
-        or isinstance(den, bool)
-    ):
+    # json reads every integer as an exact int, and type() leaves out bools
+    if not (type(num) is int and type(den) is int):
         raise MalformedProgramError("%s angle_num and angle_den must be integers" % where)
     if not den > 0:
         raise MalformedProgramError("%s angle_den must be positive" % where)
@@ -336,14 +343,20 @@ class FoldProgram:
         w = _real(self.width, "width")
         _require(math.isfinite(w) and w > 0.0, "width must be finite and positive")
         object.__setattr__(self, "width", w)
-        creases = tuple(self.creases)
+        try:
+            items = iter(self.creases)
+        except TypeError:
+            raise MalformedProgramError("creases must be an iterable of CreaseSpec") from None
+        creases = tuple(items)
+        # one walk: each crease's type, the strict increase, the shift sum
+        previous, total = -math.inf, 0
         for c in creases:
-            _require(isinstance(c, CreaseSpec), "creases must be CreaseSpec instances")
-        positions = [c.position for c in creases]
-        _require(
-            all(positions[i] < positions[i + 1] for i in range(len(positions) - 1)),
-            "crease positions must be strictly increasing",
-        )
+            if not isinstance(c, CreaseSpec):
+                raise MalformedProgramError("creases must be CreaseSpec instances")
+            if not previous < c.position:
+                raise MalformedProgramError("crease positions must be strictly increasing")
+            previous = c.position
+            total += c.layer_shift
         object.__setattr__(self, "creases", creases)
         _require(
             self.presentation in ("closed", "truncated"),
@@ -356,7 +369,6 @@ class FoldProgram:
                 self.start_cut is None and self.end_cut is None,
                 "end cuts are only valid for truncated programs",
             )
-            total = sum(c.layer_shift for c in creases)
             _require(total == 0, "closed program layer shifts must sum to zero")
         else:
             for cut in (self.start_cut, self.end_cut):
@@ -366,12 +378,12 @@ class FoldProgram:
                 )
             if self.start_cut is not None and creases:
                 _require(
-                    self.start_cut.position < positions[0],
+                    self.start_cut.position < creases[0].position,
                     "start cut must precede the first crease",
                 )
             if self.end_cut is not None and creases:
                 _require(
-                    positions[-1] < self.end_cut.position,
+                    creases[-1].position < self.end_cut.position,
                     "end cut must follow the last crease",
                 )
             if self.start_cut is not None and self.end_cut is not None:
@@ -459,15 +471,11 @@ class FoldProgram:
         raw_creases = doc["creases"]
         _require(isinstance(raw_creases, list), "'creases' must be a list")
         creases = []
-        previous = None
         angles: dict = {}
+        # FoldProgram checks that the positions strictly increase
         for entry in raw_creases:
             position, angle = _json_line(entry, "crease", angles, ("layer_shift",))
-            crease = CreaseSpec(position, angle, entry["layer_shift"])
-            if previous is not None and crease.position <= previous:
-                raise MalformedProgramError("creases must be sorted by strictly increasing position")
-            previous = crease.position
-            creases.append(crease)
+            creases.append(CreaseSpec(position, angle, entry["layer_shift"]))
         cuts = {}
         for name in ("start_cut", "end_cut"):
             if name in doc and doc[name] is not None:
@@ -495,7 +503,7 @@ class FoldProgram:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Panel:
     """One placed quad of the folded layout.
 

@@ -10,6 +10,7 @@ bytes.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
@@ -64,12 +65,14 @@ class RenderOptions:
     scale: float = 40.0
 
     def __post_init__(self):
-        if not (isinstance(self.scale, (int, float)) and self.scale > 0):
+        scale, epsilon = self.scale, self.epsilon_display
+        if isinstance(scale, bool) or not (isinstance(scale, (int, float)) and scale > 0):
             raise ParameterError("scale must be a positive number")
-        if not (isinstance(self.epsilon_display, (int, float)) and self.epsilon_display >= 0):
+        if isinstance(epsilon, bool) or not (isinstance(epsilon, (int, float)) and epsilon >= 0):
             raise ParameterError("epsilon_display must be nonnegative")
         for name in ("scale", "epsilon_display"):
-            if math.isinf(getattr(self, name)):
+            # compared exactly, so an int past the float range counts as inf
+            if getattr(self, name) > sys.float_info.max:
                 raise ParameterError("%s must be finite" % name)
 
 

@@ -16,7 +16,9 @@ crossing search and the collinear grouping of diagram extraction.
 ``snapped_boundary_angle`` measures a boundary angle with no memo, as
 ``unfold`` once did for every crease; ``boundary_outcomes`` holds the
 memoized measurement against it, and ``farey_memo`` preloads the memo
-with the fractions nearest the one meant.
+with the fractions nearest the one meant.  ``crease_oracle`` and
+``cut_oracle`` write out the checks of ``CreaseSpec`` and ``CutSpec`` as
+plain functions, and ``spec_outcome`` holds a constructor against one.
 """
 
 import math
@@ -27,6 +29,7 @@ from ribbonfold.errors import (
     DegenerateDiagramError,
     InconsistencyError,
     InvalidDiagramError,
+    MalformedProgramError,
     RibbonError,
 )
 from ribbonfold.fold_core import (
@@ -582,3 +585,53 @@ def farey_memo(k: int, n: int) -> list:
         if 0 < a < b:
             boundary_outcomes(a / b * math.pi, memo)
     return memo
+
+
+def _oracle_real(value, what: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise MalformedProgramError("%s must be a number" % what)
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
+def crease_oracle(position, angle, layer_shift=1) -> tuple:
+    """The (position, angle, layer_shift) a CreaseSpec stores, or its error."""
+    pos = _oracle_real(position, "crease position")
+    if not math.isfinite(pos) or pos <= 0.0:
+        raise MalformedProgramError("crease position must be finite and positive")
+    if not isinstance(angle, ExactAngle):
+        raise MalformedProgramError("crease angle must be an ExactAngle")
+    if not 0.0 < angle.radians < math.pi:
+        raise MalformedProgramError("crease angle must lie strictly between 0 and pi")
+    if isinstance(layer_shift, bool) or not isinstance(layer_shift, int):
+        raise MalformedProgramError("layer_shift must be an integer")
+    if layer_shift == 0:
+        raise MalformedProgramError("layer_shift must be nonzero")
+    return (pos, angle, layer_shift)
+
+
+def cut_oracle(position, angle=ExactAngle(1, 2)) -> tuple:
+    """The (position, angle) a CutSpec stores, or its error."""
+    pos = _oracle_real(position, "cut position")
+    if not math.isfinite(pos):
+        raise MalformedProgramError("cut position must be finite")
+    if not isinstance(angle, ExactAngle):
+        raise MalformedProgramError("cut angle must be an ExactAngle")
+    if not 0.0 < angle.radians < math.pi:
+        raise MalformedProgramError("cut angle must lie strictly between 0 and pi")
+    return (pos, angle)
+
+
+def spec_outcome(make, *args):
+    """("ok", fields with their types) or (error class, message) of one call;
+    ``make`` is an oracle or a constructor, whose fields are read back."""
+    try:
+        value = make(*args)
+    except RibbonError as exc:
+        return type(exc), str(exc)
+    fields = value if isinstance(value, tuple) else (
+        tuple(getattr(value, name) for name in type(value).__dataclass_fields__)
+    )
+    return "ok", tuple((type(field), field) for field in fields)

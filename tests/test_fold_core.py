@@ -1,7 +1,11 @@
 """Unit tests for the planar fold kernel."""
 
+import copy
+import dataclasses
+import itertools
 import json
 import math
+import pickle
 import random
 from fractions import Fraction
 
@@ -30,7 +34,13 @@ from ribbonfold import (
 )
 from ribbonfold.fold_core import _limit_denominator, _pi_turns, _prefix_sums
 
-from diagram_sources import boundary_outcomes, farey_memo
+from diagram_sources import (
+    boundary_outcomes,
+    crease_oracle,
+    cut_oracle,
+    farey_memo,
+    spec_outcome,
+)
 
 
 def assert_points_close(actual, expected, tol=1e-12):
@@ -286,8 +296,79 @@ def test_crease_validation():
         CreaseSpec(1.0, ExactAngle(1, 2), 1.5)
 
 
+class _Real(float):
+    pass
+
+
+class _Shift(int):
+    pass
+
+
+SPEC_POSITIONS = (
+    1.5, 3, _Real(2.5), 10**400, -(10**400), True, False, "1.0", None, Fraction(3, 2),
+    math.nan, math.inf, -math.inf, 0, 0.0, -0.0, -2.0, -1, 5e-324,
+)
+SPEC_ANGLES = (
+    ExactAngle(1, 2), ExactAngle(3, 2), ExactAngle(0, 1), ExactAngle(1, 1),
+    # near 0: radians 1e-300 * pi, then radians that round to 0.0
+    ExactAngle(1, 10**300), ExactAngle(1, 10**400),
+    # near pi: radians just below pi, then radians that round to pi
+    ExactAngle(10**15 - 1, 10**15), ExactAngle(10**17 - 1, 10**17),
+    0.5, None, (1, 2), Fraction(1, 2),
+)
+SPEC_SHIFTS = (1, -2, 0, True, False, 1.0, 10**30, -(10**30), "1", None, _Shift(2), _Shift(0))
+
+
+def test_crease_and_cut_check_as_their_oracles_do():
+    for position, angle in itertools.product(SPEC_POSITIONS, SPEC_ANGLES):
+        case = (position, angle)
+        assert spec_outcome(CutSpec, *case) == spec_outcome(cut_oracle, *case), case
+        for shift in SPEC_SHIFTS:
+            case = (position, angle, shift)
+            assert spec_outcome(CreaseSpec, *case) == spec_outcome(crease_oracle, *case), case
+    assert spec_outcome(CutSpec, 1.0) == spec_outcome(cut_oracle, 1.0)
+    assert spec_outcome(CreaseSpec, 1.0, ExactAngle(1, 3)) == spec_outcome(
+        crease_oracle, 1.0, ExactAngle(1, 3))
+
+
+def _value_objects():
+    program = triangle_program()
+    crease = program.creases[0]
+    return program, crease, CutSpec(0.5, ExactAngle(1, 3)), crease.angle, layout(program).panels[1]
+
+
+def test_value_types_are_slotted_and_frozen():
+    _, crease, cut, angle, panel = _value_objects()
+    for value in (crease, cut, angle, panel):
+        assert not hasattr(value, "__dict__")
+        name = dataclasses.fields(value)[0].name
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(value, name, getattr(value, name))
+    # replace builds through the checking constructor
+    with pytest.raises(MalformedProgramError, match="finite and positive"):
+        dataclasses.replace(crease, position=-1.0)
+    with pytest.raises(MalformedProgramError, match="cut position must be finite"):
+        dataclasses.replace(cut, position=math.nan)
+    assert dataclasses.replace(crease, layer_shift=-3).layer_shift == -3
+
+
+def test_value_types_pickle_and_copy():
+    for value in _value_objects():
+        for again in (pickle.loads(pickle.dumps(value)), copy.deepcopy(value), copy.copy(value)):
+            assert type(again) is type(value)
+            assert again == value
+            assert hash(again) == hash(value)
+            assert repr(again) == repr(value)
+
+
 def test_program_validation():
     c = CreaseSpec(1.0, ExactAngle(1, 2))
+    # a creases value that is not iterable once raised a bare TypeError
+    for creases in (None, 5, 1.5):
+        with pytest.raises(MalformedProgramError, match="iterable of CreaseSpec"):
+            FoldProgram(1.0, creases)
+    with pytest.raises(MalformedProgramError, match="CreaseSpec instances"):
+        FoldProgram(1.0, [c, "x"], presentation="truncated")
     with pytest.raises(MalformedProgramError):
         FoldProgram(width=0.0, creases=(c,), presentation="closed")
     with pytest.raises(MalformedProgramError):
@@ -659,7 +740,7 @@ def test_json_rejects_unsorted_creases():
     prog = triangle_program()
     doc = json.loads(prog.to_json())
     doc["creases"][0], doc["creases"][1] = doc["creases"][1], doc["creases"][0]
-    with pytest.raises(MalformedProgramError):
+    with pytest.raises(MalformedProgramError, match="crease positions must be strictly increasing"):
         FoldProgram.from_json(json.dumps(doc))
 
 

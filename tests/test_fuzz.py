@@ -3,7 +3,10 @@
 Program JSON: each case takes the JSON of a built program and mutates
 it: fields are deleted, replaced by wrong types, NaN and infinities,
 huge integers or nested junk, or nudged to other plausible numbers, and
-sometimes the text is cut short.  Command lines: each case draws a set
+sometimes the text is cut short.  Direct construction: ``CreaseSpec``,
+``CutSpec``, ``FoldProgram`` and ``RenderOptions`` get arbitrary Python
+values, among them real creases and cuts, and may only return or raise
+RibbonError.  Command lines: each case draws a set
 of flags and values for one subcommand and runs it in-process; it must
 exit 0, 1 or 2 without a traceback.  Closed polylines, some snapped to a
 coarse lattice, check the crossing search against its all-pairs oracle.
@@ -28,10 +31,14 @@ pytest.importorskip("hypothesis")
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from ribbonfold import (
+    CreaseSpec,
+    CutSpec,
+    ExactAngle,
     FamilyId,
     FoldProgram,
     InvalidDiagramError,
     Point,
+    RenderOptions,
     RibbonError,
     build,
     cli,
@@ -143,6 +150,37 @@ def test_fuzzed_programs_raise_only_ribbon_errors(text):
         lay = layout(program)
         if program.presentation == "closed":
             alexander_polynomial(extract_diagram(lay))
+    except RibbonError:
+        pass
+
+
+LEAVES = SCALARS | st.sampled_from([
+    ExactAngle(1, 3), ExactAngle(0, 1), CutSpec(0.5),
+    CreaseSpec(1.0, ExactAngle(1, 2)), CreaseSpec(2.0, ExactAngle(2, 3), -1),
+])
+# half of the values are leaves, the rest lists of leaves and nested lists
+ARGUMENTS = LEAVES | st.lists(
+    st.recursive(LEAVES, lambda inner: st.lists(inner, max_size=3), max_leaves=4), max_size=3)
+# each constructor's required arguments, then its optional ones
+CONSTRUCTORS = {
+    CreaseSpec: (("position", "angle"), ("layer_shift",)),
+    CutSpec: (("position",), ("angle",)),
+    FoldProgram: (("width", "creases"),
+                  ("presentation", "label", "start_cut", "end_cut", "weave")),
+    RenderOptions: ((), ("epsilon_display", "show_creases", "show_circumcircle",
+                         "show_centerline", "scale")),
+}
+
+
+@pytest.mark.parametrize("cls", CONSTRUCTORS, ids=lambda cls: cls.__name__)
+@settings(_FUZZ, max_examples=150)
+@given(data=st.data())
+def test_fuzzed_construction_raises_only_ribbon_errors(cls, data):
+    required, optional = CONSTRUCTORS[cls]
+    chosen = data.draw(st.lists(st.sampled_from(optional), unique=True))
+    kwargs = {name: data.draw(ARGUMENTS) for name in required + tuple(chosen)}
+    try:
+        cls(**kwargs)
     except RibbonError:
         pass
 

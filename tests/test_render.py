@@ -154,6 +154,12 @@ def test_options_validate():
         RenderOptions(scale=math.inf)
     with pytest.raises(ParameterError):
         RenderOptions(epsilon_display=math.inf)
+    # an int past the float range once raised OverflowError, and a bool
+    # was once taken as the number it equals
+    for kw in ({"scale": 10**400}, {"epsilon_display": 10**400},
+               {"scale": True}, {"epsilon_display": False}):
+        with pytest.raises(ParameterError):
+            RenderOptions(**kw)
 
 
 def test_overflowing_viewport_is_rejected():
