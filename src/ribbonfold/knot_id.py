@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -27,7 +28,7 @@ from .errors import (
 from .fold_core import FoldProgram, FoldedLayout, Point, layout
 
 DEFAULT_PERTURBATION_SCALE = 1e-3
-_TORUS_DEGREE_LIMIT = 10**6
+_DEGREE_LIMIT = 10**6
 
 
 # ------------------------------------------------------------ polynomials
@@ -39,15 +40,19 @@ class LaurentPolynomial:
     Alexander polynomials are defined only up to units +-t^k, so only
     the normalized representative is stored: ascending coefficients with
     lowest exponent 0 and a positive constant term.  Equality therefore
-    means "equal up to +-t^k".
+    means "equal up to +-t^k".  ``coefficients`` maps int exponents to int
+    coefficients, whose nonzero terms may span at most 10**6 exponents;
+    None gives the zero polynomial.
     """
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coefficients=None):
         terms = {}
-        if coefficients:
-            for exp, c in dict(coefficients).items():
+        if coefficients is not None:
+            if not isinstance(coefficients, Mapping):
+                raise InvalidInputError("coefficients must be a mapping of exponent to coefficient")
+            for exp, c in coefficients.items():
                 if isinstance(exp, bool) or not isinstance(exp, int):
                     raise InvalidInputError("exponents must be integers")
                 if isinstance(c, bool) or not isinstance(c, int):
@@ -56,9 +61,12 @@ class LaurentPolynomial:
                     terms[exp] = c
         self._coeffs = ()
         if terms:
-            low = min(terms)
+            low, high = min(terms), max(terms)
+            # the dense representative has one slot per exponent in the span
+            if high - low > _DEGREE_LIMIT:
+                raise InvalidInputError("exponent span exceeds %d" % _DEGREE_LIMIT)
             unit = 1 if terms[low] > 0 else -1
-            coeffs = [0] * (max(terms) - low + 1)
+            coeffs = [0] * (high - low + 1)
             for exp, c in terms.items():
                 coeffs[exp - low] = unit * c
             self._coeffs = tuple(coeffs)
@@ -124,7 +132,12 @@ class LaurentPolynomial:
         return "LaurentPolynomial(%r)" % (self.coefficients,)
 
 
-# dense integer polynomial helpers (ascending coefficients, no gaps)
+# Z[t] arithmetic.  Polynomials are dense ascending coefficient lists with
+# no trailing zero.  Products and sums loop over nonzero terms only, and
+# exact division subtracts only the divisor's nonzero terms; both take
+# operands as ascending (exponent, coefficient) term lists, so that
+# elimination lists an operand it reuses once instead of scanning its
+# zeros on every use.
 
 
 def _pstrip(a: List[int]) -> List[int]:
@@ -133,58 +146,99 @@ def _pstrip(a: List[int]) -> List[int]:
     return a
 
 
-def _paxpy(acc: List[int], f: List[int], v: List[int]) -> List[int]:
-    """acc + f * v over Z[t], as a new stripped list.
+def _terms(a: List[int]) -> List[Tuple[int, int]]:
+    """The nonzero terms (exponent, coefficient) of a, ascending."""
+    return [(e, c) for e, c in enumerate(a) if c]
 
-    Each nonzero term of the shorter factor adds its multiple of every
-    nonzero term of the longer one; the entries Bareiss elimination
-    multiplies are long but mostly zero.
-    """
+
+def _dense(terms: List[Tuple[int, int]]) -> List[int]:
+    """The stripped coefficient list of an ascending term list."""
+    out = [0] * (terms[-1][0] + 1) if terms else []
+    for e, c in terms:
+        out[e] = c
+    return out
+
+
+def _add_product(out: List[int], low: int, f, v) -> None:
+    """Add f * v, for term lists f and v, into the dense list ``out``,
+    whose first slot holds the coefficient of t^low; the shorter term list
+    runs the outer loop."""
     if len(f) > len(v):
         f, v = v, f
-    if not f:
-        # a zero product; padding to len(v) would only be stripped again
+    for i, c in f:
+        i -= low
+        for j, y in v:
+            out[i + j] += c * y
+
+
+def _axpy_terms(acc: List[int], f, v) -> List[int]:
+    """acc + f * v over Z[t] for term lists f and v, as a new stripped list."""
+    if not f or not v:
+        # a zero product; padding would only be stripped again
         return _pstrip(list(acc))
-    terms = [(j, y) for j, y in enumerate(v) if y]
-    out = acc + [0] * (len(f) + len(v) - 1 - len(acc))
-    for i, c in enumerate(f):
-        if c:
-            for j, y in terms:
-                out[i + j] += c * y
+    out = acc + [0] * (f[-1][0] + v[-1][0] + 1 - len(acc))
+    _add_product(out, 0, f, v)
     return _pstrip(out)
+
+
+def _paxpy(acc: List[int], f: List[int], v: List[int]) -> List[int]:
+    """acc + f * v over Z[t], as a new stripped list."""
+    return _axpy_terms(acc, _terms(f), _terms(v))
+
+
+def _divide(rem: List[int], low: int, b: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
+    """Exact quotient in Z[t], as a term list, of the dividend held in the
+    dense list ``rem`` (first slot the coefficient of t^low, no exponent
+    below low) by the term list ``b``.  Consumes ``rem``; raises
+    InconsistencyError if the quotient is not integral.
+
+    A quotient term at t^d pairs with a dividend term at t^(d + b's lowest
+    exponent), so d runs from the top of ``rem`` down to low minus that
+    exponent, and past that only the slots below b's degree must be zero.
+    Each nonzero leading coefficient subtracts its multiple of b's lower
+    terms; the leading term cancels by construction and is not written.
+    """
+    if not b:
+        raise InconsistencyError("polynomial division by zero")
+    top, lead = b[-1]
+    lower = b[:-1]
+    stop = max(low - b[0][0], 0)
+    quotient = []
+    for d in range(low + len(rem) - 1 - top, stop - 1, -1):
+        c = rem[d + top - low]
+        if c:
+            q, r = divmod(c, lead)
+            if r:
+                raise InconsistencyError("polynomial division is not exact")
+            quotient.append((d, q))
+            shift = d - low
+            for e, cb in lower:
+                rem[shift + e] -= q * cb
+    if any(rem[:stop + top - low]):
+        raise InconsistencyError("polynomial division left a remainder")
+    quotient.reverse()
+    return quotient
 
 
 def _pdiv_exact(a: List[int], b: List[int]) -> List[int]:
     """Exact division in Z[t]; raises if the quotient is not integral."""
-    if not b:
-        raise InconsistencyError("polynomial division by zero")
-    if not a:
-        return []
-    rem = list(a)
-    out = [0] * (len(a) - len(b) + 1)
-    lead = b[-1]
-    for k in range(len(out) - 1, -1, -1):
-        c = rem[k + len(b) - 1]
-        if c % lead != 0:
-            raise InconsistencyError("polynomial division is not exact")
-        q = c // lead
-        out[k] = q
-        if q:
-            for j, cb in enumerate(b):
-                rem[k + j] -= q * cb
-    if any(rem):
-        raise InconsistencyError("polynomial division left a remainder")
-    return _pstrip(out)
+    return _dense(_divide(list(a), 0, _terms(b)))
 
 
 def _poly_bareiss(matrix: List[List[List[int]]]) -> List[int]:
-    """Fraction-free determinant of a matrix of integer polynomials."""
+    """Fraction-free determinant of a matrix of integer polynomials.
+
+    Every entry is listed as nonzero terms once, on entry.  A step forms
+    each numerator m[i][j] * pivot - m[i][k] * m[k][j] in a dense list
+    that spans only its own exponents, and divides it exactly by the
+    previous pivot.
+    """
     n = len(matrix)
     if n == 0:
         return [1]
-    m = [row[:] for row in matrix]
+    m = [[_terms(v) for v in row] for row in matrix]
     sign = 1
-    prev = [1]
+    prev = [(0, 1)]
     for k in range(n - 1):
         if not m[k][k]:
             for r in range(k + 1, n):
@@ -194,14 +248,32 @@ def _poly_bareiss(matrix: List[List[List[int]]]) -> List[int]:
                     break
             else:
                 return []
+        pivot = m[k][k]
+        p_low, p_high = pivot[0][0], pivot[-1][0]
+        pivot_row = m[k][k + 1:]
         for i in range(k + 1, n):
-            neg = [-c for c in m[i][k]]
-            for j in range(k + 1, n):
-                num = _paxpy(_paxpy([], m[i][j], m[k][k]), neg, m[k][j])
-                m[i][j] = _pdiv_exact(num, prev)
-            m[i][k] = []
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
+            row = m[i]
+            neg = [(e, -c) for e, c in row[k]]
+            for j, v in enumerate(pivot_row, k + 1):
+                a = row[j]
+                if neg and v:
+                    low, high = neg[0][0] + v[0][0], neg[-1][0] + v[-1][0]
+                    if a:
+                        low, high = min(low, a[0][0] + p_low), max(high, a[-1][0] + p_high)
+                elif a:
+                    low, high = a[0][0] + p_low, a[-1][0] + p_high
+                else:
+                    row[j] = []
+                    continue
+                num = [0] * (high + 1 - low)
+                if a:
+                    _add_product(num, low, a, pivot)
+                if neg and v:
+                    _add_product(num, low, neg, v)
+                row[j] = _divide(num, low, prev)
+            row[k] = []
+        prev = pivot
+    det = _dense(m[n - 1][n - 1])
     return [-c for c in det] if sign < 0 else det
 
 
@@ -212,57 +284,75 @@ def _unit_pivot_det(rows: List[Dict[int, List[int]]], columns: Sequence[int]) ->
     Elimination pivots only on constant entries +-1, chosen by Markowitz
     cost (row nnz - 1) * (col nnz - 1) with ties to the lowest (row, col).
     Dividing by a unit is exact, and units and row/column order change the
-    determinant only by a sign.  The block left when no unit pivot
-    remains goes to fraction-free elimination.
+    determinant only by a sign.  Each pivot lists the nonzero terms of its
+    row's entries once, and each row it changes those of its factor once.
+    The block left when no unit pivot remains goes to fraction-free
+    elimination.
     """
     rows = [dict(r) for r in rows]
     col_rows: Dict[int, set] = {j: set() for j in columns}
+    # the unit entries, by column and by row
+    col_units: Dict[int, set] = {j: set() for j in columns}
+    row_units = [set() for _ in rows]
     for i, row in enumerate(rows):
-        for j in row:
+        for j, v in row.items():
             col_rows[j].add(i)
+            if len(v) == 1 and (v[0] == 1 or v[0] == -1):
+                col_units[j].add(i)
+                row_units[i].add(j)
     live = set(range(len(rows)))
     heap: List[Tuple[int, int, int]] = []
-
-    def offer(i: int, j: int) -> None:
-        v = rows[i][j]
-        if len(v) == 1 and (v[0] == 1 or v[0] == -1):
-            heapq.heappush(heap, ((len(rows[i]) - 1) * (len(col_rows[j]) - 1), i, j))
-
-    for i, row in enumerate(rows):
-        for j in row:
-            offer(i, j)
+    push = heapq.heappush
+    # every unit entry is a pivot candidate; every change to an entry or
+    # its cost pushes a fresh key, so a key that no longer matches its
+    # entry is stale
+    for i, units in enumerate(row_units):
+        for j in units:
+            push(heap, ((len(rows[i]) - 1) * (len(col_rows[j]) - 1), i, j))
     while heap:
         cost, r, c = heapq.heappop(heap)
         pivot = rows[r]
-        # every change to an entry or its cost pushes a fresh key, so a
-        # key that no longer matches its entry is stale
         if (r not in live or pivot.get(c) not in ([1], [-1])
                 or cost != (len(pivot) - 1) * (len(col_rows[c]) - 1)):
             continue
-        # row_i -= (f / u) * pivot, and 1/u == u for a unit u
+        # row_i -= (f / u) * pivot, and 1/u == u for a unit u, so each
+        # changed row adds its factor f times the pivot row scaled by -u
         u = pivot.pop(c)[0]
         live.remove(r)
         for j in pivot:
             col_rows[j].discard(r)
+            col_units[j].discard(r)
         changed = col_rows.pop(c)
         changed.discard(r)
+        del col_units[c]
+        pivot_terms = [(j, [(e, -u * x) for e, x in enumerate(v) if x]) for j, v in pivot.items()]
         for i in changed:
             row = rows[i]
-            factor = [-u * x for x in row.pop(c)]
-            for j, v in pivot.items():
-                entry = _paxpy(row.get(j, []), factor, v)
+            units = row_units[i]
+            units.discard(c)
+            factor = _terms(row.pop(c))
+            for j, v in pivot_terms:
+                entry = _axpy_terms(row.get(j, []), factor, v)
                 if entry:
                     row[j] = entry
                     col_rows[j].add(i)
                 elif j in row:
                     del row[j]
                     col_rows[j].discard(i)
+                if len(entry) == 1 and (entry[0] == 1 or entry[0] == -1):
+                    units.add(j)
+                    col_units[j].add(i)
+                elif j in units:
+                    units.discard(j)
+                    col_units[j].discard(i)
         for i in changed:
-            for j in rows[i]:
-                offer(i, j)
+            nnz = len(rows[i]) - 1
+            for j in row_units[i]:
+                push(heap, (nnz * (len(col_rows[j]) - 1), i, j))
         for j in pivot:
-            for i in col_rows[j]:
-                offer(i, j)
+            nnz = len(col_rows[j]) - 1
+            for i in col_units[j]:
+                push(heap, ((len(rows[i]) - 1) * nnz, i, j))
     rest = sorted(live)
     cols = sorted(col_rows)
     return _poly_bareiss([[rows[i].get(j, []) for j in cols] for i in rest])
@@ -308,7 +398,15 @@ class KnotDiagram:
         # the first
         arc = -1
         passed = 0
-        for cid, over, sign in self.gauss:
+        try:
+            code = iter(self.gauss)
+        except TypeError:
+            raise InvalidDiagramError("a Gauss code must be an iterable of triples") from None
+        for entry in code:
+            try:
+                cid, over, sign = entry
+            except (TypeError, ValueError):
+                raise InvalidDiagramError("each Gauss code entry must be a triple") from None
             # type checks, not int(), which would pass a float or a string
             if type(cid) is not int or type(sign) is not int or (sign != 1 and sign != -1):
                 raise InvalidDiagramError("crossing ids must be ints, signs the ints +1 or -1")
@@ -410,8 +508,8 @@ def torus_alexander(p: int, q: int) -> LaurentPolynomial:
             raise InvalidInputError("torus parameters must be integers >= 1")
     if math.gcd(p, q) != 1:
         raise InvalidInputError("torus knot parameters must be coprime")
-    if (p - 1) * (q - 1) > _TORUS_DEGREE_LIMIT:
-        raise InvalidInputError("torus knot degree (p-1)(q-1) exceeds %d" % _TORUS_DEGREE_LIMIT)
+    if (p - 1) * (q - 1) > _DEGREE_LIMIT:
+        raise InvalidInputError("torus knot degree (p-1)(q-1) exceeds %d" % _DEGREE_LIMIT)
     if min(p, q) == 1:
         return LaurentPolynomial.from_list([1])
 

@@ -74,6 +74,10 @@ class RenderOptions:
             # compared exactly, so an int past the float range counts as inf
             if getattr(self, name) > sys.float_info.max:
                 raise ParameterError("%s must be finite" % name)
+        # to_svg reads the flags by truth value, which any object has
+        for name in ("show_creases", "show_circumcircle", "show_centerline"):
+            if not isinstance(getattr(self, name), bool):
+                raise ParameterError("%s must be a bool" % name)
 
 
 def _num(x: float) -> str:

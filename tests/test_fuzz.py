@@ -4,16 +4,18 @@ Program JSON: each case takes the JSON of a built program and mutates
 it: fields are deleted, replaced by wrong types, NaN and infinities,
 huge integers or nested junk, or nudged to other plausible numbers, and
 sometimes the text is cut short.  Direct construction: ``CreaseSpec``,
-``CutSpec``, ``FoldProgram`` and ``RenderOptions`` get arbitrary Python
-values, among them real creases and cuts, and may only return or raise
-RibbonError.  Command lines: each case draws a set
+``CutSpec``, ``FoldProgram``, ``RenderOptions``, ``KnotDiagram`` and
+``LaurentPolynomial`` get arbitrary Python values, among them real creases
+and cuts, and may only return or raise RibbonError; ``RenderOptions``
+must refuse a flag that is not a bool.  Command lines: each case draws a set
 of flags and values for one subcommand and runs it in-process; it must
 exit 0, 1 or 2 without a traceback.  Closed polylines, some snapped to a
 coarse lattice, check the crossing search against its all-pairs oracle.
 Coefficient lists check the determinant's fused Z[t] update against a
-separate product and sum.  Signed Gauss codes, valid or with one
-corruption, check ``KnotDiagram``'s one walk against a separate
-validation and derivation.
+separate product and sum, and its exact division, by divisors with
+interior zeros, against the product it must undo.  Signed Gauss codes,
+valid or with one corruption, check ``KnotDiagram``'s one walk against a
+separate validation and derivation.
 Every run is derandomized, so it checks the same cases every time.
 """
 
@@ -36,7 +38,9 @@ from ribbonfold import (
     ExactAngle,
     FamilyId,
     FoldProgram,
+    InconsistencyError,
     InvalidDiagramError,
+    ParameterError,
     Point,
     RenderOptions,
     RibbonError,
@@ -46,8 +50,14 @@ from ribbonfold import (
 )
 from ribbonfold.knot_id import (
     KnotDiagram,
+    LaurentPolynomial,
+    _dense,
+    _divide,
     _find_crossings,
     _paxpy,
+    _pdiv_exact,
+    _pstrip,
+    _terms,
     alexander_polynomial,
     extract_diagram,
 )
@@ -158,9 +168,11 @@ LEAVES = SCALARS | st.sampled_from([
     ExactAngle(1, 3), ExactAngle(0, 1), CutSpec(0.5),
     CreaseSpec(1.0, ExactAngle(1, 2)), CreaseSpec(2.0, ExactAngle(2, 3), -1),
 ])
-# half of the values are leaves, the rest lists of leaves and nested lists
+# values are leaves, lists of leaves and nested lists, or small dicts of
+# scalars to leaves
 ARGUMENTS = LEAVES | st.lists(
-    st.recursive(LEAVES, lambda inner: st.lists(inner, max_size=3), max_leaves=4), max_size=3)
+    st.recursive(LEAVES, lambda inner: st.lists(inner, max_size=3), max_leaves=4), max_size=3
+) | st.dictionaries(SCALARS, LEAVES, max_size=3)
 # each constructor's required arguments, then its optional ones
 CONSTRUCTORS = {
     CreaseSpec: (("position", "angle"), ("layer_shift",)),
@@ -169,7 +181,10 @@ CONSTRUCTORS = {
                   ("presentation", "label", "start_cut", "end_cut", "weave")),
     RenderOptions: ((), ("epsilon_display", "show_creases", "show_circumcircle",
                          "show_centerline", "scale")),
+    KnotDiagram: (("gauss",), ()),
+    LaurentPolynomial: ((), ("coefficients",)),
 }
+RENDER_FLAGS = ("show_creases", "show_circumcircle", "show_centerline")
 
 
 @pytest.mark.parametrize("cls", CONSTRUCTORS, ids=lambda cls: cls.__name__)
@@ -177,8 +192,14 @@ CONSTRUCTORS = {
 @given(data=st.data())
 def test_fuzzed_construction_raises_only_ribbon_errors(cls, data):
     required, optional = CONSTRUCTORS[cls]
-    chosen = data.draw(st.lists(st.sampled_from(optional), unique=True))
+    chosen = data.draw(st.lists(st.sampled_from(optional), unique=True)) if optional else []
     kwargs = {name: data.draw(ARGUMENTS) for name in required + tuple(chosen)}
+    if cls is RenderOptions and any(
+            not isinstance(kwargs.get(name, True), bool) for name in RENDER_FLAGS):
+        # to_svg reads a flag by its truth value, so only a bool may pass
+        with pytest.raises(ParameterError):
+            cls(**kwargs)
+        return
     try:
         cls(**kwargs)
     except RibbonError:
@@ -334,6 +355,40 @@ def test_paxpy_matches_separate_product_and_sum(acc, f, v):
     got = _paxpy(acc, f, v)
     assert got == _padd(acc, _pmul(f, v))
     assert (acc, f, v) == inputs and got is not acc
+
+
+@st.composite
+def gapped_divisors(draw):
+    """Divisors with a run of interior zeros, some with low zeros too (a
+    factor t^k), and a leading coefficient that is not always a unit."""
+    low = [0] * draw(st.integers(0, 3))
+    first = [draw(st.sampled_from([-2, -1, 1, 3]))]
+    gap = [0] * draw(st.integers(1, 6))
+    lead = [draw(st.sampled_from([-1, 1, 2, -3, 10**30]))]
+    return low + first + gap + draw(COEFFICIENT_LISTS) + lead
+
+
+@settings(_FUZZ, max_examples=300)
+@given(gapped_divisors(), COEFFICIENT_LISTS, COEFFICIENT_LISTS, st.integers(0, 4))
+def test_exact_division_undoes_the_product(b, quotient, remainder, low):
+    a = _pmul(quotient, b)
+    want = _pstrip(list(quotient))
+    inputs = (list(a), list(b))
+    assert _pdiv_exact(a, b) == want
+    assert (a, b) == inputs
+    # the same dividend held from t^low, as elimination holds a numerator
+    if not any(a[:low]):
+        assert _dense(_divide(a[low:], low, _terms(b))) == want
+    # b has two nonzero terms at least, so adding t^deg(b) or a nonzero
+    # remainder below deg(b) leaves a non-multiple
+    r = _pstrip(remainder[:len(b) - 1])
+    for other in ([0] * (len(b) - 1) + [1], r):
+        if other:
+            with pytest.raises(InconsistencyError):
+                _pdiv_exact(_padd(a, other), b)
+    # a divisor of zeros only once raised ZeroDivisionError
+    with pytest.raises(InconsistencyError):
+        _pdiv_exact(a, [0] * len(b))
 
 
 @st.composite

@@ -90,6 +90,17 @@ def test_polynomial_rejects_non_integers():
         LaurentPolynomial({0: 1.5})
     with pytest.raises(InvalidInputError):
         LaurentPolynomial({0.5: 1})
+    # only a mapping gives exponents; these once raised TypeError and
+    # ValueError from dict()
+    for arg in ([1, 2], "ab", 5, [(0, 1)]):
+        with pytest.raises(InvalidInputError):
+            LaurentPolynomial(arg)
+    # the dense representative has a slot per exponent of the span, so a
+    # span past the degree limit is refused before anything is allocated
+    for terms in ({0: 1, 2**63: 1}, {-1: 1, 10**6: 1}, {0: 1, 10**10: -2}):
+        with pytest.raises(InvalidInputError):
+            LaurentPolynomial(terms)
+    assert LaurentPolynomial({-5: 1, 10**6 - 5: -1}).degree == 10**6
 
 
 # -------------------------------------------------------------- torus oracle
@@ -151,7 +162,15 @@ def test_knot_diagram_rejects_malformed_codes():
                   [(1, True, True), (1, False, True)],
                   [(1, 2, 1), (1, 0, 1)],
                   [(1, 1.0, 1), (1, 0, 1)],
-                  [(1, "yes", 1), (1, None, 1)]):
+                  [(1, "yes", 1), (1, None, 1)],
+                  # not a sequence of triples
+                  5,
+                  None,
+                  [(1, True)],
+                  [(1, True, 1), (1, False)],
+                  [(1, True, 1, 0), (1, False, 1, 0)],
+                  [5, 6],
+                  [None]):
         with pytest.raises(InvalidDiagramError):
             KnotDiagram(gauss)
     # the ints 0 and 1 stand for the over flags False and True
@@ -232,9 +251,13 @@ def test_sparse_determinant_matches_dense_oracle():
                         == dense_alexander(diagram, row=r, col=c)), (name, r, c)
 
 
-@pytest.mark.parametrize(
-    "tag,n", [("odd_wrap", 10), ("odd_wrap", 20), ("pinwheel", 7), ("star_polygon", 101)]
-)
+# odd_wrap q=40 (T(41,40), 3159 crossings) and even_wrap_plus2 q=21
+# (T(44,21), 880 crossings) are at the paper's sizes, where the Alexander
+# determinant, not extraction, takes the time
+@pytest.mark.parametrize("tag,n", [
+    ("odd_wrap", 10), ("odd_wrap", 20), ("pinwheel", 7), ("star_polygon", 101),
+    ("odd_wrap", 40), ("even_wrap_plus2", 21),
+])
 def test_large_constructions_certify(tag, n):
     family = FamilyId(tag, n)
     params = knot_type(family)
