@@ -16,12 +16,11 @@ import sys
 import tempfile
 from typing import Optional, Sequence, Tuple
 
+# every command needs these three; a handler imports the other modules
+# it runs, so a command compiles only those
 from .constructions import _FAMILIES, FamilyId, build
-from .errors import ClosureError, RibbonError
+from .errors import ClosureError, MalformedProgramError, RibbonError
 from .fold_core import FoldProgram, layout, ratio
-from .formulas import _bounds_text, closed_form_ratio, quotient_table
-from .knot_id import alexander_polynomial, certification_report, extract_diagram
-from .render import RenderOptions, to_svg
 
 __all__ = ["main"]
 
@@ -68,7 +67,11 @@ def _family_id(args: argparse.Namespace) -> FamilyId:
 
 def _read_program(path: str) -> FoldProgram:
     with open(path, "r", encoding="utf-8") as handle:
-        return FoldProgram.from_json(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise MalformedProgramError("%s is not UTF-8 text: %s" % (path, exc)) from exc
+    return FoldProgram.from_json(text)
 
 
 def _write_text(path: Optional[str], text: str) -> None:
@@ -96,6 +99,8 @@ def _run_build(args: argparse.Namespace) -> int:
 
 
 def _run_verify(args: argparse.Namespace) -> int:
+    from .formulas import closed_form_ratio
+
     family = _family_id(args)
     formula = closed_form_ratio(family, args.presentation)
     # build first: a rejected parameter exits 2 before anything is written
@@ -124,6 +129,8 @@ def _run_verify(args: argparse.Namespace) -> int:
         out.write("relative_error=%r tolerance=%r -> %s\n"
                   % (rel, args.tolerance, "OK" if ok else "FAIL"))
     if args.knot_check:
+        from .knot_id import alexander_polynomial, certification_report, extract_diagram
+
         diagram = extract_diagram(lay)
         report = certification_report(diagram, alexander_polynomial(diagram), family)
         out.write("knot_check: %s\n" % report.summary())
@@ -133,6 +140,8 @@ def _run_verify(args: argparse.Namespace) -> int:
 
 
 def _run_table(args: argparse.Namespace) -> int:
+    from .formulas import _bounds_text, quotient_table
+
     if args.table_kind == "bounds":
         text = _bounds_text(args.format)
     else:
@@ -142,6 +151,8 @@ def _run_table(args: argparse.Namespace) -> int:
 
 
 def _run_render(args: argparse.Namespace) -> int:
+    from .render import RenderOptions, to_svg
+
     program = _read_program(args.input)
     options = RenderOptions(
         epsilon_display=args.epsilon_display,
@@ -155,6 +166,8 @@ def _run_render(args: argparse.Namespace) -> int:
 
 
 def _run_identify(args: argparse.Namespace) -> int:
+    from .knot_id import alexander_polynomial, certification_report, extract_diagram
+
     if (args.input is None) == (args.family is None):
         raise _UsageError("identify needs exactly one of --input or --family")
     if args.input is not None:

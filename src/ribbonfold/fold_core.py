@@ -462,7 +462,9 @@ class FoldProgram:
     def from_json(cls, text: str) -> "FoldProgram":
         try:
             doc = json.loads(text)
-        except ValueError as exc:
+        # a document nested past the interpreter's recursion limit raises
+        # RecursionError, not ValueError
+        except (ValueError, RecursionError) as exc:
             raise MalformedProgramError("invalid JSON: %s" % exc) from exc
         _require(isinstance(doc, dict), "program document must be a JSON object")
         _require("width" in doc, "missing field 'width'")

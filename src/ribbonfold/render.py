@@ -12,11 +12,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import List, Sequence, Tuple
+from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from .errors import InvalidInputError, ParameterError
 from .fold_core import FoldedLayout, Point
-from .formulas import RatioReport
+
+if TYPE_CHECKING:
+    from .formulas import RatioReport
 
 __all__ = ["RenderOptions", "render_table_figure", "to_svg"]
 

@@ -3,11 +3,14 @@
 import hashlib
 import json
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 
 import pytest
 
 from ribbonfold.cli import main
+from ribbonfold.constructions import FamilyId, build
 from ribbonfold.fold_core import CreaseSpec, ExactAngle, FoldProgram, layout
 
 
@@ -326,11 +329,20 @@ def test_verify_short_52_where_angles_once_snapped(capsys):
     assert out.endswith("verify: PASS\n")
 
 
-def test_malformed_program_file_exits_two(capsys, tmp_path):
+@pytest.mark.parametrize("command", ["identify", "render"])
+@pytest.mark.parametrize("content", [
+    pytest.param(b"{\"width\": -1", id="truncated"),
+    # both once ended in a bare traceback with exit code 1
+    pytest.param(b"\xff\xfe", id="not-utf8"),
+    pytest.param(b"[" * 200000 + b"]" * 200000, id="nested-past-recursion-limit"),
+])
+def test_malformed_program_file_exits_two(capsys, tmp_path, command, content):
     bad = tmp_path / "bad.json"
-    bad.write_text("{\"width\": -1")
-    code, _, err = run_cli(capsys, "render", "--input", str(bad))
-    assert code == 2 and err
+    bad.write_bytes(content)
+    code, out, err = run_cli(capsys, command, "--input", str(bad))
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+    assert "Traceback" not in err
 
 
 def test_crease_line_lost_to_rounding_exits_two(capsys, tmp_path):
@@ -379,3 +391,43 @@ def test_unknown_arguments_exit_two(capsys):
 def test_help_exits_zero(capsys):
     assert main(["--help"]) == 0
     capsys.readouterr()
+
+
+# runs one command as ``python -m ribbonfold.cli`` does, then writes the
+# ribbonfold modules it loaded to the file named first
+MODULE_SET_SCRIPT = """
+import json, runpy, sys
+out = sys.argv.pop(1)
+try:
+    runpy.run_module("ribbonfold.cli", run_name="__main__", alter_sys=True)
+finally:
+    with open(out, "w") as handle:
+        json.dump(sorted(m for m in sys.modules if m.startswith("ribbonfold")), handle)
+"""
+SHARED_MODULES = ["ribbonfold", "ribbonfold.constructions", "ribbonfold.errors",
+                  "ribbonfold.fold_core"]
+
+
+@pytest.mark.parametrize("argv,extra", [
+    pytest.param(["build", "--family", "odd-wrap", "--q", "3"], [], id="build"),
+    pytest.param(["table", "--quotients"], ["formulas"], id="table-quotients"),
+    pytest.param(["table", "--bounds"], ["formulas"], id="table-bounds"),
+    pytest.param(["verify", "--family", "odd-wrap", "--q", "3"], ["formulas"], id="verify"),
+    pytest.param(["verify", "--family", "odd-wrap", "--q", "3", "--knot-check"],
+                 ["formulas", "knot_id"], id="verify-knot-check"),
+    pytest.param(["render", "--input", "program.json"], ["render"], id="render"),
+    pytest.param(["identify", "--input", "program.json"], ["knot_id"], id="identify-input"),
+    pytest.param(["identify", "--family", "odd-wrap", "--q", "3"], ["knot_id"],
+                 id="identify-family"),
+])
+def test_command_loads_only_the_modules_it_runs(tmp_path, argv, extra):
+    (tmp_path / "program.json").write_text(build(FamilyId("odd_wrap", 3)).to_json())
+    (tmp_path / "modules.py").write_text(MODULE_SET_SCRIPT)
+    src = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
+    result = subprocess.run(
+        [sys.executable, "modules.py", "modules.json"] + argv,
+        cwd=tmp_path, env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    loaded = json.loads((tmp_path / "modules.json").read_text())
+    assert loaded == sorted(SHARED_MODULES + ["ribbonfold." + name for name in extra])

@@ -762,6 +762,9 @@ def test_json_rejects_missing_and_bad_fields():
         FoldProgram.from_json("not json at all")
     with pytest.raises(MalformedProgramError):
         FoldProgram.from_json("[1, 2, 3]")
+    # json.loads raises RecursionError, no ValueError, on this nesting
+    with pytest.raises(MalformedProgramError, match="invalid JSON"):
+        FoldProgram.from_json("[" * 200000 + "]" * 200000)
 
 
 def test_json_rejects_integers_past_the_float_range():
