@@ -243,7 +243,9 @@ class WeaveRule:
     other mode replaces the layer order at every crossing: "alternating"
     alternates over/under along the strand, "torus" sends the
     outward-bound strand over, and "explicit" lists signed crossing
-    pairs directly.
+    pairs directly: (i, j, 1) puts segment i over segment j, and
+    (i, j, -1) or (j, i, 1) puts j over i.  A segment pair may be listed
+    again only with the same meaning.
     """
 
     mode: str
@@ -255,6 +257,8 @@ class WeaveRule:
         if not isinstance(self.pairs, (tuple, list)):
             raise MalformedProgramError("weave pairs must be a sequence of triples")
         pairs = []
+        # the sign of each listed segment pair, as (lower, higher)
+        senses = {}
         for entry in self.pairs:
             if not isinstance(entry, (tuple, list)) or len(entry) != 3:
                 raise MalformedProgramError("weave pair must be a triple (i, j, +-1)")
@@ -270,6 +274,10 @@ class WeaveRule:
                 raise MalformedProgramError("weave pair entries must be integers")
             if i == j or s not in (-1, 1):
                 raise MalformedProgramError("weave pair must be (i, j, +-1) with i != j")
+            key, sense = ((i, j), s) if i < j else ((j, i), -s)
+            if senses.setdefault(key, sense) != sense:
+                raise MalformedProgramError(
+                    "weave pair (%d, %d, %d) contradicts an earlier pair" % (i, j, s))
             pairs.append((i, j, s))
         if pairs and self.mode != "explicit":
             raise MalformedProgramError("weave pairs are only valid in explicit mode")
@@ -548,6 +556,8 @@ class FoldedLayout:
     def width(self) -> float:
         if self.source is not None:
             return self.source.width
+        if not self.panels:
+            raise InvalidInputError("layout has no panels")
         return _panel_frames(self.panels[:1])[0][0]
 
     def bounding_box(self) -> Tuple[float, float, float, float]:

@@ -391,8 +391,11 @@ class KnotDiagram:
 
     def __post_init__(self) -> None:
         entries = []
-        over_arc: Dict[int, Tuple[int, int]] = {}
-        under: Dict[int, Tuple[int, int, int]] = {}
+        # per crossing id, twice the arc before its over-passage and twice
+        # the out-arc of its under-passage (whose in-arc is one less), each
+        # plus 1 for a positive sign
+        over_arc = {}
+        under = {}
         # the strand is on arc k - 1 before the k-th under-passage, and on
         # the last arc, -1 mod the final count of under-passages, before
         # the first
@@ -415,12 +418,14 @@ class KnotDiagram:
                     raise InvalidDiagramError("over flag must be a bool, 0 or 1")
                 over = over == 1
             if over:
-                over_arc[cid] = (arc, sign)
+                over_arc[cid] = arc + arc + (sign > 0)
             else:
-                under[cid] = (arc, passed, sign)
+                under[cid] = passed + passed + (sign > 0)
                 arc = passed
                 passed += 1
-            entries.append((cid, over, sign))
+            # a tuple whose flag was a bool already is (int, bool, int)
+            entries.append(entry if type(entry) is tuple and entry[1] is over
+                           else (cid, over, sign))
         if not entries:
             raise InvalidDiagramError("empty Gauss code")
         # a repeated passage overwrites its first record, so the two maps
@@ -431,11 +436,13 @@ class KnotDiagram:
             raise InvalidDiagramError("every crossing must pass once over and once under")
         crossings = []
         for cid in sorted(under):
-            o_arc, o_sign = over_arc[cid]
-            in_arc, out_arc, sign = under[cid]
-            if o_sign != sign:
+            o, u = over_arc[cid], under[cid]
+            if (o ^ u) & 1:
                 raise InvalidDiagramError("crossing %d has inconsistent signs" % cid)
-            crossings.append(Crossing._make((cid, o_arc % passed, in_arc % passed, out_arc, sign)))
+            out_arc = u >> 1
+            # tuple.__new__ skips the Python-level call of Crossing._make
+            crossings.append(tuple.__new__(Crossing, (
+                cid, (o >> 1) % passed, (out_arc - 1) % passed, out_arc, 1 if u & 1 else -1)))
         object.__setattr__(self, "gauss", tuple(entries))
         object.__setattr__(self, "crossings", tuple(crossings))
 
@@ -553,12 +560,14 @@ def _parallel_partners(dxs: List[float], dys: List[float]) -> List[int]:
     past pi so that angles just above 0 meet angles just below pi.
     """
     m = len(dxs)
-    angles = sorted(zip([a % math.pi for a in map(math.atan2, dys, dxs)], range(m)))
+    thetas = [a % math.pi for a in map(math.atan2, dys, dxs)]
+    # a stable sort: equal angles stay in index order
+    order = sorted(range(m), key=thetas.__getitem__)
     partners = [0] * m
-    for r, (theta, k) in enumerate(angles):
+    for r, k in enumerate(order):
         for step in range(1, m):
-            other, j = angles[(r + step) % m]
-            if other + (math.pi if r + step >= m else 0.0) - theta > _DIRECTION_WINDOW:
+            j = order[(r + step) % m]
+            if thetas[j] + (math.pi if r + step >= m else 0.0) - thetas[k] > _DIRECTION_WINDOW:
                 break
             partners[k] |= 1 << j
             partners[j] |= 1 << k
@@ -713,7 +722,9 @@ def _find_crossings(vertices, scale: float, partners=None):
     ``vertices`` are finite with no two consecutive ones equal, and
     ``scale`` is their largest coordinate magnitude; ``partners`` are sorted
     here if not given.  Returns the segment vectors as lists (dxs, dys),
-    and the hits in ascending segment-pair order.
+    and the hits in ascending segment-pair order as six parallel lists
+    (i, t, j, s, x, y): hit h crosses segment i[h] at parameter t[h] with
+    segment j[h] at parameter s[h], at the point (x[h], y[h]).
     """
     xs = [v[0] for v in vertices]
     ys = [v[1] for v in vertices]
@@ -725,9 +736,7 @@ def _find_crossings(vertices, scale: float, partners=None):
     t_lo, t_hi, inner_hi = -tol_param, 1 + tol_param, 1 - tol_param
     tol_point = 1e-12 * max(scale, 1.0)
     lengths = list(map(math.hypot, dxs, dys))
-    # builds a Point without the Python-level call of Point's own __new__
-    new_point = tuple.__new__
-    hits = []
+    hits = his, hts, hjs, hss, hxs, hys = [], [], [], [], [], []
     for i, mask in enumerate(_candidate_masks(xs, ys, dxs, dys, scale, tol_param, partners)):
         axi, ayi, dix, diy, length_i = xs[i], ys[i], dxs[i], dys[i], lengths[i]
         while mask:
@@ -754,15 +763,20 @@ def _find_crossings(vertices, scale: float, partners=None):
                 raise DegenerateDiagramError(
                     "segments %d and %d touch at an endpoint" % (i, j)
                 )
-            hits.append((i, t, j, s, new_point(Point, (axi + t * dix, ayi + t * diy))))
+            his.append(i)
+            hts.append(t)
+            hjs.append(j)
+            hss.append(s)
+            hxs.append(axi + t * dix)
+            hys.append(ayi + t * diy)
     # two hits closer than tol_point differ by less than it in x
-    by_x = sorted((h[4] for h in hits), key=lambda p: p.x)
-    for a, pa in enumerate(by_x):
+    by_x = sorted(range(len(hxs)), key=hxs.__getitem__)
+    for a, ha in enumerate(by_x):
         for b in range(a + 1, len(by_x)):
-            pb = by_x[b]
-            if pb.x - pa.x >= tol_point:
+            hb = by_x[b]
+            if hxs[hb] - hxs[ha] >= tol_point:
                 break
-            if math.hypot(pa.x - pb.x, pa.y - pb.y) < tol_point:
+            if math.hypot(hxs[ha] - hxs[hb], hys[ha] - hys[hb]) < tol_point:
                 raise DegenerateDiagramError("multiple crossings coincide at one point")
     return (dxs, dys), hits
 
@@ -770,12 +784,15 @@ def _find_crossings(vertices, scale: float, partners=None):
 def _decide_over(hits, dxs, dys, order, layers, weave, vertices, scale):
     """Over/under decision per crossing; returns over_is_i flags.
 
-    ``order`` lists the passages (parameter, hit, is_i) in strand order.
+    ``hits`` are the parallel lists of ``_find_crossings``, and ``order``
+    lists the passages in strand order, 2h on hit h's segment i and
+    2h + 1 on its segment j.
     """
+    his, _, hjs, _, hxs, hys = hits
     mode = "layers" if weave is None else weave.mode
     if mode == "layers":
         flags = []
-        for (i, t, j, s, pos) in hits:
+        for i, j in zip(his, hjs):
             if layers[i] == layers[j]:
                 raise LayeringInconsistencyError(
                     "segments %d and %d share layer %d at a crossing" % (i, j, layers[i])
@@ -783,24 +800,28 @@ def _decide_over(hits, dxs, dys, order, layers, weave, vertices, scale):
             flags.append(layers[i] > layers[j])
         return flags
     if mode == "explicit":
+        # keyed by i * m + j; a pair naming no segment matches no hit
+        m = len(dxs)
         table = {}
-        for (a, b, s) in weave.pairs:
-            table[(a, b)] = s
-            table.setdefault((b, a), -s)
+        for a, b, s in weave.pairs:
+            if 0 <= a < m and 0 <= b < m:
+                table[a * m + b] = s
+                table[b * m + a] = -s
         flags = []
-        for (i, t, j, s_, pos) in hits:
-            if (i, j) not in table:
+        for i, j in zip(his, hjs):
+            s = table.get(i * m + j)
+            if s is None:
                 raise LayeringInconsistencyError(
                     "explicit weave has no entry for segments %d and %d" % (i, j)
                 )
-            flags.append(table[(i, j)] > 0)
+            flags.append(s > 0)
         return flags
     if mode == "torus":
         cx = math.fsum(v[0] for v in vertices) / len(vertices)
         cy = math.fsum(v[1] for v in vertices) / len(vertices)
         flags = []
-        for (i, t, j, s, pos) in hits:
-            rx, ry = pos.x - cx, pos.y - cy
+        for i, j, x, y in zip(his, hjs, hxs, hys):
+            rx, ry = x - cx, y - cy
             out_i = (dxs[i] * rx + dys[i] * ry) / math.hypot(dxs[i], dys[i])
             out_j = (dxs[j] * rx + dys[j] * ry) / math.hypot(dxs[j], dys[j])
             if abs(out_i - out_j) < 1e-9 * max(scale, 1.0):
@@ -810,14 +831,16 @@ def _decide_over(hits, dxs, dys, order, layers, weave, vertices, scale):
             flags.append(out_i > out_j)
         return flags
     if mode == "alternating":
-        # passage ranks along the strand; over on even ranks
-        first_rank = {}
-        flags = [None] * len(hits)
-        for rank, (_, h, is_i) in enumerate(order):
-            if h not in first_rank:
-                first_rank[h] = rank
-                flags[h] = (rank % 2 == 0) == is_i
-            elif (rank - first_rank[h]) % 2 == 0:
+        # passage ranks along the strand; over on even ranks, so a passage
+        # puts segment i of its hit over when its rank and the passage have
+        # one parity, and the two passages of a hit must agree
+        flags = [None] * len(his)
+        for rank, p in enumerate(order):
+            h = p >> 1
+            over_i = (rank & 1) == (p & 1)
+            if flags[h] is None:
+                flags[h] = over_i
+            elif flags[h] != over_i:
                 raise LayeringInconsistencyError(
                     "alternating weave is inconsistent at crossing %d" % h
                 )
@@ -848,6 +871,9 @@ def extract_diagram(
         raise DegenerateDiagramError("open strips do not close into a knot diagram")
     if len(lay.centerline) < 3:
         raise DegenerateDiagramError("too few segments to form a diagram")
+    # each segment reads its panel's layer
+    if len(lay.panels) != len(lay.centerline):
+        raise InconsistencyError("panel and centerline counts disagree")
     w = lay.width
     if perturbation is None:
         perturbation = DEFAULT_PERTURBATION_SCALE * w
@@ -897,29 +923,39 @@ def _extract_once(centerline, groups, partners, scale, layers, weave, epsilon) -
     else:
         vertices = [a for a, _ in centerline]
     (dxs, dys), hits = _find_crossings(vertices, scale, partners)
-    if not hits:
+    his, hts, hjs, hss, _, _ = hits
+    if not his:
         raise DegenerateDiagramError("centerline has no self-intersections")
-    # strand order, segment by segment; passages that tie on the parameter
-    # fall to the hit index, as in a sort on (segment, parameter, hit)
-    buckets: List[list] = [[] for _ in vertices]
-    for h, (i, t, j, s, _) in enumerate(hits):
-        buckets[i].append((t, h, True))
-        buckets[j].append((s, h, False))
-    order = [passage for bucket in buckets for passage in sorted(bucket)]
+    # passage 2h runs along segment his[h] at parameter hts[h], passage
+    # 2h + 1 along hjs[h] at hss[h]; strand order, segment by segment, in
+    # a stable sort on the parameter, so that passages that tie on it fall
+    # to the hit index, as in a sort on (segment, parameter, hit)
+    params = hts + hss
+    params[::2], params[1::2] = hts, hss
+    buckets = [[] for _ in vertices]
+    for h, (i, j) in enumerate(zip(his, hjs)):
+        buckets[i].append(2 * h)
+        buckets[j].append(2 * h + 1)
+    order = []
+    for bucket in buckets:
+        bucket.sort(key=params.__getitem__)
+        order += bucket
     over_is_i = _decide_over(hits, dxs, dys, order, layers, weave, vertices, scale)
     # ids number the crossings in order of first passage
-    ids: Dict[int, int] = {}
-    signs = [0] * len(hits)
+    ids = {}
+    signs = [0] * len(his)
     gauss = []
-    for _, h, is_i in order:
+    for p in order:
+        h = p >> 1
         if h not in ids:
             ids[h] = len(ids) + 1
-            i, _, j, _, _ = hits[h]
+            i, j = his[h], hjs[h]
             # the sign of over x under; under x over is its exact negation
             cross = dxs[i] * dys[j] - dys[i] * dxs[j]
             signs[h] = 1 if (cross > 0 if over_is_i[h] else cross < 0) else -1
-        gauss.append((ids[h], over_is_i[h] == is_i, signs[h]))
-    return KnotDiagram(tuple(gauss))
+        # over on segment i's passage (p even) exactly when over_is_i
+        gauss.append((ids[h], over_is_i[h] != (p & 1), signs[h]))
+    return KnotDiagram(gauss)
 
 
 # ------------------------------------------------------------ certification

@@ -497,12 +497,19 @@ def crossing_outcome(search, vertices):
     """A crossing search's hits as text, or the class and message it raised.
 
     ``scale`` is taken as extraction takes it, the largest coordinate
-    magnitude.
+    magnitude.  Hits given as the six parallel lists (i, t, j, s, x, y) of
+    ``knot_id._find_crossings`` are written as the oracle's list of
+    (i, t, j, s, Point) first, so that every float is compared by repr.
     """
     try:
-        return repr(search(vertices, max(max(abs(v.x), abs(v.y)) for v in vertices))[1])
+        hits = search(vertices, max(max(abs(v.x), abs(v.y)) for v in vertices))[1]
     except DegenerateDiagramError as exc:
         return type(exc), str(exc)
+    if isinstance(hits, tuple):
+        assert len(hits) == 6 and len({len(column) for column in hits}) == 1
+        his, ts, hjs, ss, xs, ys = hits
+        hits = [(i, t, j, s, Point(x, y)) for i, t, j, s, x, y in zip(his, ts, hjs, ss, xs, ys)]
+    return repr(hits)
 
 
 def all_groups_collinear(centerline, scale: float):

@@ -372,7 +372,7 @@ def test_angle_denominator_past_the_bound_exits_two(capsys, tmp_path, command):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("pairs", [[[0, 1]], [5]])
+@pytest.mark.parametrize("pairs", [[[0, 1]], [5], [[0, 2, 1], [2, 0, 1]]])
 def test_malformed_weave_pairs_exit_two(capsys, tmp_path, pairs):
     doc = json.loads(run_cli(capsys, "build", "--family", "star", "--p", "7")[1])
     doc["weave"] = {"mode": "explicit", "pairs": pairs}

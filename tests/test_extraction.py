@@ -1,7 +1,8 @@
 """Diagram extraction: the crossing search against its all-pairs oracle,
-its degeneracy checks, pinned Gauss codes, the perturbation passes, and
-the direction sort and start points that one extraction shares between
-its group test and its search."""
+its degeneracy checks, pinned Gauss codes, the perturbation passes, the
+strand order of the passages, the direction sort and start points that
+one extraction shares between its group test and its search, and layouts
+whose panels do not match their centerline."""
 
 import hashlib
 import json
@@ -9,8 +10,8 @@ import math
 
 import pytest
 
-from ribbonfold import (DegenerateDiagramError, FamilyId, FoldedLayout, Point, build, layout,
-                        layout_from_centerline)
+from ribbonfold import (DegenerateDiagramError, FamilyId, FoldedLayout, InconsistencyError,
+                        InvalidInputError, Point, build, layout, layout_from_centerline)
 from ribbonfold import knot_id
 from ribbonfold.knot_id import (
     DEFAULT_PERTURBATION_SCALE,
@@ -258,3 +259,44 @@ def test_closure_gaps_decide_whether_the_search_shares_the_sort(gap, sorts, monk
     calls = count_direction_sorts(monkeypatch)
     assert extract_diagram(gapped) == expected
     assert len(calls) == sorts
+
+
+def tuple_strand_order(hits):
+    """The passages of parallel-list hits in strand order, as a sort on
+    (segment, parameter, hit) over one tuple per passage gives it; passage
+    2h lies on hit h's segment i, passage 2h + 1 on its segment j."""
+    his, ts, hjs, ss, _, _ = hits
+    passages = [(i, t, h, 2 * h) for h, (i, t) in enumerate(zip(his, ts))]
+    passages += [(j, s, h, 2 * h + 1) for h, (j, s) in enumerate(zip(hjs, ss))]
+    return [p for _, _, _, p in sorted(passages)]
+
+
+@pytest.mark.parametrize("family", WORKLOAD_MEMBERS, ids=str)
+def test_passage_order_matches_tuple_sort(family, monkeypatch):
+    # rect_74 is checked on both of its displaced passes
+    calls = []
+    decide = knot_id._decide_over
+
+    def recorded(hits, dxs, dys, order, *rest):
+        calls.append((hits, order))
+        return decide(hits, dxs, dys, order, *rest)
+
+    monkeypatch.setattr(knot_id, "_decide_over", recorded)
+    extract_diagram(layout(build(family)))
+    assert len(calls) == (2 if family == FamilyId("rect_74") else 1)
+    for hits, order in calls:
+        assert order == tuple_strand_order(hits)
+
+
+@pytest.mark.parametrize("panels", [0, 2], ids=["no-panels", "two-panels"])
+def test_sourceless_layout_with_mismatched_panels_is_rejected(panels):
+    lay = layout(build(FamilyId("odd_wrap", 3)))
+    short = FoldedLayout(lay.panels[:panels], lay.centerline)
+    with pytest.raises(InconsistencyError, match="panel and centerline counts disagree"):
+        extract_diagram(short)
+
+
+def test_sourceless_layout_without_panels_has_no_width():
+    lay = layout(build(FamilyId("odd_wrap", 3)))
+    with pytest.raises(InvalidInputError, match="layout has no panels"):
+        FoldedLayout((), lay.centerline).width

@@ -826,6 +826,30 @@ def test_weave_rule_validation():
         WeaveRule("explicit", 5)
 
 
+@pytest.mark.parametrize("pairs", [
+    ((0, 2, 1), (0, 2, -1)),
+    ((0, 2, -1), (0, 2, 1)),
+    ((0, 2, 1), (2, 0, 1)),
+    ((2, 0, 1), (0, 2, 1)),
+])
+def test_weave_rule_rejects_contradictory_pairs(pairs):
+    with pytest.raises(MalformedProgramError, match="contradicts an earlier pair"):
+        WeaveRule("explicit", pairs)
+
+
+def test_weave_rule_accepts_a_pair_repeated_with_one_meaning():
+    pairs = ((0, 2, 1), (2, 0, -1), (0, 2, 1))
+    assert WeaveRule("explicit", pairs).pairs == pairs
+
+
+@pytest.mark.parametrize("pairs", [[[0, 2, 1], [0, 2, -1]], [[0, 2, 1], [2, 0, 1]]])
+def test_contradictory_weave_pairs_in_json(pairs):
+    doc = json.loads(build(FamilyId("odd_wrap", 2)).to_json())
+    doc["weave"] = {"mode": "explicit", "pairs": pairs}
+    with pytest.raises(MalformedProgramError, match="contradicts an earlier pair"):
+        FoldProgram.from_json(json.dumps(doc))
+
+
 @pytest.mark.parametrize("pairs", [[[0, 1]], [5], [[0, 1, 1, 1]], ["abc"], [None]])
 def test_malformed_weave_pairs_in_json(pairs):
     doc = {"width": 1.0, "presentation": "closed", "creases": [],

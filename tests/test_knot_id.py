@@ -11,6 +11,7 @@ from ribbonfold import (
     InvalidDiagramError,
     InvalidInputError,
     LayeringInconsistencyError,
+    MalformedProgramError,
     Point,
     WeaveRule,
     layout,
@@ -389,6 +390,22 @@ def test_explicit_weave_matches_layer_heights():
     d_layers = extract_diagram(layout(spiral))
     d_explicit = extract_diagram(layout(explicit))
     assert d_layers.gauss == d_explicit.gauss
+
+
+@pytest.mark.parametrize("first", [True, False], ids=["listed-first", "listed-last"])
+def test_explicit_weave_rejects_a_pair_against_the_layers(first):
+    # the layers of odd_wrap q=2 put segment 2 over segment 0; with
+    # (0, 2, 1) listed as well, the verdict once hung on the listing order
+    prog = build(FamilyId("odd_wrap", 2))
+    layers = [p.layer for p in layout(prog).panels]
+    derived = tuple((i, j, 1 if layers[i] > layers[j] else -1)
+                    for i, j in ((0, 2), (0, 3), (1, 3), (1, 4), (2, 4)))
+    assert derived[0] == (0, 2, -1)
+    explicit = dataclasses.replace(prog, weave=WeaveRule("explicit", derived))
+    assert alexander_polynomial(extract_diagram(layout(explicit))) == poly(1, -1, 1)
+    pairs = ((0, 2, 1),) + derived if first else derived + ((0, 2, 1),)
+    with pytest.raises(MalformedProgramError, match="contradicts an earlier pair"):
+        WeaveRule("explicit", pairs)
 
 
 def test_explicit_weave_missing_pair_is_an_error():
