@@ -561,6 +561,8 @@ class FoldedLayout:
         return _panel_frames(self.panels[:1])[0][0]
 
     def bounding_box(self) -> Tuple[float, float, float, float]:
+        if not self.panels:
+            raise InvalidInputError("layout has no panels")
         xs = [p[0] for panel in self.panels for p in panel.vertices]
         ys = [p[1] for panel in self.panels for p in panel.vertices]
         return (min(xs), min(ys), max(xs), max(ys))

@@ -11,13 +11,15 @@ that a construction really ties the knot it claims.
 
 from __future__ import annotations
 
-import heapq
 import math
+import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from numbers import Real
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .constructions import _FAMILIES, FamilyId
+from .determinant import _paxpy, _pdiv_exact, _pstrip, _unit_pivot_det
 from .errors import (
     DegenerateDiagramError,
     InconsistencyError,
@@ -132,232 +134,6 @@ class LaurentPolynomial:
         return "LaurentPolynomial(%r)" % (self.coefficients,)
 
 
-# Z[t] arithmetic.  Polynomials are dense ascending coefficient lists with
-# no trailing zero.  Products and sums loop over nonzero terms only, and
-# exact division subtracts only the divisor's nonzero terms; both take
-# operands as ascending (exponent, coefficient) term lists, so that
-# elimination lists an operand it reuses once instead of scanning its
-# zeros on every use.
-
-
-def _pstrip(a: List[int]) -> List[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _terms(a: List[int]) -> List[Tuple[int, int]]:
-    """The nonzero terms (exponent, coefficient) of a, ascending."""
-    return [(e, c) for e, c in enumerate(a) if c]
-
-
-def _dense(terms: List[Tuple[int, int]]) -> List[int]:
-    """The stripped coefficient list of an ascending term list."""
-    out = [0] * (terms[-1][0] + 1) if terms else []
-    for e, c in terms:
-        out[e] = c
-    return out
-
-
-def _add_product(out: List[int], low: int, f, v) -> None:
-    """Add f * v, for term lists f and v, into the dense list ``out``,
-    whose first slot holds the coefficient of t^low; the shorter term list
-    runs the outer loop."""
-    if len(f) > len(v):
-        f, v = v, f
-    for i, c in f:
-        i -= low
-        for j, y in v:
-            out[i + j] += c * y
-
-
-def _axpy_terms(acc: List[int], f, v) -> List[int]:
-    """acc + f * v over Z[t] for term lists f and v, as a new stripped list."""
-    if not f or not v:
-        # a zero product; padding would only be stripped again
-        return _pstrip(list(acc))
-    out = acc + [0] * (f[-1][0] + v[-1][0] + 1 - len(acc))
-    _add_product(out, 0, f, v)
-    return _pstrip(out)
-
-
-def _paxpy(acc: List[int], f: List[int], v: List[int]) -> List[int]:
-    """acc + f * v over Z[t], as a new stripped list."""
-    return _axpy_terms(acc, _terms(f), _terms(v))
-
-
-def _divide(rem: List[int], low: int, b: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
-    """Exact quotient in Z[t], as a term list, of the dividend held in the
-    dense list ``rem`` (first slot the coefficient of t^low, no exponent
-    below low) by the term list ``b``.  Consumes ``rem``; raises
-    InconsistencyError if the quotient is not integral.
-
-    A quotient term at t^d pairs with a dividend term at t^(d + b's lowest
-    exponent), so d runs from the top of ``rem`` down to low minus that
-    exponent, and past that only the slots below b's degree must be zero.
-    Each nonzero leading coefficient subtracts its multiple of b's lower
-    terms; the leading term cancels by construction and is not written.
-    """
-    if not b:
-        raise InconsistencyError("polynomial division by zero")
-    top, lead = b[-1]
-    lower = b[:-1]
-    stop = max(low - b[0][0], 0)
-    quotient = []
-    for d in range(low + len(rem) - 1 - top, stop - 1, -1):
-        c = rem[d + top - low]
-        if c:
-            q, r = divmod(c, lead)
-            if r:
-                raise InconsistencyError("polynomial division is not exact")
-            quotient.append((d, q))
-            shift = d - low
-            for e, cb in lower:
-                rem[shift + e] -= q * cb
-    if any(rem[:stop + top - low]):
-        raise InconsistencyError("polynomial division left a remainder")
-    quotient.reverse()
-    return quotient
-
-
-def _pdiv_exact(a: List[int], b: List[int]) -> List[int]:
-    """Exact division in Z[t]; raises if the quotient is not integral."""
-    return _dense(_divide(list(a), 0, _terms(b)))
-
-
-def _poly_bareiss(matrix: List[List[List[int]]]) -> List[int]:
-    """Fraction-free determinant of a matrix of integer polynomials.
-
-    Every entry is listed as nonzero terms once, on entry.  A step forms
-    each numerator m[i][j] * pivot - m[i][k] * m[k][j] in a dense list
-    that spans only its own exponents, and divides it exactly by the
-    previous pivot.
-    """
-    n = len(matrix)
-    if n == 0:
-        return [1]
-    m = [[_terms(v) for v in row] for row in matrix]
-    sign = 1
-    prev = [(0, 1)]
-    for k in range(n - 1):
-        if not m[k][k]:
-            for r in range(k + 1, n):
-                if m[r][k]:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return []
-        pivot = m[k][k]
-        p_low, p_high = pivot[0][0], pivot[-1][0]
-        pivot_row = m[k][k + 1:]
-        for i in range(k + 1, n):
-            row = m[i]
-            neg = [(e, -c) for e, c in row[k]]
-            for j, v in enumerate(pivot_row, k + 1):
-                a = row[j]
-                if neg and v:
-                    low, high = neg[0][0] + v[0][0], neg[-1][0] + v[-1][0]
-                    if a:
-                        low, high = min(low, a[0][0] + p_low), max(high, a[-1][0] + p_high)
-                elif a:
-                    low, high = a[0][0] + p_low, a[-1][0] + p_high
-                else:
-                    row[j] = []
-                    continue
-                num = [0] * (high + 1 - low)
-                if a:
-                    _add_product(num, low, a, pivot)
-                if neg and v:
-                    _add_product(num, low, neg, v)
-                row[j] = _divide(num, low, prev)
-            row[k] = []
-        prev = pivot
-    det = _dense(m[n - 1][n - 1])
-    return [-c for c in det] if sign < 0 else det
-
-
-def _unit_pivot_det(rows: List[Dict[int, List[int]]], columns: Sequence[int]) -> List[int]:
-    """Determinant, up to sign, of a square sparse matrix over Z[t].
-
-    ``rows`` map column -> ascending coefficient list with no zero entries.
-    Elimination pivots only on constant entries +-1, chosen by Markowitz
-    cost (row nnz - 1) * (col nnz - 1) with ties to the lowest (row, col).
-    Dividing by a unit is exact, and units and row/column order change the
-    determinant only by a sign.  Each pivot lists the nonzero terms of its
-    row's entries once, and each row it changes those of its factor once.
-    The block left when no unit pivot remains goes to fraction-free
-    elimination.
-    """
-    rows = [dict(r) for r in rows]
-    col_rows: Dict[int, set] = {j: set() for j in columns}
-    # the unit entries, by column and by row
-    col_units: Dict[int, set] = {j: set() for j in columns}
-    row_units = [set() for _ in rows]
-    for i, row in enumerate(rows):
-        for j, v in row.items():
-            col_rows[j].add(i)
-            if len(v) == 1 and (v[0] == 1 or v[0] == -1):
-                col_units[j].add(i)
-                row_units[i].add(j)
-    live = set(range(len(rows)))
-    heap: List[Tuple[int, int, int]] = []
-    push = heapq.heappush
-    # every unit entry is a pivot candidate; every change to an entry or
-    # its cost pushes a fresh key, so a key that no longer matches its
-    # entry is stale
-    for i, units in enumerate(row_units):
-        for j in units:
-            push(heap, ((len(rows[i]) - 1) * (len(col_rows[j]) - 1), i, j))
-    while heap:
-        cost, r, c = heapq.heappop(heap)
-        pivot = rows[r]
-        if (r not in live or pivot.get(c) not in ([1], [-1])
-                or cost != (len(pivot) - 1) * (len(col_rows[c]) - 1)):
-            continue
-        # row_i -= (f / u) * pivot, and 1/u == u for a unit u, so each
-        # changed row adds its factor f times the pivot row scaled by -u
-        u = pivot.pop(c)[0]
-        live.remove(r)
-        for j in pivot:
-            col_rows[j].discard(r)
-            col_units[j].discard(r)
-        changed = col_rows.pop(c)
-        changed.discard(r)
-        del col_units[c]
-        pivot_terms = [(j, [(e, -u * x) for e, x in enumerate(v) if x]) for j, v in pivot.items()]
-        for i in changed:
-            row = rows[i]
-            units = row_units[i]
-            units.discard(c)
-            factor = _terms(row.pop(c))
-            for j, v in pivot_terms:
-                entry = _axpy_terms(row.get(j, []), factor, v)
-                if entry:
-                    row[j] = entry
-                    col_rows[j].add(i)
-                elif j in row:
-                    del row[j]
-                    col_rows[j].discard(i)
-                if len(entry) == 1 and (entry[0] == 1 or entry[0] == -1):
-                    units.add(j)
-                    col_units[j].add(i)
-                elif j in units:
-                    units.discard(j)
-                    col_units[j].discard(i)
-        for i in changed:
-            nnz = len(rows[i]) - 1
-            for j in row_units[i]:
-                push(heap, (nnz * (len(col_rows[j]) - 1), i, j))
-        for j in pivot:
-            nnz = len(col_rows[j]) - 1
-            for i in col_units[j]:
-                push(heap, ((len(rows[i]) - 1) * nnz, i, j))
-    rest = sorted(live)
-    cols = sorted(col_rows)
-    return _poly_bareiss([[rows[i].get(j, []) for j in cols] for i in rest])
-
-
 # ------------------------------------------------------------ diagram types
 
 
@@ -462,23 +238,29 @@ def alexander_polynomial(
     """Normalized Alexander polynomial of a knot diagram.
 
     Builds the n x n crossing/arc matrix over Z[t] (one row per crossing,
-    one column per arc), deletes row ``row`` and column ``col`` (ints
-    in [0, n), the last by default), and takes the determinant of the
-    minor exactly.  Each
+    one column per arc), deletes row ``row`` and column ``col`` (ints in
+    [0, n)), and takes the determinant of the minor exactly.  Each
     crossing row has at most three entries, one of them a constant -1 at
     the under-out arc (positive crossing) or +1 at the under-in arc
     (negative crossing), so sparse elimination on these unit pivots
     removes nearly every row without division.  The few rows left with no
     unit pivot go to fraction-free (Bareiss) elimination over Z[t].
+    ``row`` defaults to the last crossing, and ``col`` to the deleted
+    row's own unit column, so that no other column loses its only unit
+    pivot; every first minor gives the same polynomial up to +-t^k.
     """
     n = diagram.crossing_count
-    r = n - 1 if row is None else row
-    c_ = n - 1 if col is None else col
-    for v in (r, c_):
+    for v in (row, col):
+        if v is None:
+            continue
         if isinstance(v, bool) or not isinstance(v, int):
             raise InvalidInputError("deleted row/column must be an integer")
-    if not (0 <= r < n and 0 <= c_ < n):
-        raise InvalidInputError("deleted row/column out of range")
+        if not 0 <= v < n:
+            raise InvalidInputError("deleted row/column out of range")
+    r = n - 1 if row is None else row
+    if col is None:
+        deleted = diagram.crossings[r]
+        col = deleted.under_out_arc if deleted.sign > 0 else deleted.under_in_arc
     minor: List[Dict[int, List[int]]] = []
     for i, c in enumerate(diagram.crossings):
         if i == r:
@@ -490,12 +272,12 @@ def alexander_polynomial(
             terms = ((c.over_arc, -1, 1), (c.under_in_arc, 1, 0), (c.under_out_arc, 0, -1))
         entries: Dict[int, List[int]] = {}
         for arc, c0, c1 in terms:
-            if arc != c_:
+            if arc != col:
                 e = entries.setdefault(arc, [0, 0])
                 e[0] += c0
                 e[1] += c1
         minor.append({arc: _pstrip(e) for arc, e in entries.items() if any(e)})
-    det = _unit_pivot_det(minor, [j for j in range(n) if j != c_])
+    det = _unit_pivot_det(minor, [j for j in range(n) if j != col])
     poly = LaurentPolynomial.from_list(det)
     if poly.is_zero():
         raise InvalidDiagramError("Alexander determinant vanished; not a knot diagram")
@@ -877,7 +659,10 @@ def extract_diagram(
     w = lay.width
     if perturbation is None:
         perturbation = DEFAULT_PERTURBATION_SCALE * w
-    if not (perturbation > 0 and math.isfinite(perturbation)):
+    # a bool is an int and a str does not compare with 0, so check the type
+    # first; the float bound also keeps an int too large for a float out
+    if (isinstance(perturbation, bool) or not isinstance(perturbation, Real)
+            or not 0 < perturbation <= sys.float_info.max):
         raise InvalidInputError("perturbation must be a positive real")
     tol_close = 1e-6 * max(w, 1.0)
     dxs, dys, lengths = [], [], []

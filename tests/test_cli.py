@@ -414,10 +414,11 @@ SHARED_MODULES = ["ribbonfold", "ribbonfold.constructions", "ribbonfold.errors",
     pytest.param(["table", "--bounds"], ["formulas"], id="table-bounds"),
     pytest.param(["verify", "--family", "odd-wrap", "--q", "3"], ["formulas"], id="verify"),
     pytest.param(["verify", "--family", "odd-wrap", "--q", "3", "--knot-check"],
-                 ["formulas", "knot_id"], id="verify-knot-check"),
+                 ["determinant", "formulas", "knot_id"], id="verify-knot-check"),
     pytest.param(["render", "--input", "program.json"], ["render"], id="render"),
-    pytest.param(["identify", "--input", "program.json"], ["knot_id"], id="identify-input"),
-    pytest.param(["identify", "--family", "odd-wrap", "--q", "3"], ["knot_id"],
+    pytest.param(["identify", "--input", "program.json"], ["determinant", "knot_id"],
+                 id="identify-input"),
+    pytest.param(["identify", "--family", "odd-wrap", "--q", "3"], ["determinant", "knot_id"],
                  id="identify-family"),
 ])
 def test_command_loads_only_the_modules_it_runs(tmp_path, argv, extra):

@@ -300,3 +300,21 @@ def test_sourceless_layout_without_panels_has_no_width():
     lay = layout(build(FamilyId("odd_wrap", 3)))
     with pytest.raises(InvalidInputError, match="layout has no panels"):
         FoldedLayout((), lay.centerline).width
+
+
+def test_layout_without_panels_has_no_bounding_box():
+    lay = layout(build(FamilyId("odd_wrap", 3)))
+    with pytest.raises(InvalidInputError, match="layout has no panels"):
+        FoldedLayout((), lay.centerline).bounding_box()
+
+
+# a str does not compare with 0, a bool would displace by 0 or 1, and an
+# int past the float range cannot displace a float vertex
+@pytest.mark.parametrize("bad", ["1e-3", True, False, 1j, b"1", 0, -1e-3, math.nan, math.inf,
+                                 10**400],
+                         ids=["str", "true", "false", "complex", "bytes", "zero", "negative",
+                              "nan", "inf", "huge-int"])
+def test_perturbation_must_be_a_positive_real(bad):
+    lay = layout(build(FamilyId("odd_wrap", 3)))
+    with pytest.raises(InvalidInputError, match="perturbation must be a positive real"):
+        extract_diagram(lay, bad)

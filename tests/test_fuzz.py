@@ -13,7 +13,9 @@ exit 0, 1 or 2 without a traceback.  Closed polylines, some snapped to a
 coarse lattice, check the crossing search against its all-pairs oracle.
 Coefficient lists check the determinant's fused Z[t] update against a
 separate product and sum, and its exact division, by divisors with
-interior zeros, against the product it must undo.  Signed Gauss codes,
+interior zeros, against the product it must undo.  Small polynomial
+matrices, some singular, check the pivoted fraction-free determinant,
+sign included, against elimination in index order.  Signed Gauss codes,
 valid or with one corruption, check ``KnotDiagram``'s one walk against a
 separate validation and derivation.
 Every run is derandomized, so it checks the same cases every time.
@@ -48,16 +50,19 @@ from ribbonfold import (
     cli,
     layout,
 )
+from ribbonfold.determinant import (
+    _dense,
+    _divide,
+    _paxpy,
+    _pdiv_exact,
+    _poly_bareiss,
+    _pstrip,
+    _terms,
+)
 from ribbonfold.knot_id import (
     KnotDiagram,
     LaurentPolynomial,
-    _dense,
-    _divide,
     _find_crossings,
-    _paxpy,
-    _pdiv_exact,
-    _pstrip,
-    _terms,
     alexander_polynomial,
     extract_diagram,
 )
@@ -65,6 +70,7 @@ from ribbonfold.knot_id import (
 from diagram_sources import (
     _padd,
     _pmul,
+    _poly_bareiss as oracle_bareiss,
     all_pairs_crossings,
     boundary_outcomes,
     crossing_outcome,
@@ -389,6 +395,42 @@ def test_exact_division_undoes_the_product(b, quotient, remainder, low):
     # a divisor of zeros only once raised ZeroDivisionError
     with pytest.raises(InconsistencyError):
         _pdiv_exact(a, [0] * len(b))
+
+
+# entries of at most three terms, with gaps and a huge coefficient, and
+# often zero
+MATRIX_ENTRIES = st.sampled_from(
+    [[], [], [], [1], [-1], [0, 1], [1, -1], [-1, 0, 2], [0, 0, 3], [2, 0, 0, -1], [10**30]])
+
+
+@st.composite
+def polynomial_matrices(draw):
+    """Square matrices over Z[t] of 1 to 6 rows, some with a zero leading
+    entry, a zero row or column, or a row that repeats another times t."""
+    n = draw(st.integers(1, 6))
+    m = [draw(st.lists(MATRIX_ENTRIES, min_size=n, max_size=n)) for _ in range(n)]
+    kind = draw(st.sampled_from(("plain", "zero-lead", "zero-row", "zero-column", "repeat")))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if kind == "zero-lead":
+        m[0][0] = []
+    elif kind == "zero-row":
+        m[i] = [[] for _ in range(n)]
+    elif kind == "zero-column":
+        for row in m:
+            row[j] = []
+    elif kind == "repeat" and i != j:
+        m[i] = [[0] + v if v else [] for v in m[j]]
+    return m
+
+
+@settings(_FUZZ, max_examples=400)
+@given(polynomial_matrices())
+def test_pivoted_bareiss_matches_index_order_oracle(matrix):
+    # alexander_polynomial normalizes the sign away, so only this direct
+    # comparison checks the sign of the row and column swaps
+    inputs = [[list(v) for v in row] for row in matrix]
+    assert _poly_bareiss(matrix) == oracle_bareiss(matrix)
+    assert matrix == inputs
 
 
 @st.composite

@@ -18,6 +18,7 @@ from ribbonfold import (
     layout_from_centerline,
     unfold,
 )
+from ribbonfold import determinant
 from ribbonfold.constructions import FamilyId, build, knot_type
 from ribbonfold.knot_id import (
     CertificationReport,
@@ -32,6 +33,8 @@ from ribbonfold.knot_id import (
 )
 
 from diagram_sources import dense_alexander, pretzel_gauss, torus_braid_gauss
+# the 37 members the benchmark's knot workload certifies
+from test_bit_identity import KNOT_CERTIFY, member_id, program_of
 
 
 def poly(*coeffs):
@@ -252,12 +255,34 @@ def test_sparse_determinant_matches_dense_oracle():
                         == dense_alexander(diagram, row=r, col=c)), (name, r, c)
 
 
-# odd_wrap q=40 (T(41,40), 3159 crossings) and even_wrap_plus2 q=21
-# (T(44,21), 880 crossings) are at the paper's sizes, where the Alexander
-# determinant, not extraction, takes the time
+@pytest.mark.parametrize("member", KNOT_CERTIFY, ids=member_id)
+def test_default_minor_keeps_every_unit_pivot(member, monkeypatch):
+    # the default deletes the last row's own unit column, so no column
+    # loses its only unit pivot to the deletion
+    blocks = []
+    bareiss = determinant._poly_bareiss
+
+    def recorded(matrix):
+        blocks.append(len(matrix))
+        return bareiss(matrix)
+
+    monkeypatch.setattr(determinant, "_poly_bareiss", recorded)
+    diagram = extract_diagram(layout(program_of(member)))
+    n = diagram.crossing_count
+    delta = alexander_polynomial(diagram)
+    assert alexander_polynomial(diagram, row=n - 1, col=n - 1) == delta
+    default, last = blocks
+    assert default <= last
+    if member[0].tag == "star_polygon":
+        assert (default, last) == (1, 2)
+
+
+# odd_wrap q=40 (T(41,40), 3159 crossings) and the even wraps at q=21
+# (T(44,21), 880 crossings, and T(46,21), 920 crossings) are at the paper's
+# sizes, where the Alexander determinant, not extraction, takes the time
 @pytest.mark.parametrize("tag,n", [
     ("odd_wrap", 10), ("odd_wrap", 20), ("pinwheel", 7), ("star_polygon", 101),
-    ("odd_wrap", 40), ("even_wrap_plus2", 21),
+    ("odd_wrap", 40), ("even_wrap_plus2", 21), ("even_wrap_plus4", 21),
 ])
 def test_large_constructions_certify(tag, n):
     family = FamilyId(tag, n)
