@@ -21,8 +21,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import starmap
 from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -100,11 +101,13 @@ class ExactAngle:
 
     The stored value is (numerator / denominator) * pi, normalized to
     [0, 2*pi) with a positive denominator and the fraction reduced, so
-    equal angles always compare equal structurally.
+    equal angles always compare equal structurally.  ``radians`` is its
+    float, computed once, and left out of equality, hash and repr.
     """
 
     numerator: int
     denominator: int = 1
+    radians: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         num, den = self.numerator, self.denominator
@@ -125,8 +128,11 @@ class ExactAngle:
         if den > _MAX_ANGLE_DENOMINATOR:
             raise MalformedProgramError("angle denominator must be at most 10**600 once reduced")
         # num % (2 * den) is congruent to num mod den, so stays coprime to it
-        object.__setattr__(self, "numerator", num % (2 * den))
+        num %= 2 * den
+        object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "denominator", den)
+        # the float of the fraction: int true division rounds correctly
+        object.__setattr__(self, "radians", num / den * math.pi)
 
     @classmethod
     def from_float(cls, radians: float, *, tolerance: float = 1e-9) -> "ExactAngle":
@@ -156,11 +162,6 @@ class ExactAngle:
     @property
     def fraction(self) -> Fraction:
         return Fraction(self.numerator, self.denominator)
-
-    @property
-    def radians(self) -> float:
-        # the float of the fraction: int true division rounds correctly
-        return self.numerator / self.denominator * math.pi
 
     def supplement(self) -> "ExactAngle":
         """pi minus this angle."""
@@ -192,10 +193,11 @@ class CreaseSpec:
 
     # written by hand so that each field is checked, then stored, once
     def __init__(self, position: float, angle: ExactAngle, layer_shift: int = 1):
-        pos = _real(position, "crease position")
+        # the exact types first: builders, unfold and from_json pass them
+        pos = position if type(position) is float else _real(position, "crease position")
         if not math.isfinite(pos) or pos <= 0.0:
             raise MalformedProgramError("crease position must be finite and positive")
-        if not isinstance(angle, ExactAngle):
+        if type(angle) is not ExactAngle and not isinstance(angle, ExactAngle):
             raise MalformedProgramError("crease angle must be an ExactAngle")
         # tested on the float that layout divides by: an angle within about
         # 1e-308 pi of 0 has radians 0.0 and sine 0
@@ -223,10 +225,10 @@ class CutSpec:
     angle: ExactAngle = _RIGHT_ANGLE
 
     def __init__(self, position: float, angle: ExactAngle = _RIGHT_ANGLE):
-        pos = _real(position, "cut position")
+        pos = position if type(position) is float else _real(position, "cut position")
         if not math.isfinite(pos):
             raise MalformedProgramError("cut position must be finite")
-        if not isinstance(angle, ExactAngle):
+        if type(angle) is not ExactAngle and not isinstance(angle, ExactAngle):
             raise MalformedProgramError("cut angle must be an ExactAngle")
         if not 0.0 < angle.radians < math.pi:
             raise MalformedProgramError("cut angle must lie strictly between 0 and pi")
@@ -291,8 +293,15 @@ def _require(cond: bool, message: str) -> None:
         raise MalformedProgramError(message)
 
 
+# the fields of a crease in the order a missing one is named; a cut has
+# the first three
+_LINE_FIELDS = ("position", "angle_num", "angle_den", "layer_shift")
+_CUT_KEYS = frozenset(_LINE_FIELDS[:3])
+_CREASE_KEYS = frozenset(_LINE_FIELDS)
+
+
 def _json_line(
-    entry, where: str, angles: dict, extra_keys: Tuple[str, ...] = ()
+    entry, where: str, angles: dict, required: frozenset = _CUT_KEYS
 ) -> Tuple[object, ExactAngle]:
     # checks a crease or cut object and its fields, returns its position
     # (checked by CreaseSpec or CutSpec) and its exact angle, shared through
@@ -300,9 +309,9 @@ def _json_line(
     # message is formatted only once its check has failed
     if not isinstance(entry, dict):
         raise MalformedProgramError("%s must be a JSON object" % where)
-    for key in ("position", "angle_num", "angle_den") + extra_keys:
-        if key not in entry:
-            raise MalformedProgramError("%s missing field %r" % (where, key))
+    if not entry.keys() >= required:
+        missing = next(key for key in _LINE_FIELDS if key in required and key not in entry)
+        raise MalformedProgramError("%s missing field %r" % (where, missing))
     num, den = entry["angle_num"], entry["angle_den"]
     # json reads every integer as an exact int, and type() leaves out bools
     if not (type(num) is int and type(den) is int):
@@ -359,7 +368,7 @@ class FoldProgram:
         # one walk: each crease's type, the strict increase, the shift sum
         previous, total = -math.inf, 0
         for c in creases:
-            if not isinstance(c, CreaseSpec):
+            if type(c) is not CreaseSpec and not isinstance(c, CreaseSpec):
                 raise MalformedProgramError("creases must be CreaseSpec instances")
             if not previous < c.position:
                 raise MalformedProgramError("crease positions must be strictly increasing")
@@ -484,7 +493,7 @@ class FoldProgram:
         angles: dict = {}
         # FoldProgram checks that the positions strictly increase
         for entry in raw_creases:
-            position, angle = _json_line(entry, "crease", angles, ("layer_shift",))
+            position, angle = _json_line(entry, "crease", angles, _CREASE_KEYS)
             creases.append(CreaseSpec(position, angle, entry["layer_shift"]))
         cuts = {}
         for name in ("start_cut", "end_cut"):
@@ -716,7 +725,8 @@ def centerline_length(obj: Union[FoldProgram, FoldedLayout]) -> float:
     if isinstance(obj, FoldProgram):
         return obj.length()
     if isinstance(obj, FoldedLayout):
-        return math.fsum(math.hypot(b[0] - a[0], b[1] - a[1]) for a, b in obj.centerline)
+        # dist takes the norm of the differences by hypot's own routine
+        return math.fsum(starmap(math.dist, obj.centerline))
     raise InvalidInputError("expected a FoldProgram or FoldedLayout")
 
 

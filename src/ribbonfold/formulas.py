@@ -162,11 +162,13 @@ def bounds_table() -> List[BoundsRow]:
     """The four quotient bounds these constructions establish.
 
     The c1 rows are upper bounds approached by family limits, never
-    attained by a finite member; the c2 rows are the best witness
-    quotients, so they bound c2 from below.
+    attained by a finite member.  The c2 rows are witness quotients.  A
+    construction bounds Ribbonlength only from above, so a row bounds c2
+    from below only if its knot's Ribbonlength equals the witness ratio:
+    for the trefoil, the paper's conjectured 5*cot(pi/5); for the
+    figure-eight, the external value 6+2*sqrt(2).
     """
     c1_note = "upper bound for c1; approached in the limit, not attained"
-    c2_note = "best witness quotient; bounds c2 from below"
     return [
         BoundsRow(
             "c1_closed",
@@ -187,7 +189,8 @@ def bounds_table() -> List[BoundsRow]:
             (5.0 / 3.0) / math.tan(math.pi / 5.0),
             "(5/3)*cot(pi/5)",
             "odd_wrap q=2 closed, the five-panel trefoil",
-            c2_note,
+            "witness quotient; bounds c2 from below only if the trefoil's"
+            " Ribbonlength is the conjectured 5*cot(pi/5)",
         ),
         BoundsRow(
             "c2_truncated",
@@ -195,7 +198,8 @@ def bounds_table() -> List[BoundsRow]:
             "(3+sqrt(2))/2",
             "figure-eight fold at ratio 6+2*sqrt(2), an external"
             " reference value no builder here produces",
-            c2_note,
+            "witness quotient; bounds c2 from below only if the figure-eight's"
+            " Ribbonlength is the external value 6+2*sqrt(2)",
         ),
     ]
 

@@ -521,10 +521,13 @@ def _find_crossings(vertices, scale: float, partners=None):
     hits = his, hts, hjs, hss, hxs, hys = [], [], [], [], [], []
     for i, mask in enumerate(_candidate_masks(xs, ys, dxs, dys, scale, tol_param, partners)):
         axi, ayi, dix, diy, length_i = xs[i], ys[i], dxs[i], dys[i], lengths[i]
+        # bit b of the mask is segment i + 2 + b; shifting past each bit
+        # found keeps the walk off the full-width int that clearing it copies
+        j = i + 1
         while mask:
-            low = mask & -mask
-            mask ^= low
-            j = i + 1 + low.bit_length()
+            step = (mask & -mask).bit_length()
+            mask >>= step
+            j += step
             djx, djy = dxs[j], dys[j]
             denom = dix * djy - diy * djx
             norm = length_i * lengths[j]
@@ -601,11 +604,12 @@ def _decide_over(hits, dxs, dys, order, layers, weave, vertices, scale):
     if mode == "torus":
         cx = math.fsum(v[0] for v in vertices) / len(vertices)
         cy = math.fsum(v[1] for v in vertices) / len(vertices)
+        lengths = list(map(math.hypot, dxs, dys))
         flags = []
         for i, j, x, y in zip(his, hjs, hxs, hys):
             rx, ry = x - cx, y - cy
-            out_i = (dxs[i] * rx + dys[i] * ry) / math.hypot(dxs[i], dys[i])
-            out_j = (dxs[j] * rx + dys[j] * ry) / math.hypot(dxs[j], dys[j])
+            out_i = (dxs[i] * rx + dys[i] * ry) / lengths[i]
+            out_j = (dxs[j] * rx + dys[j] * ry) / lengths[j]
             if abs(out_i - out_j) < 1e-9 * max(scale, 1.0):
                 raise LayeringInconsistencyError(
                     "outbound rule cannot order segments %d and %d" % (i, j)

@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from .errors import InvalidInputError, ParameterError
@@ -102,7 +103,7 @@ def to_svg(layout: FoldedLayout, options: RenderOptions = RenderOptions()) -> st
     """
     if not layout.panels:
         raise InvalidInputError("cannot render a layout with no panels")
-    order = sorted(layout.panels, key=lambda panel: (panel.layer, panel.index))
+    order = sorted(layout.panels, key=attrgetter("layer", "index"))
     eps = options.epsilon_display
     s = options.scale
     # the y axis flips to screen convention by the factor -s, and only
@@ -121,17 +122,21 @@ def to_svg(layout: FoldedLayout, options: RenderOptions = RenderOptions()) -> st
     xs: List[float] = []
     ys: List[float] = []
     polygons = []
+    add_polygon = polygons.append
     for panel in order:
-        dx = eps * panel.layer
-        x0, y0, x1, y1, x2, y2, x3, y3 = [c + dx for v in panel.vertices for c in v]
+        layer = panel.layer
+        dx = eps * layer
+        # every corner coordinate is shifted by dx, y as well as x
+        (x0, y0), (x1, y1), (x2, y2), (x3, y3) = panel.vertices
+        x0 += dx; y0 += dx; x1 += dx; y1 += dx
+        x2 += dx; y2 += dx; x3 += dx; y3 += dx
         xs += (x0, x1, x2, x3)
         ys += (y0, y1, y2, y3)
-        polygons.append(polygon[panel.layer % fills] % (
+        add_polygon(polygon[layer % fills] % (
             s * x0 + 0.0, ns * y0 + 0.0, s * x1 + 0.0, ns * y1 + 0.0,
             s * x2 + 0.0, ns * y2 + 0.0, s * x3 + 0.0, ns * y3 + 0.0))
-    center = _centerline_center(layout)
-    radius = 0.0
     if options.show_circumcircle:
+        center = _centerline_center(layout)
         radius = max(
             math.hypot(v[0] - center[0], v[1] - center[1])
             for panel in layout.panels
@@ -184,11 +189,12 @@ def to_svg(layout: FoldedLayout, options: RenderOptions = RenderOptions()) -> st
         src, ends = layout.source, (layout.centerline[-1][1], layout.centerline[0][0])
         closed = (src.presentation == "closed" if src is not None
                   else math.dist(*ends) <= 1e-6 * max(layout.width, 1.0))
+        add = parts.append
         # each crease is side 1 of the panel before it; an open strip's
         # last panel ends in a cut, not a crease
         for panel in layout.panels if closed else layout.panels[:-1]:
             _, (ax, ay), (bx, by), _ = panel.vertices
-            parts.append(line % (s * ax + 0.0, ns * ay + 0.0, s * bx + 0.0, ns * by + 0.0))
+            add(line % (s * ax + 0.0, ns * ay + 0.0, s * bx + 0.0, ns * by + 0.0))
 
     if options.show_centerline:
         line = (

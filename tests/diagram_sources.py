@@ -603,6 +603,11 @@ def _oracle_real(value, what: str) -> float:
         return math.inf
 
 
+def _oracle_radians(angle) -> float:
+    # the float of the reduced fraction, divided here rather than read back
+    return angle.numerator / angle.denominator * math.pi
+
+
 def crease_oracle(position, angle, layer_shift=1) -> tuple:
     """The (position, angle, layer_shift) a CreaseSpec stores, or its error."""
     pos = _oracle_real(position, "crease position")
@@ -610,7 +615,7 @@ def crease_oracle(position, angle, layer_shift=1) -> tuple:
         raise MalformedProgramError("crease position must be finite and positive")
     if not isinstance(angle, ExactAngle):
         raise MalformedProgramError("crease angle must be an ExactAngle")
-    if not 0.0 < angle.radians < math.pi:
+    if not 0.0 < _oracle_radians(angle) < math.pi:
         raise MalformedProgramError("crease angle must lie strictly between 0 and pi")
     if isinstance(layer_shift, bool) or not isinstance(layer_shift, int):
         raise MalformedProgramError("layer_shift must be an integer")
@@ -626,7 +631,7 @@ def cut_oracle(position, angle=ExactAngle(1, 2)) -> tuple:
         raise MalformedProgramError("cut position must be finite")
     if not isinstance(angle, ExactAngle):
         raise MalformedProgramError("cut angle must be an ExactAngle")
-    if not 0.0 < angle.radians < math.pi:
+    if not 0.0 < _oracle_radians(angle) < math.pi:
         raise MalformedProgramError("cut angle must lie strictly between 0 and pi")
     return (pos, angle)
 

@@ -26,9 +26,11 @@ from ribbonfold import (
     ExactAngle,
     FamilyId,
     FoldProgram,
+    FoldedLayout,
     RenderOptions,
     WeaveRule,
     build,
+    centerline_length,
     layout,
     to_svg,
     unfold,
@@ -294,6 +296,20 @@ def test_to_json_matches_json_dumps_on_geometry_members_and_their_unfolds():
         assert_json_matches_oracle(unfold(lay))
         unfolded += 1
     assert unfolded == 377
+
+
+def test_centerline_length_is_the_fsum_of_hypot_on_geometry_members():
+    measured = 0
+    for member in geometry_families():
+        try:
+            lay = layout(program_of(member))
+        except ClosureError:
+            continue
+        want = math.fsum(math.hypot(b[0] - a[0], b[1] - a[1]) for a, b in lay.centerline)
+        assert centerline_length(lay).hex() == want.hex(), member_id(member)
+        measured += 1
+    assert measured == 377
+    assert centerline_length(FoldedLayout((), ())) == 0.0
 
 
 def side_vector(panel, k):

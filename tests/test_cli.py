@@ -114,9 +114,9 @@ TABLE_DIGESTS = {
     ("--quotients", "markdown"):
         "120e6e09e5e2a0d876cb2adc3b0162bea2d50a2307be194b172b33f1e1894c35",
     ("--bounds", "csv"):
-        "50dbd9f93fd734265fd9bbb7807a9daa4e716250215b7fdc67ced0a9c609abc4",
+        "8e5b51fc7fd86fcbc7b9c71e24f63abd2a3ce8ded3c15e82728325998c65e814",
     ("--bounds", "markdown"):
-        "dc727237c5ea756ce72139eb8422b5a2aa463509b5252c5afec93af4db088bc2",
+        "b2b81e8be1c1f3551a168172935c585a8dae13f1c8dd655f34b9d0d2cefe3e44",
 }
 
 

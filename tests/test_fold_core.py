@@ -91,6 +91,52 @@ def test_exact_angle_radians_and_supplement():
     assert ExactAngle(2, 3).supplement() == ExactAngle(1, 3)
 
 
+RADIANS_CASES = [
+    (1, 2), (1, 7), (6, 7), (-1, 3), (7, -5), (699, 1000), (1, 10**12),
+    (10**12 - 1, 10**12), (10**600 // 2 + 1, 10**600), (10**300 + 1, 10**300),
+    # radians that underflow to 0.0 or round to exactly pi
+    (1, 10**600), (10**600 - 1, 10**600), (1, 10**400),
+]
+
+
+def test_exact_angle_stores_the_float_of_its_reduced_fraction():
+    for num, den in RADIANS_CASES:
+        angle = ExactAngle(num, den)
+        # a stored slot, not a property that divides again on each read
+        assert "radians" in type(angle).__slots__
+        want = angle.numerator / angle.denominator * math.pi
+        assert angle.radians.hex() == want.hex(), (num, den)
+    assert ExactAngle(1, 10**600).radians == 0.0
+    assert ExactAngle(10**600 - 1, 10**600).radians == math.pi
+    # the checks read the stored float, so both ends are still refused
+    for angle in (ExactAngle(1, 10**600), ExactAngle(10**600 - 1, 10**600)):
+        with pytest.raises(MalformedProgramError, match="strictly between 0 and pi"):
+            CreaseSpec(1.0, angle)
+        with pytest.raises(MalformedProgramError, match="strictly between 0 and pi"):
+            CutSpec(1.0, angle)
+
+
+def test_exact_angle_radians_is_no_part_of_its_value():
+    angle = ExactAngle(2, 6)
+    assert ExactAngle.__match_args__ == ("numerator", "denominator")
+    assert repr(angle) == "ExactAngle(1, 3)"
+    radians = {field.name: field for field in dataclasses.fields(angle)}["radians"]
+    assert (radians.init, radians.repr, radians.compare) == (False, False, False)
+    assert hash(angle) == hash(ExactAngle(1, 3))
+    # an angle that differs only in its stored float still compares equal
+    other = ExactAngle(1, 3)
+    object.__setattr__(other, "radians", 0.5)
+    assert other == angle and hash(other) == hash(angle)
+    with pytest.raises(TypeError):
+        ExactAngle(1, 3, 1.0)
+    for again in (pickle.loads(pickle.dumps(angle)), copy.copy(angle), copy.deepcopy(angle)):
+        assert again.radians.hex() == angle.radians.hex()
+    changed = dataclasses.replace(angle, numerator=1, denominator=4)
+    assert changed.radians == 1 / 4 * math.pi
+    with pytest.raises(ValueError):
+        dataclasses.replace(angle, radians=0.5)
+
+
 def test_exact_angle_from_float_snaps_small_denominators():
     for num, den in [(1, 7), (3, 14), (2, 5), (1, 2), (699, 1000)]:
         value = num * math.pi / den
@@ -304,16 +350,26 @@ class _Shift(int):
     pass
 
 
+class _Angle(ExactAngle):
+    pass
+
+
 SPEC_POSITIONS = (
     1.5, 3, _Real(2.5), 10**400, -(10**400), True, False, "1.0", None, Fraction(3, 2),
     math.nan, math.inf, -math.inf, 0, 0.0, -0.0, -2.0, -1, 5e-324,
+    # float subclasses miss the exact-float test and take the general check
+    _Real(math.nan), _Real(math.inf), _Real(-math.inf), _Real(0.0), _Real(-0.0),
+    Fraction(0), Fraction(-1, 2), "nan",
 )
 SPEC_ANGLES = (
     ExactAngle(1, 2), ExactAngle(3, 2), ExactAngle(0, 1), ExactAngle(1, 1),
     # near 0: radians 1e-300 * pi, then radians that round to 0.0
-    ExactAngle(1, 10**300), ExactAngle(1, 10**400),
+    ExactAngle(1, 10**300), ExactAngle(1, 10**400), ExactAngle(1, 10**600),
     # near pi: radians just below pi, then radians that round to pi
     ExactAngle(10**15 - 1, 10**15), ExactAngle(10**17 - 1, 10**17),
+    ExactAngle(10**600 - 1, 10**600),
+    # a subclass passes the isinstance check behind the exact-type one
+    _Angle(1, 3), _Angle(0, 1),
     0.5, None, (1, 2), Fraction(1, 2),
 )
 SPEC_SHIFTS = (1, -2, 0, True, False, 1.0, 10**30, -(10**30), "1", None, _Shift(2), _Shift(0))
@@ -765,6 +821,26 @@ def test_json_rejects_missing_and_bad_fields():
     # json.loads raises RecursionError, no ValueError, on this nesting
     with pytest.raises(MalformedProgramError, match="invalid JSON"):
         FoldProgram.from_json("[" * 200000 + "]" * 200000)
+
+
+CREASE_FIELDS = ("position", "angle_num", "angle_den", "layer_shift")
+
+
+@pytest.mark.parametrize("gone", list(itertools.combinations(CREASE_FIELDS, 2)))
+def test_json_names_the_first_missing_field(gone):
+    doc = json.loads(make_truncated([CreaseSpec(1.0, ExactAngle(1, 2))]).to_json())
+    for key in gone:
+        del doc["creases"][0][key]
+    with pytest.raises(MalformedProgramError, match="crease missing field %r$" % gone[0]):
+        FoldProgram.from_json(json.dumps(doc))
+    if "layer_shift" not in gone:
+        doc = json.loads(make_truncated([CreaseSpec(1.0, ExactAngle(1, 2))],
+                                        start=CutSpec(0.0)).to_json())
+        for key in gone:
+            del doc["start_cut"][key]
+        with pytest.raises(MalformedProgramError,
+                           match="start_cut missing field %r$" % gone[0]):
+            FoldProgram.from_json(json.dumps(doc))
 
 
 def test_json_rejects_integers_past_the_float_range():

@@ -237,6 +237,14 @@ def test_c1_rows_marked_unattained():
         assert "not attained" in row.note
 
 
+def test_c2_rows_state_the_ribbonlength_they_rest_on():
+    # a construction bounds Ribbonlength from above, so a witness quotient
+    # bounds c2 from below only if its ratio is the knot's Ribbonlength
+    closed, truncated = bounds_table()[2:]
+    assert "only if the trefoil's Ribbonlength is the conjectured 5*cot(pi/5)" in closed.note
+    assert "only if the figure-eight's Ribbonlength is the external value" in truncated.note
+
+
 def test_report_ordering_and_coverage():
     report = ratio_report(FamilyId("odd_wrap", 2))
     assert report.params is not None and (report.params.p, report.params.q) == (3, 2)
