@@ -16,9 +16,9 @@ from .errors import InconsistencyError
 
 
 # Z[t] arithmetic.  Polynomials are dense ascending coefficient lists with
-# no trailing zero.  Products and sums loop over nonzero terms only, and
-# exact division subtracts only the divisor's nonzero terms; both take
-# operands as ascending (exponent, coefficient) term lists, so that
+# no trailing zero, or ascending (exponent, coefficient) lists of their
+# nonzero terms.  Products and sums loop over nonzero terms only, and
+# exact division subtracts only the divisor's nonzero terms, so that
 # elimination lists an operand it reuses once instead of scanning its
 # zeros on every use.
 
@@ -32,14 +32,6 @@ def _pstrip(a: List[int]) -> List[int]:
 def _terms(a: List[int]) -> List[Tuple[int, int]]:
     """The nonzero terms (exponent, coefficient) of a, ascending."""
     return [(e, c) for e, c in enumerate(a) if c]
-
-
-def _dense(terms: List[Tuple[int, int]]) -> List[int]:
-    """The stripped coefficient list of an ascending term list."""
-    out = [0] * (terms[-1][0] + 1) if terms else []
-    for e, c in terms:
-        out[e] = c
-    return out
 
 
 def _add_product(out: List[int], low: int, f, v) -> None:
@@ -62,11 +54,6 @@ def _axpy_terms(acc: List[int], f, v) -> List[int]:
     out = acc + [0] * (f[-1][0] + v[-1][0] + 1 - len(acc))
     _add_product(out, 0, f, v)
     return _pstrip(out)
-
-
-def _paxpy(acc: List[int], f: List[int], v: List[int]) -> List[int]:
-    """acc + f * v over Z[t], as a new stripped list."""
-    return _axpy_terms(acc, _terms(f), _terms(v))
 
 
 def _divide(rem: List[int], low: int, b: List[Tuple[int, int]]) -> List[Tuple[int, int]]:
@@ -103,26 +90,21 @@ def _divide(rem: List[int], low: int, b: List[Tuple[int, int]]) -> List[Tuple[in
     return quotient
 
 
-def _pdiv_exact(a: List[int], b: List[int]) -> List[int]:
-    """Exact division in Z[t]; raises if the quotient is not integral."""
-    return _dense(_divide(list(a), 0, _terms(b)))
+def _poly_bareiss(matrix: List[List[List[Tuple[int, int]]]]) -> List[Tuple[int, int]]:
+    """Fraction-free determinant, as a term list, of a matrix of integer
+    polynomials given as term lists; the matrix is left unchanged.
 
-
-def _poly_bareiss(matrix: List[List[List[int]]]) -> List[int]:
-    """Fraction-free determinant of a matrix of integer polynomials.
-
-    Every entry is listed as nonzero terms once, on entry.  Each step
-    pivots on the remaining nonzero entry with the fewest terms, ties to
-    the lowest row and then column (Markowitz's sparsity rule), and swaps
-    it into place, each swap flipping the sign; a block with no nonzero
-    entry left has determinant 0.  A step forms each numerator
+    Each step pivots on the remaining nonzero entry with the fewest terms,
+    ties to the lowest row and then column (Markowitz's sparsity rule),
+    and swaps it into place, each swap flipping the sign; a block with no
+    nonzero entry left has determinant 0.  A step forms each numerator
     m[i][j] * pivot - m[i][k] * m[k][j] in a dense list that spans only
     its own exponents, and divides it exactly by the previous pivot.
     """
     n = len(matrix)
     if n == 0:
-        return [1]
-    m = [[_terms(v) for v in row] for row in matrix]
+        return [(0, 1)]
+    m = [list(row) for row in matrix]
     sign = 1
     prev = [(0, 1)]
     for k in range(n - 1):
@@ -162,12 +144,14 @@ def _poly_bareiss(matrix: List[List[List[int]]]) -> List[int]:
                 row[j] = _divide(num, low, prev)
             row[k] = []
         prev = pivot
-    det = _dense(m[n - 1][n - 1])
-    return [-c for c in det] if sign < 0 else det
+    det = m[n - 1][n - 1]
+    return [(e, -c) for e, c in det] if sign < 0 else det
 
 
-def _unit_pivot_det(rows: List[Dict[int, List[int]]], columns: Sequence[int]) -> List[int]:
-    """Determinant, up to sign, of a square sparse matrix over Z[t].
+def _unit_pivot_det(rows: List[Dict[int, List[int]]],
+                    columns: Sequence[int]) -> List[Tuple[int, int]]:
+    """Determinant, up to sign, of a square sparse matrix over Z[t], as a
+    term list.
 
     ``rows`` map column -> ascending coefficient list with no zero entries;
     elimination changes them in place.  It pivots only on constant
@@ -176,8 +160,8 @@ def _unit_pivot_det(rows: List[Dict[int, List[int]]], columns: Sequence[int]) ->
     Dividing by a unit is exact, and units and row/column order change the
     determinant only by a sign.  Each pivot lists the nonzero terms of its
     row's entries once, and each row it changes those of its factor once.
-    The block left when no unit pivot remains goes to fraction-free
-    elimination.
+    The block left when no unit pivot remains goes, as term lists, to
+    fraction-free elimination.
     """
     col_rows: Dict[int, set] = {j: set() for j in columns}
     # the unit entries, by column and by row
@@ -244,4 +228,4 @@ def _unit_pivot_det(rows: List[Dict[int, List[int]]], columns: Sequence[int]) ->
                 push(heap, ((len(rows[i]) - 1) * nnz, i, j))
     rest = sorted(live)
     cols = sorted(col_rows)
-    return _poly_bareiss([[rows[i].get(j, []) for j in cols] for i in rest])
+    return _poly_bareiss([[_terms(rows[i].get(j, ())) for j in cols] for i in rest])

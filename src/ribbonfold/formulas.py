@@ -10,12 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import List, Optional, Union
 
 from .constructions import _FAMILIES, FAMILY_TAGS, FamilyId, TorusKnotParams, _spec, knot_type
 from .errors import InvalidInputError, NotApplicableError, ParameterError
-from .fold_core import ExactAngle
 
 __all__ = [
     "BoundsRow",
@@ -50,43 +48,30 @@ def significant(x: float, digits: int = 6) -> str:
     return "%.*g" % (digits, x)
 
 
-def _angle_text(angle: ExactAngle) -> str:
-    if angle.numerator == 1:
-        return "pi/%d" % angle.denominator
-    if angle.denominator == 1:
-        return "%d*pi" % angle.numerator
-    return "%d*pi/%d" % (angle.numerator, angle.denominator)
-
-
 @dataclass(frozen=True)
 class RatioFormula:
-    """A ratio of the form coefficient * cot(angle), or a pure rational.
+    """A ratio coefficient * cot(pi / cot_denominator), or an integer
+    coefficient alone when ``cot_denominator`` is None.
 
     ``limit`` marks formulas the construction only approaches as its
     epsilon parameter goes to zero, rather than attains exactly.
     """
 
-    coefficient: Fraction
-    angle: Optional[ExactAngle] = None
+    coefficient: int
+    cot_denominator: Optional[int] = None
     limit: bool = False
 
     @property
     def value(self) -> float:
-        base = self.coefficient.numerator / self.coefficient.denominator
-        if self.angle is None:
-            return base
-        return base / math.tan(self.angle.radians)
+        d = self.cot_denominator
+        if d is None:
+            return float(self.coefficient)
+        return self.coefficient / math.tan(1 / d * math.pi)
 
     def symbolic(self) -> str:
-        coeff = self.coefficient
-        if self.angle is None:
-            return str(coeff)
-        cot = "cot(%s)" % _angle_text(self.angle)
-        if coeff == 1:
-            return cot
-        if coeff.denominator == 1:
-            return "%d*%s" % (coeff.numerator, cot)
-        return "(%d/%d)*%s" % (coeff.numerator, coeff.denominator, cot)
+        if self.cot_denominator is None:
+            return str(self.coefficient)
+        return "%d*cot(pi/%d)" % (self.coefficient, self.cot_denominator)
 
 
 def closed_form_ratio(family: FamilyId, presentation: str = "closed") -> RatioFormula:
@@ -100,8 +85,7 @@ def closed_form_ratio(family: FamilyId, presentation: str = "closed") -> RatioFo
     coefficient, denominator = spec.ratio(family.parameter)
     if presentation == "truncated":
         coefficient -= 1  # the open strip drops the final panel
-    angle = None if denominator is None else ExactAngle(1, denominator)
-    return RatioFormula(Fraction(coefficient), angle, spec.limit)
+    return RatioFormula(coefficient, denominator, spec.limit)
 
 
 def crossing_number(p: int, q: int) -> int:
@@ -172,21 +156,21 @@ def bounds_table() -> List[BoundsRow]:
     return [
         BoundsRow(
             "c1_closed",
-            2.0 / math.pi,
+            limit_constant("even_wrap_plus2"),
             "2/pi",
             "even_wrap quotients as q grows",
             c1_note,
         ),
         BoundsRow(
             "c1_truncated",
-            4.0 / math.pi,
+            limit_constant("odd_wrap"),
             "4/pi",
             "truncated odd_wrap quotients as q grows",
             c1_note,
         ),
         BoundsRow(
             "c2_closed",
-            (5.0 / 3.0) / math.tan(math.pi / 5.0),
+            kusner_quotient(FamilyId("odd_wrap", 2)),
             "(5/3)*cot(pi/5)",
             "odd_wrap q=2 closed, the five-panel trefoil",
             "witness quotient; bounds c2 from below only if the trefoil's"

@@ -19,7 +19,7 @@ from numbers import Real
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .constructions import _FAMILIES, FamilyId
-from .determinant import _paxpy, _pdiv_exact, _pstrip, _unit_pivot_det
+from .determinant import _pstrip, _unit_pivot_det
 from .errors import (
     DegenerateDiagramError,
     InconsistencyError,
@@ -83,12 +83,6 @@ class LaurentPolynomial:
 
     def is_zero(self) -> bool:
         return not self._coeffs
-
-    @property
-    def degree(self) -> int:
-        if not self._coeffs:
-            raise InvalidInputError("zero polynomial has no exponent range")
-        return len(self._coeffs) - 1
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaurentPolynomial):
@@ -278,7 +272,7 @@ def alexander_polynomial(
                 e[1] += c1
         minor.append({arc: _pstrip(e) for arc, e in entries.items() if any(e)})
     det = _unit_pivot_det(minor, [j for j in range(n) if j != col])
-    poly = LaurentPolynomial.from_list(det)
+    poly = LaurentPolynomial(dict(det))
     if poly.is_zero():
         raise InvalidDiagramError("Alexander determinant vanished; not a knot diagram")
     return poly
@@ -287,31 +281,30 @@ def alexander_polynomial(
 def torus_alexander(p: int, q: int) -> LaurentPolynomial:
     """Alexander polynomial of the (p, q) torus knot.
 
-    Computed as the exact quotient (t^{pq} - 1)(t - 1) divided by
-    (t^p - 1)(t^q - 1); either parameter equal to 1 gives the unknot
-    polynomial 1.  The degree (p-1)(q-1) may be at most 10**6: a diagram
-    with that polynomial has more crossings than any this module extracts.
+    The exact quotient (t^{pq} - 1)(t - 1) / ((t^p - 1)(t^q - 1)) is
+    (1 - t) times the sum of t^s over the semigroup generated by p and q.
+    Every s at or past c = (p-1)(q-1) lies in it, so the polynomial is t^c
+    plus t^s - t^(s+1) for each s = a*p + b*q < c, and each such s is
+    a*p + b*q for exactly one pair a, b >= 0, in which a*p <= s < c.
+    Either parameter equal to 1 gives c = 0 and the unknot polynomial 1.
+    The degree c may be at most 10**6: a diagram with that polynomial has
+    more crossings than any this module extracts.
     """
     for v in (p, q):
         if isinstance(v, bool) or not isinstance(v, int) or v < 1:
             raise InvalidInputError("torus parameters must be integers >= 1")
     if math.gcd(p, q) != 1:
         raise InvalidInputError("torus knot parameters must be coprime")
-    if (p - 1) * (q - 1) > _DEGREE_LIMIT:
+    c = (p - 1) * (q - 1)
+    if c > _DEGREE_LIMIT:
         raise InvalidInputError("torus knot degree (p-1)(q-1) exceeds %d" % _DEGREE_LIMIT)
-    if min(p, q) == 1:
-        return LaurentPolynomial.from_list([1])
-
-    def cyclo(k: int) -> List[int]:
-        out = [0] * (k + 1)
-        out[0] = -1
-        out[k] = 1
-        return out
-
-    numerator = _paxpy([], cyclo(p * q), cyclo(1))
-    quotient = _pdiv_exact(numerator, cyclo(p))
-    quotient = _pdiv_exact(quotient, cyclo(q))
-    return LaurentPolynomial.from_list(quotient)
+    coeffs = [0] * (c + 1)
+    coeffs[c] = 1
+    for ap in range(0, c, p):
+        for s in range(ap, c, q):
+            coeffs[s] += 1
+            coeffs[s + 1] -= 1
+    return LaurentPolynomial.from_list(coeffs)
 
 
 # -------------------------------------------------------------- extraction

@@ -51,10 +51,8 @@ from ribbonfold import (
     layout,
 )
 from ribbonfold.determinant import (
-    _dense,
+    _axpy_terms,
     _divide,
-    _paxpy,
-    _pdiv_exact,
     _poly_bareiss,
     _pstrip,
     _terms,
@@ -356,9 +354,9 @@ COEFFICIENT_LISTS = st.lists(
 
 @settings(_FUZZ, max_examples=300)
 @given(COEFFICIENT_LISTS, COEFFICIENT_LISTS, COEFFICIENT_LISTS)
-def test_paxpy_matches_separate_product_and_sum(acc, f, v):
+def test_axpy_terms_matches_separate_product_and_sum(acc, f, v):
     inputs = (list(acc), list(f), list(v))
-    got = _paxpy(acc, f, v)
+    got = _axpy_terms(acc, _terms(f), _terms(v))
     assert got == _padd(acc, _pmul(f, v))
     assert (acc, f, v) == inputs and got is not acc
 
@@ -378,23 +376,23 @@ def gapped_divisors(draw):
 @given(gapped_divisors(), COEFFICIENT_LISTS, COEFFICIENT_LISTS, st.integers(0, 4))
 def test_exact_division_undoes_the_product(b, quotient, remainder, low):
     a = _pmul(quotient, b)
-    want = _pstrip(list(quotient))
+    want = _terms(quotient)
     inputs = (list(a), list(b))
-    assert _pdiv_exact(a, b) == want
+    assert _divide(list(a), 0, _terms(b)) == want
     assert (a, b) == inputs
     # the same dividend held from t^low, as elimination holds a numerator
     if not any(a[:low]):
-        assert _dense(_divide(a[low:], low, _terms(b))) == want
+        assert _divide(a[low:], low, _terms(b)) == want
     # b has two nonzero terms at least, so adding t^deg(b) or a nonzero
     # remainder below deg(b) leaves a non-multiple
     r = _pstrip(remainder[:len(b) - 1])
     for other in ([0] * (len(b) - 1) + [1], r):
         if other:
             with pytest.raises(InconsistencyError):
-                _pdiv_exact(_padd(a, other), b)
+                _divide(_padd(a, other), 0, _terms(b))
     # a divisor of zeros only once raised ZeroDivisionError
     with pytest.raises(InconsistencyError):
-        _pdiv_exact(a, [0] * len(b))
+        _divide(list(a), 0, _terms([0] * len(b)))
 
 
 # entries of at most three terms, with gaps and a huge coefficient, and
@@ -428,9 +426,10 @@ def polynomial_matrices(draw):
 def test_pivoted_bareiss_matches_index_order_oracle(matrix):
     # alexander_polynomial normalizes the sign away, so only this direct
     # comparison checks the sign of the row and column swaps
-    inputs = [[list(v) for v in row] for row in matrix]
-    assert _poly_bareiss(matrix) == oracle_bareiss(matrix)
-    assert matrix == inputs
+    terms = [[_terms(v) for v in row] for row in matrix]
+    inputs = [[list(v) for v in row] for row in terms]
+    assert _poly_bareiss(terms) == _terms(oracle_bareiss(matrix))
+    assert terms == inputs
 
 
 @st.composite
