@@ -90,9 +90,9 @@ def _divide(rem: List[int], low: int, b: List[Tuple[int, int]]) -> List[Tuple[in
     return quotient
 
 
-def _poly_bareiss(matrix: List[List[List[Tuple[int, int]]]]) -> List[Tuple[int, int]]:
+def _poly_bareiss(m: List[List[List[Tuple[int, int]]]]) -> List[Tuple[int, int]]:
     """Fraction-free determinant, as a term list, of a matrix of integer
-    polynomials given as term lists; the matrix is left unchanged.
+    polynomials given as term lists; elimination consumes the matrix ``m``.
 
     Each step pivots on the remaining nonzero entry with the fewest terms,
     ties to the lowest row and then column (Markowitz's sparsity rule),
@@ -101,10 +101,9 @@ def _poly_bareiss(matrix: List[List[List[Tuple[int, int]]]]) -> List[Tuple[int, 
     m[i][j] * pivot - m[i][k] * m[k][j] in a dense list that spans only
     its own exponents, and divides it exactly by the previous pivot.
     """
-    n = len(matrix)
+    n = len(m)
     if n == 0:
         return [(0, 1)]
-    m = [list(row) for row in matrix]
     sign = 1
     prev = [(0, 1)]
     for k in range(n - 1):
@@ -148,15 +147,20 @@ def _poly_bareiss(matrix: List[List[List[Tuple[int, int]]]]) -> List[Tuple[int, 
     return [(e, -c) for e, c in det] if sign < 0 else det
 
 
+_UNITS = ([1], [-1])
+
+
 def _unit_pivot_det(rows: List[Dict[int, List[int]]],
                     columns: Sequence[int]) -> List[Tuple[int, int]]:
     """Determinant, up to sign, of a square sparse matrix over Z[t], as a
     term list.
 
     ``rows`` map column -> ascending coefficient list with no zero entries;
-    elimination changes them in place.  It pivots only on constant
-    entries +-1, chosen by Markowitz cost (row nnz - 1) * (col nnz - 1)
-    with ties to the lowest (row, col).
+    elimination consumes them: it changes them in place and sets each
+    pivoted row to None.  It pivots only on constant entries +-1, chosen
+    by Markowitz cost (row nnz - 1) * (col nnz - 1) with ties to the
+    lowest (row, col); ``col_rows``, the rows of each column, is the only
+    index it keeps.
     Dividing by a unit is exact, and units and row/column order change the
     determinant only by a sign.  Each pivot lists the nonzero terms of its
     row's entries once, and each row it changes those of its factor once.
@@ -164,45 +168,41 @@ def _unit_pivot_det(rows: List[Dict[int, List[int]]],
     fraction-free elimination.
     """
     col_rows: Dict[int, set] = {j: set() for j in columns}
-    # the unit entries, by column and by row
-    col_units: Dict[int, set] = {j: set() for j in columns}
-    row_units = [set() for _ in rows]
     for i, row in enumerate(rows):
-        for j, v in row.items():
+        for j in row:
             col_rows[j].add(i)
-            if len(v) == 1 and (v[0] == 1 or v[0] == -1):
-                col_units[j].add(i)
-                row_units[i].add(j)
-    live = set(range(len(rows)))
     heap: List[Tuple[int, int, int]] = []
     push = heapq.heappush
+
     # every unit entry is a pivot candidate; every change to an entry or
     # its cost pushes a fresh key, so a key that no longer matches its
     # entry is stale
-    for i, units in enumerate(row_units):
-        for j in units:
-            push(heap, ((len(rows[i]) - 1) * (len(col_rows[j]) - 1), i, j))
+    def push_units(i: int) -> None:
+        row = rows[i]
+        nnz = len(row) - 1
+        for j, v in row.items():
+            if v in _UNITS:
+                push(heap, (nnz * (len(col_rows[j]) - 1), i, j))
+
+    for i in range(len(rows)):
+        push_units(i)
     while heap:
         cost, r, c = heapq.heappop(heap)
         pivot = rows[r]
-        if (r not in live or pivot.get(c) not in ([1], [-1])
+        if (pivot is None or pivot.get(c) not in _UNITS
                 or cost != (len(pivot) - 1) * (len(col_rows[c]) - 1)):
             continue
         # row_i -= (f / u) * pivot, and 1/u == u for a unit u, so each
         # changed row adds its factor f times the pivot row scaled by -u
         u = pivot.pop(c)[0]
-        live.remove(r)
+        rows[r] = None
         for j in pivot:
             col_rows[j].discard(r)
-            col_units[j].discard(r)
         changed = col_rows.pop(c)
         changed.discard(r)
-        del col_units[c]
         pivot_terms = [(j, [(e, -u * x) for e, x in enumerate(v) if x]) for j, v in pivot.items()]
         for i in changed:
             row = rows[i]
-            units = row_units[i]
-            units.discard(c)
             factor = _terms(row.pop(c))
             for j, v in pivot_terms:
                 entry = _axpy_terms(row.get(j, []), factor, v)
@@ -212,20 +212,12 @@ def _unit_pivot_det(rows: List[Dict[int, List[int]]],
                 elif j in row:
                     del row[j]
                     col_rows[j].discard(i)
-                if len(entry) == 1 and (entry[0] == 1 or entry[0] == -1):
-                    units.add(j)
-                    col_units[j].add(i)
-                elif j in units:
-                    units.discard(j)
-                    col_units[j].discard(i)
         for i in changed:
-            nnz = len(rows[i]) - 1
-            for j in row_units[i]:
-                push(heap, (nnz * (len(col_rows[j]) - 1), i, j))
+            push_units(i)
         for j in pivot:
             nnz = len(col_rows[j]) - 1
-            for i in col_units[j]:
+            for i in [i for i in col_rows[j] if rows[i][j] in _UNITS]:
                 push(heap, ((len(rows[i]) - 1) * nnz, i, j))
-    rest = sorted(live)
     cols = sorted(col_rows)
-    return _poly_bareiss([[_terms(rows[i].get(j, ())) for j in cols] for i in rest])
+    rest = [row for row in rows if row is not None]
+    return _poly_bareiss([[_terms(row.get(j, ())) for j in cols] for row in rest])

@@ -67,11 +67,28 @@ class LaurentPolynomial:
             # the dense representative has one slot per exponent in the span
             if high - low > _DEGREE_LIMIT:
                 raise InvalidInputError("exponent span exceeds %d" % _DEGREE_LIMIT)
-            unit = 1 if terms[low] > 0 else -1
             coeffs = [0] * (high - low + 1)
             for exp, c in terms.items():
-                coeffs[exp - low] = unit * c
-            self._coeffs = tuple(coeffs)
+                coeffs[exp - low] = c
+            self._coeffs = self._from_dense(coeffs)._coeffs
+
+    @classmethod
+    def _from_dense(cls, coeffs: Sequence[int]) -> "LaurentPolynomial":
+        """The polynomial of the ascending int coefficients ``coeffs``,
+        normalized: the zeros at both ends cut, the span checked, and the
+        lowest coefficient made positive."""
+        high = len(coeffs)
+        while high and not coeffs[high - 1]:
+            high -= 1
+        low = 0
+        while low < high and not coeffs[low]:
+            low += 1
+        if high - low - 1 > _DEGREE_LIMIT:
+            raise InvalidInputError("exponent span exceeds %d" % _DEGREE_LIMIT)
+        kept = coeffs[low:high]
+        poly = object.__new__(cls)
+        poly._coeffs = tuple(kept) if not kept or kept[0] > 0 else tuple(-c for c in kept)
+        return poly
 
     @property
     def coefficients(self) -> Dict[int, int]:
@@ -79,7 +96,10 @@ class LaurentPolynomial:
 
     @classmethod
     def from_list(cls, coeffs: Sequence[int]) -> "LaurentPolynomial":
-        return cls(dict(enumerate(coeffs)))
+        coeffs = list(coeffs)
+        if any(isinstance(c, bool) or not isinstance(c, int) for c in coeffs):
+            raise InvalidInputError("coefficients must be integers")
+        return cls._from_dense(coeffs)
 
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -94,7 +114,7 @@ class LaurentPolynomial:
 
     def mirror(self) -> "LaurentPolynomial":
         """The polynomial at 1/t (the Alexander polynomial of the mirror)."""
-        return LaurentPolynomial.from_list(self._coeffs[::-1])
+        return LaurentPolynomial._from_dense(self._coeffs[::-1])
 
     def evaluate(self, x):
         """Exact value at x (int or Fraction), an int when it is integral."""
@@ -272,7 +292,10 @@ def alexander_polynomial(
                 e[1] += c1
         minor.append({arc: _pstrip(e) for arc, e in entries.items() if any(e)})
     det = _unit_pivot_det(minor, [j for j in range(n) if j != col])
-    poly = LaurentPolynomial(dict(det))
+    dense = [0] * (det[-1][0] + 1 if det else 0)
+    for e, c in det:
+        dense[e] = c
+    poly = LaurentPolynomial._from_dense(dense)
     if poly.is_zero():
         raise InvalidDiagramError("Alexander determinant vanished; not a knot diagram")
     return poly
@@ -304,7 +327,7 @@ def torus_alexander(p: int, q: int) -> LaurentPolynomial:
         for s in range(ap, c, q):
             coeffs[s] += 1
             coeffs[s + 1] -= 1
-    return LaurentPolynomial.from_list(coeffs)
+    return LaurentPolynomial._from_dense(coeffs)
 
 
 # -------------------------------------------------------------- extraction
@@ -797,10 +820,11 @@ def certification_report(
 ) -> CertificationReport:
     """Compare a diagram and its Alexander polynomial with the expected knot.
 
-    ``expected`` is a torus knot ``(p, q)``; or a family, whose knot the
-    family table gives (a torus knot, or the Alexander coefficients of
-    the 7_4 rectangle); or None, which only reports the invariants.
-    Either chirality matches.
+    ``expected`` is a torus knot ``(p, q)``, a tuple or list of two ints
+    that are not bools; or a family, whose knot the family table gives (a
+    torus knot, or the Alexander coefficients of the 7_4 rectangle); or
+    None, which only reports the invariants.  Anything else raises
+    InvalidInputError.  Either chirality matches.
     """
     p = q = bound = reference = matches = None
     if isinstance(expected, FamilyId):
@@ -810,7 +834,10 @@ def certification_report(
         else:
             p, q = knot(expected.parameter)
     elif expected is not None:
-        p, q = int(expected[0]), int(expected[1])
+        if (not isinstance(expected, (tuple, list)) or len(expected) != 2
+                or any(isinstance(v, bool) or not isinstance(v, int) for v in expected)):
+            raise InvalidInputError("expected knot must be a FamilyId, None or two ints (p, q)")
+        p, q = expected
     if p is not None:
         reference = torus_alexander(p, q)
         bound = min(p * (q - 1), q * (p - 1))

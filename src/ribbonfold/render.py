@@ -222,7 +222,7 @@ def render_table_figure(reports: Sequence[RatioReport]) -> str:
     """Chart kusner quotients against the family parameter.
 
     One series per (family, presentation) pair, with horizontal guide
-    lines at the two limit constants 4/pi and 2/pi.
+    lines at the two limit constants 4/pi (odd wraps) and 2/pi (even wraps).
     """
     if not reports:
         raise InvalidInputError("cannot chart an empty report list")
@@ -236,7 +236,9 @@ def render_table_figure(reports: Sequence[RatioReport]) -> str:
 
     all_x = [x for pts in series.values() for x, _ in pts]
     all_y = [y for pts in series.values() for _, y in pts]
-    guides = (4.0 / math.pi, 2.0 / math.pi)
+    from .formulas import limit_constant
+
+    guides = (limit_constant("odd_wrap"), limit_constant("even_wrap_plus2"))
     all_y += list(guides)
 
     min_x, max_x = min(all_x), max(all_x)

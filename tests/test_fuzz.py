@@ -15,7 +15,8 @@ Coefficient lists check the determinant's fused Z[t] update against a
 separate product and sum, and its exact division, by divisors with
 interior zeros, against the product it must undo.  Small polynomial
 matrices, some singular, check the pivoted fraction-free determinant,
-sign included, against elimination in index order.  Signed Gauss codes,
+sign included, and the sparse elimination on +-1 entries, up to sign,
+against elimination in index order.  Signed Gauss codes,
 valid or with one corruption, check ``KnotDiagram``'s one walk against a
 separate validation and derivation.
 Every run is derandomized, so it checks the same cases every time.
@@ -56,6 +57,7 @@ from ribbonfold.determinant import (
     _poly_bareiss,
     _pstrip,
     _terms,
+    _unit_pivot_det,
 )
 from ribbonfold.knot_id import (
     KnotDiagram,
@@ -427,9 +429,42 @@ def test_pivoted_bareiss_matches_index_order_oracle(matrix):
     # alexander_polynomial normalizes the sign away, so only this direct
     # comparison checks the sign of the row and column swaps
     terms = [[_terms(v) for v in row] for row in matrix]
-    inputs = [[list(v) for v in row] for row in terms]
     assert _poly_bareiss(terms) == _terms(oracle_bareiss(matrix))
-    assert terms == inputs
+
+
+# entries that are often the constant units +-1, which the sparse
+# elimination pivots on, and otherwise zero or up to three terms
+UNIT_RICH_ENTRIES = st.sampled_from(
+    [[1], [-1], [1], [-1], [], [], [0, 1], [1, -1], [-1, 0, 2], [2], [0, 0, 3], [10**30]])
+
+
+@st.composite
+def unit_rich_matrices(draw):
+    """Square matrices over Z[t] of 1 to 8 rows, mostly +-1 entries, some
+    with an empty column, a zero row or a row that repeats another."""
+    n = draw(st.integers(1, 8))
+    m = [draw(st.lists(UNIT_RICH_ENTRIES, min_size=n, max_size=n)) for _ in range(n)]
+    kind = draw(st.sampled_from(("plain", "empty-column", "zero-row", "repeat")))
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    if kind == "empty-column":
+        for row in m:
+            row[j] = []
+    elif kind == "zero-row":
+        m[i] = [[] for _ in range(n)]
+    elif kind == "repeat" and i != j:
+        m[i] = [list(v) for v in m[j]]
+    return m
+
+
+@settings(_FUZZ, max_examples=400)
+@given(unit_rich_matrices())
+def test_unit_pivot_det_matches_index_order_oracle(matrix):
+    # sparse rows keyed by column ids that are not 0..n-1, as in a minor
+    # whose deleted column is gone
+    columns = [2 * j + 1 for j in range(len(matrix))]
+    rows = [{c: list(v) for c, v in zip(columns, row) if v} for row in matrix]
+    want = _terms(oracle_bareiss(matrix))
+    assert _unit_pivot_det(rows, columns) in (want, [(e, -c) for e, c in want])
 
 
 @st.composite

@@ -88,6 +88,16 @@ def test_polynomial_normalization():
     assert poly(1, 0, -2).mirror().coefficients == {0: 2, 2: -1}
 
 
+@pytest.mark.parametrize("coeffs", [
+    [], [0, 0], [5], [-1], [0, 0, -1, 1, 0], [0, -3, 0, 2, 0, 0], [2, 0, -2],
+    [0, -(10**30), 0, 7, 0], [0, 1, -1, 1, -1, 0, 0, 0], [-4, 7, -4],
+])
+def test_from_list_matches_the_mapping_constructor(coeffs):
+    # zeros at both ends and a negative lowest or highest coefficient
+    # normalize the same way through either constructor
+    assert LaurentPolynomial.from_list(coeffs) == LaurentPolynomial(dict(enumerate(coeffs)))
+
+
 def test_polynomial_rejects_non_integers():
     with pytest.raises(InvalidInputError):
         LaurentPolynomial({0: 1.5})
@@ -104,6 +114,14 @@ def test_polynomial_rejects_non_integers():
         with pytest.raises(InvalidInputError):
             LaurentPolynomial(terms)
     assert LaurentPolynomial({-5: 1, 10**6 - 5: -1}).coefficients == {0: 1, 10**6: -1}
+    # from_list refuses the same coefficients and spans
+    for coeffs in ([1, True], [1, 2.0], [1, "2"]):
+        with pytest.raises(InvalidInputError, match="coefficients must be integers"):
+            LaurentPolynomial.from_list(coeffs)
+    with pytest.raises(InvalidInputError, match="exceeds 1000000"):
+        LaurentPolynomial.from_list([0, 1] + [0] * 10**6 + [-1, 0])
+    assert LaurentPolynomial.from_list([0, 1] + [0] * (10**6 - 1) + [-1, 0]).coefficients == {
+        0: 1, 10**6: -1}
 
 
 # -------------------------------------------------------------- torus oracle
@@ -322,8 +340,22 @@ def test_certification_report_expected_forms():
     trefoil = KnotDiagram(torus_braid_gauss(3, 2))
     delta = alexander_polynomial(trefoil)
     assert (certification_report(trefoil, delta, FamilyId("odd_wrap", 2))
-            == certification_report(trefoil, delta, (3, 2)))
+            == certification_report(trefoil, delta, (3, 2))
+            == certification_report(trefoil, delta, [3, 2]))
+    # verify_knot_type hands its expected knot to the same check
+    with pytest.raises(InvalidInputError):
+        verify_knot_type(build(FamilyId("odd_wrap", 2)), (3.9, 2.2))
     assert not certification_report(trefoil, delta, (5, 2)).matches
+
+
+@pytest.mark.parametrize("expected", [
+    (3.9, 2.2), ("3", "2"), (True, 2), (3, False), (3, 2, 7), (3,), [3], 5, "32", {3: 2},
+])
+def test_certification_report_rejects_a_malformed_expected_knot(expected):
+    trefoil = KnotDiagram(torus_braid_gauss(3, 2))
+    delta = alexander_polynomial(trefoil)
+    with pytest.raises(InvalidInputError):
+        certification_report(trefoil, delta, expected)
 
 
 def test_summary_without_a_reference_gives_no_verdict():
