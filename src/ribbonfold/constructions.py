@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
-from .errors import ParameterError
+from .errors import InvalidInputError, ParameterError
 from .fold_core import (
     CreaseSpec,
     CutSpec,
@@ -84,10 +84,10 @@ class _Family(NamedTuple):
     # (coefficient, cot-angle denominator) of the closed ratio, where the
     # ratio is coefficient * cot(pi / denominator); denominator None means
     # the ratio is the bare coefficient.  For a family with a parameter the
-    # coefficient is the closed panel count, one per chord of the star
+    # coefficient is the closed panel count, one per chord of the star;
+    # formulas.limit_constant derives the quotient limit from this and knot
     ratio: Callable[[Optional[int]], Tuple[int, Optional[int]]]
     limit: bool  # the ratio is only approached as epsilon -> 0
-    quotient_limit: Optional[float]  # None: no parameter to take a limit in
     # (parameter, presentation, epsilon) -> program; the lambdas look the
     # builders up as module globals at call time
     build: Callable[[Optional[int], str, float], FoldProgram]
@@ -97,35 +97,35 @@ _FAMILIES = {
     "odd_wrap": _Family(
         "odd-wrap", None, "q", 2, False, ("closed", "truncated"),
         lambda q: (q + 1, q), lambda q: (2 * q + 1, 2 * q + 1), False,
-        4.0 / math.pi, lambda q, presentation, _: build_odd_wrap(q, presentation)),
+        lambda q, presentation, _: build_odd_wrap(q, presentation)),
     "star_polygon": _Family(
         "star", None, "p", 7, True, ("closed",),
         lambda p: (p, 2), lambda p: (p, p), False,
-        math.inf, lambda p, *_: build_star_polygon(p)),
+        lambda p, *_: build_star_polygon(p)),
     "pinwheel": _Family(
         "pinwheel", None, "q", 2, False, ("closed",),
         lambda q: (2 * q + 1, q), lambda q: (2 * q + 1, 4 * q + 2), False,
-        4.0 / math.pi, lambda q, *_: build_pinwheel(q)),
+        lambda q, *_: build_pinwheel(q)),
     "even_wrap_plus2": _Family(
         "even-wrap", 2, "q", 3, True, ("closed",),
         lambda q: (2 * q + 2, q), lambda q: (2 * q + 2, 2 * q + 2), False,
-        2.0 / math.pi, lambda q, *_: build_even_wrap(q, 2)),
+        lambda q, *_: build_even_wrap(q, 2)),
     "even_wrap_plus4": _Family(
         "even-wrap", 4, "q", 3, True, ("closed",),
         lambda q: (2 * q + 4, q), lambda q: (2 * q + 4, 2 * q + 4), False,
-        2.0 / math.pi, lambda q, *_: build_even_wrap(q, 4)),
+        lambda q, *_: build_even_wrap(q, 4)),
     "short_52": _Family(
         "short-52", None, None, 0, False, ("closed",),
         lambda _: (5, 2), lambda _: (7, 5), True,
-        None, lambda _, __, epsilon: build_short_52(epsilon)),
+        lambda _, __, epsilon: build_short_52(epsilon)),
     "short_72": _Family(
         "short-72", None, None, 0, False, ("closed",),
         lambda _: (7, 2), lambda _: (9, 5), True,
-        None, lambda _, __, epsilon: build_short_72(epsilon)),
+        lambda _, __, epsilon: build_short_72(epsilon)),
     "rect_74": _Family(
         "rect74", None, None, 0, False, ("closed",),
         (4, -7, 4), lambda _: (24, None), False,
-        None, lambda *_: build_74()),
+        lambda *_: build_74()),
 }
 
 FAMILY_TAGS = tuple(_FAMILIES)
@@ -162,6 +162,8 @@ class FamilyId:
 
 def _spec(family: FamilyId, presentation: str = "closed") -> _Family:
     """Table row of a family, once its presentation is known to apply."""
+    if not isinstance(family, FamilyId):
+        raise InvalidInputError("expected a FamilyId, got %r" % (family,))
     spec = _FAMILIES[family.tag]
     if presentation not in spec.presentations:
         raise ParameterError("%s has no %r presentation" % (family.tag, presentation))
@@ -170,7 +172,7 @@ def _spec(family: FamilyId, presentation: str = "closed") -> _Family:
 
 def knot_type(family: FamilyId) -> Optional[TorusKnotParams]:
     """Torus knot type a family folds, or None for the 7_4 rectangle."""
-    knot = _FAMILIES[family.tag].knot
+    knot = _spec(family).knot
     return None if isinstance(knot, tuple) else TorusKnotParams(*knot(family.parameter))
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import List, Optional, Union
 
 from .constructions import _FAMILIES, FAMILY_TAGS, FamilyId, TorusKnotParams, _spec, knot_type
@@ -115,6 +116,31 @@ def kusner_quotient(family: FamilyId, presentation: str = "closed") -> float:
     return formula.value / family_crossing_number(family)
 
 
+def _limit_over_pi(family: Union[FamilyId, str]) -> Optional[Fraction]:
+    """pi times the quotient limit of a parametric family, or None when
+    the quotient grows without bound.
+
+    The quotient c*cot(pi/d)/C of a member with panel count c, cot-angle
+    denominator d and crossing number C tends to lim c*d/C over pi as d
+    grows.  c*d and C are polynomials of degree at most 2 in the
+    parameter, so that limit is the ratio of their second differences
+    over three members a step apart; a zero difference of C means the
+    limit is infinite.
+    """
+    tag = family.tag if isinstance(family, FamilyId) else family
+    if tag not in FAMILY_TAGS:
+        raise ParameterError("unknown family tag %r" % (tag,))
+    spec = _FAMILIES[tag]
+    if spec.flag is None:
+        raise NotApplicableError("%s has no parameter limit" % tag)
+    step = 2 if spec.odd else 1
+    members = range(spec.low, spec.low + 3 * step, step)
+    products = [math.prod(spec.ratio(n)) for n in members]
+    crossings = [crossing_number(*spec.knot(n)) for n in members]
+    top, bottom = (x0 - 2 * x1 + x2 for x0, x1, x2 in (products, crossings))
+    return Fraction(top, bottom) if bottom else None
+
+
 def limit_constant(family: Union[FamilyId, str]) -> float:
     """Limit of a parametric family's quotient as its parameter grows.
 
@@ -122,13 +148,8 @@ def limit_constant(family: Union[FamilyId, str]) -> float:
     The three fixed constructions have no parameter to take a limit in,
     so they raise NotApplicableError.
     """
-    tag = family.tag if isinstance(family, FamilyId) else family
-    if tag not in FAMILY_TAGS:
-        raise ParameterError("unknown family tag %r" % (tag,))
-    value = _FAMILIES[tag].quotient_limit
-    if value is None:
-        raise NotApplicableError("%s has no parameter limit" % tag)
-    return value
+    coefficient = _limit_over_pi(family)
+    return math.inf if coefficient is None else float(coefficient) / math.pi
 
 
 @dataclass(frozen=True)
@@ -153,25 +174,29 @@ def bounds_table() -> List[BoundsRow]:
     figure-eight, the external value 6+2*sqrt(2).
     """
     c1_note = "upper bound for c1; approached in the limit, not attained"
+    closed, truncated = _limit_over_pi("even_wrap_plus2"), _limit_over_pi("odd_wrap")
+    trefoil = FamilyId("odd_wrap", 2)
+    witness, crossings = closed_form_ratio(trefoil), family_crossing_number(trefoil)
     return [
         BoundsRow(
             "c1_closed",
-            limit_constant("even_wrap_plus2"),
-            "2/pi",
+            float(closed) / math.pi,
+            "%s/pi" % closed,
             "even_wrap quotients as q grows",
             c1_note,
         ),
         BoundsRow(
             "c1_truncated",
-            limit_constant("odd_wrap"),
-            "4/pi",
+            float(truncated) / math.pi,
+            "%s/pi" % truncated,
             "truncated odd_wrap quotients as q grows",
             c1_note,
         ),
         BoundsRow(
             "c2_closed",
-            kusner_quotient(FamilyId("odd_wrap", 2)),
-            "(5/3)*cot(pi/5)",
+            witness.value / crossings,
+            "(%s)*cot(pi/%d)" % (Fraction(witness.coefficient, crossings),
+                                 witness.cot_denominator),
             "odd_wrap q=2 closed, the five-panel trefoil",
             "witness quotient; bounds c2 from below only if the trefoil's"
             " Ribbonlength is the conjectured 5*cot(pi/5)",

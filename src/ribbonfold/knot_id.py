@@ -15,6 +15,7 @@ import math
 import sys
 from collections.abc import Mapping
 from dataclasses import dataclass, field
+from fractions import Fraction
 from numbers import Real
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
@@ -118,6 +119,8 @@ class LaurentPolynomial:
 
     def evaluate(self, x):
         """Exact value at x (int or Fraction), an int when it is integral."""
+        if isinstance(x, bool) or not isinstance(x, (int, Fraction)):
+            raise InvalidInputError("a polynomial evaluates at an int or a Fraction")
         value = 0
         for c in reversed(self._coeffs):
             value = value * x + c

@@ -222,7 +222,7 @@ def render_table_figure(reports: Sequence[RatioReport]) -> str:
     """Chart kusner quotients against the family parameter.
 
     One series per (family, presentation) pair, with horizontal guide
-    lines at the two limit constants 4/pi (odd wraps) and 2/pi (even wraps).
+    lines at the limit constants of the odd wraps and of the even wraps.
     """
     if not reports:
         raise InvalidInputError("cannot chart an empty report list")

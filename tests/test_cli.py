@@ -276,6 +276,8 @@ def test_identify_json_deterministic(capsys):
         ("identify", "--family", "star", "--p", "7", "--expected", "99999999999999999999,2"),
         # a parameter past 10**5 panels, rejected before anything is built
         ("verify", "--family", "odd-wrap", "--q", "10000000"),
+        # a displacement so large that it collapses a segment of rect74
+        ("identify", "--family", "rect74", "--perturbation", "0.5"),
     ],
 )
 def test_usage_errors_exit_two(capsys, argv):

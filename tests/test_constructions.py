@@ -9,6 +9,7 @@ from diagram_sources import star_polyline_program
 from ribbonfold import (
     ClosureError,
     FamilyId,
+    InvalidInputError,
     ParameterError,
     TorusKnotParams,
     build,
@@ -23,7 +24,7 @@ from ribbonfold import (
     layout,
     ratio,
 )
-from ribbonfold import constructions
+from ribbonfold import constructions, formulas
 from ribbonfold.fold_core import ExactAngle, Point, layout_from_centerline, unfold
 from ribbonfold.knot_id import (
     LaurentPolynomial,
@@ -131,6 +132,16 @@ def test_knot_type_per_family():
     assert knot_type(FamilyId("short_52")) == TorusKnotParams(5, 2)
     assert knot_type(FamilyId("short_72")) == TorusKnotParams(7, 2)
     assert knot_type(FamilyId("rect_74")) is None
+
+
+@pytest.mark.parametrize("bad", ["odd_wrap", None, ("odd_wrap", 3)], ids=repr)
+@pytest.mark.parametrize("call", [
+    build, knot_type, formulas.closed_form_ratio, formulas.family_crossing_number,
+    formulas.kusner_quotient, formulas.ratio_report,
+], ids=lambda call: call.__name__)
+def test_family_functions_reject_what_is_not_a_family_id(call, bad):
+    with pytest.raises(InvalidInputError, match="expected a FamilyId"):
+        call(bad)
 
 
 # ------------------------------------------------------------- builders

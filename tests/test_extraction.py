@@ -1,8 +1,8 @@
 """Diagram extraction: the crossing search against its all-pairs oracle,
-its degeneracy checks, pinned Gauss codes, the perturbation passes, the
-strand order of the passages, the direction sort and start points that
-one extraction shares between its group test and its search, and layouts
-whose panels do not match their centerline."""
+its degeneracy checks and error paths, pinned Gauss codes, the
+perturbation passes, the strand order of the passages, the direction
+sort and start points that one extraction shares between its group test
+and its search, and layouts whose panels do not match their centerline."""
 
 import hashlib
 import json
@@ -121,6 +121,30 @@ def test_segment_without_unit_direction_is_rejected():
     segs[2] = (start, segs[2][1])
     with pytest.raises(DegenerateDiagramError, match="segment 1 has no unit direction"):
         extract_diagram(FoldedLayout(lay.panels, tuple(segs), None), 1e-3)
+
+
+def test_too_few_segments_are_rejected():
+    lay = layout(build(FamilyId("odd_wrap", 3)))
+    with pytest.raises(DegenerateDiagramError, match="too few segments"):
+        extract_diagram(FoldedLayout(lay.panels[:2], lay.centerline[:2]))
+
+
+def test_open_centerline_is_rejected():
+    # segment 0 ends 1e-3 off segment 1's start, far past the closure gap
+    lay = layout(build(FamilyId("odd_wrap", 3)))
+    (a, b), rest = lay.centerline[0], lay.centerline[1:]
+    segs = ((a, Point(b.x + 1e-3, b.y)),) + rest
+    with pytest.raises(DegenerateDiagramError, match="centerline is not a closed loop"):
+        extract_diagram(FoldedLayout(lay.panels, segs, lay.source))
+
+
+def test_displacement_that_collapses_a_segment_is_rejected():
+    # rect_74's coincident runs pushed half a width apart flip segment 11;
+    # at 0.3 widths it still extracts
+    lay = layout(build(FamilyId("rect_74")))
+    assert extract_diagram(lay, 0.3).crossing_count == 15
+    with pytest.raises(DegenerateDiagramError, match="perturbation collapsed segment 11"):
+        extract_diagram(lay, 0.5)
 
 
 def gauss_digest(diagram):

@@ -7,7 +7,7 @@ import random
 
 import pytest
 
-from ribbonfold.constructions import FamilyId
+from ribbonfold.constructions import _FAMILIES, FamilyId
 from ribbonfold.errors import InvalidInputError, NotApplicableError, ParameterError
 from ribbonfold.formulas import (
     FIGURE_EIGHT_CROSSINGS,
@@ -154,16 +154,34 @@ def test_quotient_headline_decimals():
 
 
 def test_limit_constants():
-    assert limit_constant("odd_wrap") == pytest.approx(4.0 / math.pi, rel=1e-15)
-    assert limit_constant(FamilyId("pinwheel", 2)) == pytest.approx(4.0 / math.pi)
-    assert limit_constant("even_wrap_plus2") == pytest.approx(2.0 / math.pi)
-    assert limit_constant("even_wrap_plus4") == pytest.approx(2.0 / math.pi)
+    assert limit_constant("odd_wrap") == 4.0 / math.pi
+    assert limit_constant(FamilyId("pinwheel", 2)) == 4.0 / math.pi
+    assert limit_constant("even_wrap_plus2") == 2.0 / math.pi
+    assert limit_constant("even_wrap_plus4") == 2.0 / math.pi
     assert math.isinf(limit_constant("star_polygon"))
     for tag in ("short_52", "short_72", "rect_74"):
         with pytest.raises(NotApplicableError):
             limit_constant(tag)
     with pytest.raises(ParameterError):
         limit_constant("heptagon")
+
+
+@pytest.mark.parametrize("tag", [tag for tag, spec in _FAMILIES.items() if spec.flag])
+def test_limit_derivation_precondition(tag):
+    # the limit is read off second differences over three members, which
+    # holds only while c*d and the crossing number are at most quadratic
+    # in the parameter and d grows
+    spec = _FAMILIES[tag]
+    step = 2 if spec.odd else 1
+    members = range(spec.low, spec.low + 5 * step, step)
+    products = [math.prod(spec.ratio(n)) for n in members]
+    crossings = [family_crossing_number(FamilyId(tag, n)) for n in members]
+    for values in (products, crossings):
+        for _ in range(3):
+            values = [b - a for a, b in zip(values, values[1:])]
+        assert values == [0, 0]
+    denominators = [spec.ratio(n)[1] for n in members]
+    assert all(a < b for a, b in zip(denominators, denominators[1:]))
 
 
 def test_truncated_odd_quotient_strictly_decreasing():

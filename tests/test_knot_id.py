@@ -74,6 +74,15 @@ def test_polynomial_basics():
     assert str(poly(1, -1, 1)) == "t^2 - t + 1"
 
 
+def test_polynomial_evaluates_only_at_ints_and_fractions():
+    trefoil = torus_alexander(3, 2)
+    assert trefoil.evaluate(-1) == 3
+    assert trefoil.evaluate(Fraction(1, 2)) == Fraction(3, 4)
+    for bad in (0.5, 2.0, "x", True, None, 1j):
+        with pytest.raises(InvalidInputError, match="evaluates at an int or a Fraction"):
+            trefoil.evaluate(bad)
+
+
 def test_polynomial_normalization():
     # only the representative up to +-t^k is kept: lowest exponent 0,
     # positive constant term
