@@ -254,7 +254,7 @@ def build_even_wrap(q: int, variant: int = 2) -> FoldProgram:
     Only odd q keeps n and q coprime.  variant selects between the two
     even polygon sizes that admit this wrap, n = 2q+2 and n = 2q+4.
     """
-    if variant not in (2, 4):
+    if type(variant) is not int or variant not in (2, 4):
         raise ParameterError("variant must be 2 or 4")
     FamilyId("even_wrap_plus%d" % variant, q)
     n = 2 * q + variant
@@ -402,8 +402,9 @@ def build(
 ) -> FoldProgram:
     """Build the program a FamilyId names.
 
-    presentation only matters for odd_wrap and epsilon only for the two
-    short variants; out-of-place values raise ParameterError.
+    A presentation the family lacks raises ParameterError; only odd_wrap
+    has "truncated".  Only the two short variants read epsilon, and only
+    they check it (ParameterError); every other family ignores it.
     """
     spec = _spec(family, presentation)
     return spec.build(family.parameter, presentation, epsilon)

@@ -157,10 +157,13 @@ def _unit_pivot_det(rows: List[Dict[int, List[int]]],
 
     ``rows`` map column -> ascending coefficient list with no zero entries;
     elimination consumes them: it changes them in place and sets each
-    pivoted row to None.  It pivots only on constant entries +-1, chosen
-    by Markowitz cost (row nnz - 1) * (col nnz - 1) with ties to the
-    lowest (row, col); ``col_rows``, the rows of each column, is the only
-    index it keeps.
+    pivoted row to None.  It pivots only on constant entries +-1, popped
+    from a heap by Markowitz cost (row nnz - 1) * (col nnz - 1), ties to
+    the lowest (row, col); ``col_rows``, the rows of each column, is the
+    only index it keeps.  A pivot pushes the units of each row it changes;
+    a key that pops with a cost no longer current is pushed again at that
+    cost.  So a cost that fell since its key was pushed is seen only when
+    that key pops, and a pivot need not be the least cost left.
     Dividing by a unit is exact, and units and row/column order change the
     determinant only by a sign.  Each pivot lists the nonzero terms of its
     row's entries once, and each row it changes those of its factor once.
@@ -174,9 +177,8 @@ def _unit_pivot_det(rows: List[Dict[int, List[int]]],
     heap: List[Tuple[int, int, int]] = []
     push = heapq.heappush
 
-    # every unit entry is a pivot candidate; every change to an entry or
-    # its cost pushes a fresh key, so a key that no longer matches its
-    # entry is stale
+    # every unit entry is a pivot candidate; a key whose entry is no
+    # longer a unit of a live row is dropped
     def push_units(i: int) -> None:
         row = rows[i]
         nnz = len(row) - 1
@@ -189,8 +191,11 @@ def _unit_pivot_det(rows: List[Dict[int, List[int]]],
     while heap:
         cost, r, c = heapq.heappop(heap)
         pivot = rows[r]
-        if (pivot is None or pivot.get(c) not in _UNITS
-                or cost != (len(pivot) - 1) * (len(col_rows[c]) - 1)):
+        if pivot is None or pivot.get(c) not in _UNITS:
+            continue
+        now = (len(pivot) - 1) * (len(col_rows[c]) - 1)
+        if cost != now:
+            push(heap, (now, r, c))
             continue
         # row_i -= (f / u) * pivot, and 1/u == u for a unit u, so each
         # changed row adds its factor f times the pivot row scaled by -u
@@ -212,12 +217,7 @@ def _unit_pivot_det(rows: List[Dict[int, List[int]]],
                 elif j in row:
                     del row[j]
                     col_rows[j].discard(i)
-        for i in changed:
             push_units(i)
-        for j in pivot:
-            nnz = len(col_rows[j]) - 1
-            for i in [i for i in col_rows[j] if rows[i][j] in _UNITS]:
-                push(heap, ((len(rows[i]) - 1) * nnz, i, j))
     cols = sorted(col_rows)
     rest = [row for row in rows if row is not None]
     return _poly_bareiss([[_terms(row.get(j, ())) for j in cols] for row in rest])

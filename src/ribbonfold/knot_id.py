@@ -97,7 +97,10 @@ class LaurentPolynomial:
 
     @classmethod
     def from_list(cls, coeffs: Sequence[int]) -> "LaurentPolynomial":
-        coeffs = list(coeffs)
+        try:
+            coeffs = list(coeffs)
+        except TypeError:
+            raise InvalidInputError("coefficients must be a sequence of integers") from None
         if any(isinstance(c, bool) or not isinstance(c, int) for c in coeffs):
             raise InvalidInputError("coefficients must be integers")
         return cls._from_dense(coeffs)

@@ -326,6 +326,9 @@ def test_truncated_odd_wrap_has_end_cuts():
         lambda: build_even_wrap(2),
         lambda: build_even_wrap(4, 2),
         lambda: build_even_wrap(3, 3),
+        # a float variant once reached range() and raised TypeError
+        lambda: build_even_wrap(3, 2.0),
+        lambda: build_even_wrap(3, 4.0),
         lambda: build_short_52(0.0),
         lambda: build_short_52(-1e-3),
         lambda: build_short_52(0.1),

@@ -127,6 +127,10 @@ def test_polynomial_rejects_non_integers():
     for coeffs in ([1, True], [1, 2.0], [1, "2"]):
         with pytest.raises(InvalidInputError, match="coefficients must be integers"):
             LaurentPolynomial.from_list(coeffs)
+    # a value that is not iterable is refused too; these once raised TypeError
+    for arg in (None, 5, 3.0):
+        with pytest.raises(InvalidInputError):
+            LaurentPolynomial.from_list(arg)
     with pytest.raises(InvalidInputError, match="exceeds 1000000"):
         LaurentPolynomial.from_list([0, 1] + [0] * 10**6 + [-1, 0])
     assert LaurentPolynomial.from_list([0, 1] + [0] * (10**6 - 1) + [-1, 0]).coefficients == {
@@ -297,10 +301,9 @@ def test_sparse_determinant_matches_dense_oracle():
                         == dense_alexander(diagram, row=r, col=c)), (name, r, c)
 
 
-@pytest.mark.parametrize("member", KNOT_CERTIFY, ids=member_id)
-def test_default_minor_keeps_every_unit_pivot(member, monkeypatch):
-    # the default deletes the last row's own unit column, so no column
-    # loses its only unit pivot to the deletion
+@pytest.fixture
+def bareiss_blocks(monkeypatch):
+    """The rows of each block handed to fraction-free elimination."""
     blocks = []
     bareiss = determinant._poly_bareiss
 
@@ -309,13 +312,30 @@ def test_default_minor_keeps_every_unit_pivot(member, monkeypatch):
         return bareiss(matrix)
 
     monkeypatch.setattr(determinant, "_poly_bareiss", recorded)
+    return blocks
+
+
+# rows of the Bareiss block the default minor leaves for each star and
+# fixed fold; a wrap, pinwheel or even wrap at q leaves q - 1 rows
+FIXED_BLOCKS = {"star_polygon": 1, "short_52": 3, "short_72": 5, "rect_74": 4}
+
+
+@pytest.mark.parametrize("member", KNOT_CERTIFY, ids=member_id)
+def test_default_minor_keeps_every_unit_pivot(member, bareiss_blocks):
+    # the default deletes the last row's own unit column, so no column
+    # loses its only unit pivot to the deletion
     diagram = extract_diagram(layout(program_of(member)))
     n = diagram.crossing_count
     delta = alexander_polynomial(diagram)
     assert alexander_polynomial(diagram, row=n - 1, col=n - 1) == delta
-    default, last = blocks
+    default, last = bareiss_blocks
     assert default <= last
-    if member[0].tag == "star_polygon":
+    family = member[0]
+    # a unit pivot whose cost fell after its heap key was pushed must still
+    # be taken, or the block grows
+    want = FIXED_BLOCKS[family.tag] if family.tag in FIXED_BLOCKS else family.parameter - 1
+    assert default == want
+    if family.tag == "star_polygon":
         assert (default, last) == (1, 2)
 
 
@@ -326,12 +346,13 @@ def test_default_minor_keeps_every_unit_pivot(member, monkeypatch):
     ("odd_wrap", 10), ("odd_wrap", 20), ("pinwheel", 7), ("star_polygon", 101),
     ("odd_wrap", 40), ("even_wrap_plus2", 21), ("even_wrap_plus4", 21),
 ])
-def test_large_constructions_certify(tag, n):
+def test_large_constructions_certify(tag, n, bareiss_blocks):
     family = FamilyId(tag, n)
     params = knot_type(family)
     report = verify_knot_type(build(family), (params.p, params.q))
     assert report.matches, report.summary()
     assert report.crossing_bound_ok
+    assert bareiss_blocks == [FIXED_BLOCKS.get(tag, n - 1)]
 
 
 def test_certification_report_expected_forms():
