@@ -24,7 +24,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import starmap
-from typing import NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Dict, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import (
     ClosureError,
@@ -252,15 +252,16 @@ class WeaveRule:
 
     mode: str
     pairs: Tuple[Tuple[int, int, int], ...] = ()
+    # each listed pair's sign keyed (lower, higher), +1 for the lower over;
+    # derived from ``pairs``, so outside ==, hash and repr
+    senses: Dict[Tuple[int, int], int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in WEAVE_MODES:
             raise MalformedProgramError("unknown weave mode %r" % (self.mode,))
         if not isinstance(self.pairs, (tuple, list)):
             raise MalformedProgramError("weave pairs must be a sequence of triples")
-        pairs = []
-        # the sign of each listed segment pair, as (lower, higher)
-        senses = {}
+        pairs, senses = [], {}
         for entry in self.pairs:
             if not isinstance(entry, (tuple, list)) or len(entry) != 3:
                 raise MalformedProgramError("weave pair must be a triple (i, j, +-1)")
@@ -286,6 +287,7 @@ class WeaveRule:
         if self.mode == "explicit" and not pairs:
             raise MalformedProgramError("explicit weave needs at least one pair")
         object.__setattr__(self, "pairs", tuple(pairs))
+        object.__setattr__(self, "senses", senses)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -569,6 +571,17 @@ class FoldedLayout:
             raise InvalidInputError("layout has no panels")
         return _panel_frames(self.panels[:1])[0][0]
 
+    @property
+    def closed(self) -> bool:
+        """Whether the source program is closed or, with none, the
+        centerline ends within 1e-6 * max(width, 1) of its start."""
+        if not self.panels:
+            raise InvalidInputError("layout has no panels")
+        if self.source is not None:
+            return self.source.presentation == "closed"
+        gap = math.dist(self.centerline[-1][1], self.centerline[0][0])
+        return gap <= 1e-6 * max(self.width, 1.0)
+
     def bounding_box(self) -> Tuple[float, float, float, float]:
         if not self.panels:
             raise InvalidInputError("layout has no panels")
@@ -786,13 +799,7 @@ def _prefix_sums(values: Sequence[float]) -> list:
     return sums
 
 
-def unfold(
-    lay: FoldedLayout,
-    *,
-    presentation: Optional[str] = None,
-    label: Optional[str] = None,
-    weave: Optional[WeaveRule] = None,
-) -> FoldProgram:
+def unfold(lay: FoldedLayout) -> FoldProgram:
     """Recover the fold program of a placed layout.
 
     The strip is rebuilt from measured panel geometry alone: positions
@@ -805,7 +812,9 @@ def unfold(
     1e-11 / pi of num/den, is well inside 1/(2 * den * 10**4), the
     distance from num/den within which no other fraction of denominator
     up to 10**4 lies (Farey spacing), so ``from_float`` would return it
-    too.  Raises InconsistencyError when panels disagree about the width.
+    too.  The program is closed when ``lay.closed`` holds and truncated
+    otherwise; its label and weave are the source's, or "" and None.
+    Raises InconsistencyError when panels disagree about the width.
 
     No builder calls this: it is an oracle, independent of the exact
     crease data, that tests hold programs against.
@@ -816,14 +825,7 @@ def unfold(
     if len(panels) != len(lay.centerline):
         raise InconsistencyError("panel and centerline counts disagree")
     src = lay.source
-    if presentation is None:
-        presentation = src.presentation if src is not None else None
-    if presentation is None:
-        raise InvalidInputError("presentation is required for a sourceless layout")
-    if label is None:
-        label = src.label if src is not None else ""
-    if weave is None and src is not None:
-        weave = src.weave
+    label, weave = (src.label, src.weave) if src is not None else ("", None)
 
     widths, signs, leaving = _panel_frames(panels)
     w = widths[0]
@@ -846,7 +848,7 @@ def unfold(
         if shift == 0:
             raise InconsistencyError("panels %d and %d share a layer" % (k, k + 1))
         creases.append(CreaseSpec(positions[k], angle, shift))
-    if presentation == "closed":
+    if lay.closed:
         angle = _recovered_angle(centerline[last], leaving[last], signs[last], memo)
         shift = -sum(c.layer_shift for c in creases)
         if shift == 0:

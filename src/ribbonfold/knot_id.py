@@ -97,10 +97,14 @@ class LaurentPolynomial:
 
     @classmethod
     def from_list(cls, coeffs: Sequence[int]) -> "LaurentPolynomial":
+        message = "coefficients must be a sequence of integers"
+        # a mapping would give its keys and bytes their values
+        if isinstance(coeffs, (Mapping, bytes, bytearray, memoryview)):
+            raise InvalidInputError(message)
         try:
             coeffs = list(coeffs)
         except TypeError:
-            raise InvalidInputError("coefficients must be a sequence of integers") from None
+            raise InvalidInputError(message) from None
         if any(isinstance(c, bool) or not isinstance(c, int) for c in coeffs):
             raise InvalidInputError("coefficients must be integers")
         return cls._from_dense(coeffs)
@@ -607,16 +611,12 @@ def _decide_over(hits, dxs, dys, order, layers, weave, vertices, scale):
             flags.append(layers[i] > layers[j])
         return flags
     if mode == "explicit":
-        # keyed by i * m + j; a pair naming no segment matches no hit
-        m = len(dxs)
-        table = {}
-        for a, b, s in weave.pairs:
-            if 0 <= a < m and 0 <= b < m:
-                table[a * m + b] = s
-                table[b * m + a] = -s
+        # every hit has i < j, the order senses are keyed in; a pair naming
+        # no segment matches no hit
+        senses = weave.senses
         flags = []
         for i, j in zip(his, hjs):
-            s = table.get(i * m + j)
+            s = senses.get((i, j))
             if s is None:
                 raise LayeringInconsistencyError(
                     "explicit weave has no entry for segments %d and %d" % (i, j)

@@ -185,14 +185,10 @@ def to_svg(layout: FoldedLayout, options: RenderOptions = RenderOptions()) -> st
             'stroke-width="%s" stroke-dasharray="%s %s"/>'
             % (_CREASE_STROKE, _num(0.02 * s), _num(0.08 * s), _num(0.05 * s))
         )
-        # a sourceless layout is closed if its centerline closes as extract_diagram requires
-        src, ends = layout.source, (layout.centerline[-1][1], layout.centerline[0][0])
-        closed = (src.presentation == "closed" if src is not None
-                  else math.dist(*ends) <= 1e-6 * max(layout.width, 1.0))
         add = parts.append
         # each crease is side 1 of the panel before it; an open strip's
         # last panel ends in a cut, not a crease
-        for panel in layout.panels if closed else layout.panels[:-1]:
+        for panel in layout.panels if layout.closed else layout.panels[:-1]:
             _, (ax, ay), (bx, by), _ = panel.vertices
             add(line % (s * ax + 0.0, ns * ay + 0.0, s * bx + 0.0, ns * by + 0.0))
 

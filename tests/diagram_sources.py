@@ -435,7 +435,7 @@ def star_polyline_program(tag: str, parameter: int) -> FoldProgram:
     else:
         heights = list(range(n))
     lay = layout_from_centerline(star_points(n, step, chord), width, heights, closed=True)
-    return unfold(lay, presentation="closed")
+    return unfold(lay)
 
 
 # ------------------------------------------------- all-pairs extraction oracles

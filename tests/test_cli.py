@@ -11,6 +11,7 @@ import pytest
 
 from ribbonfold.cli import main
 from ribbonfold.constructions import FamilyId, build
+from ribbonfold.errors import ClosureError
 from ribbonfold.fold_core import CreaseSpec, ExactAngle, FoldProgram, layout
 
 
@@ -78,6 +79,16 @@ def test_verify_failure_exits_one(capsys):
         capsys, "verify", "--family", "rect74", "--tolerance", "1e-20")
     assert code == 1
     assert out.rstrip().endswith("FAIL")
+
+
+def test_verify_reports_a_layout_that_does_not_close(capsys, monkeypatch):
+    def fails_to_close(program):
+        raise ClosureError("ends miss by 0.5")
+
+    monkeypatch.setattr("ribbonfold.cli.layout", fails_to_close)
+    code, out, _ = run_cli(capsys, "verify", "--family", "odd-wrap", "--q", "3")
+    assert code == 1
+    assert out.splitlines()[-1] == "verify: FAIL (layout does not close: ends miss by 0.5)"
 
 
 def test_table_quotients_csv(capsys):

@@ -486,7 +486,7 @@ def test_rect_74_matches_polyline_oracle():
     corners = ((0.5, 0.5), (2.5, 0.5), (2.5, 1.5), (0.5, 1.5)) * 4
     lay = layout_from_centerline([Point(x, y) for x, y in corners], 1.0,
                                  constructions._RECT_74_HEIGHTS, closed=True)
-    assert_same_creases(build_74(), unfold(lay, presentation="closed"))
+    assert_same_creases(build_74(), unfold(lay))
 
 
 def test_rect_74_json_pinned():
@@ -509,7 +509,7 @@ def test_shorts_match_polyline_oracle(name, epsilon):
     }[name]
     pts = constructions._short_centerline(epsilon, scale, drifts)
     lay = layout_from_centerline(pts, 1.0, heights, closed=True)
-    assert_same_creases(builder(epsilon), unfold(lay, presentation="closed"), 1e-12)
+    assert_same_creases(builder(epsilon), unfold(lay), 1e-12)
 
 
 def test_large_star_families_have_two_crease_angles():

@@ -199,6 +199,28 @@ def test_halving_pass_only_for_displaced_runs(family, passes, monkeypatch):
     assert calls == [epsilon, epsilon / 2][:passes]
 
 
+def test_gauss_code_that_changes_under_halving_is_rejected(monkeypatch):
+    # rect_74 agrees at every displacement that keeps its segments, so the
+    # pass at half the displacement is made to return the mirror diagram
+    once = knot_id._extract_once
+    calls = []
+
+    def mirrored_second_pass(*args):
+        diagram = once(*args)
+        calls.append(args[-1])
+        if len(calls) == 1:
+            return diagram
+        return knot_id.KnotDiagram(tuple((c, not over, -sign) for c, over, sign in diagram.gauss))
+
+    monkeypatch.setattr(knot_id, "_extract_once", mirrored_second_pass)
+    lay = layout(build(FamilyId("rect_74")))
+    message = "^Gauss code changed under perturbation halving; displacement too large$"
+    with pytest.raises(DegenerateDiagramError, match=message):
+        extract_diagram(lay)
+    epsilon = DEFAULT_PERTURBATION_SCALE * lay.width
+    assert calls == [epsilon, epsilon / 2]
+
+
 @pytest.mark.parametrize("family", [FamilyId("odd_wrap", 5), FamilyId("star_polygon", 7),
                                     FamilyId("short_52")], ids=str)
 def test_no_groups_means_no_displacement(family):

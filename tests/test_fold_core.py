@@ -64,7 +64,7 @@ def triangle_program(width=0.2):
     s = math.sqrt(3.0) / 2.0
     pts = [Point(0.0, 0.0), Point(1.0, 0.0), Point(0.5, s)]
     lay = layout_from_centerline(pts, width, [0, 1, 2], closed=True)
-    return unfold(lay, presentation="closed", label="triangle")
+    return dataclasses.replace(unfold(lay), label="triangle")
 
 
 # ---------------------------------------------------------------- ExactAngle
@@ -565,10 +565,29 @@ def test_closed_triangle_closes_and_round_trips():
         assert c2.layer_shift == c1.layer_shift
 
 
+def test_layout_closure_is_the_presentation_or_the_centerline_gap():
+    assert layout(build(FamilyId("odd_wrap", 3))).closed
+    assert not layout(build(FamilyId("odd_wrap", 3), presentation="truncated")).closed
+    pts = [Point(0, 0), Point(2, 0), Point(2, 2), Point(0, 2)]
+    square = layout_from_centerline(pts, 0.5, [0, 1, 2, 1], closed=True)
+    assert square.closed
+    assert unfold(square).presentation == "closed"
+    strip = layout_from_centerline(pts, 0.5, [0, 1, 2], closed=False)
+    assert not strip.closed
+    assert unfold(strip).presentation == "truncated"
+    # a sourceless loop may miss by up to 1e-6 * max(width, 1)
+    (a, b), rest = square.centerline[-1], square.centerline[:-1]
+    for miss, closed in ((0.9e-6, True), (1.1e-6, False)):
+        ends = rest + ((a, Point(b.x, b.y + miss)),)
+        assert FoldedLayout(square.panels, ends).closed is closed
+    with pytest.raises(InvalidInputError, match="layout has no panels"):
+        FoldedLayout((), ()).closed
+
+
 def test_closed_square_closes():
     pts = [Point(0, 0), Point(2, 0), Point(2, 2), Point(0, 2)]
     lay = layout_from_centerline(pts, 0.5, [0, 1, 2, 1], closed=True)
-    prog = unfold(lay, presentation="closed")
+    prog = unfold(lay)
     assert [c.layer_shift for c in prog.creases] == [1, 1, -1, -1]
     placed = layout(prog)
     assert ratio(placed) == pytest.approx(16.0)
@@ -620,13 +639,6 @@ def test_truncated_round_trip_from_layout():
         assert c2.layer_shift == c1.layer_shift
 
 
-def test_unfold_needs_presentation_for_sourceless_layouts():
-    pts = [Point(0, 0), Point(2, 0), Point(2, 2), Point(0, 2)]
-    lay = layout_from_centerline(pts, 0.5, [0, 1, 2, 1], closed=True)
-    with pytest.raises(InvalidInputError):
-        unfold(lay)
-
-
 def test_unfold_rejects_inconsistent_widths():
     prog = make_truncated([], start=CutSpec(0.0), end=CutSpec(5.0))
     lay = layout(prog)
@@ -638,7 +650,7 @@ def test_unfold_rejects_inconsistent_widths():
     )
     bad = FoldedLayout((skewed,), lay.centerline, None)
     with pytest.raises(InconsistencyError):
-        unfold(bad, presentation="truncated")
+        unfold(bad)
 
 
 def test_unfold_positions_are_the_fsum_prefixes_of_the_lengths():
@@ -736,7 +748,7 @@ def test_prefix_sums_match_fsum_on_wide_and_non_finite_values():
 def test_open_centerline_builder_round_trips():
     pts = [Point(0, 0), Point(3, 0), Point(3, 2)]
     lay = layout_from_centerline(pts, 0.4, [0, 1], closed=False)
-    prog = unfold(lay, presentation="truncated")
+    prog = unfold(lay)
     assert len(prog.creases) == 1
     assert prog.creases[0].position == pytest.approx(3.0, abs=1e-12)
     assert prog.creases[0].angle in (ExactAngle(1, 4), ExactAngle(3, 4))
@@ -918,6 +930,17 @@ def test_weave_rule_accepts_a_pair_repeated_with_one_meaning():
     assert WeaveRule("explicit", pairs).pairs == pairs
 
 
+def test_weave_rule_senses_key_each_pair_lower_segment_first():
+    rule = WeaveRule("explicit", ((2, 0, 1), (0, 3, 1), (0, 2, -1), (5, 4, -1)))
+    assert rule.senses == {(0, 2): -1, (0, 3): 1, (4, 5): 1}
+    assert WeaveRule("torus").senses == {}
+    # derived from the pairs, so outside ==, hash, repr and match_args
+    same = WeaveRule("explicit", rule.pairs)
+    assert same == rule and hash(same) == hash(rule)
+    assert repr(rule) == "WeaveRule(mode='explicit', pairs=%r)" % (rule.pairs,)
+    assert WeaveRule.__match_args__ == ("mode", "pairs")
+
+
 @pytest.mark.parametrize("pairs", [[[0, 2, 1], [0, 2, -1]], [[0, 2, 1], [2, 0, 1]]])
 def test_contradictory_weave_pairs_in_json(pairs):
     doc = json.loads(build(FamilyId("odd_wrap", 2)).to_json())
@@ -945,7 +968,7 @@ def test_closed_round_trip_panel_shapes_with_odd_crease_count():
     ]
     width = math.cos(math.pi / 10)
     direct = layout_from_centerline(pts, width, [0, 3, 1, 4, 2], closed=True)
-    replay = layout(unfold(direct, presentation="closed"))
+    replay = layout(unfold(direct))
     assert len(replay.panels) == len(direct.panels)
     for pd, pr in zip(direct.panels, replay.panels):
         for k in range(4):

@@ -49,7 +49,7 @@ def pentagram_program(heights, weave=None, width=0.1):
         for k in range(5)
     ]
     lay = layout_from_centerline(pts, width, heights, closed=True)
-    return unfold(lay, presentation="closed", weave=weave, label="pentagram")
+    return dataclasses.replace(unfold(lay), weave=weave, label="pentagram")
 
 
 # ---------------------------------------------------------- LaurentPolynomial
@@ -130,6 +130,11 @@ def test_polynomial_rejects_non_integers():
     # a value that is not iterable is refused too; these once raised TypeError
     for arg in (None, 5, 3.0):
         with pytest.raises(InvalidInputError):
+            LaurentPolynomial.from_list(arg)
+    # a mapping iterates its keys and bytes their values; these were once
+    # read as the coefficients 3, 0 and 1 + 2t
+    for arg in ({3: 1, 0: 2}, {0: 5}, b"\x01\x02"):
+        with pytest.raises(InvalidInputError, match="must be a sequence of integers"):
             LaurentPolynomial.from_list(arg)
     with pytest.raises(InvalidInputError, match="exceeds 1000000"):
         LaurentPolynomial.from_list([0, 1] + [0] * 10**6 + [-1, 0])
@@ -446,7 +451,7 @@ def test_alexander_symmetry_from_braids():
 def test_extraction_rejects_open_strips():
     pts = [Point(0, 0), Point(3, 0), Point(3, 2)]
     lay = layout_from_centerline(pts, 0.4, [0, 1], closed=False)
-    prog = unfold(lay, presentation="truncated")
+    prog = unfold(lay)
     with pytest.raises(DegenerateDiagramError):
         extract_diagram(layout(prog))
 
@@ -455,7 +460,7 @@ def test_extraction_rejects_crossing_free_loops():
     s = math.sqrt(3.0) / 2.0
     pts = [Point(0.0, 0.0), Point(1.0, 0.0), Point(0.5, s)]
     lay = layout_from_centerline(pts, 0.1, [0, 1, 2], closed=True)
-    prog = unfold(lay, presentation="closed")
+    prog = unfold(lay)
     with pytest.raises(DegenerateDiagramError):
         extract_diagram(layout(prog))
 
@@ -492,6 +497,10 @@ def test_explicit_weave_matches_layer_heights():
     d_layers = extract_diagram(layout(spiral))
     d_explicit = extract_diagram(layout(explicit))
     assert d_layers.gauss == d_explicit.gauss
+    # a pair naming no segment of the five matches no crossing
+    stray = pairs + ((-1, 2, -1), (0, 5, 1), (-3, 9, 1))
+    padded = pentagram_program([0, 1, 2, 3, 4], weave=WeaveRule("explicit", stray))
+    assert extract_diagram(layout(padded)).gauss == d_layers.gauss
 
 
 @pytest.mark.parametrize("first", [True, False], ids=["listed-first", "listed-last"])

@@ -118,7 +118,7 @@ def test_crease_lines_follow_presentation():
 def test_sourceless_closed_layout_draws_its_seam_crease():
     triangle = layout_from_centerline([(0, 0), (4, 0), (2, 3)], 0.2, [0, 1, 2], closed=True)
     assert svg_children(to_svg(triangle)).count("line") == 3
-    relaid = layout(unfold(triangle, presentation="closed"))
+    relaid = layout(unfold(triangle))
     assert svg_children(to_svg(relaid)).count("line") == 3
     strip = layout_from_centerline([(0, 0), (4, 0), (2, 3)], 0.2, [0, 1], closed=False)
     assert svg_children(to_svg(strip)).count("line") == 1
