@@ -226,13 +226,15 @@ def build_star_polygon(p: int) -> FoldProgram:
 
     Three trapezoid sides have unit length and the base is 1 + 2cos(2pi/p);
     the panel inner edges leave a smaller regular p-gon uncovered in the
-    middle.  Crossings alternate over and under along the strip.
+    middle.  The torus weave sets the crossings, as for the pinwheels and
+    even wraps, so every crossing is positive; like any (p, 2) standard
+    diagram, it still alternates over and under along the strip.
     """
     FamilyId("star_polygon", p)
     width = math.sin(2.0 * math.pi / p)
     chord = 1.0 + math.cos(2.0 * math.pi / p)
     return _star_program(p, 2, chord, width, range(p), "star_polygon p=%d" % p,
-                         WeaveRule("alternating"))
+                         WeaveRule("torus"))
 
 
 def build_pinwheel(q: int) -> FoldProgram:

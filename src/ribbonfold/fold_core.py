@@ -39,7 +39,7 @@ CLOSURE_TOLERANCE = 1e-9
 # over the star families at q <= 60 and p <= 301, and at star p = 1001
 _UNFOLD_ANGLE_TOLERANCE = 1e-11
 
-WEAVE_MODES = ("layers", "alternating", "torus", "explicit")
+WEAVE_MODES = ("torus", "explicit")
 
 # a reduced angle's integers then have at most 601 digits; no setting of
 # CPython's int-string limit applies below 640, so every angle's JSON reads back
@@ -238,16 +238,15 @@ class CutSpec:
 
 @dataclass(frozen=True)
 class WeaveRule:
-    """How crossings decide over/under.
+    """How crossings decide over/under in place of the panel heights.
 
-    Modes: "layers" reads panel heights (the default behaviour when no
-    rule is given) and rejects a crossing of two equal layers.  Every
-    other mode replaces the layer order at every crossing: "alternating"
-    alternates over/under along the strand, "torus" sends the
-    outward-bound strand over, and "explicit" lists signed crossing
-    pairs directly: (i, j, 1) puts segment i over segment j, and
-    (i, j, -1) or (j, i, 1) puts j over i.  A segment pair may be listed
-    again only with the same meaning.
+    A program with no rule reads panel heights and rejects a crossing of
+    two equal layers.  A rule replaces the layer order at every crossing:
+    "torus" puts over the passage that lies further along its own
+    segment, which on a regular star is the outward-bound one, and
+    "explicit" lists signed crossing pairs directly: (i, j, 1) puts
+    segment i over segment j, and (i, j, -1) or (j, i, 1) puts j over i.
+    A segment pair may be listed again only with the same meaning.
     """
 
     mode: str
@@ -577,6 +576,8 @@ class FoldedLayout:
         centerline ends within 1e-6 * max(width, 1) of its start."""
         if not self.panels:
             raise InvalidInputError("layout has no panels")
+        if len(self.panels) != len(self.centerline):
+            raise InconsistencyError("panel and centerline counts disagree")
         if self.source is not None:
             return self.source.presentation == "closed"
         gap = math.dist(self.centerline[-1][1], self.centerline[0][0])
@@ -819,11 +820,9 @@ def unfold(lay: FoldedLayout) -> FoldProgram:
     No builder calls this: it is an oracle, independent of the exact
     crease data, that tests hold programs against.
     """
+    # rejects a layout with no panels, or with other than one per segment
+    closed = lay.closed
     panels = lay.panels
-    if not panels:
-        raise InvalidInputError("layout has no panels")
-    if len(panels) != len(lay.centerline):
-        raise InconsistencyError("panel and centerline counts disagree")
     src = lay.source
     label, weave = (src.label, src.weave) if src is not None else ("", None)
 
@@ -848,7 +847,7 @@ def unfold(lay: FoldedLayout) -> FoldProgram:
         if shift == 0:
             raise InconsistencyError("panels %d and %d share a layer" % (k, k + 1))
         creases.append(CreaseSpec(positions[k], angle, shift))
-    if lay.closed:
+    if closed:
         angle = _recovered_angle(centerline[last], leaving[last], signs[last], memo)
         shift = -sum(c.layer_shift for c in creases)
         if shift == 0:

@@ -592,16 +592,19 @@ def _find_crossings(vertices, scale: float, partners=None):
     return (dxs, dys), hits
 
 
-def _decide_over(hits, dxs, dys, order, layers, weave, vertices, scale):
+def _decide_over(hits, layers, weave):
     """Over/under decision per crossing; returns over_is_i flags.
 
-    ``hits`` are the parallel lists of ``_find_crossings``, and ``order``
-    lists the passages in strand order, 2h on hit h's segment i and
-    2h + 1 on its segment j.
+    ``hits`` are the parallel lists of ``_find_crossings``.  With no rule
+    the higher panel layer goes over; "explicit" reads the rule's pairs;
+    "torus" puts over the passage further along its own segment (t > s)
+    and rejects a tie within 1e-9.  The chords of a regular star share
+    one length and have their midpoints at the feet of the perpendiculars
+    from the centre, so there that passage is the one bound further
+    outward, which gives the standard closed-braid diagram.
     """
-    his, _, hjs, _, hxs, hys = hits
-    mode = "layers" if weave is None else weave.mode
-    if mode == "layers":
+    his, hts, hjs, hss, _, _ = hits
+    if weave is None:
         flags = []
         for i, j in zip(his, hjs):
             if layers[i] == layers[j]:
@@ -610,7 +613,7 @@ def _decide_over(hits, dxs, dys, order, layers, weave, vertices, scale):
                 )
             flags.append(layers[i] > layers[j])
         return flags
-    if mode == "explicit":
+    if weave.mode == "explicit":
         # every hit has i < j, the order senses are keyed in; a pair naming
         # no segment matches no hit
         senses = weave.senses
@@ -623,37 +626,14 @@ def _decide_over(hits, dxs, dys, order, layers, weave, vertices, scale):
                 )
             flags.append(s > 0)
         return flags
-    if mode == "torus":
-        cx = math.fsum(v[0] for v in vertices) / len(vertices)
-        cy = math.fsum(v[1] for v in vertices) / len(vertices)
-        lengths = list(map(math.hypot, dxs, dys))
-        flags = []
-        for i, j, x, y in zip(his, hjs, hxs, hys):
-            rx, ry = x - cx, y - cy
-            out_i = (dxs[i] * rx + dys[i] * ry) / lengths[i]
-            out_j = (dxs[j] * rx + dys[j] * ry) / lengths[j]
-            if abs(out_i - out_j) < 1e-9 * max(scale, 1.0):
-                raise LayeringInconsistencyError(
-                    "outbound rule cannot order segments %d and %d" % (i, j)
-                )
-            flags.append(out_i > out_j)
-        return flags
-    if mode == "alternating":
-        # passage ranks along the strand; over on even ranks, so a passage
-        # puts segment i of its hit over when its rank and the passage have
-        # one parity, and the two passages of a hit must agree
-        flags = [None] * len(his)
-        for rank, p in enumerate(order):
-            h = p >> 1
-            over_i = (rank & 1) == (p & 1)
-            if flags[h] is None:
-                flags[h] = over_i
-            elif flags[h] != over_i:
-                raise LayeringInconsistencyError(
-                    "alternating weave is inconsistent at crossing %d" % h
-                )
-        return flags
-    raise LayeringInconsistencyError("unsupported weave mode %r" % mode)
+    flags = []
+    for i, t, j, s in zip(his, hts, hjs, hss):
+        if abs(t - s) < 1e-9:
+            raise LayeringInconsistencyError(
+                "torus rule cannot order segments %d and %d" % (i, j)
+            )
+        flags.append(t > s)
+    return flags
 
 
 def extract_diagram(
@@ -751,7 +731,7 @@ def _extract_once(centerline, groups, partners, scale, layers, weave, epsilon) -
     for bucket in buckets:
         bucket.sort(key=params.__getitem__)
         order += bucket
-    over_is_i = _decide_over(hits, dxs, dys, order, layers, weave, vertices, scale)
+    over_is_i = _decide_over(hits, layers, weave)
     # ids number the crossings in order of first passage
     ids = {}
     signs = [0] * len(his)

@@ -8,7 +8,9 @@ tolerance-based test still passes.  The SVG digests pin the bytes of
 writes its document by hand, is compared byte for byte with
 ``json.dumps``.  For every member of the benchmark's knot workload, the
 extracted Gauss code and crossing records are pinned, and so is the
-Alexander polynomial of every member it certifies.
+Alexander polynomial of every member it certifies; each star's code is
+also checked to be the exact mirror of the one it had under the
+"alternating" weave that the stars once used.
 """
 
 import hashlib
@@ -35,7 +37,7 @@ from ribbonfold import (
     to_svg,
     unfold,
 )
-from ribbonfold.knot_id import alexander_polynomial, extract_diagram
+from ribbonfold.knot_id import KnotDiagram, alexander_polynomial, extract_diagram
 
 from diagram_sources import snapped_boundary_angle
 
@@ -91,7 +93,9 @@ def unfold_digest(lay):
 # (layout_digest, unfold_digest).  The unfold digests come from the kernel
 # that turned each angle into a Fraction and composed one isometry object
 # per crease; the layout digests, of vertices and centerline only, from
-# the six-float kernel that reproduced it.  Outputs must match both.
+# the six-float kernel that reproduced it.  Outputs must match both.  The
+# stars' unfold digests changed with their weave string alone, as
+# test_star_unfold_is_the_alternating_one_but_for_its_weave shows.
 PINNED = {
     "odd_wrap-7-closed": (
         "a2dc7b7adf6800ed7c1d35359622cb282fedbf02373391f098ed7f2e5fe5fb30",
@@ -107,10 +111,10 @@ PINNED = {
         "de95322db9f18d6bb00c9f9105b2e3ec1f446b213e0992b37afc3f23be468f43"),
     "star_polygon-31-closed": (
         "f8ab10e21a0621cf68a485a11e8308a1f1f2042de714efe0b12be9774795c132",
-        "96af4935cf824eeae25e28e701410fabee211130c1492bbf9e335a9e5018c0d9"),
+        "c7239b391a13e03fb6960a6a99810e6aa9d950f83f9dcdf0206f2dba187a7ad9"),
     "star_polygon-1001-closed": (
         "d56721895a7cad5eb28f8641e96fcd778796732b0a8b847026a2d921ead8ae90",
-        "37e2d2f0ea2fe31c5ffc720153748aeecfdd8d99c5c24ac82d8f7b019fc02e38"),
+        "21693193d3fb9adb0e84b4406bde9f5a7cc78ab7be14806dca481a0eda2301b3"),
     "pinwheel-10-closed": (
         "5cff7e47cef92b6a73de38aada7f2307ee5da001baf98bbc08b47e15b9a897a9",
         "5dd037973aa0c6c508e84695f2fb303eb3381df74ed7d7cfa0ad343186cde841"),
@@ -347,7 +351,6 @@ def test_to_json_matches_json_dumps_on_edge_cases():
     programs = [
         FoldProgram(1.0, closed, weave=WeaveRule("explicit", ((0, 1, 1), (1, 0, -1), (-3, 7, 1)))),
         FoldProgram(1.0, closed, weave=WeaveRule("torus")),
-        FoldProgram(1.0, closed, weave=WeaveRule("layers")),
         FoldProgram(1.0, closed, label='say "hi" \\ back\tslash\x00\x1f\x7f caf\u00e9 \u6298\U0001f380'),
         FoldProgram(0.5, (), presentation="truncated",
                     start_cut=CutSpec(-2.5, ExactAngle(1, 3)), end_cut=CutSpec(4.0)),
@@ -416,7 +419,9 @@ def alexander_digest(delta):
 # (diagram_digest, alexander_digest) from the extraction that found each
 # crossing's arcs with one bisect per crossing and the determinant that
 # added every product through a separate sum; None where the workload
-# only extracts
+# only extracts.  The stars' diagram digests are of the torus weave, the
+# mirror of the ones test_star_code_is_the_mirror_of_the_alternating_code
+# keeps.
 KNOT_PINNED = {
     "odd_wrap-2-closed": (
         "2d155016dd967f5a8de3a5aff848e991694088e240b249186d4b7bb9eaf65392",
@@ -455,70 +460,70 @@ KNOT_PINNED = {
         "1a73c569468e30d1a5e9f8055811e00fe4c5d9df3af8ba3cb20a869423fcd9fe",
         "e751d107d4d9a3dfc49c2272f59680c0304ed4afcf19678f96e72ad541e84c48"),
     "star_polygon-7-closed": (
-        "36701cb3abb10f983483a29830f1495d3943240575c6119c278df511dea78ea9",
+        "f99bad149721c1220de93f89f67f58e2287715bba6eb7973cf941d5508a76f1d",
         "7399c8364bc0789f8e838f6202e14ec01d6f67b3b5501811b358669c4e37c0bb"),
     "star_polygon-9-closed": (
-        "56246da80ae1d1029b68313b9201d4bef41e67817ba4a5c1da1d35d04714a018",
+        "6fd15c19695ff55f4bb9dd3efb33feaeebdf8ace14f43154ca5b71bece35641e",
         "6aab2fa0523a605a941404779fb2ecd0e9eda3d971411fc61b6f90878aac93d4"),
     "star_polygon-11-closed": (
-        "83b4bc56a5d372eda826d4fa2f5cfa07ff98a565ee8fb9055a3e86c835ffb9bf",
+        "02c2dd541458cf30eafc46607c02d72b865eede51c63e78c17431e44070db06b",
         "00e3523cb1f50b1c38a492fd2a7f7d5d77a165b2f6c02b4a2affb7856486b917"),
     "star_polygon-13-closed": (
-        "8a2c5fab5dc357cd5033334c1459478cbdc1abe0693fd66b1519e4f75e78211b",
+        "35f6d9a23a2952024ad23a3db3659830341814243779d31836e3198760852cc6",
         "706a6ef7b0021e9bd3223264f9ad3b9d07c3d7c6b305fde0abd54c6890fd390d"),
     "star_polygon-15-closed": (
-        "46f9213c4f0bdc914c724b4919b4d9fa0f4f19224b887bfa4f546c4a7894e652",
+        "74490e778e4eda6047983b826cbdaf09c81c8fca9157fa05f8a32971f30866db",
         "72bd32f5d3212faa8e711f46381f8673822513e0190a61935f0a02b73fb42ba3"),
     "star_polygon-17-closed": (
-        "c00cc5489046cdd8fc7d3a845facbccca8e93073b1bdb67f4dd40162dc785674",
+        "2afbc4fede918dad778d5e9977419a35d5fafc66c00dcae2cc474f581bf05414",
         "67ed4b319317b6040b3246d891ea4518a46b5f1a978c19edc2e6564bd82cb2f5"),
     "star_polygon-19-closed": (
-        "7160b337584dda5c7184da3572437dae8927b454a82d5543fad6503f9ca817fe",
+        "f3c763bdd9aa2b3327fee69b6dbd0dc794c41c1dfd2c5bc4f16baecae61275e6",
         "36a003202ed57e939d77b440d9ae33af799e6e712e7864355994b1dc95ee8529"),
     "star_polygon-21-closed": (
-        "7f307583c0f7cbb867fab18ffbce700aa227c9c4376e7f0bb64061861b29cb21",
+        "95bd2f8c25fecf4f41ce2430afe644810da893a79db9609b95d742126d77daec",
         "da62ed8dd7e996021669b9f194d821887e66e8a5229b16c904085a8a742fed07"),
     "star_polygon-23-closed": (
-        "a8ca8acb761f0e931ca6da0baa721cf908cd0c6640295379ffa9ff5efc1d90eb",
+        "b54f84fd993a1d2c38bf96425195b5e493643d42b7dcaecac23cbf74e9efa625",
         "7591465b22c841305dab7e2309733ca191b58a1458b6032b1901f90d755e368f"),
     "star_polygon-25-closed": (
-        "d1bef5bd5d39d2b039ac3526f9cd114361fc02bc0b254b30994f6d38c83cc571",
+        "ff4d03dd9c1e60ab63b52caaa0614fb942372fc5dd4c904315851c8754bf9e8f",
         "d3efc5c69118e6c5387738079f0a84ea5b040ed33249fbb584075a1f0e67b001"),
     "star_polygon-27-closed": (
-        "f1392cb0b6059eb469cb08e48c62e2df7830de0ebf23caeb3a4cee4cdf6b1d23",
+        "ab353e9d130f83ed2dfa889a8056b90ea0e544b34a73de626e20df6277f6b3c6",
         "7742091f021870ba22c1d41a7a3ac343ee6355e05509bf7496d8822ffb12f141"),
     "star_polygon-29-closed": (
-        "e56e16ac696e4259f7bd633674b8c9a2496319e1837e3e26e128de80ac5cf83f",
+        "8325d0bf94f9f23f4e276a3aa04a8a4f742c93d044dbb5d61ae82f7adf7ff5db",
         "8558a10083f61fd5d0cbe647e784e3f98f9660b67bb57ae99ad4eb8c43afe343"),
     "star_polygon-31-closed": (
-        "603d880eff715ad8be08a503962b6075be77fa2b574a79d30fa1f14a43f3602f",
+        "01b1251d052c3b1b8fb98f725d79277970e6e07fe1e28ebb01f0ad78c7b653c9",
         "5d493a4e4a45e9e813a668260f2f5c01f288d0206a6a7382c01643e64dcefd28"),
     "star_polygon-33-closed": (
-        "137f7e568a3e4a0c917a5ebe263a9ecb4abbd81567fa6d080afa4a9a44c984e7",
+        "07c6bd2d1c77c04a38b3319dc1547f9cda4d11b4d636d32ed9733cb20231c815",
         "eb0764ea97cec24b272d0b79e209bc2573c29829494116a2fff923fd966c14a1"),
     "star_polygon-35-closed": (
-        "042ccf7d95ae4bf6b77fb9aa7fe50e685ed98acb46d0e5984730f06f37cb5ccb",
+        "047ca3d06154b613fd81aa8c90a99c25e7cdfcfd331f41a8c223605a4111bd9b",
         "c6f78ad4f6a6c0aceacdc22282c5ac4ff15180e3d90bb5f5c6c843e47fa5a3f7"),
     "star_polygon-37-closed": (
-        "baadf860f0a6defc61b935770ae191e26ee32d7191ca6ea1fca29a502cfba47d",
+        "8dc3b53d62b3611c361a31a1ba32b23f66c4994d9d12e3100c92bfbe5ef6a6a3",
         "d7ea694873fcebb3177808d1b933a5bbc69c3b07f7199a7fa0783256fe440f82"),
     "star_polygon-39-closed": (
-        "52abc01bafa04682ac53632081a5e776e97482d7ac04bf618e13181ac22030f1",
+        "a6915077b71281952c3bc9d5aa342b9ef00cd77d6dc06f9916412672bc779391",
         "633cf8812c58c2ce1a2b70819d32aef08e8f849de0955a4bd79299878e1c9ba5"),
     "star_polygon-41-closed": (
-        "3f6bfba92061c3ba34952409e1d5edb67a2ef2ee074cec84237349a47783d275",
+        "4e52071bdcf489a2295f61316caac419fe051a4c19d5c62352e8e39c0ba95dce",
         "3bd925ddc0b91eb50162505e4cb54d61a1fb6b344c2796ef8dfb68f27b5e6371"),
     "star_polygon-43-closed": (
-        "c3462d9c07b98f063d39aa52771717fca289a9db4a9e56840c8de55625b70b42",
+        "6f671c610bb7ad23e9988a5df4a864b96e89c02ca8b35b50568cfe4912b493ce",
         "798d11b8e28a3f9fee5878049e6e74525aff186a54048aedb1e951cc24775d99"),
     "star_polygon-45-closed": (
-        "5a11f2f0bac6c90f4b26ebcbfd16875d0966105cec1337112a4c2a0b9c20b2bb",
+        "c1fdfd10eac46af178a805f5b1d0d6862973a9af56db56dd9fa12228836905ed",
         "7eae4dd3f184184f6de96ef8269d9b8f1c582c902ef755d4ecc291082fdb4481"),
     "star_polygon-47-closed": (
-        "0561a89d9a474eaacb169b94a29c1839d94b21fd8141ca7a0099a9a53ebfe0a6",
+        "b5f8ac744f0024768bc130947cb4ccd9fcf8fda490f5bc6ebac0e3f5ebc0997a",
         "dcbed99fd9763b90d877943682bb0956566bd30aac7ea22a39a114f67dcf25e4"),
     "star_polygon-49-closed": (
-        "4773fe42bc39338e897057d93da2682db4642d780c9b4c9235d84b906afcbe0d",
+        "5569334ec02c5b3ac21dfc6674eb2f0c5fe117a71bbaf1f0a4a311542579caac",
         "e1f71bdc11d9c040750680eab9eb5953c5415805ef212bd669645bf52b1f4a8d"),
     "short_52-closed-0.001": (
         "da391a86f6b8c8933bdde7b35048c75140e529d12c3ee2467ee8627538aaf852",
@@ -542,10 +547,10 @@ KNOT_PINNED = {
         "0ab79dd916af4d7b191126e82648160a3e035987c049391c9bfd6f16bebd96e1",
         None),
     "star_polygon-401-closed": (
-        "7cdd9e3e8863189b5474a3cdcf1bdddfbc15f8fd11b24dbc7756a579a2351cfa",
+        "611cb4c6dd96afa5c914562faaa06cff6ee0725e2724a0501ad9381b3647e265",
         None),
     "star_polygon-1001-closed": (
-        "f05df6e5c4a6c23ea18f7f04bece6256b139db9713954a7a27370ce9dcc289f1",
+        "649d8b96451b00bd7d7045d09dfaff35c5cee3d1508bdfe8ed8e40737c36d9a0",
         None),
 }
 
@@ -560,3 +565,97 @@ def test_knot_diagram_pinned(member):
 def test_alexander_pinned(member):
     delta = alexander_polynomial(extract_diagram(layout(program_of(member))))
     assert alexander_digest(delta) == KNOT_PINNED[member_id(member)][1]
+
+
+# Each star's diagram digest, and for the two large stars the SHA-256 of
+# json.dumps(diagram.gauss), as the strand-rank "alternating" weave gave
+# them before the stars took the torus weave.  The torus weave gives
+# exactly their mirror image: the same crossings with every over flag and
+# sign flipped.
+ALTERNATING_STARS = {
+    "star_polygon-7-closed":
+        "36701cb3abb10f983483a29830f1495d3943240575c6119c278df511dea78ea9",
+    "star_polygon-9-closed":
+        "56246da80ae1d1029b68313b9201d4bef41e67817ba4a5c1da1d35d04714a018",
+    "star_polygon-11-closed":
+        "83b4bc56a5d372eda826d4fa2f5cfa07ff98a565ee8fb9055a3e86c835ffb9bf",
+    "star_polygon-13-closed":
+        "8a2c5fab5dc357cd5033334c1459478cbdc1abe0693fd66b1519e4f75e78211b",
+    "star_polygon-15-closed":
+        "46f9213c4f0bdc914c724b4919b4d9fa0f4f19224b887bfa4f546c4a7894e652",
+    "star_polygon-17-closed":
+        "c00cc5489046cdd8fc7d3a845facbccca8e93073b1bdb67f4dd40162dc785674",
+    "star_polygon-19-closed":
+        "7160b337584dda5c7184da3572437dae8927b454a82d5543fad6503f9ca817fe",
+    "star_polygon-21-closed":
+        "7f307583c0f7cbb867fab18ffbce700aa227c9c4376e7f0bb64061861b29cb21",
+    "star_polygon-23-closed":
+        "a8ca8acb761f0e931ca6da0baa721cf908cd0c6640295379ffa9ff5efc1d90eb",
+    "star_polygon-25-closed":
+        "d1bef5bd5d39d2b039ac3526f9cd114361fc02bc0b254b30994f6d38c83cc571",
+    "star_polygon-27-closed":
+        "f1392cb0b6059eb469cb08e48c62e2df7830de0ebf23caeb3a4cee4cdf6b1d23",
+    "star_polygon-29-closed":
+        "e56e16ac696e4259f7bd633674b8c9a2496319e1837e3e26e128de80ac5cf83f",
+    "star_polygon-31-closed":
+        "603d880eff715ad8be08a503962b6075be77fa2b574a79d30fa1f14a43f3602f",
+    "star_polygon-33-closed":
+        "137f7e568a3e4a0c917a5ebe263a9ecb4abbd81567fa6d080afa4a9a44c984e7",
+    "star_polygon-35-closed":
+        "042ccf7d95ae4bf6b77fb9aa7fe50e685ed98acb46d0e5984730f06f37cb5ccb",
+    "star_polygon-37-closed":
+        "baadf860f0a6defc61b935770ae191e26ee32d7191ca6ea1fca29a502cfba47d",
+    "star_polygon-39-closed":
+        "52abc01bafa04682ac53632081a5e776e97482d7ac04bf618e13181ac22030f1",
+    "star_polygon-41-closed":
+        "3f6bfba92061c3ba34952409e1d5edb67a2ef2ee074cec84237349a47783d275",
+    "star_polygon-43-closed":
+        "c3462d9c07b98f063d39aa52771717fca289a9db4a9e56840c8de55625b70b42",
+    "star_polygon-45-closed":
+        "5a11f2f0bac6c90f4b26ebcbfd16875d0966105cec1337112a4c2a0b9c20b2bb",
+    "star_polygon-47-closed":
+        "0561a89d9a474eaacb169b94a29c1839d94b21fd8141ca7a0099a9a53ebfe0a6",
+    "star_polygon-49-closed":
+        "4773fe42bc39338e897057d93da2682db4642d780c9b4c9235d84b906afcbe0d",
+    "star_polygon-401-closed":
+        "7cdd9e3e8863189b5474a3cdcf1bdddfbc15f8fd11b24dbc7756a579a2351cfa",
+    "star_polygon-1001-closed":
+        "f05df6e5c4a6c23ea18f7f04bece6256b139db9713954a7a27370ce9dcc289f1",
+}
+ALTERNATING_STAR_GAUSS = {
+    "star_polygon-401-closed":
+        "6a8a94c941a255b27631bc31f6e4d8d9f58ac53589ee00dc877910176716eec1",
+    "star_polygon-1001-closed":
+        "f1f0172f14619b4c8e4b5da5ac0d0543bcad5e9d0fd3dfe6e5d7b816f9ccaab2",
+}
+
+
+@pytest.mark.parametrize("member", [m for m in KNOT_CERTIFY + KNOT_EXTRACT
+                                    if m[0].tag == "star_polygon"], ids=member_id)
+def test_star_code_is_the_mirror_of_the_alternating_code(member):
+    diagram = extract_diagram(layout(program_of(member)))
+    assert all(sign == 1 for _, _, sign in diagram.gauss)
+    mirror = KnotDiagram([(cid, not over, -sign) for cid, over, sign in diagram.gauss])
+    assert diagram_digest(mirror) == ALTERNATING_STARS[member_id(member)]
+    if member_id(member) in ALTERNATING_STAR_GAUSS:
+        gauss = hashlib.sha256(json.dumps(mirror.gauss).encode()).hexdigest()
+        assert gauss == ALTERNATING_STAR_GAUSS[member_id(member)]
+
+
+# unfold digests of the two pinned stars while they carried the
+# "alternating" weave; their unfolded programs differ in that string only
+ALTERNATING_UNFOLD = {
+    "star_polygon-31-closed":
+        "96af4935cf824eeae25e28e701410fabee211130c1492bbf9e335a9e5018c0d9",
+    "star_polygon-1001-closed":
+        "37e2d2f0ea2fe31c5ffc720153748aeecfdd8d99c5c24ac82d8f7b019fc02e38",
+}
+
+
+@pytest.mark.parametrize("member", [m for m in MEMBERS if m[0].tag == "star_polygon"],
+                         ids=member_id)
+def test_star_unfold_is_the_alternating_one_but_for_its_weave(member):
+    text = unfold(layout(program_of(member))).to_json()
+    assert text.count('"weave": "torus"') == 1
+    text = text.replace('"weave": "torus"', '"weave": "alternating"')
+    assert hashlib.sha256(text.encode()).hexdigest() == ALTERNATING_UNFOLD[member_id(member)]

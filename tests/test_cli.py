@@ -396,6 +396,18 @@ def test_malformed_weave_pairs_exit_two(capsys, tmp_path, pairs):
     assert out == "" and "weave pair" in err
 
 
+@pytest.mark.parametrize("mode", ["alternating", "layers"])
+def test_removed_weave_mode_exits_two(capsys, tmp_path, mode):
+    doc = json.loads(run_cli(capsys, "build", "--family", "star", "--p", "7")[1])
+    doc["weave"] = mode
+    bad = tmp_path / "weave.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, "identify", "--input", str(bad))
+    assert code == 2
+    assert out == "" and "unknown weave mode" in err
+    assert "Traceback" not in err
+
+
 def test_unknown_arguments_exit_two(capsys):
     assert main(["build", "--family", "odd-wrap", "--q", "3", "--frob"]) == 2
     capsys.readouterr()

@@ -151,7 +151,9 @@ def gauss_digest(diagram):
     return hashlib.sha256(json.dumps(diagram.gauss).encode()).hexdigest()
 
 
-# SHA-256 of json.dumps(diagram.gauss), taken with the all-pairs search
+# SHA-256 of json.dumps(diagram.gauss), taken with the all-pairs search;
+# the stars' are of the torus weave, whose codes test_bit_identity.py
+# checks against the mirrored codes of the alternating weave
 PINNED_GAUSS = {
     FamilyId("odd_wrap", 20): "5d372c41f71ca5112c052e2b457b7d0cb997c84920230524ffa0f270c3be1ee7",
     FamilyId("odd_wrap", 40): "d1cb6bc2e19aa11075fc6c2d5eec1ecd2e671ddd2fb6ee402a71e35255fd9d19",
@@ -161,9 +163,9 @@ PINNED_GAUSS = {
     FamilyId("even_wrap_plus4", 21):
         "7c7da1e3a1be3e00ebfe0b1f89d520086c41353799163f6c0025ae2d259eb46d",
     FamilyId("star_polygon", 401):
-        "6a8a94c941a255b27631bc31f6e4d8d9f58ac53589ee00dc877910176716eec1",
+        "55b38c3165363834507b1bb5a7b1b0d4a387e717b13404b367676142e06c3836",
     FamilyId("star_polygon", 1001):
-        "f1f0172f14619b4c8e4b5da5ac0d0543bcad5e9d0fd3dfe6e5d7b816f9ccaab2",
+        "08454e8f88d6d7942e5ba5d5668a49674302a8ff06f9e25e869dab418013b793",
     FamilyId("rect_74"): "de0075948a80c6d332c2c3ec198385bc05401785a02a5fe276817920aeb18fe5",
 }
 
@@ -319,19 +321,57 @@ def tuple_strand_order(hits):
 
 @pytest.mark.parametrize("family", WORKLOAD_MEMBERS, ids=str)
 def test_passage_order_matches_tuple_sort(family, monkeypatch):
-    # rect_74 is checked on both of its displaced passes
-    calls = []
-    decide = knot_id._decide_over
+    # the Gauss walk must give the code of the tuple-sorted strand order:
+    # ids in order of first passage, over on segment i's passage exactly
+    # when the hit's flag says so, and the sign of over x under; rect_74
+    # is checked on both of its displaced passes, which give one code
+    passes = []
+    find, decide = knot_id._find_crossings, knot_id._decide_over
 
-    def recorded(hits, dxs, dys, order, *rest):
-        calls.append((hits, order))
-        return decide(hits, dxs, dys, order, *rest)
+    def found(*args):
+        vectors, hits = find(*args)
+        passes.append([vectors, hits])
+        return vectors, hits
 
-    monkeypatch.setattr(knot_id, "_decide_over", recorded)
-    extract_diagram(layout(build(family)))
-    assert len(calls) == (2 if family == FamilyId("rect_74") else 1)
-    for hits, order in calls:
-        assert order == tuple_strand_order(hits)
+    def decided(*args):
+        flags = decide(*args)
+        passes[-1].append(flags)
+        return flags
+
+    monkeypatch.setattr(knot_id, "_find_crossings", found)
+    monkeypatch.setattr(knot_id, "_decide_over", decided)
+    gauss = extract_diagram(layout(build(family))).gauss
+    assert len(passes) == (2 if family == FamilyId("rect_74") else 1)
+    for (dxs, dys), hits, flags in passes:
+        his, _, hjs, _, _, _ = hits
+        ids, want = {}, []
+        for p in tuple_strand_order(hits):
+            h = p >> 1
+            i, j = his[h], hjs[h]
+            ids.setdefault(h, len(ids) + 1)
+            positive = (dxs[i] * dys[j] - dys[i] * dxs[j] > 0) == flags[h]
+            want.append((ids[h], flags[h] != (p & 1), 1 if positive else -1))
+        assert gauss == tuple(want)
+
+
+TORUS_FAMILIES = (
+    [FamilyId("star_polygon", p) for p in range(7, 50, 2)]
+    + [FamilyId(tag, q) for q in range(2, 6) for tag in ("pinwheel", "odd_wrap")]
+    + [FamilyId(tag, q) for q in (3, 5) for tag in ("even_wrap_plus2", "even_wrap_plus4")]
+)
+
+
+@pytest.mark.parametrize("family", TORUS_FAMILIES, ids=str)
+def test_torus_families_share_one_handedness(family):
+    # the stars, pinwheels and even wraps extract to the all-positive
+    # standard diagram; the odd wraps, whose crossings come from their
+    # layers, to writhe q^2 - 1
+    diagram = extract_diagram(layout(build(family)))
+    writhe = sum(c.sign for c in diagram.crossings)
+    if family.tag == "odd_wrap":
+        assert writhe == family.parameter ** 2 - 1
+    else:
+        assert writhe == diagram.crossing_count
 
 
 @pytest.mark.parametrize("panels", [0, 2], ids=["no-panels", "two-panels"])

@@ -30,9 +30,10 @@ from ribbonfold import (
     layout,
     layout_from_centerline,
     ratio,
+    to_svg,
     unfold,
 )
-from ribbonfold.fold_core import _limit_denominator, _pi_turns, _prefix_sums
+from ribbonfold.fold_core import WEAVE_MODES, _limit_denominator, _pi_turns, _prefix_sums
 
 from diagram_sources import (
     boundary_outcomes,
@@ -584,6 +585,16 @@ def test_layout_closure_is_the_presentation_or_the_centerline_gap():
         FoldedLayout((), ()).closed
 
 
+@pytest.mark.parametrize("segments", [0, 2], ids=["no-centerline", "two-segments"])
+def test_sourceless_layout_with_mismatched_centerline_is_rejected(segments):
+    lay = layout(build(FamilyId("odd_wrap", 3)))
+    short = FoldedLayout(lay.panels, lay.centerline[:segments])
+    with pytest.raises(InconsistencyError, match="panel and centerline counts disagree"):
+        short.closed
+    with pytest.raises(InconsistencyError, match="panel and centerline counts disagree"):
+        to_svg(short)
+
+
 def test_closed_square_closes():
     pts = [Point(0, 0), Point(2, 0), Point(2, 2), Point(0, 2)]
     lay = layout_from_centerline(pts, 0.5, [0, 1, 2, 1], closed=True)
@@ -787,7 +798,7 @@ def test_json_round_trip_with_cuts_and_weave():
         width=0.75,
         start=CutSpec(0.0, ExactAngle(1, 2)),
         end=CutSpec(3.0, ExactAngle(1, 3)),
-        weave=WeaveRule("alternating"),
+        weave=WeaveRule("torus"),
     )
     again = FoldProgram.from_json(prog.to_json())
     assert again == prog
@@ -898,8 +909,8 @@ def test_json_rejects_non_integer_cut_angles(cut, malform):
 def test_weave_rule_validation():
     with pytest.raises(MalformedProgramError):
         WeaveRule("braided")
-    with pytest.raises(MalformedProgramError):
-        WeaveRule("layers", ((0, 1, 1),))
+    with pytest.raises(MalformedProgramError, match="only valid in explicit mode"):
+        WeaveRule("torus", ((0, 1, 1),))
     with pytest.raises(MalformedProgramError):
         WeaveRule("explicit")
     with pytest.raises(MalformedProgramError):
@@ -912,6 +923,18 @@ def test_weave_rule_validation():
         WeaveRule("explicit", (5,))
     with pytest.raises(MalformedProgramError):
         WeaveRule("explicit", 5)
+
+
+@pytest.mark.parametrize("mode", ["alternating", "layers"])
+def test_removed_weave_modes_are_malformed(mode):
+    assert WEAVE_MODES == ("torus", "explicit")
+    with pytest.raises(MalformedProgramError, match="unknown weave mode %r" % mode):
+        WeaveRule(mode)
+    doc = json.loads(build(FamilyId("star_polygon", 7)).to_json())
+    assert doc["weave"] == "torus"
+    doc["weave"] = mode
+    with pytest.raises(MalformedProgramError, match="unknown weave mode %r" % mode):
+        FoldProgram.from_json(json.dumps(doc))
 
 
 @pytest.mark.parametrize("pairs", [

@@ -87,9 +87,10 @@ def _base_documents():
         build(FamilyId("rect_74")).to_json(),
         build(FamilyId("short_52")).to_json(),
     ]
-    # no builder sets a weave, so give the star each kind of weave
+    # the star is built with the torus weave; give it no weave and an
+    # explicit one as well
     star = json.loads(build(FamilyId("star_polygon", 7)).to_json())
-    for weave in (None, "alternating", "torus",
+    for weave in (None, "torus",
                   {"mode": "explicit", "pairs": [[0, 2, 1], [3, 1, -1]]}):
         docs.append(json.dumps(dict(star, weave=weave)))
     return docs
@@ -104,7 +105,7 @@ SCALARS = (
     | st.integers(-3, 40)
     | st.sampled_from([2**63, -(2**63), 10**400, -(10**400)])
     | st.floats(allow_nan=True, allow_infinity=True)
-    | st.sampled_from(["", "closed", "truncated", "torus", "explicit", "x"])
+    | st.sampled_from(["", "closed", "truncated", "torus", "explicit", "alternating", "x"])
 )
 JUNK = st.recursive(
     SCALARS,

@@ -341,7 +341,8 @@ def test_default_minor_keeps_every_unit_pivot(member, bareiss_blocks):
     want = FIXED_BLOCKS[family.tag] if family.tag in FIXED_BLOCKS else family.parameter - 1
     assert default == want
     if family.tag == "star_polygon":
-        assert (default, last) == (1, 2)
+        # the all-positive star diagrams leave one row either way
+        assert (default, last) == (1, 1)
 
 
 # odd_wrap q=40 (T(41,40), 3159 crossings) and the even wraps at q=21
@@ -465,8 +466,8 @@ def test_extraction_rejects_crossing_free_loops():
         extract_diagram(layout(prog))
 
 
-def test_pentagram_alternating_weave_is_the_5_2_knot():
-    prog = pentagram_program([0, 1, 2, 3, 4], weave=WeaveRule("alternating"))
+def test_pentagram_torus_weave_is_the_5_2_knot():
+    prog = pentagram_program([0, 1, 2, 3, 4], weave=WeaveRule("torus"))
     diagram = extract_diagram(layout(prog))
     assert diagram.crossing_count == 5
     delta = alexander_polynomial(diagram)
@@ -474,8 +475,18 @@ def test_pentagram_alternating_weave_is_the_5_2_knot():
     assert abs(delta.evaluate(-1)) == 5
 
 
+def test_torus_weave_rejects_a_crossing_at_one_parameter_on_both_segments():
+    # a bowtie: segments 0 and 2 are the diagonals of a square and cross
+    # at both their midpoints, so neither lies further along its own
+    pts = [Point(0, 0), Point(2, 2), Point(2, 0), Point(0, 2)]
+    lay = layout_from_centerline(pts, 0.1, [0, 1, 2, 3], closed=True)
+    prog = dataclasses.replace(unfold(lay), weave=WeaveRule("torus"))
+    with pytest.raises(LayeringInconsistencyError, match="cannot order segments 0 and 2"):
+        extract_diagram(layout(prog))
+
+
 def test_pentagram_gauss_is_stable_under_perturbation_choice():
-    prog = pentagram_program([0, 1, 2, 3, 4], weave=WeaveRule("alternating"))
+    prog = pentagram_program([0, 1, 2, 3, 4], weave=WeaveRule("torus"))
     lay = layout(prog)
     d1 = extract_diagram(lay, perturbation=1e-4)
     d2 = extract_diagram(lay, perturbation=1e-5)
@@ -528,7 +539,7 @@ def test_explicit_weave_missing_pair_is_an_error():
 
 
 def test_gauss_validity_of_extracted_diagram():
-    prog = pentagram_program([0, 1, 2, 3, 4], weave=WeaveRule("alternating"))
+    prog = pentagram_program([0, 1, 2, 3, 4], weave=WeaveRule("torus"))
     diagram = extract_diagram(layout(prog))
     assert KnotDiagram(diagram.gauss).crossing_count == 5
     assert sorted(cid for cid, _, _ in diagram.gauss) == sorted(
@@ -540,7 +551,7 @@ def test_gauss_validity_of_extracted_diagram():
 
 
 def test_verify_knot_type_match_and_mismatch():
-    prog = pentagram_program([0, 1, 2, 3, 4], weave=WeaveRule("alternating"))
+    prog = pentagram_program([0, 1, 2, 3, 4], weave=WeaveRule("torus"))
     good = verify_knot_type(prog, (5, 2))
     assert isinstance(good, CertificationReport)
     assert good.matches
