@@ -129,10 +129,9 @@ def _run_verify(args: argparse.Namespace) -> int:
         out.write("relative_error=%r tolerance=%r -> %s\n"
                   % (rel, args.tolerance, "OK" if ok else "FAIL"))
     if args.knot_check:
-        from .knot_id import alexander_polynomial, certification_report, extract_diagram
+        from .knot_id import certification_report, extract_diagram
 
-        diagram = extract_diagram(lay)
-        report = certification_report(diagram, alexander_polynomial(diagram), family)
+        report = certification_report(extract_diagram(lay), family)
         out.write("knot_check: %s\n" % report.summary())
         ok = ok and report.matches
     out.write("verify: %s\n" % ("PASS" if ok else "FAIL"))
@@ -166,7 +165,7 @@ def _run_render(args: argparse.Namespace) -> int:
 
 
 def _run_identify(args: argparse.Namespace) -> int:
-    from .knot_id import alexander_polynomial, certification_report, extract_diagram
+    from .knot_id import certification_report, extract_diagram
 
     if (args.input is None) == (args.family is None):
         raise _UsageError("identify needs exactly one of --input or --family")
@@ -177,9 +176,9 @@ def _run_identify(args: argparse.Namespace) -> int:
         program = _read_program(args.input)
     else:
         program = build(_family_id(args), epsilon=args.epsilon)
-    diagram = extract_diagram(layout(program), args.perturbation)
-    delta = alexander_polynomial(diagram)
-    report = certification_report(diagram, delta, args.expected)
+    report = certification_report(extract_diagram(layout(program), args.perturbation),
+                                  args.expected)
+    delta = report.alexander
     gauss = [[i, bool(over), sign] for i, over, sign in report.gauss]
     if args.as_json:
         payload = {

@@ -6,7 +6,10 @@ read from the panel stacking, form a knot diagram.  The diagram's
 Alexander polynomial is computed exactly from the crossing/arc matrix
 and compared, by ``certification_report``, with the classical torus-knot
 polynomial or with the 7_4 polynomial the family table holds, to certify
-that a construction really ties the knot it claims.
+that a construction really ties the knot it claims.  A diagram that is
+exactly the standard closed-braid diagram of the expected torus knot, or
+its mirror image (``braid.torus_handedness``), is certified by that match,
+and its polynomial is the torus knot's without any elimination.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from fractions import Fraction
 from numbers import Real
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
+from .braid import torus_handedness
 from .constructions import _FAMILIES, FamilyId
 from .determinant import _pstrip, _unit_pivot_det
 from .errors import (
@@ -580,16 +584,37 @@ def _find_crossings(vertices, scale: float, partners=None):
             hss.append(s)
             hxs.append(axi + t * dix)
             hys.append(ayi + t * diy)
-    # two hits closer than tol_point differ by less than it in x
-    by_x = sorted(range(len(hxs)), key=hxs.__getitem__)
-    for a, ha in enumerate(by_x):
-        for b in range(a + 1, len(by_x)):
-            hb = by_x[b]
-            if hxs[hb] - hxs[ha] >= tol_point:
-                break
-            if math.hypot(hxs[ha] - hxs[hb], hys[ha] - hys[hb]) < tol_point:
-                raise DegenerateDiagramError("multiple crossings coincide at one point")
+    for a, b in _near_hit_pairs(hxs, hys, 2 * tol_point):
+        if math.hypot(hxs[a] - hxs[b], hys[a] - hys[b]) < tol_point:
+            raise DegenerateDiagramError("multiple crossings coincide at one point")
     return (dxs, dys), hits
+
+
+# the unit direction at angle 1 radian, which no symmetry axis of a built
+# family follows
+_AXIS = (math.cos(1.0), math.sin(1.0))
+
+
+def _near_hit_pairs(xs: List[float], ys: List[float], reach: float) -> List[Tuple[int, int]]:
+    """Pairs (a, b) of the points (xs[k], ys[k]) whose projections on
+    ``_AXIS`` differ by less than ``reach``.
+
+    A projection never lengthens a distance, so every pair of points closer
+    than ``reach`` is among them, with room for rounding when ``reach`` is
+    twice the distance tested.  Projecting on x alone would pair every two
+    hits that share an x, as the many hits on a symmetry axis of a wrap do.
+    """
+    cx, cy = _AXIS
+    keys = [x * cx + y * cy for x, y in zip(xs, ys)]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    pairs = []
+    for a, ha in enumerate(order):
+        for b in range(a + 1, len(order)):
+            hb = order[b]
+            if keys[hb] - keys[ha] >= reach:
+                break
+            pairs.append((ha, hb))
+    return pairs
 
 
 def _decide_over(hits, layers, weave):
@@ -758,7 +783,10 @@ class CertificationReport:
 
     ``p`` and ``q`` and the crossing bound are None unless the expected
     knot is a torus knot; ``reference`` and ``matches`` are None when
-    nothing was expected.
+    nothing was expected.  ``certificate`` is "diagram" when the diagram is
+    the expected torus knot's standard diagram or its mirror image, and
+    ``handedness`` is then +1 or -1 (``braid.torus_handedness``); it is
+    "alexander" otherwise, with ``handedness`` None.
     """
 
     p: Optional[int]
@@ -771,6 +799,8 @@ class CertificationReport:
     crossing_bound: Optional[int]
     crossing_bound_ok: Optional[bool]
     matches: Optional[bool]
+    certificate: str
+    handedness: Optional[int]
 
     def summary(self) -> str:
         torus = ""
@@ -795,13 +825,11 @@ def verify_knot_type(program: FoldProgram, expected: Tuple[int, int]) -> Certifi
     The verdict is in the report; a mismatch is a result, not an error.
     Extraction or polynomial failures propagate as their own errors.
     """
-    diagram = extract_diagram(layout(program))
-    return certification_report(diagram, alexander_polynomial(diagram), expected)
+    return certification_report(extract_diagram(layout(program)), expected)
 
 
 def certification_report(
     diagram: KnotDiagram,
-    delta: LaurentPolynomial,
     expected: Union[Tuple[int, int], FamilyId, None],
 ) -> CertificationReport:
     """Compare a diagram and its Alexander polynomial with the expected knot.
@@ -810,9 +838,12 @@ def certification_report(
     that are not bools; or a family, whose knot the family table gives (a
     torus knot, or the Alexander coefficients of the 7_4 rectangle); or
     None, which only reports the invariants.  Anything else raises
-    InvalidInputError.  Either chirality matches.
+    InvalidInputError.  Either chirality matches.  A diagram that is the
+    expected torus knot's standard diagram, or its mirror image, has that
+    knot's polynomial; any other diagram's polynomial is computed by
+    ``alexander_polynomial``.
     """
-    p = q = bound = reference = matches = None
+    p = q = bound = reference = matches = handedness = None
     if isinstance(expected, FamilyId):
         knot = _FAMILIES[expected.tag].knot
         if isinstance(knot, tuple):
@@ -827,6 +858,8 @@ def certification_report(
     if p is not None:
         reference = torus_alexander(p, q)
         bound = min(p * (q - 1), q * (p - 1))
+        handedness = torus_handedness(diagram.gauss, p, q)
+    delta = reference if handedness is not None else alexander_polynomial(diagram)
     if reference is not None:
         matches = reference in (delta, delta.mirror())
     return CertificationReport(
@@ -840,4 +873,6 @@ def certification_report(
         crossing_bound=bound,
         crossing_bound_ok=None if bound is None else diagram.crossing_count >= bound,
         matches=matches,
+        certificate="alexander" if handedness is None else "diagram",
+        handedness=handedness,
     )

@@ -4,7 +4,8 @@ Two generators feed the knot-identification tests: torus knots as braid
 closures, and odd pretzel knots traced through their three twist
 columns.  Both produce signed Gauss codes in the (id, is_over, sign)
 form ``KnotDiagram`` is built from, so the Alexander machinery can be
-checked against knots whose polynomials are known in closed form.
+checked against knots whose polynomials are known in closed form.  The
+right-handed trefoil is typed in, to pin the sign convention.
 ``gauss_oracle`` validates a code and derives its crossing records in
 two separate walks: the oracle for the one walk that builds a
 ``KnotDiagram``.  A
@@ -73,8 +74,18 @@ def torus_braid_gauss(p: int, q: int) -> List[Tuple[int, bool, int]]:
     if visited != q:
         raise ValueError("braid closure is a link, not a knot")
     # both strands travel downward at every letter, so every crossing
-    # has the same handedness
+    # has the same handedness, negative: this is the left-handed T(p, q)
     return [(letter, over, -1) for letter, over in sequence]
+
+
+# The right-handed trefoil, typed in: three crossings met over, under,
+# over, under, over, under along the strand, as on every trefoil diagram.
+# A crossing is right-handed when, with both strands heading up, the over
+# strand runs from lower left to upper right: over (1, 1) x under (-1, 1)
+# = 2 > 0, which is sign +1 in the (id, is_over, sign) codes.  All three
+# right-handed give writhe +3.
+RIGHT_TREFOIL = [(1, True, 1), (2, False, 1), (3, True, 1),
+                 (1, False, 1), (2, True, 1), (3, False, 1)]
 
 
 def pretzel_gauss(a: int, b: int, c: int) -> List[Tuple[int, bool, int]]:

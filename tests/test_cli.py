@@ -439,12 +439,12 @@ SHARED_MODULES = ["ribbonfold", "ribbonfold.constructions", "ribbonfold.errors",
     pytest.param(["table", "--bounds"], ["formulas"], id="table-bounds"),
     pytest.param(["verify", "--family", "odd-wrap", "--q", "3"], ["formulas"], id="verify"),
     pytest.param(["verify", "--family", "odd-wrap", "--q", "3", "--knot-check"],
-                 ["determinant", "formulas", "knot_id"], id="verify-knot-check"),
+                 ["braid", "determinant", "formulas", "knot_id"], id="verify-knot-check"),
     pytest.param(["render", "--input", "program.json"], ["render"], id="render"),
-    pytest.param(["identify", "--input", "program.json"], ["determinant", "knot_id"],
+    pytest.param(["identify", "--input", "program.json"], ["braid", "determinant", "knot_id"],
                  id="identify-input"),
-    pytest.param(["identify", "--family", "odd-wrap", "--q", "3"], ["determinant", "knot_id"],
-                 id="identify-family"),
+    pytest.param(["identify", "--family", "odd-wrap", "--q", "3"],
+                 ["braid", "determinant", "knot_id"], id="identify-family"),
 ])
 def test_command_loads_only_the_modules_it_runs(tmp_path, argv, extra):
     (tmp_path / "program.json").write_text(build(FamilyId("odd_wrap", 3)).to_json())

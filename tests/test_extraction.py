@@ -17,6 +17,7 @@ from ribbonfold.knot_id import (
     DEFAULT_PERTURBATION_SCALE,
     _collinear_groups,
     _find_crossings,
+    _near_hit_pairs,
     _perturbed_polyline,
     extract_diagram,
 )
@@ -81,6 +82,46 @@ TRIPLE_POINT = [(-3, 0), (2, 0), (2, 2), (-2, -2), (-2, 2), (2, -2)]
 def test_crossing_search_degeneracies(points, message):
     vertices = _polyline(points)
     assert crossing_outcome(_find_crossings, vertices) == (DegenerateDiagramError, message)
+
+
+# TRIPLE_POINT with its third vertex raised 1e-13: the three hits are
+# distinct, but closer together than the point tolerance 3e-12
+NEAR_TRIPLE_POINT = [(-3, 0), (2, 0), (2, 2 + 1e-13), (-2, -2), (-2, 2), (2, -2)]
+
+
+def test_hits_closer_than_the_point_tolerance_still_raise():
+    vertices = _polyline(NEAR_TRIPLE_POINT)
+    assert crossing_outcome(_find_crossings, vertices) == \
+        crossing_outcome(all_pairs_crossings, vertices) == \
+        (DegenerateDiagramError, "multiple crossings coincide at one point")
+
+
+def test_near_hit_pairs_read_a_direction_off_every_axis():
+    # hits stacked on one vertical axis, or on one horizontal one, are far
+    # apart on the direction at angle 1; hits closer than the reach pair
+    column = [0.0] * 5, [float(k) for k in range(5)]
+    row = column[1], column[0]
+    for xs, ys in (column, row):
+        assert _near_hit_pairs(xs, ys, 1e-3) == []
+    assert _near_hit_pairs([0.0, 5.0, 1e-4], [0.0, 0.0, -1e-4], 1e-3) == [(2, 0)]
+
+
+def test_hit_check_compares_no_pair_on_a_wrap_axis(monkeypatch):
+    # every hit of even_wrap_plus2 q=21 that shares its x with another lies
+    # on a symmetry axis; sorted on x alone, the check compared 2121 pairs
+    pairs = []
+
+    def recorded(xs, ys, reach):
+        out = _near_hit_pairs(xs, ys, reach)
+        # the pairs whose x differ by less than the point tolerance
+        same_x = sum(1 for a in range(len(xs)) for b in range(a)
+                     if abs(xs[a] - xs[b]) < reach / 2)
+        pairs.append((same_x, out))
+        return out
+
+    monkeypatch.setattr(knot_id, "_near_hit_pairs", recorded)
+    extract_diagram(layout(build(FamilyId("even_wrap_plus2", 21))))
+    assert pairs == [(2121, [])]
 
 
 def test_crossing_search_near_the_float_limit():

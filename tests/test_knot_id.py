@@ -355,33 +355,43 @@ def test_default_minor_keeps_every_unit_pivot(member, bareiss_blocks):
 def test_large_constructions_certify(tag, n, bareiss_blocks):
     family = FamilyId(tag, n)
     params = knot_type(family)
-    report = verify_knot_type(build(family), (params.p, params.q))
+    diagram = extract_diagram(layout(build(family)))
+    report = certification_report(diagram, (params.p, params.q))
     assert report.matches, report.summary()
     assert report.crossing_bound_ok
+    # the odd wraps are not their knot's standard diagram, so elimination
+    # certifies them; the other families match it, and the elimination
+    # they skip agrees and leaves the same block
+    if tag == "odd_wrap":
+        assert (report.certificate, report.handedness) == ("alexander", None)
+    else:
+        assert (report.certificate, report.handedness) == ("diagram", 1)
+        assert bareiss_blocks == []
+        assert alexander_polynomial(diagram) == report.alexander
     assert bareiss_blocks == [FIXED_BLOCKS.get(tag, n - 1)]
 
 
 def test_certification_report_expected_forms():
     seven_four = KnotDiagram(pretzel_gauss(3, 3, 1))
-    delta = alexander_polynomial(seven_four)
     # the rectangle's family compares with the table's 7_4 coefficients
-    report = certification_report(seven_four, delta, FamilyId("rect_74"))
+    report = certification_report(seven_four, FamilyId("rect_74"))
     assert report.matches and report.reference == poly(4, -7, 4)
     assert (report.p, report.crossing_bound, report.determinant) == (None, None, 15)
+    assert (report.certificate, report.handedness) == ("alexander", None)
     assert report.summary() == "Alexander 4*t^2 - 7*t + 4 vs 4*t^2 - 7*t + 4 -> MATCH"
     # nothing expected: invariants only, no verdict
-    bare = certification_report(seven_four, delta, None)
+    bare = certification_report(seven_four, None)
     assert (bare.reference, bare.matches, bare.determinant) == (None, None, 15)
+    assert bare.alexander == alexander_polynomial(seven_four)
     # a torus family resolves to the same report as its (p, q)
     trefoil = KnotDiagram(torus_braid_gauss(3, 2))
-    delta = alexander_polynomial(trefoil)
-    assert (certification_report(trefoil, delta, FamilyId("odd_wrap", 2))
-            == certification_report(trefoil, delta, (3, 2))
-            == certification_report(trefoil, delta, [3, 2]))
+    assert (certification_report(trefoil, FamilyId("odd_wrap", 2))
+            == certification_report(trefoil, (3, 2))
+            == certification_report(trefoil, [3, 2]))
     # verify_knot_type hands its expected knot to the same check
     with pytest.raises(InvalidInputError):
         verify_knot_type(build(FamilyId("odd_wrap", 2)), (3.9, 2.2))
-    assert not certification_report(trefoil, delta, (5, 2)).matches
+    assert not certification_report(trefoil, (5, 2)).matches
 
 
 @pytest.mark.parametrize("expected", [
@@ -389,20 +399,18 @@ def test_certification_report_expected_forms():
 ])
 def test_certification_report_rejects_a_malformed_expected_knot(expected):
     trefoil = KnotDiagram(torus_braid_gauss(3, 2))
-    delta = alexander_polynomial(trefoil)
     with pytest.raises(InvalidInputError):
-        certification_report(trefoil, delta, expected)
+        certification_report(trefoil, expected)
 
 
 def test_summary_without_a_reference_gives_no_verdict():
     trefoil = KnotDiagram(torus_braid_gauss(3, 2))
-    delta = alexander_polynomial(trefoil)
-    assert (certification_report(trefoil, delta, None).summary()
+    assert (certification_report(trefoil, None).summary()
             == "Alexander t^2 - t + 1, no reference")
-    assert (certification_report(trefoil, delta, (3, 2)).summary()
+    assert (certification_report(trefoil, (3, 2)).summary()
             == "(3,2): 3 crossings (bound 3 ok), det 3, Alexander t^2 - t + 1 vs t^2 - t + 1"
             " -> MATCH")
-    assert (certification_report(trefoil, delta, (5, 2)).summary()
+    assert (certification_report(trefoil, (5, 2)).summary()
             == "(5,2): 3 crossings (bound 5 VIOLATED), det 3, Alexander t^2 - t + 1"
             " vs t^4 - t^3 + t^2 - t + 1 -> MISMATCH")
 
@@ -424,7 +432,7 @@ def test_pretzel_oracles():
 def test_determinant_invariant_values():
     for p in (3, 5, 7):
         diagram = KnotDiagram(torus_braid_gauss(p, 2))
-        report = certification_report(diagram, alexander_polynomial(diagram), None)
+        report = certification_report(diagram, None)
         assert report.determinant == p
 
 
