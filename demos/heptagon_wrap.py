@@ -13,7 +13,7 @@ import os
 from ribbonfold import (
     FamilyId,
     RenderOptions,
-    build_odd_wrap,
+    build,
     closed_form_ratio,
     layout,
     ratio,
@@ -34,7 +34,7 @@ def main():
     q = 3
     family = FamilyId("odd_wrap", q)
     for presentation in ("closed", "truncated"):
-        program = build_odd_wrap(q, presentation)
+        program = build(family, presentation=presentation)
         lay = layout(program)
         measured = ratio(lay)
         formula = closed_form_ratio(family, presentation)
@@ -42,7 +42,7 @@ def main():
               % (presentation, len(lay.panels), measured,
                  formula.symbolic(), formula.value))
 
-    lay = layout(build_odd_wrap(q))
+    lay = layout(build(family))
     first = lay.panels[0]
     print("panel sides: top %.6f, fold %.6f, base %.6f, fold %.6f"
           % tuple(side_length(first, k) for k in range(4)))

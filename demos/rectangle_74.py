@@ -9,7 +9,7 @@ torus knot shares.
 import argparse
 import os
 
-from ribbonfold import RenderOptions, build_74, layout, ratio, to_svg
+from ribbonfold import FamilyId, RenderOptions, build, layout, ratio, to_svg
 from ribbonfold.knot_id import (
     LaurentPolynomial,
     alexander_polynomial,
@@ -24,7 +24,7 @@ def main():
     parser.add_argument("--output", default=".", help="directory for SVG output")
     args = parser.parse_args()
 
-    lay = layout(build_74())
+    lay = layout(build(FamilyId("rect_74")))
     min_x, min_y, max_x, max_y = lay.bounding_box()
     print("panels:", len(lay.panels))
     print("ratio: %.12f" % ratio(lay))

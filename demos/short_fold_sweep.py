@@ -8,8 +8,7 @@ defect divided by epsilon settles to a constant.
 
 from ribbonfold import (
     FamilyId,
-    build_short_52,
-    build_short_72,
+    build,
     closed_form_ratio,
     layout,
     ratio,
@@ -18,12 +17,12 @@ from ribbonfold import (
 EPSILONS = (3e-2, 1e-2, 3e-3, 1e-3, 3e-4, 1e-4)
 
 
-def sweep(name, family, builder):
+def sweep(name, family):
     limit = closed_form_ratio(family).value
     print("%s: limit %s = %.12f" % (name, closed_form_ratio(family).symbolic(), limit))
     print("  epsilon     measured ratio      defect        defect/epsilon")
     for eps in EPSILONS:
-        measured = ratio(layout(builder(eps)))
+        measured = ratio(layout(build(family, epsilon=eps)))
         defect = limit - measured
         print("  %-9g  %.12f  %.6e  %8.4f"
               % (eps, measured, defect, defect / eps))
@@ -31,8 +30,8 @@ def sweep(name, family, builder):
 
 
 def main():
-    sweep("short_52", FamilyId("short_52"), build_short_52)
-    sweep("short_72", FamilyId("short_72"), build_short_72)
+    sweep("short_52", FamilyId("short_52"))
+    sweep("short_72", FamilyId("short_72"))
 
 
 if __name__ == "__main__":

@@ -22,9 +22,7 @@ _EXPORTS = {
         "ratio", "unfold",
     ),
     "constructions": (
-        "FAMILY_TAGS", "FamilyId", "TorusKnotParams", "build", "build_74",
-        "build_even_wrap", "build_odd_wrap", "build_pinwheel", "build_short_52",
-        "build_short_72", "build_star_polygon", "knot_type",
+        "FAMILY_TAGS", "FamilyId", "TorusKnotParams", "build", "knot_type",
     ),
     "formulas": (
         "BoundsRow", "RatioFormula", "RatioReport", "bounds_table", "closed_form_ratio",

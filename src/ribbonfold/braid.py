@@ -25,6 +25,14 @@ from .errors import InvalidInputError
 __all__ = ["standard_torus_code", "torus_handedness"]
 
 
+def _check_torus(p: int, q: int) -> None:
+    for v in (p, q):
+        if isinstance(v, bool) or not isinstance(v, int) or v < 2:
+            raise InvalidInputError("torus parameters must be integers >= 2")
+    if math.gcd(p, q) != 1:
+        raise InvalidInputError("torus knot parameters must be coprime")
+
+
 def standard_torus_code(p: int, q: int) -> List[Tuple[int, bool, int]]:
     """Signed Gauss code of the closure of (s_1 ... s_{s-1})^k.
 
@@ -34,11 +42,7 @@ def standard_torus_code(p: int, q: int) -> List[Tuple[int, bool, int]]:
     the over strand heads right, so every crossing is positive.  Crossing
     ids count the letters of the word from 0.
     """
-    for v in (p, q):
-        if isinstance(v, bool) or not isinstance(v, int) or v < 2:
-            raise InvalidInputError("torus parameters must be integers >= 2")
-    if math.gcd(p, q) != 1:
-        raise InvalidInputError("torus knot parameters must be coprime")
+    _check_torus(p, q)
     s, k = min(p, q), max(p, q)
     # the strand at each position, and each strand's passages in order
     at = list(range(s))
@@ -87,7 +91,8 @@ def torus_handedness(gauss: Sequence[Tuple[int, bool, int]], p: int, q: int) -> 
     mirror image, None if it is neither.
 
     ``gauss`` is a valid signed Gauss code, as ``KnotDiagram.gauss`` holds;
-    p and q are as ``standard_torus_code`` takes them.  Nothing is built
+    p and q are as ``standard_torus_code`` takes them; bad ones raise its
+    InvalidInputError first, whatever the code's length.  Nothing is built
     unless the code has the standard diagram's k(s - 1) crossings.  The
     code matches when its label-free passages (``_passage_values``) are a
     cyclic shift of the standard diagram's: a substring test on the
@@ -100,6 +105,7 @@ def torus_handedness(gauss: Sequence[Tuple[int, bool, int]], p: int, q: int) -> 
     the same word.  So a reversed standard code is a rotation of it, up to
     labels.
     """
+    _check_torus(p, q)
     s, k = min(p, q), max(p, q)
     if len(gauss) != 2 * k * (s - 1):
         return None

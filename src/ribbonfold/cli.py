@@ -32,6 +32,10 @@ class _UsageError(Exception):
     pass
 
 
+def _handedness(value: Optional[int]) -> str:
+    return "none" if value is None else "%+d" % value
+
+
 def _expected(text: str) -> Tuple[int, int]:
     parts = text.split(",")
     if len(parts) != 2:
@@ -133,6 +137,8 @@ def _run_verify(args: argparse.Namespace) -> int:
 
         report = certification_report(extract_diagram(lay), family)
         out.write("knot_check: %s\n" % report.summary())
+        out.write("knot_certificate: %s, handedness %s\n"
+                  % (report.certificate, _handedness(report.handedness)))
         ok = ok and report.matches
     out.write("verify: %s\n" % ("PASS" if ok else "FAIL"))
     return 0 if ok else 1
@@ -188,6 +194,8 @@ def _run_identify(args: argparse.Namespace) -> int:
             "determinant": report.determinant,
             "expected": list(args.expected) if args.expected else None,
             "matches": report.matches,
+            "certificate": report.certificate,
+            "handedness": report.handedness,
         }
         sys.stdout.write(json.dumps(payload, sort_keys=True) + "\n")
     else:
@@ -195,6 +203,8 @@ def _run_identify(args: argparse.Namespace) -> int:
         sys.stdout.write("gauss=%s\n" % json.dumps(gauss))
         sys.stdout.write("alexander=%s\n" % delta)
         sys.stdout.write("determinant=%d\n" % report.determinant)
+        sys.stdout.write("certificate=%s\n" % report.certificate)
+        sys.stdout.write("handedness=%s\n" % _handedness(report.handedness))
         if args.expected is not None:
             sys.stdout.write("expected=(%d,%d) -> %s\n"
                              % (args.expected[0], args.expected[1],

@@ -11,7 +11,8 @@ small distance epsilon apart; their creases are read off their
 centerline polyline, at angles that are no rational multiple of pi.
 
 The private ``_FAMILIES`` table holds one row per family; ``FamilyId``,
-``knot_type``, ``build``, the formulas and the CLI all read it.
+``knot_type``, ``build``, the formulas and the CLI all read it.  ``build``
+is the one way in; the builders behind it trust ``FamilyId`` and ``_spec``.
 """
 
 from __future__ import annotations
@@ -38,13 +39,6 @@ __all__ = [
     "FamilyId",
     "TorusKnotParams",
     "build",
-    "build_74",
-    "build_even_wrap",
-    "build_odd_wrap",
-    "build_pinwheel",
-    "build_short_52",
-    "build_short_72",
-    "build_star_polygon",
     "knot_type",
 ]
 
@@ -97,35 +91,35 @@ _FAMILIES = {
     "odd_wrap": _Family(
         "odd-wrap", None, "q", 2, False, ("closed", "truncated"),
         lambda q: (q + 1, q), lambda q: (2 * q + 1, 2 * q + 1), False,
-        lambda q, presentation, _: build_odd_wrap(q, presentation)),
+        lambda q, presentation, _: _odd_wrap(q, presentation)),
     "star_polygon": _Family(
         "star", None, "p", 7, True, ("closed",),
         lambda p: (p, 2), lambda p: (p, p), False,
-        lambda p, *_: build_star_polygon(p)),
+        lambda p, *_: _star_polygon(p)),
     "pinwheel": _Family(
         "pinwheel", None, "q", 2, False, ("closed",),
         lambda q: (2 * q + 1, q), lambda q: (2 * q + 1, 4 * q + 2), False,
-        lambda q, *_: build_pinwheel(q)),
+        lambda q, *_: _pinwheel(q)),
     "even_wrap_plus2": _Family(
         "even-wrap", 2, "q", 3, True, ("closed",),
         lambda q: (2 * q + 2, q), lambda q: (2 * q + 2, 2 * q + 2), False,
-        lambda q, *_: build_even_wrap(q, 2)),
+        lambda q, *_: _even_wrap(q, 2)),
     "even_wrap_plus4": _Family(
         "even-wrap", 4, "q", 3, True, ("closed",),
         lambda q: (2 * q + 4, q), lambda q: (2 * q + 4, 2 * q + 4), False,
-        lambda q, *_: build_even_wrap(q, 4)),
+        lambda q, *_: _even_wrap(q, 4)),
     "short_52": _Family(
         "short-52", None, None, 0, False, ("closed",),
         lambda _: (5, 2), lambda _: (7, 5), True,
-        lambda _, __, epsilon: build_short_52(epsilon)),
+        lambda _, __, epsilon: _short_52(epsilon)),
     "short_72": _Family(
         "short-72", None, None, 0, False, ("closed",),
         lambda _: (7, 2), lambda _: (9, 5), True,
-        lambda _, __, epsilon: build_short_72(epsilon)),
+        lambda _, __, epsilon: _short_72(epsilon)),
     "rect_74": _Family(
         "rect74", None, None, 0, False, ("closed",),
         (4, -7, 4), lambda _: (24, None), False,
-        lambda *_: build_74()),
+        lambda *_: _74()),
 }
 
 FAMILY_TAGS = tuple(_FAMILIES)
@@ -197,7 +191,7 @@ def _star_program(n, step, chord, width, heights, label, weave=None) -> FoldProg
     return _closed_program(width, lines, heights, label, weave)
 
 
-def build_odd_wrap(q: int, presentation: str = "closed") -> FoldProgram:
+def _odd_wrap(q: int, presentation: str) -> FoldProgram:
     """Wrap of the regular (2q+1)-gon of unit side, a (q+1, q) torus knot.
 
     The centerline visits every polygon vertex in steps of q, so each
@@ -205,7 +199,6 @@ def build_odd_wrap(q: int, presentation: str = "closed") -> FoldProgram:
     presentation keeps all 2q+1 panels; the truncated one drops the
     final panel and cuts both ends parallel to the removed creases.
     """
-    _spec(FamilyId("odd_wrap", q), presentation)
     n = 2 * q + 1
     width = math.cos(math.pi / (2 * n))
     chord = width / math.tan(math.pi / n)
@@ -221,7 +214,7 @@ def build_odd_wrap(q: int, presentation: str = "closed") -> FoldProgram:
                        start_cut=CutSpec(0.0, cut), end_cut=CutSpec((n - 1) * chord, cut))
 
 
-def build_star_polygon(p: int) -> FoldProgram:
+def _star_polygon(p: int) -> FoldProgram:
     """Closed ring of p congruent trapezoids around a {p/2} star, a (p, 2) knot.
 
     Three trapezoid sides have unit length and the base is 1 + 2cos(2pi/p);
@@ -230,35 +223,30 @@ def build_star_polygon(p: int) -> FoldProgram:
     even wraps, so every crossing is positive; like any (p, 2) standard
     diagram, it still alternates over and under along the strip.
     """
-    FamilyId("star_polygon", p)
     width = math.sin(2.0 * math.pi / p)
     chord = 1.0 + math.cos(2.0 * math.pi / p)
     return _star_program(p, 2, chord, width, range(p), "star_polygon p=%d" % p,
                          WeaveRule("torus"))
 
 
-def build_pinwheel(q: int) -> FoldProgram:
+def _pinwheel(q: int) -> FoldProgram:
     """Closed pinwheel of 2q+1 panels folding a (2q+1, q) torus knot.
 
     Same visiting order as the odd wrap but with a unit-width strip and
     the longer chord 1/tan(pi/(2(2q+1))), which rotates each panel past
     its neighbours instead of stacking them over a polygon.
     """
-    FamilyId("pinwheel", q)
     n = 2 * q + 1
     chord = 1.0 / math.tan(math.pi / (2 * n))
     return _star_program(n, q, chord, 1.0, range(n), "pinwheel q=%d" % q, WeaveRule("torus"))
 
 
-def build_even_wrap(q: int, variant: int = 2) -> FoldProgram:
+def _even_wrap(q: int, variant: int) -> FoldProgram:
     """Wrap of the regular n-gon with n = 2q + variant, an (n, q) torus knot.
 
     Only odd q keeps n and q coprime.  variant selects between the two
     even polygon sizes that admit this wrap, n = 2q+2 and n = 2q+4.
     """
-    if type(variant) is not int or variant not in (2, 4):
-        raise ParameterError("variant must be 2 or 4")
-    FamilyId("even_wrap_plus%d" % variant, q)
     n = 2 * q + variant
     width = math.sin(q * math.pi / n)
     chord = width / math.tan(math.pi / n)
@@ -356,7 +344,7 @@ def _short_program(epsilon, scale, drifts, heights, name) -> FoldProgram:
     return _closed_program(1.0, lines, heights, "%s eps=%g" % (name, epsilon))
 
 
-def build_short_52(epsilon: float = 1e-3) -> FoldProgram:
+def _short_52(epsilon: float) -> FoldProgram:
     """Seven-panel fold of the (5, 2) knot with creases paired epsilon apart.
 
     Two of the five effective fold lines are doubled into parallel pairs
@@ -368,12 +356,12 @@ def build_short_52(epsilon: float = 1e-3) -> FoldProgram:
     return _short_program(epsilon, _SCALE_52, _SHORT_52_DRIFT, _SHORT_52_HEIGHTS, "short_52")
 
 
-def build_short_72(epsilon: float = 1e-3) -> FoldProgram:
+def _short_72(epsilon: float) -> FoldProgram:
     """Nine-panel fold of the (7, 2) knot, the seven-panel strip plus one pair.
 
     Same collar as the (5, 2) short with a third doubled fold line in the
     stack; the ratio tends to 9/tan(pi/5) as epsilon goes to zero.
-    Epsilon must lie in [1e-9, 0.1), for the reason given at build_short_52.
+    Epsilon must lie in [1e-9, 0.1), for the reason given at _short_52.
     """
     return _short_program(epsilon, _SCALE_72, _SHORT_72_DRIFT, _SHORT_72_HEIGHTS, "short_72")
 
@@ -383,7 +371,7 @@ def build_short_72(epsilon: float = 1e-3) -> FoldProgram:
 _RECT_74_HEIGHTS = (5, 14, 0, 11, 1, 13, 7, 8, 6, 3, 10, 2, 9, 12, 15, 4)
 
 
-def build_74() -> FoldProgram:
+def _74() -> FoldProgram:
     """Sixteen-panel rectangle circuit folding the 7_4 knot at ratio 24.
 
     The unit-width centerline walks a 2 x 1 rectangle four times, so the

@@ -39,3 +39,9 @@ class InvalidDiagramError(RibbonError):
 
 class NotApplicableError(RibbonError):
     """The requested quantity is undefined for this family."""
+
+
+def _expect_type(value, kind: type) -> None:
+    """Raise InvalidInputError, naming both types, unless value is a kind."""
+    if not isinstance(value, kind):
+        raise InvalidInputError("expected a %s, got %s" % (kind.__name__, type(value).__name__))

@@ -31,6 +31,7 @@ from .errors import (
     InconsistencyError,
     InvalidInputError,
     MalformedProgramError,
+    _expect_type,
 )
 
 CLOSURE_TOLERANCE = 1e-9
@@ -622,6 +623,7 @@ def layout(program: FoldProgram) -> FoldedLayout:
     MalformedProgramError if consecutive boundary lines cross inside the
     strip, and ClosureError if a closed program's seam misses its start.
     """
+    _expect_type(program, FoldProgram)
     w = program.width
     half = 0.5 * w
     bounds = _boundaries(program)
@@ -820,6 +822,7 @@ def unfold(lay: FoldedLayout) -> FoldProgram:
     No builder calls this: it is an oracle, independent of the exact
     crease data, that tests hold programs against.
     """
+    _expect_type(lay, FoldedLayout)
     # rejects a layout with no panels, or with other than one per segment
     closed = lay.closed
     panels = lay.panels

@@ -31,6 +31,7 @@ from .errors import (
     InvalidDiagramError,
     InvalidInputError,
     LayeringInconsistencyError,
+    _expect_type,
 )
 from .fold_core import FoldProgram, FoldedLayout, Point, layout
 
@@ -277,6 +278,7 @@ def alexander_polynomial(
     row's own unit column, so that no other column loses its only unit
     pivot; every first minor gives the same polynomial up to +-t^k.
     """
+    _expect_type(diagram, KnotDiagram)
     n = diagram.crossing_count
     for v in (row, col):
         if v is None:
@@ -679,6 +681,7 @@ def extract_diagram(
     the search's parallel pairs and the grid margin every other pair, so
     one direction sort serves both the group test and the search.
     """
+    _expect_type(lay, FoldedLayout)
     src = lay.source
     if src is not None and src.presentation != "closed":
         raise DegenerateDiagramError("open strips do not close into a knot diagram")
@@ -843,6 +846,7 @@ def certification_report(
     knot's polynomial; any other diagram's polynomial is computed by
     ``alexander_polynomial``.
     """
+    _expect_type(diagram, KnotDiagram)
     p = q = bound = reference = matches = handedness = None
     if isinstance(expected, FamilyId):
         knot = _FAMILIES[expected.tag].knot
@@ -858,7 +862,9 @@ def certification_report(
     if p is not None:
         reference = torus_alexander(p, q)
         bound = min(p * (q - 1), q * (p - 1))
-        handedness = torus_handedness(diagram.gauss, p, q)
+        # T(p, 1) is the unknot, with no braid diagram for the match to read
+        if min(p, q) > 1:
+            handedness = torus_handedness(diagram.gauss, p, q)
     delta = reference if handedness is not None else alexander_polynomial(diagram)
     if reference is not None:
         matches = reference in (delta, delta.mirror())

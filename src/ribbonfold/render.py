@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from operator import attrgetter
 from typing import TYPE_CHECKING, List, Sequence, Tuple
 
-from .errors import InvalidInputError, ParameterError
+from .errors import InvalidInputError, ParameterError, _expect_type
 from .fold_core import FoldedLayout, Point
 
 if TYPE_CHECKING:
@@ -101,6 +101,7 @@ def to_svg(layout: FoldedLayout, options: RenderOptions = RenderOptions()) -> st
     lower ones; the viewport is the drawing bounding box plus a 5%
     margin on every side.
     """
+    _expect_type(layout, FoldedLayout)
     if not layout.panels:
         raise InvalidInputError("cannot render a layout with no panels")
     order = sorted(layout.panels, key=attrgetter("layer", "index"))

@@ -550,6 +550,27 @@ def all_groups_collinear(centerline, scale: float):
     return [g for g in groups if len(g) > 1]
 
 
+def all_pairs_partners(dxs, dys, window: float) -> List[int]:
+    """Per segment, a bit mask of the others whose direction is within
+    ``window`` of its own mod pi.
+
+    The reference for ``knot_id._parallel_partners``: every pair is
+    compared by the angle between its two lines, atan2(|u x v|, u . v)
+    folded onto [0, pi/2], with no sort and no wrap past pi.
+    """
+    m = len(dxs)
+    partners = [0] * m
+    for i in range(m):
+        for j in range(i + 1, m):
+            cross = dxs[i] * dys[j] - dys[i] * dxs[j]
+            dot = dxs[i] * dxs[j] + dys[i] * dys[j]
+            angle = math.atan2(abs(cross), dot)
+            if min(angle, math.pi - angle) <= window:
+                partners[i] |= 1 << j
+                partners[j] |= 1 << i
+    return partners
+
+
 def snapped_boundary_angle(seg, side, orientation: int) -> ExactAngle:
     """Strip angle of a boundary line measured from a centerline segment,
     the vector of a panel side and the panel's winding sign: atan2 of

@@ -17,13 +17,6 @@ from ribbonfold.cli import main as cli_main
 from ribbonfold.constructions import (
     FamilyId,
     build,
-    build_74,
-    build_even_wrap,
-    build_odd_wrap,
-    build_pinwheel,
-    build_short_52,
-    build_short_72,
-    build_star_polygon,
     knot_type,
 )
 from ribbonfold.formulas import (
@@ -159,13 +152,6 @@ def test_criterion_4_limit_behavior():
 
 def test_criterion_5_knot_certification():
     started = time.perf_counter()
-    programs = (
-        [build_odd_wrap(q) for q in range(2, 6)]
-        + [build_star_polygon(p) for p in (7, 9, 11)]
-        + [build_pinwheel(q) for q in (2, 3, 4)]
-        + [build_even_wrap(q, v) for q in (3, 5) for v in (2, 4)]
-        + [build_short_52(), build_short_72()]
-    )
     families = (
         [FamilyId("odd_wrap", q) for q in range(2, 6)]
         + [FamilyId("star_polygon", p) for p in (7, 9, 11)]
@@ -175,15 +161,15 @@ def test_criterion_5_knot_certification():
         + [FamilyId("short_52"), FamilyId("short_72")]
     )
     checked = 0
-    for program, family in zip(programs, families):
+    for family in families:
         params = knot_type(family)
-        report = verify_knot_type(program, (params.p, params.q))
+        report = verify_knot_type(build(family), (params.p, params.q))
         assert report.matches, (family, report.summary())
         checked += 1
 
     # oracle: the 7_4 polynomial from an independent pretzel Gauss code
     reference = alexander_polynomial(KnotDiagram(pretzel_gauss(3, 3, 1)))
-    extracted = alexander_polynomial(extract_diagram(layout(build_74())))
+    extracted = alexander_polynomial(extract_diagram(layout(build(FamilyId("rect_74")))))
     assert extracted == reference
     assert sorted(reference.coefficients.items()) == [(0, 4), (1, -7), (2, 4)]
     elapsed = time.perf_counter() - started
@@ -214,9 +200,9 @@ def _panel_width(panel):
 def test_criterion_6_invariant_suites():
     # fold round trip at 1e-12
     probes = [
-        build_odd_wrap(3), build_odd_wrap(4, "truncated"),
-        build_star_polygon(7), build_pinwheel(2),
-        build_even_wrap(3, 2), build_74(),
+        build(FamilyId("odd_wrap", 3)), build(FamilyId("odd_wrap", 4), presentation="truncated"),
+        build(FamilyId("star_polygon", 7)), build(FamilyId("pinwheel", 2)),
+        build(FamilyId("even_wrap_plus2", 3)), build(FamilyId("rect_74")),
     ]
     for program in probes:
         replay = unfold(layout(program))
@@ -246,7 +232,7 @@ def test_criterion_6_invariant_suites():
     # circumscribed-circle chords of the odd wraps
     for q in range(2, 7):
         n = 2 * q + 1
-        lay = layout(build_odd_wrap(q))
+        lay = layout(build(FamilyId("odd_wrap", q)))
         starts = [seg[0] for seg in lay.centerline]
         cx = sum(p[0] for p in starts) / n
         cy = sum(p[1] for p in starts) / n
@@ -263,8 +249,8 @@ def test_criterion_6_invariant_suites():
             assert abs(math.hypot(b[0] - a[0], b[1] - a[1]) - chord) <= 1e-12
 
     # Gauss validity, Alexander palindromicity, |delta(1)| = 1
-    for program in (build_odd_wrap(2), build_star_polygon(7), build_pinwheel(2)):
-        diagram = extract_diagram(layout(program))
+    for family in (FamilyId("odd_wrap", 2), FamilyId("star_polygon", 7), FamilyId("pinwheel", 2)):
+        diagram = extract_diagram(layout(build(family)))
         assert KnotDiagram(diagram.gauss) == diagram
         delta = alexander_polynomial(diagram)
         assert delta.mirror() == delta
@@ -316,7 +302,7 @@ def test_criterion_7_determinism(capsys, tmp_path):
                      "--expected", "7,2", "--json"]
     assert capture(identify_args) == capture(identify_args)
 
-    lay = layout(build_74())
+    lay = layout(build(FamilyId("rect_74")))
     options = RenderOptions(epsilon_display=0.03)
-    assert to_svg(lay, options) == to_svg(layout(build_74()), options)
+    assert to_svg(lay, options) == to_svg(layout(build(FamilyId("rect_74"))), options)
     print("criterion 7: PASS - build/render/identify byte-identical on reruns")

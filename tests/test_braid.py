@@ -103,11 +103,30 @@ def test_match_builds_nothing_for_another_crossing_count(monkeypatch):
 
     monkeypatch.setattr(braid, "standard_torus_code", unreachable)
     trefoil = RIGHT_TREFOIL
-    for p, q in [(5, 2), (10**6 + 1, 2), (1001, 999), (1, 7), (7, 1)]:
+    for p, q in [(5, 2), (10**6 + 1, 2), (1001, 999)]:
         assert torus_handedness(trefoil, p, q) is None
     assert torus_handedness([], 3, 2) is None
     report = certification_report(KnotDiagram(trefoil), (1001, 999))
     assert (report.certificate, report.matches) == ("alexander", False)
+
+
+@pytest.mark.parametrize("p,q", [(4, 2), (0, 2), (True, 2), (2, True), (1, 7), (7, 1),
+                                 (3.0, 2), ("3", 2)])
+@pytest.mark.parametrize("gauss", [[], RIGHT_TREFOIL], ids=["empty", "trefoil"])
+def test_match_rejects_bad_parameters_whatever_the_code_length(gauss, p, q):
+    # checked before the crossing-count shortcut, so a code of any length
+    # meets the same error as standard_torus_code
+    with pytest.raises(InvalidInputError):
+        torus_handedness(gauss, p, q)
+
+
+def test_certification_against_an_unknot_torus_type_skips_the_match():
+    # T(p, 1) is the unknot: its reference polynomial is 1, and there is no
+    # braid diagram to match, so elimination gives the verdict
+    for expected in [(7, 1), (1, 7), (1, 1)]:
+        report = certification_report(KnotDiagram(RIGHT_TREFOIL), expected)
+        assert (report.certificate, report.handedness) == ("alexander", None)
+        assert report.matches is False
 
 
 # ----------------------------------------------------- built families

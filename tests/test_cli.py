@@ -74,6 +74,26 @@ def test_verify_with_knot_check(capsys):
     assert "MATCH" in out
 
 
+@pytest.mark.parametrize("argv, certificate", [
+    (("verify", "--family", "star", "--p", "9", "--knot-check"), "diagram, handedness +1"),
+    (("verify", "--family", "odd-wrap", "--q", "2", "--knot-check"), "alexander, handedness none"),
+])
+def test_verify_knot_check_names_its_certificate(capsys, argv, certificate):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    check, *rest = out.splitlines()[-3:]
+    assert check.startswith("knot_check: ") and check.endswith(" -> MATCH")
+    assert rest == ["knot_certificate: " + certificate, "verify: PASS"]
+
+
+def test_identify_names_its_certificate(capsys):
+    code, out, _ = run_cli(capsys, "identify", "--family", "star", "--p", "25",
+                           "--expected", "25,2")
+    assert code == 0
+    assert out.splitlines()[-3:] == ["certificate=diagram", "handedness=+1",
+                                     "expected=(25,2) -> MATCH"]
+
+
 def test_verify_failure_exits_one(capsys):
     code, out, _ = run_cli(
         capsys, "verify", "--family", "rect74", "--tolerance", "1e-20")
@@ -146,25 +166,25 @@ RECT = "rect.json"
 CERTIFY_DIGESTS = {
     "verify-odd-wrap-5": (
         ("verify", "--family", "odd-wrap", "--q", "5", "--knot-check"), 0,
-        "a0beb3a287d462dec31648a46aa41083376aab80da5bd94be103ec1a55332561"),
+        "3578f906725a84a485e9d37b351282af86a0dc36c935bfed5bb8b6d7cfbd8b4b"),
     "verify-rect74": (
         ("verify", "--family", "rect74", "--knot-check"), 0,
-        "a7b4e0e1f86052feabd1bd197cb2ede3e75603a4630215f8dfd1f6ce840a8189"),
+        "5b6ebd8e885182ae59ccbbdf76bf496b62c9f830fe686d8a7b45e64f76dfa26f"),
     "verify-short-52": (
         ("verify", "--family", "short-52", "--epsilon", "0.003", "--knot-check"), 0,
-        "cf90f8646011d68c46c7a63d66750a1ea812f8527b4eafe72be07b72be15acbe"),
+        "0c796133eebb25d394ae2cd9d4e47b0eb846c82d78eaea5965ef182980019e3c"),
     "identify-odd-wrap-5": (
         ("identify", "--family", "odd-wrap", "--q", "5"), 0,
-        "78d2be8eafd1c75a4613d9e402c1ea2d5fa8b6103f3007decab2f06a41a46635"),
+        "c3d9f2af75aa85504785a0b5a313167521db0322b9574eeff98356fa6b4ed8b0"),
     "identify-odd-wrap-5-expected-json": (
         ("identify", "--family", "odd-wrap", "--q", "5", "--expected", "6,5", "--json"), 0,
-        "6768b5c496d181848718ad4ba94679f46572f777f07da962c6ae08eb3ae9a02a"),
+        "94de24aed476916d4dbf07dae6642d206f351ce5fc05c294b82c9db1918c5059"),
     "identify-odd-wrap-5-mismatch": (
         ("identify", "--family", "odd-wrap", "--q", "5", "--expected", "7,2"), 1,
-        "81f1b1b9b8662f2143ece3a2c651c435c3457f883ab367ae54554c934a0735da"),
+        "3816d31a37ea1d615741ad56455326e34acbccec49b3da63d4b5ce94c9eec36e"),
     "identify-rect74-input": (
         ("identify", "--input", RECT), 0,
-        "a538bad3da40c8bfe580474937d9f77e1a3674d1659cb5643c4ad0a99fd88ffe"),
+        "6ed30ed11a3fe982a8c9ede7c8c4d13b9d7f2539b0337c99357ee351f7b00fb9"),
 }
 
 
@@ -252,6 +272,7 @@ def test_identify_json_payload(capsys, tmp_path):
     assert payload["matches"] is True
     assert payload["crossings"] == len(payload["gauss"]) // 2
     assert payload["determinant"] == 7
+    assert (payload["certificate"], payload["handedness"]) == ("diagram", 1)
 
 
 def test_identify_json_deterministic(capsys):

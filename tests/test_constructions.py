@@ -13,13 +13,6 @@ from ribbonfold import (
     ParameterError,
     TorusKnotParams,
     build,
-    build_74,
-    build_even_wrap,
-    build_odd_wrap,
-    build_pinwheel,
-    build_short_52,
-    build_short_72,
-    build_star_polygon,
     knot_type,
     layout,
     ratio,
@@ -148,35 +141,35 @@ def test_family_functions_reject_what_is_not_a_family_id(call, bad):
 
 
 def test_panel_counts_per_family():
-    assert len(layout(build_odd_wrap(3)).panels) == 7
-    assert len(layout(build_odd_wrap(3, "truncated")).panels) == 6
-    assert len(layout(build_star_polygon(7)).panels) == 7
-    assert len(layout(build_pinwheel(3)).panels) == 7
-    assert len(layout(build_even_wrap(3, 2)).panels) == 8
-    assert len(layout(build_even_wrap(3, 4)).panels) == 10
-    assert len(layout(build_short_52(1e-3)).panels) == 7
-    assert len(layout(build_short_72(1e-3)).panels) == 9
-    assert len(layout(build_74()).panels) == 16
+    assert len(layout(build(FamilyId("odd_wrap", 3))).panels) == 7
+    assert len(layout(build(FamilyId("odd_wrap", 3), presentation="truncated")).panels) == 6
+    assert len(layout(build(FamilyId("star_polygon", 7))).panels) == 7
+    assert len(layout(build(FamilyId("pinwheel", 3))).panels) == 7
+    assert len(layout(build(FamilyId("even_wrap_plus2", 3))).panels) == 8
+    assert len(layout(build(FamilyId("even_wrap_plus4", 3))).panels) == 10
+    assert len(layout(build(FamilyId("short_52"), epsilon=1e-3)).panels) == 7
+    assert len(layout(build(FamilyId("short_72"), epsilon=1e-3)).panels) == 9
+    assert len(layout(build(FamilyId("rect_74"))).panels) == 16
 
 
 def test_ratio_matches_closed_form_across_ranges():
     for q in range(2, 13):
         n = 2 * q + 1
-        closed = ratio(build_odd_wrap(q))
-        trunc = ratio(build_odd_wrap(q, "truncated"))
+        closed = ratio(build(FamilyId("odd_wrap", q)))
+        trunc = ratio(build(FamilyId("odd_wrap", q), presentation="truncated"))
         assert abs(closed - n / math.tan(math.pi / n)) < 1e-9 * closed
         assert abs(trunc - 2 * q / math.tan(math.pi / n)) < 1e-9 * trunc
     for p in range(7, 26, 2):
-        got = ratio(build_star_polygon(p))
+        got = ratio(build(FamilyId("star_polygon", p)))
         assert abs(got - p / math.tan(math.pi / p)) < 1e-9 * got
     for q in range(2, 13):
         n = 2 * q + 1
-        got = ratio(build_pinwheel(q))
+        got = ratio(build(FamilyId("pinwheel", q)))
         assert abs(got - n / math.tan(math.pi / (2 * n))) < 1e-9 * got
     for q in range(3, 12, 2):
         for variant in (2, 4):
             n = 2 * q + variant
-            got = ratio(build_even_wrap(q, variant))
+            got = ratio(build(FamilyId("even_wrap_plus%d" % variant, q)))
             assert abs(got - n / math.tan(math.pi / n)) < 1e-9 * got
 
 
@@ -185,7 +178,7 @@ def test_odd_wrap_corners_lie_on_circumscribed_circle():
     for q in range(2, 13):
         n = 2 * q + 1
         r = 1.0 / (2.0 * math.sin(math.pi / n))
-        lay = layout(build_odd_wrap(q))
+        lay = layout(build(FamilyId("odd_wrap", q)))
         cx, cy = layout_center(lay)
         for panel in lay.panels:
             for vx, vy in panel.vertices:
@@ -211,7 +204,7 @@ def test_odd_wrap_panel_edges_match_direct_chords():
     assert abs(top_formula - top_direct) < 1e-12
     assert abs(width_formula - width_direct) < 1e-12
 
-    prog = build_odd_wrap(q)
+    prog = build(FamilyId("odd_wrap", q))
     assert abs(prog.width - width_direct) < 1e-12
     panel = layout(prog).panels[0]
     edges = sorted([side_length(panel, 0), side_length(panel, 2)])
@@ -229,7 +222,7 @@ def test_star_polygon_hole_is_regular_concentric_polygon():
         radius = chord / (2.0 * math.sin(2.0 * math.pi / p))
         apothem = radius * math.cos(2.0 * math.pi / p) - width / 2.0
         assert apothem > 0.0
-        lay = layout(build_star_polygon(p))
+        lay = layout(build(FamilyId("star_polygon", p)))
         cx, cy = layout_center(lay)
         azimuths = []
         for panel in lay.panels:
@@ -250,7 +243,7 @@ def test_star_polygon_hole_is_regular_concentric_polygon():
 
 
 def test_star_polygon_unit_sides():
-    panel = layout(build_star_polygon(7)).panels[0]
+    panel = layout(build(FamilyId("star_polygon", 7))).panels[0]
     chord = 1.0 + math.cos(2.0 * math.pi / 7)
     edges = sorted([side_length(panel, 0), side_length(panel, 2)])
     assert abs(side_length(panel, 1) - 1.0) < 1e-12
@@ -264,7 +257,7 @@ def test_star_polygon_unit_sides():
 def test_pinwheel_panel_edges():
     q = 2
     n = 2 * q + 1
-    panel = layout(build_pinwheel(q)).panels[0]
+    panel = layout(build(FamilyId("pinwheel", q))).panels[0]
     top = 2.0 / math.tan(math.pi / n)
     base = 2.0 / math.sin(math.pi / n)
     edges = sorted([side_length(panel, 0), side_length(panel, 2)])
@@ -292,14 +285,14 @@ def test_even_wrap_center_coverage():
 
 def test_closed_builders_pass_closure():
     programs = [
-        build_odd_wrap(2),
-        build_star_polygon(7),
-        build_pinwheel(2),
-        build_even_wrap(3, 2),
-        build_even_wrap(3, 4),
-        build_short_52(1e-3),
-        build_short_72(1e-3),
-        build_74(),
+        build(FamilyId("odd_wrap", 2)),
+        build(FamilyId("star_polygon", 7)),
+        build(FamilyId("pinwheel", 2)),
+        build(FamilyId("even_wrap_plus2", 3)),
+        build(FamilyId("even_wrap_plus4", 3)),
+        build(FamilyId("short_52"), epsilon=1e-3),
+        build(FamilyId("short_72"), epsilon=1e-3),
+        build(FamilyId("rect_74")),
     ]
     for prog in programs:
         assert prog.presentation == "closed"
@@ -307,7 +300,7 @@ def test_closed_builders_pass_closure():
 
 
 def test_truncated_odd_wrap_has_end_cuts():
-    prog = build_odd_wrap(3, "truncated")
+    prog = build(FamilyId("odd_wrap", 3), presentation="truncated")
     assert prog.presentation == "truncated"
     assert prog.start_cut is not None
     assert prog.end_cut is not None
@@ -316,30 +309,26 @@ def test_truncated_odd_wrap_has_end_cuts():
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: build_odd_wrap(1),
-        lambda: build_odd_wrap(0),
-        lambda: build_odd_wrap(2.5),
-        lambda: build_odd_wrap(3, "open"),
-        lambda: build_star_polygon(5),
-        lambda: build_star_polygon(8),
-        lambda: build_pinwheel(1),
-        lambda: build_even_wrap(2),
-        lambda: build_even_wrap(4, 2),
-        lambda: build_even_wrap(3, 3),
-        # a float variant once reached range() and raised TypeError
-        lambda: build_even_wrap(3, 2.0),
-        lambda: build_even_wrap(3, 4.0),
-        lambda: build_short_52(0.0),
-        lambda: build_short_52(-1e-3),
-        lambda: build_short_52(0.1),
-        lambda: build_short_72(0.25),
+        lambda: build(FamilyId("odd_wrap", 1)),
+        lambda: build(FamilyId("odd_wrap", 0)),
+        lambda: build(FamilyId("odd_wrap", 2.5)),
+        lambda: build(FamilyId("odd_wrap", 3), presentation="open"),
+        lambda: build(FamilyId("star_polygon", 5)),
+        lambda: build(FamilyId("star_polygon", 8)),
+        lambda: build(FamilyId("pinwheel", 1)),
+        lambda: build(FamilyId("even_wrap_plus2", 2)),
+        lambda: build(FamilyId("even_wrap_plus2", 4)),
+        lambda: build(FamilyId("short_52"), epsilon=0.0),
+        lambda: build(FamilyId("short_52"), epsilon=-1e-3),
+        lambda: build(FamilyId("short_52"), epsilon=0.1),
+        lambda: build(FamilyId("short_72"), epsilon=0.25),
         lambda: build(FamilyId("star_polygon", 7), presentation="truncated"),
-        lambda: build_short_52(None),
+        lambda: build(FamilyId("short_52"), epsilon=None),
         # below 1e-9 the limit defect is near float noise
-        lambda: build_short_52(1e-10),
-        lambda: build_short_52(1e-300),
-        lambda: build_short_72(1e-10),
-        lambda: build_short_52(10**400),
+        lambda: build(FamilyId("short_52"), epsilon=1e-10),
+        lambda: build(FamilyId("short_52"), epsilon=1e-300),
+        lambda: build(FamilyId("short_72"), epsilon=1e-10),
+        lambda: build(FamilyId("short_52"), epsilon=10**400),
     ],
 )
 def test_parameter_errors(call):
@@ -351,13 +340,13 @@ def test_parameter_errors(call):
 
 
 def test_short_ratios_converge_first_order():
-    for builder, limit in (
-        (build_short_52, 7.0 / math.tan(math.pi / 5.0)),
-        (build_short_72, 9.0 / math.tan(math.pi / 5.0)),
+    for family, limit in (
+        (FamilyId("short_52"), 7.0 / math.tan(math.pi / 5.0)),
+        (FamilyId("short_72"), 9.0 / math.tan(math.pi / 5.0)),
     ):
-        d3 = limit - ratio(builder(1e-3))
-        d4 = limit - ratio(builder(1e-4))
-        d6 = limit - ratio(builder(1e-6))
+        d3 = limit - ratio(build(family, epsilon=1e-3))
+        d4 = limit - ratio(build(family, epsilon=1e-4))
+        d6 = limit - ratio(build(family, epsilon=1e-6))
         assert abs(d6) < 5e-6
         assert abs(d3) < 5e-3
         # halving epsilon should halve the defect: first order in epsilon
@@ -367,18 +356,18 @@ def test_short_ratios_converge_first_order():
 
 def test_short_panel_count_stable_over_epsilon():
     for eps in (1e-4, 1e-3, 1e-2, 5e-2, 9e-2):
-        assert len(layout(build_short_52(eps)).panels) == 7
-        assert len(layout(build_short_72(eps)).panels) == 9
+        assert len(layout(build(FamilyId("short_52"), epsilon=eps)).panels) == 7
+        assert len(layout(build(FamilyId("short_72"), epsilon=eps)).panels) == 9
 
 
 def test_short_52_certifies_five_two():
     for eps in (1e-3, 1e-2):
-        report = verify_knot_type(build_short_52(eps), expected=(5, 2))
+        report = verify_knot_type(build(FamilyId("short_52"), epsilon=eps), expected=(5, 2))
         assert report.matches
 
 
 def test_short_72_certifies_seven_two():
-    report = verify_knot_type(build_short_72(1e-3), expected=(7, 2))
+    report = verify_knot_type(build(FamilyId("short_72"), epsilon=1e-3), expected=(7, 2))
     assert report.matches
 
 
@@ -386,7 +375,7 @@ def test_short_72_certifies_seven_two():
 
 
 def test_74_ratio_and_box():
-    prog = build_74()
+    prog = build(FamilyId("rect_74"))
     assert abs(ratio(prog) - 24.0) < 1e-12
     lay = layout(prog)
     xs = [v[0] for panel in lay.panels for v in panel.vertices]
@@ -400,7 +389,7 @@ def test_74_ratio_and_box():
 
 def test_74_alexander_polynomial():
     # the coincident lane copies must separate cleanly during extraction
-    diagram = extract_diagram(layout(build_74()))
+    diagram = extract_diagram(layout(build(FamilyId("rect_74"))))
     delta = alexander_polynomial(diagram)
     assert delta == LaurentPolynomial({0: 4, 1: -7, 2: 4})
 
@@ -410,25 +399,26 @@ def test_74_alexander_polynomial():
 
 def test_build_dispatch_matches_direct_builders():
     pairs = [
-        (FamilyId("odd_wrap", 3), build_odd_wrap(3)),
-        (FamilyId("star_polygon", 9), build_star_polygon(9)),
-        (FamilyId("pinwheel", 2), build_pinwheel(2)),
-        (FamilyId("even_wrap_plus2", 3), build_even_wrap(3, 2)),
-        (FamilyId("even_wrap_plus4", 5), build_even_wrap(5, 4)),
-        (FamilyId("short_52"), build_short_52(1e-3)),
-        (FamilyId("short_72"), build_short_72(1e-3)),
-        (FamilyId("rect_74"), build_74()),
+        (FamilyId("odd_wrap", 3), constructions._odd_wrap(3, "closed")),
+        (FamilyId("star_polygon", 9), constructions._star_polygon(9)),
+        (FamilyId("pinwheel", 2), constructions._pinwheel(2)),
+        (FamilyId("even_wrap_plus2", 3), constructions._even_wrap(3, 2)),
+        (FamilyId("even_wrap_plus4", 5), constructions._even_wrap(5, 4)),
+        (FamilyId("short_52"), constructions._short_52(1e-3)),
+        (FamilyId("short_72"), constructions._short_72(1e-3)),
+        (FamilyId("rect_74"), constructions._74()),
     ]
     for family, direct in pairs:
         assert build(family).to_json() == direct.to_json()
     trunc = build(FamilyId("odd_wrap", 3), presentation="truncated")
-    assert trunc.to_json() == build_odd_wrap(3, "truncated").to_json()
+    assert trunc.to_json() == constructions._odd_wrap(3, "truncated").to_json()
 
 
 def test_builders_are_deterministic():
-    assert build_74().to_json() == build_74().to_json()
-    assert build_short_52(2e-3).to_json() == build_short_52(2e-3).to_json()
-    assert build_odd_wrap(5).to_json() == build_odd_wrap(5).to_json()
+    assert build(FamilyId("rect_74")).to_json() == build(FamilyId("rect_74")).to_json()
+    short = FamilyId("short_52")
+    assert build(short, epsilon=2e-3).to_json() == build(short, epsilon=2e-3).to_json()
+    assert build(FamilyId("odd_wrap", 5)).to_json() == build(FamilyId("odd_wrap", 5)).to_json()
 
 
 # -------------------------------------------------- geometric oracles
@@ -466,15 +456,16 @@ def test_star_families_match_polyline_oracle(tag, parameter):
 @pytest.mark.parametrize("p", [1001, 1653])
 def test_large_star_polygons_match_polyline_oracle(p):
     # angle denominators past 1000 still snap exactly out of the geometry
-    assert_same_creases(build_star_polygon(p), star_polyline_program("star_polygon", p))
+    assert_same_creases(build(FamilyId("star_polygon", p)),
+                        star_polyline_program("star_polygon", p))
 
 
 @pytest.mark.parametrize("q", [2, 3, 6])
 def test_truncated_odd_wrap_is_the_closed_wrap_less_one_panel(q):
     # the end cuts lie on the two creases of the dropped panel, so every
     # placed panel coincides with the closed wrap's
-    closed = layout(build_odd_wrap(q)).panels
-    truncated = layout(build_odd_wrap(q, "truncated")).panels
+    closed = layout(build(FamilyId("odd_wrap", q))).panels
+    truncated = layout(build(FamilyId("odd_wrap", q), presentation="truncated")).panels
     assert len(truncated) == len(closed) - 1
     for a, b in zip(truncated, closed):
         assert a.layer == b.layer
@@ -486,13 +477,13 @@ def test_rect_74_matches_polyline_oracle():
     corners = ((0.5, 0.5), (2.5, 0.5), (2.5, 1.5), (0.5, 1.5)) * 4
     lay = layout_from_centerline([Point(x, y) for x, y in corners], 1.0,
                                  constructions._RECT_74_HEIGHTS, closed=True)
-    assert_same_creases(build_74(), unfold(lay))
+    assert_same_creases(build(FamilyId("rect_74")), unfold(lay))
 
 
 def test_rect_74_json_pinned():
     # SHA-256 of the program JSON as built through the unfolded polyline;
     # the 7_4 certification reads the noise-level signs of its geometry
-    digest = hashlib.sha256(build_74().to_json().encode()).hexdigest()
+    digest = hashlib.sha256(build(FamilyId("rect_74")).to_json().encode()).hexdigest()
     assert digest == "3fb66dd56713e24cd1a7fea3baf6a73a01d94472f7acae5a8f2a8ee91ef5e1c9"
 
 
@@ -501,30 +492,30 @@ def test_rect_74_json_pinned():
 @pytest.mark.parametrize("epsilon", [1e-7, 1e-6, 1e-4, 1e-3, 0.0035022622413135, 0.05, 0.099])
 @pytest.mark.parametrize("name", ["short_52", "short_72"])
 def test_shorts_match_polyline_oracle(name, epsilon):
-    builder, scale, drifts, heights = {
-        "short_52": (build_short_52, constructions._SCALE_52,
+    scale, drifts, heights = {
+        "short_52": (constructions._SCALE_52,
                      constructions._SHORT_52_DRIFT, constructions._SHORT_52_HEIGHTS),
-        "short_72": (build_short_72, constructions._SCALE_72,
+        "short_72": (constructions._SCALE_72,
                      constructions._SHORT_72_DRIFT, constructions._SHORT_72_HEIGHTS),
     }[name]
     pts = constructions._short_centerline(epsilon, scale, drifts)
     lay = layout_from_centerline(pts, 1.0, heights, closed=True)
-    assert_same_creases(builder(epsilon), unfold(lay), 1e-12)
+    assert_same_creases(build(FamilyId(name), epsilon=epsilon), unfold(lay), 1e-12)
 
 
 def test_large_star_families_have_two_crease_angles():
-    angles = {c.angle for c in build_star_polygon(1001).creases}
+    angles = {c.angle for c in build(FamilyId("star_polygon", 1001)).creases}
     assert angles == {ExactAngle(2, 1001), ExactAngle(999, 1001)}
-    wrap = build_odd_wrap(600)
+    wrap = build(FamilyId("odd_wrap", 600))
     assert {c.angle for c in wrap.creases} == {ExactAngle(600, 1201), ExactAngle(601, 1201)}
-    truncated = build_odd_wrap(600, "truncated")
+    truncated = build(FamilyId("odd_wrap", 600), presentation="truncated")
     assert {c.angle for c in truncated.creases} == {ExactAngle(600, 1201), ExactAngle(601, 1201)}
 
 
 def test_short_52_lays_out_where_angles_once_snapped():
     # a denominator-673 fraction within 1e-9 rad of its first crease used
     # to be taken for the angle, and the seam then missed its start
-    program = build_short_52(0.0035022622413135)
+    program = build(FamilyId("short_52"), epsilon=0.0035022622413135)
     assert all(c.angle.denominator > 10**6 for c in program.creases)
     limit = 7.0 / math.tan(math.pi / 5.0)
     assert 0.0 < limit - ratio(layout(program)) <= 10 * 0.0035022622413135

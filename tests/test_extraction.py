@@ -22,7 +22,8 @@ from ribbonfold.knot_id import (
     extract_diagram,
 )
 
-from diagram_sources import all_groups_collinear, all_pairs_crossings, crossing_outcome
+from diagram_sources import (all_groups_collinear, all_pairs_crossings, all_pairs_partners,
+                             crossing_outcome)
 
 # the members the benchmark's knot workload certifies or extracts
 WORKLOAD_MEMBERS = (
@@ -272,6 +273,47 @@ def test_no_groups_means_no_displacement(family):
     epsilon = DEFAULT_PERTURBATION_SCALE * lay.width
     assert repr(_perturbed_polyline(lay.centerline, [], epsilon)) == \
         repr(_perturbed_polyline(lay.centerline, [], epsilon / 2))
+
+
+WINDOW = knot_id._DIRECTION_WINDOW
+
+
+def directions(angles):
+    # off unit length, since the sort reads directions of any length
+    return [2.5 * math.cos(a) for a in angles], [2.5 * math.sin(a) for a in angles]
+
+
+# every pair sits at least 0.1 window (1e-7 rad) from the window's edge,
+# far beyond the rounding of an angle near pi (about 4e-16 rad)
+PARTNER_CASES = {
+    "one": directions([0.3]),
+    "two-inside": directions([0.3, 0.3 + 0.5 * WINDOW]),
+    "two-outside": directions([0.3, 0.3 + 2 * WINDOW]),
+    "three-chain": directions([0.3, 0.3 + 0.6 * WINDOW, 0.3 + 1.2 * WINDOW]),
+    "three-apart": directions([0.3, 0.3 + 10 * WINDOW, 2.0]),
+    "near-0-and-pi": directions([3e-8, math.pi - 5e-8, -4e-8, math.pi + 2e-8, 1e-7,
+                                      -1e-7, 1.0, 1.0 + 0.5 * WINDOW]),
+    "wrap-inside": directions([0.4 * WINDOW, math.pi - 0.4 * WINDOW]),
+    "wrap-outside": directions([0.9 * WINDOW, math.pi - 0.9 * WINDOW, 0.5]),
+    "wrap-chain": directions([math.pi - 0.7 * WINDOW, 0.0, 0.7 * WINDOW, 0.5]),
+    "antiparallel": ([1.0, -1.0, -1.0, 0.0, 0.0, 3.0, -3.0, 0.5],
+                     [0.0, 0.0, -0.0, 1.0, -1.0, 4.0, -4.0, 0.5]),
+    "star-1001": FamilyId("star_polygon", 1001),
+    "rect-74": FamilyId("rect_74"),
+}
+
+
+@pytest.mark.parametrize("name", list(PARTNER_CASES))
+def test_parallel_partners_match_all_pairs_reference(name):
+    case = PARTNER_CASES[name]
+    if isinstance(case, FamilyId):
+        centerline = layout(build(case)).centerline
+        case = [b.x - a.x for a, b in centerline], [b.y - a.y for a, b in centerline]
+    partners = knot_id._parallel_partners(*case)
+    assert partners == all_pairs_partners(*case, WINDOW)
+    if name in ("near-0-and-pi", "wrap-inside", "wrap-chain"):
+        # the first two directions meet only across the wrap past pi
+        assert partners[0] >> 1 & 1
 
 
 def count_direction_sorts(monkeypatch):

@@ -16,6 +16,7 @@ from ribbonfold import (
     WeaveRule,
     layout,
     layout_from_centerline,
+    to_svg,
     unfold,
 )
 from ribbonfold import determinant
@@ -401,6 +402,25 @@ def test_certification_report_rejects_a_malformed_expected_knot(expected):
     trefoil = KnotDiagram(torus_braid_gauss(3, 2))
     with pytest.raises(InvalidInputError):
         certification_report(trefoil, expected)
+
+
+# each once raised a bare AttributeError, such as "'str' object has no
+# attribute 'width'" from layout("x")
+@pytest.mark.parametrize("call,kind", [
+    (layout, "FoldProgram"),
+    (unfold, "FoldedLayout"),
+    (extract_diagram, "FoldedLayout"),
+    (alexander_polynomial, "KnotDiagram"),
+    (lambda value: certification_report(value, (3, 2)), "KnotDiagram"),
+    (lambda value: verify_knot_type(value, (3, 2)), "FoldProgram"),
+    (to_svg, "FoldedLayout"),
+], ids=["layout", "unfold", "extract_diagram", "alexander_polynomial",
+        "certification_report", "verify_knot_type", "to_svg"])
+@pytest.mark.parametrize("bad", ["x", None, 2.5, (0, True, 1)], ids=repr)
+def test_entry_points_name_the_type_they_expect(call, kind, bad):
+    got = type(bad).__name__
+    with pytest.raises(InvalidInputError, match="^expected a %s, got %s$" % (kind, got)):
+        call(bad)
 
 
 def test_summary_without_a_reference_gives_no_verdict():

@@ -31,6 +31,13 @@ def test_dir_lists_every_public_name():
     assert set(ribbonfold.__all__) <= set(dir(ribbonfold))
 
 
+def test_build_is_the_only_public_builder():
+    from ribbonfold import constructions
+
+    for names in (ribbonfold.__all__, constructions.__all__, ribbonfold._EXPORTS["constructions"]):
+        assert [name for name in names if name.startswith("build")] == ["build"]
+
+
 def test_unknown_name_raises_attribute_error():
     with pytest.raises(AttributeError, match="no_such_name"):
         ribbonfold.no_such_name

@@ -5,7 +5,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
-from ribbonfold.constructions import FamilyId, build_74, build_odd_wrap
+from ribbonfold.constructions import FamilyId, build
 from ribbonfold.errors import InvalidInputError, ParameterError
 from ribbonfold.fold_core import FoldedLayout, Point, layout, layout_from_centerline, unfold
 from ribbonfold.formulas import ratio_report, ratio_reports
@@ -18,7 +18,7 @@ def svg_children(text):
 
 
 def heptagon_layout():
-    return layout(build_odd_wrap(3))
+    return layout(build(FamilyId("odd_wrap", 3)))
 
 
 def test_output_parses_as_xml():
@@ -51,7 +51,7 @@ def test_element_subset():
 
 
 def test_panels_paint_in_layer_order():
-    lay = layout(build_74())
+    lay = layout(build(FamilyId("rect_74")))
     svg = to_svg(lay, RenderOptions(show_creases=False))
     # recover each polygon's layer by matching its fill back to panels
     order = sorted(lay.panels, key=lambda p: (p.layer, p.index))
@@ -62,8 +62,8 @@ def test_panels_paint_in_layer_order():
 
 def test_byte_determinism():
     opts = RenderOptions(show_circumcircle=True, show_centerline=True, epsilon_display=0.01)
-    a = to_svg(layout(build_odd_wrap(4)), opts)
-    b = to_svg(layout(build_odd_wrap(4)), opts)
+    a = to_svg(layout(build(FamilyId("odd_wrap", 4))), opts)
+    b = to_svg(layout(build(FamilyId("odd_wrap", 4))), opts)
     assert a == b
 
 
@@ -109,9 +109,10 @@ def test_circumcircle_touches_outer_corners():
 
 
 def test_crease_lines_follow_presentation():
-    closed = to_svg(layout(build_odd_wrap(3)), RenderOptions())
+    closed = to_svg(layout(build(FamilyId("odd_wrap", 3))), RenderOptions())
     assert svg_children(closed).count("line") == 7
-    truncated = to_svg(layout(build_odd_wrap(3, "truncated")), RenderOptions())
+    program = build(FamilyId("odd_wrap", 3), presentation="truncated")
+    truncated = to_svg(layout(program), RenderOptions())
     assert svg_children(truncated).count("line") == 5
 
 
@@ -131,7 +132,7 @@ def test_centerline_lines_counted():
 
 
 def test_epsilon_display_separates_coincident_panels():
-    lay = layout(build_74())
+    lay = layout(build(FamilyId("rect_74")))
     flat = to_svg(lay, RenderOptions(show_creases=False))
     spread = to_svg(lay, RenderOptions(show_creases=False, epsilon_display=0.05))
 
