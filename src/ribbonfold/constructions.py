@@ -111,11 +111,11 @@ _FAMILIES = {
     "short_52": _Family(
         "short-52", None, None, 0, False, ("closed",),
         lambda _: (5, 2), lambda _: (7, 5), True,
-        lambda _, __, epsilon: _short_52(epsilon)),
+        lambda _, __, epsilon: _short("short_52", epsilon)),
     "short_72": _Family(
         "short-72", None, None, 0, False, ("closed",),
         lambda _: (7, 2), lambda _: (9, 5), True,
-        lambda _, __, epsilon: _short_72(epsilon)),
+        lambda _, __, epsilon: _short("short_72", epsilon)),
     "rect_74": _Family(
         "rect74", None, None, 0, False, ("closed",),
         (4, -7, 4), lambda _: (24, None), False,
@@ -257,9 +257,9 @@ def _even_wrap(q: int, variant: int) -> FoldProgram:
 # Strip-and-collar centerline shared by the two short variants: a stack
 # of near-vertical joins whose creases sit epsilon/2 from the turning
 # points, closed off by a three-segment collar that threads the return
-# path through the stack.  The raw constants fix the shape only; the
-# scale factors below stretch the epsilon -> 0 centerline to the exact
-# closed-form target length, so the limit ratio is exact by design.
+# path through the stack.  The raw constants fix the shape only; _short
+# scales the epsilon -> 0 centerline to the family's exact closed-form
+# length, so the limit ratio is exact by design.
 _SHORT_RAW = {
     "D": 1.14,  # join length between paired creases
     "a": 0.25,
@@ -269,18 +269,18 @@ _SHORT_RAW = {
     "cy1": 0.55,
     "cx2": -1.50,
 }
-# sideways lean per unit epsilon of each near-vertical join vertex; kept
-# unscaled so the first-order ratio defect stays O(epsilon)
-_SHORT_52_DRIFT = (-1.2, 1.2, 0.0, -0.6)
-_SHORT_72_DRIFT = (-1.5, 1.5, 0.0, -0.75, 0.75, -0.3)
+# (drifts, heights) of each short: the sideways lean per unit epsilon of
+# each near-vertical join vertex, kept unscaled so the first-order ratio
+# defect stays O(epsilon), and the stacking order certified by the knot
+# checks, stable across the whole accepted epsilon range
+_SHORTS = {
+    "short_52": ((-1.2, 1.2, 0.0, -0.6), (0, 3, 1, 4, 6, 2, 5)),
+    "short_72": ((-1.5, 1.5, 0.0, -0.75, 0.75, -0.3), (8, 4, 0, 3, 7, 5, 1, 6, 2)),
+}
 # least accepted epsilon: down to about 1e-11 the ratio defect stays
 # within 1% of its first-order value, while near 1e-15 it is float noise
 # (0 or negative), so the limit check 0 < defect <= 10 epsilon needs margin
 _SHORT_EPSILON_MIN = 1e-9
-# stacking orders certified by the knot checks; stable across the whole
-# accepted epsilon range
-_SHORT_52_HEIGHTS = (0, 3, 1, 4, 6, 2, 5)
-_SHORT_72_HEIGHTS = (8, 4, 0, 3, 7, 5, 1, 6, 2)
 
 
 def _collar(raw) -> Tuple[Tuple[float, float], ...]:
@@ -303,24 +303,31 @@ def _limit_length(raw, joins: int) -> float:
     return total
 
 
-_COT_PI_5 = 1.0 / math.tan(math.pi / 5.0)
-_SCALE_52 = 7.0 * _COT_PI_5 / _limit_length(_SHORT_RAW, 3)
-_SCALE_72 = 9.0 * _COT_PI_5 / _limit_length(_SHORT_RAW, 5)
-
-
 def _short_centerline(epsilon: float, scale: float, drifts) -> List[Point]:
     # closed unit-width centerline of a short variant, one point per vertex
     c = {k: v * scale for k, v in _SHORT_RAW.items()}
+    # join pair k runs from height D + y_k down to y_k, its offsets y_k
+    # spread evenly over [-epsilon/2, epsilon/2]
     half = 0.5 * epsilon
-    if len(drifts) == 4:
-        ys = (c["D"] - half, -half, c["D"] + half, half)
-    else:
-        ys = (c["D"] - half, -half, c["D"], 0.0, c["D"] + half, half)
+    last = len(drifts) // 2 - 1
+    offsets = [half * (2 * k / last - 1) for k in range(last + 1)]
+    ys = [y for offset in offsets for y in (c["D"] + offset, offset)]
     pts = [Point(drift * epsilon, y) for drift, y in zip(drifts, ys)]
     return pts + [Point(x, y) for x, y in _collar(c)]
 
 
-def _short_program(epsilon, scale, drifts, heights, name) -> FoldProgram:
+def _short(tag: str, epsilon: float) -> FoldProgram:
+    """Fold of a short variant, with creases paired epsilon apart.
+
+    short_52 folds the (5, 2) knot in seven panels: two of the five
+    effective fold lines are doubled into parallel pairs separated by
+    epsilon, which shortens the strip below the five-panel wrap.  short_72
+    folds the (7, 2) knot in nine, with a third doubled fold line in the
+    same stack.  The centerline is scaled so that the ratio tends to the
+    family's closed form, 7/tan(pi/5) and 9/tan(pi/5), as epsilon goes to
+    zero.  Epsilon must lie in [1e-9, 0.1): below 1e-9 the ratio defect
+    nears float noise and the limit check could no longer tell it from zero.
+    """
     if not isinstance(epsilon, (int, float)) or isinstance(epsilon, bool):
         raise ParameterError("epsilon must be a number")
     # unit width, so the bounds are in width units; compared before the
@@ -328,6 +335,10 @@ def _short_program(epsilon, scale, drifts, heights, name) -> FoldProgram:
     if not _SHORT_EPSILON_MIN <= epsilon < 0.1:
         raise ParameterError("epsilon must lie in [1e-9, 0.1)")
     epsilon = float(epsilon)
+    drifts, heights = _SHORTS[tag]
+    coefficient, d = _FAMILIES[tag].ratio(None)
+    joins = len(drifts) - 1
+    scale = coefficient * (1.0 / math.tan(math.pi / d)) / _limit_length(_SHORT_RAW, joins)
     pts = _short_centerline(epsilon, scale, drifts)
     n = len(pts)
     legs = [(b.x - a.x, b.y - a.y) for a, b in zip(pts, pts[1:] + pts[:1])]
@@ -341,29 +352,7 @@ def _short_program(epsilon, scale, drifts, heights, name) -> FoldProgram:
         turns = _pi_turns((half_turn if k % 2 else -half_turn) % math.pi)
         position = math.fsum(math.hypot(*leg) for leg in legs[:k])
         lines.append((position, ExactAngle(*_limit_denominator(*turns, 10**12))))
-    return _closed_program(1.0, lines, heights, "%s eps=%g" % (name, epsilon))
-
-
-def _short_52(epsilon: float) -> FoldProgram:
-    """Seven-panel fold of the (5, 2) knot with creases paired epsilon apart.
-
-    Two of the five effective fold lines are doubled into parallel pairs
-    separated by epsilon, which shortens the strip below the five-panel
-    wrap; the ratio tends to 7/tan(pi/5) as epsilon goes to zero.
-    Epsilon must lie in [1e-9, 0.1): below 1e-9 the ratio defect nears
-    float noise and the limit check could no longer tell it from zero.
-    """
-    return _short_program(epsilon, _SCALE_52, _SHORT_52_DRIFT, _SHORT_52_HEIGHTS, "short_52")
-
-
-def _short_72(epsilon: float) -> FoldProgram:
-    """Nine-panel fold of the (7, 2) knot, the seven-panel strip plus one pair.
-
-    Same collar as the (5, 2) short with a third doubled fold line in the
-    stack; the ratio tends to 9/tan(pi/5) as epsilon goes to zero.
-    Epsilon must lie in [1e-9, 0.1), for the reason given at _short_52.
-    """
-    return _short_program(epsilon, _SCALE_72, _SHORT_72_DRIFT, _SHORT_72_HEIGHTS, "short_72")
+    return _closed_program(1.0, lines, heights, "%s eps=%g" % (tag, epsilon))
 
 
 # Four passes around a 2 x 1 rectangle; the stacking order alone decides

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import starmap
@@ -479,6 +480,7 @@ class FoldProgram:
 
     @classmethod
     def from_json(cls, text: str) -> "FoldProgram":
+        _expect_type(text, str)
         try:
             doc = json.loads(text)
         # a document nested past the interpreter's recursion limit raises
@@ -916,8 +918,11 @@ def layout_from_centerline(
         count = len(pts) - 1
     if len(heights) != count:
         raise InvalidInputError("heights must match the panel count")
-    if float(width) <= 0:
-        raise InvalidInputError("width must be positive")
+    if isinstance(width, bool) or not isinstance(width, (int, float)):
+        raise InvalidInputError("width must be a number, got %s" % type(width).__name__)
+    # NaN fails both comparisons; an int past the float range fails the second
+    if not 0 < width <= sys.float_info.max:
+        raise InvalidInputError("width must be finite and positive")
     half = 0.5 * float(width)
 
     dirs = []

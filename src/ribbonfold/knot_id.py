@@ -259,42 +259,25 @@ class KnotDiagram:
 # --------------------------------------------------------------- Alexander
 
 
-def alexander_polynomial(
-    diagram: KnotDiagram,
-    row: Optional[int] = None,
-    col: Optional[int] = None,
-) -> LaurentPolynomial:
+def alexander_polynomial(diagram: KnotDiagram) -> LaurentPolynomial:
     """Normalized Alexander polynomial of a knot diagram.
 
     Builds the n x n crossing/arc matrix over Z[t] (one row per crossing,
-    one column per arc), deletes row ``row`` and column ``col`` (ints in
-    [0, n)), and takes the determinant of the minor exactly.  Each
+    one column per arc), deletes the last crossing's row and that row's
+    own unit column, and takes the determinant of the minor exactly.  Each
     crossing row has at most three entries, one of them a constant -1 at
     the under-out arc (positive crossing) or +1 at the under-in arc
     (negative crossing), so sparse elimination on these unit pivots
     removes nearly every row without division.  The few rows left with no
     unit pivot go to fraction-free (Bareiss) elimination over Z[t].
-    ``row`` defaults to the last crossing, and ``col`` to the deleted
-    row's own unit column, so that no other column loses its only unit
+    Deleting the row's own unit column leaves every other column its unit
     pivot; every first minor gives the same polynomial up to +-t^k.
     """
     _expect_type(diagram, KnotDiagram)
-    n = diagram.crossing_count
-    for v in (row, col):
-        if v is None:
-            continue
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise InvalidInputError("deleted row/column must be an integer")
-        if not 0 <= v < n:
-            raise InvalidInputError("deleted row/column out of range")
-    r = n - 1 if row is None else row
-    if col is None:
-        deleted = diagram.crossings[r]
-        col = deleted.under_out_arc if deleted.sign > 0 else deleted.under_in_arc
+    *kept, deleted = diagram.crossings
+    col = deleted.under_out_arc if deleted.sign > 0 else deleted.under_in_arc
     minor: List[Dict[int, List[int]]] = []
-    for i, c in enumerate(diagram.crossings):
-        if i == r:
-            continue
+    for c in kept:
         # (arc, constant, t) coefficients; arcs may coincide, so sum them
         if c.sign > 0:
             terms = ((c.over_arc, 1, -1), (c.under_in_arc, 0, 1), (c.under_out_arc, -1, 0))
@@ -307,7 +290,7 @@ def alexander_polynomial(
                 e[0] += c0
                 e[1] += c1
         minor.append({arc: _pstrip(e) for arc, e in entries.items() if any(e)})
-    det = _unit_pivot_det(minor, [j for j in range(n) if j != col])
+    det = _unit_pivot_det(minor, [j for j in range(diagram.crossing_count) if j != col])
     dense = [0] * (det[-1][0] + 1 if det else 0)
     for e, c in det:
         dense[e] = c

@@ -102,6 +102,7 @@ def to_svg(layout: FoldedLayout, options: RenderOptions = RenderOptions()) -> st
     margin on every side.
     """
     _expect_type(layout, FoldedLayout)
+    _expect_type(options, RenderOptions)
     if not layout.panels:
         raise InvalidInputError("cannot render a layout with no panels")
     order = sorted(layout.panels, key=attrgetter("layer", "index"))

@@ -370,14 +370,9 @@ def _interpolated_det(matrix):
     return _pstrip([int(c) for c in coeffs])
 
 
-def dense_alexander(diagram, row=None, col=None, method="auto"):
-    """Alexander polynomial from the dense crossing/arc minor.
-
-    The reference for ``knot_id.alexander_polynomial``: "exact" runs
-    fraction-free elimination over Z[t] on the whole minor, "interpolate"
-    evaluates it at s+1 integers and interpolates, and "auto" picks
-    "exact" up to 14 rows.
-    """
+def dense_minor(diagram, row, col):
+    """The crossing/arc matrix over Z[t] less row ``row`` and column ``col``,
+    as dense rows of dense coefficient lists."""
     n = len(diagram.crossings)
     rows = []
     for c in diagram.crossings:
@@ -393,9 +388,19 @@ def dense_alexander(diagram, row=None, col=None, method="auto"):
             entries[c.under_in_arc][0] += 1
             entries[c.under_out_arc][1] -= 1
         rows.append([_pstrip(e) for e in entries])
-    r = n - 1 if row is None else row
-    c_ = n - 1 if col is None else col
-    minor = [[rows[i][j] for j in range(n) if j != c_] for i in range(n) if i != r]
+    return [[rows[i][j] for j in range(n) if j != col] for i in range(n) if i != row]
+
+
+def dense_alexander(diagram, row=None, col=None, method="auto"):
+    """Alexander polynomial from the dense crossing/arc minor.
+
+    The reference for ``knot_id.alexander_polynomial``: row and column
+    default to the last; "exact" runs fraction-free elimination over Z[t]
+    on the whole minor, "interpolate" evaluates it at s+1 integers and
+    interpolates, and "auto" picks "exact" up to 14 rows.
+    """
+    n = len(diagram.crossings)
+    minor = dense_minor(diagram, n - 1 if row is None else row, n - 1 if col is None else col)
     if method == "auto":
         method = "exact" if len(minor) <= 14 else "interpolate"
     det = _poly_bareiss(minor) if method == "exact" else _interpolated_det(minor)

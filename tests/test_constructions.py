@@ -306,34 +306,32 @@ def test_truncated_odd_wrap_has_end_cuts():
     assert prog.end_cut is not None
 
 
-@pytest.mark.parametrize(
-    "call",
-    [
-        lambda: build(FamilyId("odd_wrap", 1)),
-        lambda: build(FamilyId("odd_wrap", 0)),
-        lambda: build(FamilyId("odd_wrap", 2.5)),
-        lambda: build(FamilyId("odd_wrap", 3), presentation="open"),
-        lambda: build(FamilyId("star_polygon", 5)),
-        lambda: build(FamilyId("star_polygon", 8)),
-        lambda: build(FamilyId("pinwheel", 1)),
-        lambda: build(FamilyId("even_wrap_plus2", 2)),
-        lambda: build(FamilyId("even_wrap_plus2", 4)),
-        lambda: build(FamilyId("short_52"), epsilon=0.0),
-        lambda: build(FamilyId("short_52"), epsilon=-1e-3),
-        lambda: build(FamilyId("short_52"), epsilon=0.1),
-        lambda: build(FamilyId("short_72"), epsilon=0.25),
-        lambda: build(FamilyId("star_polygon", 7), presentation="truncated"),
-        lambda: build(FamilyId("short_52"), epsilon=None),
-        # below 1e-9 the limit defect is near float noise
-        lambda: build(FamilyId("short_52"), epsilon=1e-10),
-        lambda: build(FamilyId("short_52"), epsilon=1e-300),
-        lambda: build(FamilyId("short_72"), epsilon=1e-10),
-        lambda: build(FamilyId("short_52"), epsilon=10**400),
-    ],
-)
-def test_parameter_errors(call):
+@pytest.mark.parametrize("family,options", [
+    pytest.param(("odd_wrap", 1), {}, id="odd_wrap-1"),
+    pytest.param(("odd_wrap", 0), {}, id="odd_wrap-0"),
+    pytest.param(("odd_wrap", 2.5), {}, id="odd_wrap-2.5"),
+    pytest.param(("odd_wrap", 3), {"presentation": "open"}, id="odd_wrap-3-presentation=open"),
+    pytest.param(("star_polygon", 5), {}, id="star_polygon-5"),
+    pytest.param(("star_polygon", 8), {}, id="star_polygon-8"),
+    pytest.param(("pinwheel", 1), {}, id="pinwheel-1"),
+    pytest.param(("even_wrap_plus2", 2), {}, id="even_wrap_plus2-2"),
+    pytest.param(("even_wrap_plus2", 4), {}, id="even_wrap_plus2-4"),
+    pytest.param(("short_52",), {"epsilon": 0.0}, id="short_52-epsilon=0.0"),
+    pytest.param(("short_52",), {"epsilon": -1e-3}, id="short_52-epsilon=-1e-3"),
+    pytest.param(("short_52",), {"epsilon": 0.1}, id="short_52-epsilon=0.1"),
+    pytest.param(("short_72",), {"epsilon": 0.25}, id="short_72-epsilon=0.25"),
+    pytest.param(("star_polygon", 7), {"presentation": "truncated"},
+                 id="star_polygon-7-presentation=truncated"),
+    pytest.param(("short_52",), {"epsilon": None}, id="short_52-epsilon=None"),
+    # below 1e-9 the limit defect is near float noise
+    pytest.param(("short_52",), {"epsilon": 1e-10}, id="short_52-epsilon=1e-10"),
+    pytest.param(("short_52",), {"epsilon": 1e-300}, id="short_52-epsilon=1e-300"),
+    pytest.param(("short_72",), {"epsilon": 1e-10}, id="short_72-epsilon=1e-10"),
+    pytest.param(("short_52",), {"epsilon": 10**400}, id="short_52-epsilon=10**400"),
+])
+def test_parameter_errors(family, options):
     with pytest.raises(ParameterError):
-        call()
+        build(FamilyId(*family), **options)
 
 
 # ---------------------------------------------------------- the shorts
@@ -404,8 +402,8 @@ def test_build_dispatch_matches_direct_builders():
         (FamilyId("pinwheel", 2), constructions._pinwheel(2)),
         (FamilyId("even_wrap_plus2", 3), constructions._even_wrap(3, 2)),
         (FamilyId("even_wrap_plus4", 5), constructions._even_wrap(5, 4)),
-        (FamilyId("short_52"), constructions._short_52(1e-3)),
-        (FamilyId("short_72"), constructions._short_72(1e-3)),
+        (FamilyId("short_52"), constructions._short("short_52", 1e-3)),
+        (FamilyId("short_72"), constructions._short("short_72", 1e-3)),
         (FamilyId("rect_74"), constructions._74()),
     ]
     for family, direct in pairs:
@@ -492,12 +490,11 @@ def test_rect_74_json_pinned():
 @pytest.mark.parametrize("epsilon", [1e-7, 1e-6, 1e-4, 1e-3, 0.0035022622413135, 0.05, 0.099])
 @pytest.mark.parametrize("name", ["short_52", "short_72"])
 def test_shorts_match_polyline_oracle(name, epsilon):
-    scale, drifts, heights = {
-        "short_52": (constructions._SCALE_52,
-                     constructions._SHORT_52_DRIFT, constructions._SHORT_52_HEIGHTS),
-        "short_72": (constructions._SCALE_72,
-                     constructions._SHORT_72_DRIFT, constructions._SHORT_72_HEIGHTS),
-    }[name]
+    drifts, heights = constructions._SHORTS[name]
+    # the limit ratio 7/tan(pi/5) or 9/tan(pi/5) over the limit length
+    target = {"short_52": 7.0, "short_72": 9.0}[name] / math.tan(math.pi / 5)
+    joins = len(drifts) - 1
+    scale = target / constructions._limit_length(constructions._SHORT_RAW, joins)
     pts = constructions._short_centerline(epsilon, scale, drifts)
     lay = layout_from_centerline(pts, 1.0, heights, closed=True)
     assert_same_creases(build(FamilyId(name), epsilon=epsilon), unfold(lay), 1e-12)

@@ -595,6 +595,33 @@ def test_sourceless_layout_with_mismatched_centerline_is_rejected(segments):
         to_svg(short)
 
 
+SQUARE = [Point(0, 0), Point(2, 0), Point(2, 2), Point(0, 2)]
+
+
+def _square_of_width(width):
+    return layout_from_centerline(SQUARE, width, [0, 1, 2, 1], closed=True)
+
+
+# each once raised a bare AttributeError, TypeError or ValueError, or, for
+# a NaN or infinite width, returned panels whose corners were all NaN
+@pytest.mark.parametrize("call,message", [
+    (lambda: to_svg(layout(build(FamilyId("odd_wrap", 2))), None),
+     "^expected a RenderOptions, got NoneType$"),
+    (lambda: to_svg(layout(build(FamilyId("odd_wrap", 2))), "x"),
+     "^expected a RenderOptions, got str$"),
+    (lambda: FoldProgram.from_json(None), "^expected a str, got NoneType$"),
+    (lambda: _square_of_width(float("nan")), "^width must be finite and positive$"),
+    (lambda: _square_of_width(math.inf), "^width must be finite and positive$"),
+    (lambda: _square_of_width(10**400), "^width must be finite and positive$"),
+    (lambda: _square_of_width("a"), "^width must be a number, got str$"),
+    (lambda: _square_of_width(True), "^width must be a number, got bool$"),
+], ids=["to_svg-None", "to_svg-str", "from_json-None", "width-nan", "width-inf",
+        "width-10**400", "width-str", "width-bool"])
+def test_malformed_argument_names_what_it_expects(call, message):
+    with pytest.raises(InvalidInputError, match=message):
+        call()
+
+
 def test_closed_square_closes():
     pts = [Point(0, 0), Point(2, 0), Point(2, 2), Point(0, 2)]
     lay = layout_from_centerline(pts, 0.5, [0, 1, 2, 1], closed=True)

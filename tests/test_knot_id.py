@@ -21,6 +21,7 @@ from ribbonfold import (
 )
 from ribbonfold import determinant
 from ribbonfold.constructions import FamilyId, build, knot_type
+from ribbonfold.determinant import _terms
 from ribbonfold.knot_id import (
     CertificationReport,
     Crossing,
@@ -33,7 +34,15 @@ from ribbonfold.knot_id import (
     verify_knot_type,
 )
 
-from diagram_sources import _pdiv_exact, _pmul, dense_alexander, pretzel_gauss, torus_braid_gauss
+from diagram_sources import (
+    _pdiv_exact,
+    _pmul,
+    _poly_bareiss as oracle_bareiss,
+    dense_alexander,
+    dense_minor,
+    pretzel_gauss,
+    torus_braid_gauss,
+)
 # the 37 members the benchmark's knot workload certifies
 from test_bit_identity import KNOT_CERTIFY, member_id, program_of
 
@@ -242,18 +251,6 @@ def test_knot_diagram_is_built_from_its_gauss_code_only():
     assert dataclasses.replace(diagram) == diagram
 
 
-def test_alexander_rejects_deleted_rows_and_columns_that_are_not_integers():
-    diagram = KnotDiagram(torus_braid_gauss(3, 2))
-    for bad in (1.5, 1.0, True, False, "1"):
-        for kwargs in ({"row": bad}, {"col": bad}):
-            with pytest.raises(InvalidInputError, match="must be an integer"):
-                alexander_polynomial(diagram, **kwargs)
-    for bad in (-1, 3):
-        for kwargs in ({"row": bad}, {"col": bad}):
-            with pytest.raises(InvalidInputError, match="out of range"):
-                alexander_polynomial(diagram, **kwargs)
-
-
 def test_crossing_is_a_named_tuple_of_its_fields():
     c = Crossing(4, 0, 1, 2, -1)
     assert tuple(c) == (4, 0, 1, 2, -1)
@@ -297,14 +294,15 @@ def test_sparse_determinant_matches_dense_oracle():
             == dense_alexander(seven_three, method="interpolate")
             == torus_alexander(7, 3))
     for name, diagram in diagrams.items():
-        assert alexander_polynomial(diagram) == dense_alexander(diagram), name
+        delta = alexander_polynomial(diagram)
+        assert delta == dense_alexander(diagram), name
         n = diagram.crossing_count
         if n > 14:
             continue
+        # every first minor gives the one polynomial up to +-t^k
         for r in range(n):
             for c in range(n):
-                assert (alexander_polynomial(diagram, row=r, col=c)
-                        == dense_alexander(diagram, row=r, col=c)), (name, r, c)
+                assert dense_alexander(diagram, row=r, col=c) == delta, (name, r, c)
 
 
 @pytest.fixture
@@ -328,22 +326,15 @@ FIXED_BLOCKS = {"star_polygon": 1, "short_52": 3, "short_72": 5, "rect_74": 4}
 
 @pytest.mark.parametrize("member", KNOT_CERTIFY, ids=member_id)
 def test_default_minor_keeps_every_unit_pivot(member, bareiss_blocks):
-    # the default deletes the last row's own unit column, so no column
+    # the minor deletes the last row's own unit column, so no column
     # loses its only unit pivot to the deletion
-    diagram = extract_diagram(layout(program_of(member)))
-    n = diagram.crossing_count
-    delta = alexander_polynomial(diagram)
-    assert alexander_polynomial(diagram, row=n - 1, col=n - 1) == delta
-    default, last = bareiss_blocks
-    assert default <= last
+    alexander_polynomial(extract_diagram(layout(program_of(member))))
+    (default,) = bareiss_blocks
     family = member[0]
     # a unit pivot whose cost fell after its heap key was pushed must still
     # be taken, or the block grows
     want = FIXED_BLOCKS[family.tag] if family.tag in FIXED_BLOCKS else family.parameter - 1
     assert default == want
-    if family.tag == "star_polygon":
-        # the all-positive star diagrams leave one row either way
-        assert (default, last) == (1, 1)
 
 
 # odd_wrap q=40 (T(41,40), 3159 crossings) and the even wraps at q=21
@@ -464,7 +455,31 @@ def test_row_column_independence():
         reference = alexander_polynomial(diagram)
         for r in range(n):
             for c in range(n):
-                assert alexander_polynomial(diagram, row=r, col=c) == reference
+                assert dense_alexander(diagram, row=r, col=c) == reference
+
+
+SMALL_DIAGRAMS = {
+    "T(3,2)": lambda: KnotDiagram(torus_braid_gauss(3, 2)),
+    "T(4,3)": lambda: KnotDiagram(torus_braid_gauss(4, 3)),
+    "P(3,3,1)": lambda: KnotDiagram(pretzel_gauss(3, 3, 1)),
+    "short_52": lambda: extract_diagram(layout(build(FamilyId("short_52")))),
+}
+
+
+@pytest.mark.parametrize("name", SMALL_DIAGRAMS)
+def test_unit_pivot_det_matches_bareiss_oracle_on_every_minor(name):
+    # alexander_polynomial eliminates one minor only; the sparse
+    # determinant must hold on every other, whose unit pivots differ
+    diagram = SMALL_DIAGRAMS[name]()
+    n = diagram.crossing_count
+    for r in range(n):
+        for c in range(n):
+            matrix = dense_minor(diagram, r, c)
+            columns = [j for j in range(n) if j != c]
+            rows = [{j: list(v) for j, v in zip(columns, row) if v} for row in matrix]
+            want = _terms(oracle_bareiss(matrix))
+            got = determinant._unit_pivot_det(rows, columns)
+            assert got in (want, [(e, -k) for e, k in want]), (r, c)
 
 
 def test_alexander_symmetry_from_braids():
