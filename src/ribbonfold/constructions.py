@@ -18,11 +18,10 @@ is the one way in; the builders behind it trust ``FamilyId`` and ``_spec``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable, List, NamedTuple, Optional, Tuple, Union
 
-from .errors import InvalidInputError, ParameterError
+from .errors import InvalidInputError, ParameterError, _Record
 from .fold_core import (
     CreaseSpec,
     CutSpec,
@@ -43,24 +42,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TorusKnotParams:
+class TorusKnotParams(_Record):
     """A (p, q) torus knot; convention p > q >= 2, coprime."""
 
+    _fields = __match_args__ = ("p", "q")
     p: int
     q: int
 
-    def __post_init__(self):
-        if isinstance(self.p, bool) or isinstance(self.q, bool):
+    def __init__(self, p: int, q: int):
+        if isinstance(p, bool) or isinstance(q, bool):
             raise ParameterError("torus knot parameters must be integers")
-        if not isinstance(self.p, int) or not isinstance(self.q, int):
+        if not isinstance(p, int) or not isinstance(q, int):
             raise ParameterError("torus knot parameters must be integers")
-        if self.q < 2 or self.p <= self.q:
+        if q < 2 or p <= q:
             raise ParameterError("torus knot parameters need p > q >= 2")
-        if math.gcd(self.p, self.q) != 1:
-            raise ParameterError(
-                "(%d, %d) describes a link, not a knot" % (self.p, self.q)
-            )
+        if math.gcd(p, q) != 1:
+            raise ParameterError("(%d, %d) describes a link, not a knot" % (p, q))
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
 
 
 class _Family(NamedTuple):
@@ -129,29 +128,31 @@ FAMILY_TAGS = tuple(_FAMILIES)
 _MAX_PANELS = 10**5
 
 
-@dataclass(frozen=True)
-class FamilyId:
+class FamilyId(_Record):
     """Names one construction family plus its q or p where one applies."""
 
+    _fields = __match_args__ = ("tag", "parameter")
     tag: str
-    parameter: Optional[int] = None
+    parameter: Optional[int]
 
-    def __post_init__(self):
-        spec = _FAMILIES.get(self.tag) if isinstance(self.tag, str) else None
+    def __init__(self, tag: str, parameter: Optional[int] = None):
+        spec = _FAMILIES.get(tag) if isinstance(tag, str) else None
         if spec is None:
-            raise ParameterError("unknown family tag %r" % (self.tag,))
-        n = self.parameter
+            raise ParameterError("unknown family tag %r" % (tag,))
+        n = parameter
         if spec.flag is None:
             if n is not None:
-                raise ParameterError("%s takes no parameter" % self.tag)
+                raise ParameterError("%s takes no parameter" % tag)
         elif isinstance(n, bool) or not isinstance(n, int):
-            raise ParameterError("%s needs an integer parameter" % self.tag)
+            raise ParameterError("%s needs an integer parameter" % tag)
         elif n < spec.low or (spec.odd and n % 2 == 0):
             raise ParameterError("%s needs %s%s >= %d" % (
-                self.tag, "odd " if spec.odd else "", spec.flag, spec.low))
+                tag, "odd " if spec.odd else "", spec.flag, spec.low))
         elif spec.ratio(n)[0] > _MAX_PANELS:
             raise ParameterError("%s with this %s would have more than %d panels" % (
-                self.tag, spec.flag, _MAX_PANELS))
+                tag, spec.flag, _MAX_PANELS))
+        object.__setattr__(self, "tag", tag)
+        object.__setattr__(self, "parameter", parameter)
 
 
 def _spec(family: FamilyId, presentation: str = "closed") -> _Family:

@@ -22,7 +22,6 @@ from __future__ import annotations
 import json
 import math
 import sys
-from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import starmap
 from typing import Dict, NamedTuple, Optional, Sequence, Tuple, Union
@@ -33,6 +32,7 @@ from .errors import (
     InvalidInputError,
     MalformedProgramError,
     _expect_type,
+    _Record,
 )
 
 CLOSURE_TOLERANCE = 1e-9
@@ -97,8 +97,7 @@ def _limit_denominator(n: int, d: int, max_den: int) -> Tuple[int, int]:
     return pk, qk
 
 
-@dataclass(frozen=True, slots=True)
-class ExactAngle:
+class ExactAngle(_Record):
     """An angle that is an exact rational multiple of pi.
 
     The stored value is (numerator / denominator) * pi, normalized to
@@ -107,12 +106,14 @@ class ExactAngle:
     float, computed once, and left out of equality, hash and repr.
     """
 
+    __slots__ = ("numerator", "denominator", "radians")
+    _fields = __match_args__ = ("numerator", "denominator")
     numerator: int
-    denominator: int = 1
-    radians: float = field(init=False, repr=False, compare=False)
+    denominator: int
+    radians: float
 
-    def __post_init__(self):
-        num, den = self.numerator, self.denominator
+    def __init__(self, numerator: int, denominator: int = 1):
+        num, den = numerator, denominator
         if (
             not isinstance(num, int)
             or not isinstance(den, int)
@@ -147,8 +148,17 @@ class ExactAngle:
         Otherwise the closest fraction with denominator up to 10**12 is
         used, within ``tolerance``, so arbitrary angles still round-trip.
         """
-        if not math.isfinite(radians):
+        for name, value in (("angle", radians), ("tolerance", tolerance)):
+            if type(value) is not float and (
+                isinstance(value, bool) or not isinstance(value, (int, float))
+            ):
+                raise InvalidInputError(
+                    "%s must be a number, got %s" % (name, type(value).__name__))
+        # compared exactly, so NaN and an int past the float range fail too
+        if not -sys.float_info.max <= radians <= sys.float_info.max:
             raise InvalidInputError("angle must be finite")
+        if not 0 <= tolerance <= sys.float_info.max:
+            raise InvalidInputError("tolerance must be finite and nonnegative")
         n, d = _pi_turns(radians)
         num, den = _limit_denominator(n, d, 10**4)
         scale = min(1.0, (1000.0 / den) ** 2)
@@ -185,15 +195,14 @@ def _real(value, what: str) -> float:
         return math.inf
 
 
-@dataclass(frozen=True, slots=True)
-class CreaseSpec:
+class CreaseSpec(_Record):
     """One fold line: centerline position, exact angle, layer jump."""
 
+    __slots__ = _fields = __match_args__ = ("position", "angle", "layer_shift")
     position: float
     angle: ExactAngle
-    layer_shift: int = 1
+    layer_shift: int
 
-    # written by hand so that each field is checked, then stored, once
     def __init__(self, position: float, angle: ExactAngle, layer_shift: int = 1):
         # the exact types first: builders, unfold and from_json pass them
         pos = position if type(position) is float else _real(position, "crease position")
@@ -219,12 +228,12 @@ class CreaseSpec:
 _RIGHT_ANGLE = ExactAngle(1, 2)
 
 
-@dataclass(frozen=True, slots=True)
-class CutSpec:
+class CutSpec(_Record):
     """A straight end cut for an open presentation."""
 
+    __slots__ = _fields = __match_args__ = ("position", "angle")
     position: float
-    angle: ExactAngle = _RIGHT_ANGLE
+    angle: ExactAngle
 
     def __init__(self, position: float, angle: ExactAngle = _RIGHT_ANGLE):
         pos = position if type(position) is float else _real(position, "cut position")
@@ -238,8 +247,7 @@ class CutSpec:
         object.__setattr__(self, "angle", angle)
 
 
-@dataclass(frozen=True)
-class WeaveRule:
+class WeaveRule(_Record):
     """How crossings decide over/under in place of the panel heights.
 
     A program with no rule reads panel heights and rejects a crossing of
@@ -251,19 +259,20 @@ class WeaveRule:
     A segment pair may be listed again only with the same meaning.
     """
 
+    _fields = __match_args__ = ("mode", "pairs")
     mode: str
-    pairs: Tuple[Tuple[int, int, int], ...] = ()
+    pairs: Tuple[Tuple[int, int, int], ...]
     # each listed pair's sign keyed (lower, higher), +1 for the lower over;
     # derived from ``pairs``, so outside ==, hash and repr
-    senses: Dict[Tuple[int, int], int] = field(init=False, repr=False, compare=False)
+    senses: Dict[Tuple[int, int], int]
 
-    def __post_init__(self):
-        if self.mode not in WEAVE_MODES:
-            raise MalformedProgramError("unknown weave mode %r" % (self.mode,))
-        if not isinstance(self.pairs, (tuple, list)):
+    def __init__(self, mode: str, pairs: Sequence[Tuple[int, int, int]] = ()):
+        if mode not in WEAVE_MODES:
+            raise MalformedProgramError("unknown weave mode %r" % (mode,))
+        if not isinstance(pairs, (tuple, list)):
             raise MalformedProgramError("weave pairs must be a sequence of triples")
-        pairs, senses = [], {}
-        for entry in self.pairs:
+        entries, senses = [], {}
+        for entry in pairs:
             if not isinstance(entry, (tuple, list)) or len(entry) != 3:
                 raise MalformedProgramError("weave pair must be a triple (i, j, +-1)")
             i, j, s = entry
@@ -282,12 +291,13 @@ class WeaveRule:
             if senses.setdefault(key, sense) != sense:
                 raise MalformedProgramError(
                     "weave pair (%d, %d, %d) contradicts an earlier pair" % (i, j, s))
-            pairs.append((i, j, s))
-        if pairs and self.mode != "explicit":
+            entries.append((i, j, s))
+        if entries and mode != "explicit":
             raise MalformedProgramError("weave pairs are only valid in explicit mode")
-        if self.mode == "explicit" and not pairs:
+        if mode == "explicit" and not entries:
             raise MalformedProgramError("explicit weave needs at least one pair")
-        object.__setattr__(self, "pairs", tuple(pairs))
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "pairs", tuple(entries))
         object.__setattr__(self, "senses", senses)
 
 
@@ -341,8 +351,7 @@ def _cut_json(cut: CutSpec) -> str:
     return _CUT_JSON % (cut.angle.denominator, cut.angle.numerator, cut.position)
 
 
-@dataclass(frozen=True)
-class FoldProgram:
+class FoldProgram(_Record):
     """A complete flat-fold recipe for one ribbon strip.
 
     ``presentation`` is "closed" for a loop whose last crease doubles
@@ -351,20 +360,30 @@ class FoldProgram:
     programs, the final position is the loop's strip length.
     """
 
+    _fields = __match_args__ = (
+        "width", "creases", "presentation", "label", "start_cut", "end_cut", "weave")
     width: float
     creases: Tuple[CreaseSpec, ...]
-    presentation: str = "closed"
-    label: str = ""
-    start_cut: Optional[CutSpec] = None
-    end_cut: Optional[CutSpec] = None
-    weave: Optional[WeaveRule] = None
+    presentation: str
+    label: str
+    start_cut: Optional[CutSpec]
+    end_cut: Optional[CutSpec]
+    weave: Optional[WeaveRule]
 
-    def __post_init__(self):
-        w = _real(self.width, "width")
+    def __init__(
+        self,
+        width: float,
+        creases: Sequence[CreaseSpec],
+        presentation: str = "closed",
+        label: str = "",
+        start_cut: Optional[CutSpec] = None,
+        end_cut: Optional[CutSpec] = None,
+        weave: Optional[WeaveRule] = None,
+    ):
+        w = _real(width, "width")
         _require(math.isfinite(w) and w > 0.0, "width must be finite and positive")
-        object.__setattr__(self, "width", w)
         try:
-            items = iter(self.creases)
+            items = iter(creases)
         except TypeError:
             raise MalformedProgramError("creases must be an iterable of CreaseSpec") from None
         creases = tuple(items)
@@ -377,47 +396,53 @@ class FoldProgram:
                 raise MalformedProgramError("crease positions must be strictly increasing")
             previous = c.position
             total += c.layer_shift
-        object.__setattr__(self, "creases", creases)
         _require(
-            self.presentation in ("closed", "truncated"),
+            presentation in ("closed", "truncated"),
             "presentation must be 'closed' or 'truncated'",
         )
-        _require(isinstance(self.label, str), "label must be a string")
-        if self.presentation == "closed":
+        _require(isinstance(label, str), "label must be a string")
+        if presentation == "closed":
             _require(len(creases) >= 1, "a closed program needs at least one crease")
             _require(
-                self.start_cut is None and self.end_cut is None,
+                start_cut is None and end_cut is None,
                 "end cuts are only valid for truncated programs",
             )
             _require(total == 0, "closed program layer shifts must sum to zero")
         else:
-            for cut in (self.start_cut, self.end_cut):
+            for cut in (start_cut, end_cut):
                 _require(
                     cut is None or isinstance(cut, CutSpec),
                     "cuts must be CutSpec instances",
                 )
-            if self.start_cut is not None and creases:
+            if start_cut is not None and creases:
                 _require(
-                    self.start_cut.position < creases[0].position,
+                    start_cut.position < creases[0].position,
                     "start cut must precede the first crease",
                 )
-            if self.end_cut is not None and creases:
+            if end_cut is not None and creases:
                 _require(
-                    creases[-1].position < self.end_cut.position,
+                    creases[-1].position < end_cut.position,
                     "end cut must follow the last crease",
                 )
-            if self.start_cut is not None and self.end_cut is not None:
+            if start_cut is not None and end_cut is not None:
                 _require(
-                    self.start_cut.position < self.end_cut.position,
+                    start_cut.position < end_cut.position,
                     "start cut must precede end cut",
                 )
             if not creases:
                 _require(
-                    self.start_cut is not None and self.end_cut is not None,
+                    start_cut is not None and end_cut is not None,
                     "a truncated program with no creases needs both end cuts",
                 )
-        if self.weave is not None:
-            _require(isinstance(self.weave, WeaveRule), "weave must be a WeaveRule")
+        if weave is not None:
+            _require(isinstance(weave, WeaveRule), "weave must be a WeaveRule")
+        object.__setattr__(self, "width", w)
+        object.__setattr__(self, "creases", creases)
+        object.__setattr__(self, "presentation", presentation)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "start_cut", start_cut)
+        object.__setattr__(self, "end_cut", end_cut)
+        object.__setattr__(self, "weave", weave)
 
     def effective_cuts(self) -> Tuple[CutSpec, CutSpec]:
         """End cuts with defaults filled in.
@@ -526,8 +551,7 @@ class FoldProgram:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class Panel:
+class Panel(_Record):
     """One placed quad of the folded layout.
 
     ``vertices`` are four corners in cyclic order.  Sides 0 and 2 (the
@@ -536,9 +560,15 @@ class Panel:
     leaving fold lines (or end cuts).  ``layer`` is the stacking height.
     """
 
+    __slots__ = _fields = __match_args__ = ("vertices", "layer", "index")
     vertices: Tuple[Point, Point, Point, Point]
     layer: int
     index: int
+
+    def __init__(self, vertices: Tuple[Point, Point, Point, Point], layer: int, index: int):
+        object.__setattr__(self, "vertices", vertices)
+        object.__setattr__(self, "layer", layer)
+        object.__setattr__(self, "index", index)
 
     def side(self, k: int) -> Tuple[Point, Point]:
         a = self.vertices[k % 4]
@@ -557,13 +587,23 @@ class Panel:
         return 1 if area2 > 0 else -1
 
 
-@dataclass(frozen=True)
-class FoldedLayout:
+class FoldedLayout(_Record):
     """Placed panels plus the folded centerline of one program."""
 
+    _fields = __match_args__ = ("panels", "centerline", "source")
     panels: Tuple[Panel, ...]
     centerline: Tuple[Tuple[Point, Point], ...]
-    source: Optional[FoldProgram] = None
+    source: Optional[FoldProgram]
+
+    def __init__(
+        self,
+        panels: Tuple[Panel, ...],
+        centerline: Tuple[Tuple[Point, Point], ...],
+        source: Optional[FoldProgram] = None,
+    ):
+        object.__setattr__(self, "panels", panels)
+        object.__setattr__(self, "centerline", centerline)
+        object.__setattr__(self, "source", source)
 
     @property
     def width(self) -> float:
@@ -907,7 +947,15 @@ def layout_from_centerline(
     not use it: tests place a family's polyline with it and compare the
     unfolded program with the one the builder emits.
     """
-    pts = [Point(float(p[0]), float(p[1])) for p in points]
+    try:
+        pts = [Point(float(x), float(y)) for x, y in points]
+    except (TypeError, ValueError, OverflowError):
+        raise InvalidInputError("centerline vertices must be pairs of numbers") from None
+    if not all(math.isfinite(x) and math.isfinite(y) for x, y in pts):
+        raise InvalidInputError("centerline vertices must be finite")
+    # type() leaves out bools, which int() would read as 0 and 1
+    if not isinstance(heights, (list, tuple)) or any(type(h) is not int for h in heights):
+        raise InvalidInputError("heights must be a list or tuple of ints")
     if closed:
         if len(pts) < 3:
             raise InvalidInputError("a closed centerline needs at least 3 vertices")
@@ -967,6 +1015,6 @@ def layout_from_centerline(
         p2 = _intersect_lines(top, ux, uy, b, db[0], db[1])
         p3 = _intersect_lines(top, ux, uy, a, da[0], da[1])
         quad = (p0, p1, p2, p3) if k % 2 == 0 else (p3, p2, p1, p0)
-        panels.append(Panel(quad, int(heights[k]), k))
+        panels.append(Panel(quad, heights[k], k))
         segments.append((a, b))
     return FoldedLayout(tuple(panels), tuple(segments), None)

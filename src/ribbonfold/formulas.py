@@ -9,12 +9,12 @@ rational angles rather than pretty decimals.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import sys
 from fractions import Fraction
 from typing import List, Optional, Union
 
 from .constructions import _FAMILIES, FAMILY_TAGS, FamilyId, TorusKnotParams, _spec, knot_type
-from .errors import InvalidInputError, NotApplicableError, ParameterError
+from .errors import InvalidInputError, NotApplicableError, ParameterError, _Record
 
 __all__ = [
     "BoundsRow",
@@ -46,11 +46,18 @@ FIGURE_EIGHT_CROSSINGS = 4
 
 def significant(x: float, digits: int = 6) -> str:
     """Format a number to the given count of significant digits."""
+    if isinstance(x, bool) or not isinstance(x, (int, float)):
+        raise InvalidInputError("expected a number, got %s" % type(x).__name__)
+    # %g converts an int to a float, which one past the float range overflows
+    if isinstance(x, int) and abs(x) > sys.float_info.max:
+        raise InvalidInputError("number must lie within the float range")
+    # %.*g reads the precision as a C int, and a bool would count as 0 or 1
+    if isinstance(digits, bool) or not isinstance(digits, int) or not 0 < digits <= 99:
+        raise InvalidInputError("digits must be an int from 1 to 99")
     return "%.*g" % (digits, x)
 
 
-@dataclass(frozen=True)
-class RatioFormula:
+class RatioFormula(_Record):
     """A ratio coefficient * cot(pi / cot_denominator), or an integer
     coefficient alone when ``cot_denominator`` is None.
 
@@ -58,9 +65,16 @@ class RatioFormula:
     epsilon parameter goes to zero, rather than attains exactly.
     """
 
+    _fields = __match_args__ = ("coefficient", "cot_denominator", "limit")
     coefficient: int
-    cot_denominator: Optional[int] = None
-    limit: bool = False
+    cot_denominator: Optional[int]
+    limit: bool
+
+    def __init__(self, coefficient: int, cot_denominator: Optional[int] = None,
+                 limit: bool = False):
+        object.__setattr__(self, "coefficient", coefficient)
+        object.__setattr__(self, "cot_denominator", cot_denominator)
+        object.__setattr__(self, "limit", limit)
 
     @property
     def value(self) -> float:
@@ -152,15 +166,22 @@ def limit_constant(family: Union[FamilyId, str]) -> float:
     return math.inf if coefficient is None else float(coefficient) / math.pi
 
 
-@dataclass(frozen=True)
-class BoundsRow:
+class BoundsRow(_Record):
     """One bound on ratio / crossing, with the witness that pins it."""
 
+    _fields = __match_args__ = ("constant", "value", "symbolic", "witness", "note")
     constant: str
     value: float
     symbolic: str
     witness: str
     note: str
+
+    def __init__(self, constant: str, value: float, symbolic: str, witness: str, note: str):
+        object.__setattr__(self, "constant", constant)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "symbolic", symbolic)
+        object.__setattr__(self, "witness", witness)
+        object.__setattr__(self, "note", note)
 
 
 def bounds_table() -> List[BoundsRow]:
@@ -213,10 +234,11 @@ def bounds_table() -> List[BoundsRow]:
     ]
 
 
-@dataclass(frozen=True)
-class RatioReport:
+class RatioReport(_Record):
     """One table row: a family member with its ratio and quotient."""
 
+    _fields = __match_args__ = ("family", "params", "presentation", "closed_form",
+                                "symbolic", "crossings", "quotient", "limit")
     family: FamilyId
     params: Optional[TorusKnotParams]
     presentation: str
@@ -224,7 +246,27 @@ class RatioReport:
     symbolic: str
     crossings: int
     quotient: float
-    limit: bool = False
+    limit: bool
+
+    def __init__(
+        self,
+        family: FamilyId,
+        params: Optional[TorusKnotParams],
+        presentation: str,
+        closed_form: float,
+        symbolic: str,
+        crossings: int,
+        quotient: float,
+        limit: bool = False,
+    ):
+        object.__setattr__(self, "family", family)
+        object.__setattr__(self, "params", params)
+        object.__setattr__(self, "presentation", presentation)
+        object.__setattr__(self, "closed_form", closed_form)
+        object.__setattr__(self, "symbolic", symbolic)
+        object.__setattr__(self, "crossings", crossings)
+        object.__setattr__(self, "quotient", quotient)
+        object.__setattr__(self, "limit", limit)
 
 
 def ratio_report(family: FamilyId, presentation: str = "closed") -> RatioReport:

@@ -17,7 +17,6 @@ from __future__ import annotations
 import math
 import sys
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 from fractions import Fraction
 from numbers import Real
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
@@ -32,6 +31,7 @@ from .errors import (
     InvalidInputError,
     LayeringInconsistencyError,
     _expect_type,
+    _Record,
 )
 from .fold_core import FoldProgram, FoldedLayout, Point, layout
 
@@ -176,8 +176,7 @@ class Crossing(NamedTuple):
     sign: int
 
 
-@dataclass(frozen=True)
-class KnotDiagram:
+class KnotDiagram(_Record):
     """A knot diagram, built from its signed Gauss code alone.
 
     ``gauss`` lists, in strand order, triples (crossing id, is_over,
@@ -191,10 +190,12 @@ class KnotDiagram:
     wrapping around the strand.
     """
 
+    _fields = ("gauss", "crossings")
+    __match_args__ = ("gauss",)
     gauss: Tuple[Tuple[int, bool, int], ...]
-    crossings: Tuple[Crossing, ...] = field(init=False)
+    crossings: Tuple[Crossing, ...]
 
-    def __post_init__(self) -> None:
+    def __init__(self, gauss: Sequence[Tuple[int, bool, int]]) -> None:
         entries = []
         # per crossing id, twice the arc before its over-passage and twice
         # the out-arc of its under-passage (whose in-arc is one less), each
@@ -207,7 +208,7 @@ class KnotDiagram:
         arc = -1
         passed = 0
         try:
-            code = iter(self.gauss)
+            code = iter(gauss)
         except TypeError:
             raise InvalidDiagramError("a Gauss code must be an iterable of triples") from None
         for entry in code:
@@ -763,8 +764,7 @@ def _extract_once(centerline, groups, partners, scale, layers, weave, epsilon) -
 # ------------------------------------------------------------ certification
 
 
-@dataclass(frozen=True)
-class CertificationReport:
+class CertificationReport(_Record):
     """Outcome of comparing a construction's diagram with the expected knot.
 
     ``p`` and ``q`` and the crossing bound are None unless the expected
@@ -775,6 +775,9 @@ class CertificationReport:
     "alexander" otherwise, with ``handedness`` None.
     """
 
+    _fields = __match_args__ = (
+        "p", "q", "crossing_count", "gauss", "alexander", "reference", "determinant",
+        "crossing_bound", "crossing_bound_ok", "matches", "certificate", "handedness")
     p: Optional[int]
     q: Optional[int]
     crossing_count: int
@@ -787,6 +790,34 @@ class CertificationReport:
     matches: Optional[bool]
     certificate: str
     handedness: Optional[int]
+
+    def __init__(
+        self,
+        p: Optional[int],
+        q: Optional[int],
+        crossing_count: int,
+        gauss: Tuple[Tuple[int, bool, int], ...],
+        alexander: LaurentPolynomial,
+        reference: Optional[LaurentPolynomial],
+        determinant: int,
+        crossing_bound: Optional[int],
+        crossing_bound_ok: Optional[bool],
+        matches: Optional[bool],
+        certificate: str,
+        handedness: Optional[int],
+    ):
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "crossing_count", crossing_count)
+        object.__setattr__(self, "gauss", gauss)
+        object.__setattr__(self, "alexander", alexander)
+        object.__setattr__(self, "reference", reference)
+        object.__setattr__(self, "determinant", determinant)
+        object.__setattr__(self, "crossing_bound", crossing_bound)
+        object.__setattr__(self, "crossing_bound_ok", crossing_bound_ok)
+        object.__setattr__(self, "matches", matches)
+        object.__setattr__(self, "certificate", certificate)
+        object.__setattr__(self, "handedness", handedness)
 
     def summary(self) -> str:
         torus = ""

@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
 from operator import attrgetter
 from typing import TYPE_CHECKING, List, Sequence, Tuple
 
-from .errors import InvalidInputError, ParameterError, _expect_type
+from .errors import InvalidInputError, ParameterError, _expect_type, _Record
 from .fold_core import FoldedLayout, Point
 
 if TYPE_CHECKING:
@@ -52,8 +51,7 @@ _SERIES_STROKES = (
 )
 
 
-@dataclass(frozen=True)
-class RenderOptions:
+class RenderOptions(_Record):
     """Switches for layout drawings.
 
     ``epsilon_display`` shifts each panel by its layer index times this
@@ -61,26 +59,43 @@ class RenderOptions:
     a stack.  ``scale`` is document units per length unit.
     """
 
-    epsilon_display: float = 0.0
-    show_creases: bool = True
-    show_circumcircle: bool = False
-    show_centerline: bool = False
-    scale: float = 40.0
+    _fields = __match_args__ = (
+        "epsilon_display", "show_creases", "show_circumcircle", "show_centerline", "scale")
+    epsilon_display: float
+    show_creases: bool
+    show_circumcircle: bool
+    show_centerline: bool
+    scale: float
 
-    def __post_init__(self):
-        scale, epsilon = self.scale, self.epsilon_display
+    def __init__(
+        self,
+        epsilon_display: float = 0.0,
+        show_creases: bool = True,
+        show_circumcircle: bool = False,
+        show_centerline: bool = False,
+        scale: float = 40.0,
+    ):
         if isinstance(scale, bool) or not (isinstance(scale, (int, float)) and scale > 0):
             raise ParameterError("scale must be a positive number")
-        if isinstance(epsilon, bool) or not (isinstance(epsilon, (int, float)) and epsilon >= 0):
+        if isinstance(epsilon_display, bool) or not (
+            isinstance(epsilon_display, (int, float)) and epsilon_display >= 0
+        ):
             raise ParameterError("epsilon_display must be nonnegative")
-        for name in ("scale", "epsilon_display"):
-            # compared exactly, so an int past the float range counts as inf
-            if getattr(self, name) > sys.float_info.max:
+        # compared exactly, so an int past the float range counts as inf
+        for name, value in (("scale", scale), ("epsilon_display", epsilon_display)):
+            if value > sys.float_info.max:
                 raise ParameterError("%s must be finite" % name)
         # to_svg reads the flags by truth value, which any object has
-        for name in ("show_creases", "show_circumcircle", "show_centerline"):
-            if not isinstance(getattr(self, name), bool):
+        for name, value in (("show_creases", show_creases),
+                            ("show_circumcircle", show_circumcircle),
+                            ("show_centerline", show_centerline)):
+            if not isinstance(value, bool):
                 raise ParameterError("%s must be a bool" % name)
+        object.__setattr__(self, "epsilon_display", epsilon_display)
+        object.__setattr__(self, "show_creases", show_creases)
+        object.__setattr__(self, "show_circumcircle", show_circumcircle)
+        object.__setattr__(self, "show_centerline", show_centerline)
+        object.__setattr__(self, "scale", scale)
 
 
 def _num(x: float) -> str:
@@ -222,11 +237,17 @@ def render_table_figure(reports: Sequence[RatioReport]) -> str:
     One series per (family, presentation) pair, with horizontal guide
     lines at the limit constants of the odd wraps and of the even wraps.
     """
+    # imported here: formulas imports constructions, which drawing a layout never needs
+    from .formulas import RatioReport, limit_constant
+
+    if not isinstance(reports, (list, tuple)):
+        raise InvalidInputError("expected a list of RatioReport, got %s" % type(reports).__name__)
     if not reports:
         raise InvalidInputError("cannot chart an empty report list")
 
     series: dict = {}
     for report in reports:
+        _expect_type(report, RatioReport)
         key = (report.family.tag, report.presentation)
         series.setdefault(key, []).append((_report_x(report), report.quotient))
     for points in series.values():
@@ -234,7 +255,6 @@ def render_table_figure(reports: Sequence[RatioReport]) -> str:
 
     all_x = [x for pts in series.values() for x, _ in pts]
     all_y = [y for pts in series.values() for _, y in pts]
-    from .formulas import limit_constant
 
     guides = (limit_constant("odd_wrap"), limit_constant("even_wrap_plus2"))
     all_y += list(guides)

@@ -681,6 +681,6 @@ def spec_outcome(make, *args):
     except RibbonError as exc:
         return type(exc), str(exc)
     fields = value if isinstance(value, tuple) else (
-        tuple(getattr(value, name) for name in type(value).__dataclass_fields__)
+        tuple(getattr(value, name) for name in type(value).__match_args__)
     )
     return "ok", tuple((type(field), field) for field in fields)

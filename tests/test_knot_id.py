@@ -1,6 +1,5 @@
 """Unit tests for diagram extraction and Alexander certification."""
 
-import dataclasses
 import math
 from fractions import Fraction
 
@@ -59,7 +58,7 @@ def pentagram_program(heights, weave=None, width=0.1):
         for k in range(5)
     ]
     lay = layout_from_centerline(pts, width, heights, closed=True)
-    return dataclasses.replace(unfold(lay), weave=weave, label="pentagram")
+    return unfold(lay)._replace(weave=weave, label="pentagram")
 
 
 # ---------------------------------------------------------- LaurentPolynomial
@@ -247,8 +246,8 @@ def test_knot_diagram_is_built_from_its_gauss_code_only():
     with pytest.raises(TypeError):
         KnotDiagram(diagram.gauss, diagram.crossings)
     with pytest.raises(ValueError):
-        dataclasses.replace(diagram, crossings=diagram.crossings[:-1])
-    assert dataclasses.replace(diagram) == diagram
+        diagram._replace(crossings=diagram.crossings[:-1])
+    assert diagram._replace() == diagram
 
 
 def test_crossing_is_a_named_tuple_of_its_fields():
@@ -523,7 +522,7 @@ def test_torus_weave_rejects_a_crossing_at_one_parameter_on_both_segments():
     # at both their midpoints, so neither lies further along its own
     pts = [Point(0, 0), Point(2, 2), Point(2, 0), Point(0, 2)]
     lay = layout_from_centerline(pts, 0.1, [0, 1, 2, 3], closed=True)
-    prog = dataclasses.replace(unfold(lay), weave=WeaveRule("torus"))
+    prog = unfold(lay)._replace(weave=WeaveRule("torus"))
     with pytest.raises(LayeringInconsistencyError, match="cannot order segments 0 and 2"):
         extract_diagram(layout(prog))
 
@@ -566,7 +565,7 @@ def test_explicit_weave_rejects_a_pair_against_the_layers(first):
     derived = tuple((i, j, 1 if layers[i] > layers[j] else -1)
                     for i, j in ((0, 2), (0, 3), (1, 3), (1, 4), (2, 4)))
     assert derived[0] == (0, 2, -1)
-    explicit = dataclasses.replace(prog, weave=WeaveRule("explicit", derived))
+    explicit = prog._replace(weave=WeaveRule("explicit", derived))
     assert alexander_polynomial(extract_diagram(layout(explicit))) == poly(1, -1, 1)
     pairs = ((0, 2, 1),) + derived if first else derived + ((0, 2, 1),)
     with pytest.raises(MalformedProgramError, match="contradicts an earlier pair"):

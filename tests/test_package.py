@@ -2,6 +2,7 @@
 
 import importlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -9,6 +10,10 @@ import sys
 import pytest
 
 import ribbonfold
+from ribbonfold.errors import InvalidInputError
+from ribbonfold.fold_core import ExactAngle
+from ribbonfold.formulas import significant
+from ribbonfold.render import render_table_figure
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 SUBMODULES = ("errors", "fold_core", "constructions", "formulas", "render")
@@ -59,3 +64,45 @@ def test_bare_import_loads_no_submodule(tmp_path):
     loaded, resolved = json.loads(result.stdout)
     assert loaded == []
     assert resolved == [True] * len(SUBMODULES)
+
+
+def test_commands_import_neither_dataclasses_nor_inspect():
+    # -S keeps site out, so only the package's own imports are counted
+    code = (
+        "import json, sys\n"
+        "sys.path.insert(0, %r)\n"
+        "from ribbonfold import braid, cli, constructions, determinant, formulas, knot_id, render\n"
+        "print(json.dumps([m for m in ('dataclasses', 'inspect') if m in sys.modules]))\n" % SRC)
+    result = subprocess.run(
+        [sys.executable, "-S", "-c", code], capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    assert json.loads(result.stdout) == []
+
+
+# each once raised a bare TypeError, OverflowError or AttributeError, or,
+# for a negative or NaN tolerance, failed only once no angle lay within it
+@pytest.mark.parametrize("call,message", [
+    (lambda: ExactAngle.from_float(None), "^angle must be a number, got NoneType$"),
+    (lambda: ExactAngle.from_float(True), "^angle must be a number, got bool$"),
+    (lambda: ExactAngle.from_float(10**400), "^angle must be finite$"),
+    (lambda: ExactAngle.from_float(1.0, tolerance="x"), "^tolerance must be a number, got str$"),
+    (lambda: ExactAngle.from_float(1.0, tolerance=False), "^tolerance must be a number, got bool$"),
+    (lambda: ExactAngle.from_float(1.0, tolerance=-1.0),
+     "^tolerance must be finite and nonnegative$"),
+    (lambda: ExactAngle.from_float(1.0, tolerance=math.nan),
+     "^tolerance must be finite and nonnegative$"),
+    (lambda: significant("x"), "^expected a number, got str$"),
+    (lambda: significant(True), "^expected a number, got bool$"),
+    (lambda: significant(10**400), "^number must lie within the float range$"),
+    (lambda: significant(1.0, digits="x"), "^digits must be an int from 1 to 99$"),
+    (lambda: significant(1.0, digits=True), "^digits must be an int from 1 to 99$"),
+    (lambda: significant(1.0, digits=2**31), "^digits must be an int from 1 to 99$"),
+    (lambda: render_table_figure([1]), "^expected a RatioReport, got int$"),
+    (lambda: render_table_figure(None), "^expected a list of RatioReport, got NoneType$"),
+], ids=["from_float-None", "from_float-bool", "from_float-10**400", "tolerance-str",
+        "tolerance-bool", "tolerance-negative", "tolerance-nan", "significant-str",
+        "significant-bool", "significant-10**400", "digits-str", "digits-bool",
+        "digits-2**31", "table_figure-int", "table_figure-None"])
+def test_malformed_public_input_raises_invalid_input(call, message):
+    with pytest.raises(InvalidInputError, match=message):
+        call()
