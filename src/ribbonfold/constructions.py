@@ -58,8 +58,7 @@ class TorusKnotParams(_Record):
             raise ParameterError("torus knot parameters need p > q >= 2")
         if math.gcd(p, q) != 1:
             raise ParameterError("(%d, %d) describes a link, not a knot" % (p, q))
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
+        self.__dict__.update(p=p, q=q)
 
 
 class _Family(NamedTuple):
@@ -151,8 +150,7 @@ class FamilyId(_Record):
         elif spec.ratio(n)[0] > _MAX_PANELS:
             raise ParameterError("%s with this %s would have more than %d panels" % (
                 tag, spec.flag, _MAX_PANELS))
-        object.__setattr__(self, "tag", tag)
-        object.__setattr__(self, "parameter", parameter)
+        self.__dict__.update(tag=tag, parameter=parameter)
 
 
 def _spec(family: FamilyId, presentation: str = "closed") -> _Family:

@@ -53,13 +53,25 @@ class _Record:
     A record is equal to another of its own class whose ``_fields`` are
     equal, hashes and shows those fields, and cannot have a field set or
     deleted: each record's ``__init__`` checks its arguments and stores
-    every field once with ``object.__setattr__``.  ``__match_args__``
-    names the fields ``__init__`` takes, which ``_replace`` may change.
+    every field once, a slotted record through the setters in
+    ``_setters`` and any other with one ``self.__dict__.update``.
+    ``__match_args__`` names the fields ``__init__`` takes, which
+    ``_replace`` may change.
     """
 
     __slots__ = ()
     _fields: tuple = ()
     __match_args__: tuple = ()
+    # every slot along the MRO mapped to the __set__ of its own member
+    # descriptor, bound once per class that declares slots; a subclass
+    # that declares none keeps its parent's, and a dict record has none
+    _setters: dict = {}
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        if cls.__dict__.get("__slots__"):
+            cls._setters = {**cls._setters,
+                            **{name: cls.__dict__[name].__set__ for name in cls.__slots__}}
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
@@ -85,11 +97,15 @@ class _Record:
     # pickle and copy fill a __dict__ directly but would set a slot through
     # __setattr__, so a slotted record's state maps each slot to its value
     def __getstate__(self):
-        return {name: getattr(self, name) for name in self.__slots__} or self.__dict__
+        return {name: getattr(self, name) for name in self._setters} or self.__dict__
 
     def __setstate__(self, state):
+        setters = self._setters
+        if not setters:
+            self.__dict__.update(state)
+            return
         for name, value in state.items():
-            object.__setattr__(self, name, value)
+            setters[name](self, value)
 
     def _replace(self, **changes):
         """A copy with the named fields changed, built by ``__init__``;

@@ -132,10 +132,10 @@ class ExactAngle(_Record):
             raise MalformedProgramError("angle denominator must be at most 10**600 once reduced")
         # num % (2 * den) is congruent to num mod den, so stays coprime to it
         num %= 2 * den
-        object.__setattr__(self, "numerator", num)
-        object.__setattr__(self, "denominator", den)
+        _set_numerator(self, num)
+        _set_denominator(self, den)
         # the float of the fraction: int true division rounds correctly
-        object.__setattr__(self, "radians", num / den * math.pi)
+        _set_radians(self, num / den * math.pi)
 
     @classmethod
     def from_float(cls, radians: float, *, tolerance: float = 1e-9) -> "ExactAngle":
@@ -183,6 +183,10 @@ class ExactAngle(_Record):
         return "ExactAngle(%d, %d)" % (self.numerator, self.denominator)
 
 
+# each slotted record's __init__ stores its fields through these setters
+_set_numerator, _set_denominator, _set_radians = ExactAngle._setters.values()
+
+
 def _real(value, what: str) -> float:
     """A JSON number as a float; an int past the float range reads as inf."""
     if type(value) is float:
@@ -220,11 +224,12 @@ class CreaseSpec(_Record):
             raise MalformedProgramError("layer_shift must be an integer")
         if layer_shift == 0:
             raise MalformedProgramError("layer_shift must be nonzero")
-        object.__setattr__(self, "position", pos)
-        object.__setattr__(self, "angle", angle)
-        object.__setattr__(self, "layer_shift", layer_shift)
+        _set_crease_position(self, pos)
+        _set_crease_angle(self, angle)
+        _set_layer_shift(self, layer_shift)
 
 
+_set_crease_position, _set_crease_angle, _set_layer_shift = CreaseSpec._setters.values()
 _RIGHT_ANGLE = ExactAngle(1, 2)
 
 
@@ -243,8 +248,11 @@ class CutSpec(_Record):
             raise MalformedProgramError("cut angle must be an ExactAngle")
         if not 0.0 < angle.radians < math.pi:
             raise MalformedProgramError("cut angle must lie strictly between 0 and pi")
-        object.__setattr__(self, "position", pos)
-        object.__setattr__(self, "angle", angle)
+        _set_cut_position(self, pos)
+        _set_cut_angle(self, angle)
+
+
+_set_cut_position, _set_cut_angle = CutSpec._setters.values()
 
 
 class WeaveRule(_Record):
@@ -296,9 +304,7 @@ class WeaveRule(_Record):
             raise MalformedProgramError("weave pairs are only valid in explicit mode")
         if mode == "explicit" and not entries:
             raise MalformedProgramError("explicit weave needs at least one pair")
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "pairs", tuple(entries))
-        object.__setattr__(self, "senses", senses)
+        self.__dict__.update(mode=mode, pairs=tuple(entries), senses=senses)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -436,13 +442,8 @@ class FoldProgram(_Record):
                 )
         if weave is not None:
             _require(isinstance(weave, WeaveRule), "weave must be a WeaveRule")
-        object.__setattr__(self, "width", w)
-        object.__setattr__(self, "creases", creases)
-        object.__setattr__(self, "presentation", presentation)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "start_cut", start_cut)
-        object.__setattr__(self, "end_cut", end_cut)
-        object.__setattr__(self, "weave", weave)
+        self.__dict__.update(width=w, creases=creases, presentation=presentation, label=label,
+                             start_cut=start_cut, end_cut=end_cut, weave=weave)
 
     def effective_cuts(self) -> Tuple[CutSpec, CutSpec]:
         """End cuts with defaults filled in.
@@ -551,6 +552,14 @@ class FoldProgram(_Record):
         )
 
 
+def _is_point(value) -> bool:
+    """Whether value is a tuple of two numbers within the float range, which
+    leaves out NaN, the infinities and the bools."""
+    return isinstance(value, tuple) and len(value) == 2 and all(
+        isinstance(v, (int, float)) and not isinstance(v, bool)
+        and -sys.float_info.max <= v <= sys.float_info.max for v in value)
+
+
 class Panel(_Record):
     """One placed quad of the folded layout.
 
@@ -566,9 +575,15 @@ class Panel(_Record):
     index: int
 
     def __init__(self, vertices: Tuple[Point, Point, Point, Point], layer: int, index: int):
-        object.__setattr__(self, "vertices", vertices)
-        object.__setattr__(self, "layer", layer)
-        object.__setattr__(self, "index", index)
+        if not (isinstance(vertices, tuple) and len(vertices) == 4
+                and all(map(_is_point, vertices))):
+            raise InvalidInputError("panel vertices must be four pairs of finite numbers")
+        for name, value in (("layer", layer), ("index", index)):
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise InvalidInputError("panel %s must be an int" % name)
+        _set_vertices(self, vertices)
+        _set_layer(self, layer)
+        _set_index(self, index)
 
     def side(self, k: int) -> Tuple[Point, Point]:
         a = self.vertices[k % 4]
@@ -587,6 +602,9 @@ class Panel(_Record):
         return 1 if area2 > 0 else -1
 
 
+_set_vertices, _set_layer, _set_index = Panel._setters.values()
+
+
 class FoldedLayout(_Record):
     """Placed panels plus the folded centerline of one program."""
 
@@ -601,9 +619,15 @@ class FoldedLayout(_Record):
         centerline: Tuple[Tuple[Point, Point], ...],
         source: Optional[FoldProgram] = None,
     ):
-        object.__setattr__(self, "panels", panels)
-        object.__setattr__(self, "centerline", centerline)
-        object.__setattr__(self, "source", source)
+        if not isinstance(panels, tuple) or not all(isinstance(p, Panel) for p in panels):
+            raise InvalidInputError("layout panels must be a tuple of Panel")
+        if not isinstance(centerline, tuple) or not all(
+            isinstance(s, tuple) and len(s) == 2 and all(map(_is_point, s)) for s in centerline
+        ):
+            raise InvalidInputError("layout centerline must be a tuple of point pairs")
+        if source is not None and not isinstance(source, FoldProgram):
+            raise InvalidInputError("layout source must be a FoldProgram or None")
+        self.__dict__.update(panels=panels, centerline=centerline, source=source)
 
     @property
     def width(self) -> float:
@@ -693,8 +717,10 @@ def layout(program: FoldProgram) -> FoldedLayout:
     segments = []
     # the running map sends (x, y) to (a*x + b*y + tx, c*x + d*y + ty)
     a, b, tx, c, d, ty = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0
-    # builds a Point without the Python-level call of Point's own __new__
-    new_point = tuple.__new__
+    # builds a Point without the Python-level call of Point's own __new__;
+    # every field is computed here, so each Panel and the FoldedLayout are
+    # stored without the checks of their __init__
+    new_point, new_record = tuple.__new__, object.__new__
     layer = 0
     count = len(bounds) - 1
     for k in range(count):
@@ -710,7 +736,11 @@ def layout(program: FoldProgram) -> FoldedLayout:
             new_point(Point, (a * x2 + b * half + tx, c * x2 + d * half + ty)),
             new_point(Point, (a * x3 + b * half + tx, c * x3 + d * half + ty)),
         )
-        panels.append(Panel(placed, layer, k))
+        panel = new_record(Panel)
+        _set_vertices(panel, placed)
+        _set_layer(panel, layer)
+        _set_index(panel, k)
+        panels.append(panel)
         segments.append((new_point(Point, (a * xa + b * 0.0 + tx, c * xa + d * 0.0 + ty)),
                          new_point(Point, (a * xb + b * 0.0 + tx, c * xb + d * 0.0 + ty))))
         if b_is_crease:
@@ -753,7 +783,9 @@ def layout(program: FoldProgram) -> FoldedLayout:
             raise ClosureError(
                 "seam misses start: offset %.3e, direction error %.3e" % (gap, turn)
             )
-    return FoldedLayout(tuple(panels), tuple(segments), program)
+    lay = new_record(FoldedLayout)
+    lay.__dict__.update(panels=tuple(panels), centerline=tuple(segments), source=program)
+    return lay
 
 
 def _panel_frames(panels: Sequence[Panel]) -> Tuple[list, list, list]:
@@ -1002,6 +1034,9 @@ def layout_from_centerline(
 
     panels = []
     segments = []
+    # the panels are stored without Panel's checks, as layout stores them:
+    # corners that overflow to NaN reach extract_diagram, which rejects them
+    new_record = object.__new__
     for k in range(count):
         a = pts[k]
         b = pts[(k + 1) % len(pts)]
@@ -1015,6 +1050,10 @@ def layout_from_centerline(
         p2 = _intersect_lines(top, ux, uy, b, db[0], db[1])
         p3 = _intersect_lines(top, ux, uy, a, da[0], da[1])
         quad = (p0, p1, p2, p3) if k % 2 == 0 else (p3, p2, p1, p0)
-        panels.append(Panel(quad, heights[k], k))
+        panel = new_record(Panel)
+        _set_vertices(panel, quad)
+        _set_layer(panel, heights[k])
+        _set_index(panel, k)
+        panels.append(panel)
         segments.append((a, b))
     return FoldedLayout(tuple(panels), tuple(segments), None)

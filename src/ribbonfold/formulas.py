@@ -72,9 +72,7 @@ class RatioFormula(_Record):
 
     def __init__(self, coefficient: int, cot_denominator: Optional[int] = None,
                  limit: bool = False):
-        object.__setattr__(self, "coefficient", coefficient)
-        object.__setattr__(self, "cot_denominator", cot_denominator)
-        object.__setattr__(self, "limit", limit)
+        self.__dict__.update(coefficient=coefficient, cot_denominator=cot_denominator, limit=limit)
 
     @property
     def value(self) -> float:
@@ -177,11 +175,8 @@ class BoundsRow(_Record):
     note: str
 
     def __init__(self, constant: str, value: float, symbolic: str, witness: str, note: str):
-        object.__setattr__(self, "constant", constant)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "symbolic", symbolic)
-        object.__setattr__(self, "witness", witness)
-        object.__setattr__(self, "note", note)
+        self.__dict__.update(constant=constant, value=value, symbolic=symbolic, witness=witness,
+                             note=note)
 
 
 def bounds_table() -> List[BoundsRow]:
@@ -259,14 +254,9 @@ class RatioReport(_Record):
         quotient: float,
         limit: bool = False,
     ):
-        object.__setattr__(self, "family", family)
-        object.__setattr__(self, "params", params)
-        object.__setattr__(self, "presentation", presentation)
-        object.__setattr__(self, "closed_form", closed_form)
-        object.__setattr__(self, "symbolic", symbolic)
-        object.__setattr__(self, "crossings", crossings)
-        object.__setattr__(self, "quotient", quotient)
-        object.__setattr__(self, "limit", limit)
+        self.__dict__.update(family=family, params=params, presentation=presentation,
+                             closed_form=closed_form, symbolic=symbolic, crossings=crossings,
+                             quotient=quotient, limit=limit)
 
 
 def ratio_report(family: FamilyId, presentation: str = "closed") -> RatioReport:

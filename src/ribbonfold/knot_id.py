@@ -249,8 +249,7 @@ class KnotDiagram(_Record):
             # tuple.__new__ skips the Python-level call of Crossing._make
             crossings.append(tuple.__new__(Crossing, (
                 cid, (o >> 1) % passed, (out_arc - 1) % passed, out_arc, 1 if u & 1 else -1)))
-        object.__setattr__(self, "gauss", tuple(entries))
-        object.__setattr__(self, "crossings", tuple(crossings))
+        self.__dict__.update(gauss=tuple(entries), crossings=tuple(crossings))
 
     @property
     def crossing_count(self) -> int:
@@ -806,18 +805,10 @@ class CertificationReport(_Record):
         certificate: str,
         handedness: Optional[int],
     ):
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "crossing_count", crossing_count)
-        object.__setattr__(self, "gauss", gauss)
-        object.__setattr__(self, "alexander", alexander)
-        object.__setattr__(self, "reference", reference)
-        object.__setattr__(self, "determinant", determinant)
-        object.__setattr__(self, "crossing_bound", crossing_bound)
-        object.__setattr__(self, "crossing_bound_ok", crossing_bound_ok)
-        object.__setattr__(self, "matches", matches)
-        object.__setattr__(self, "certificate", certificate)
-        object.__setattr__(self, "handedness", handedness)
+        self.__dict__.update(p=p, q=q, crossing_count=crossing_count, gauss=gauss,
+                             alexander=alexander, reference=reference, determinant=determinant,
+                             crossing_bound=crossing_bound, crossing_bound_ok=crossing_bound_ok,
+                             matches=matches, certificate=certificate, handedness=handedness)
 
     def summary(self) -> str:
         torus = ""

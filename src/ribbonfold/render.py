@@ -91,11 +91,9 @@ class RenderOptions(_Record):
                             ("show_centerline", show_centerline)):
             if not isinstance(value, bool):
                 raise ParameterError("%s must be a bool" % name)
-        object.__setattr__(self, "epsilon_display", epsilon_display)
-        object.__setattr__(self, "show_creases", show_creases)
-        object.__setattr__(self, "show_circumcircle", show_circumcircle)
-        object.__setattr__(self, "show_centerline", show_centerline)
-        object.__setattr__(self, "scale", scale)
+        self.__dict__.update(epsilon_display=epsilon_display, show_creases=show_creases,
+                             show_circumcircle=show_circumcircle, show_centerline=show_centerline,
+                             scale=scale)
 
 
 def _num(x: float) -> str:

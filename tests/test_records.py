@@ -13,7 +13,16 @@ from ribbonfold.errors import (
     MalformedProgramError,
     ParameterError,
 )
-from ribbonfold.fold_core import CreaseSpec, CutSpec, ExactAngle, WeaveRule, layout
+from ribbonfold.fold_core import (
+    CreaseSpec,
+    CutSpec,
+    ExactAngle,
+    FoldedLayout,
+    Panel,
+    Point,
+    WeaveRule,
+    layout,
+)
 from ribbonfold.formulas import bounds_table, closed_form_ratio, ratio_report
 from ribbonfold.knot_id import certification_report, extract_diagram
 from ribbonfold.render import RenderOptions
@@ -88,3 +97,146 @@ def test_record_is_frozen_copies_and_replaces_through_its_checks(name):
     for field in derived + ("no_such_field",):
         with pytest.raises(ValueError, match=repr(field)):
             value._replace(**{field: getattr(value, field, None)})
+
+
+# subclasses that add no slots, and one that adds a slot, defined at module
+# level so that pickle can find them by name
+class KinAngle(ExactAngle):
+    __slots__ = ()
+
+
+class KinCrease(CreaseSpec):
+    __slots__ = ()
+
+
+class KinCut(CutSpec):
+    __slots__ = ()
+
+
+class KinPanel(Panel):
+    __slots__ = ()
+
+
+class TaggedCrease(CreaseSpec):
+    __slots__ = ("tag",)
+
+
+KIN = {"ExactAngle": KinAngle, "CreaseSpec": KinCrease, "CutSpec": KinCut, "Panel": KinPanel}
+
+
+def _kin_of(name):
+    """A record of each slotted type, and the same fields built through its
+    parent's __init__ as an instance of the subclass that adds no slots."""
+    value = RECORDS[name][0]()
+    kin = KIN[name](**{field: getattr(value, field) for field in type(value).__match_args__})
+    return value, kin
+
+
+@pytest.mark.parametrize("name", SLOTTED)
+def test_slotted_subclass_builds_freezes_copies_and_pickles(name):
+    value, kin = _kin_of(name)
+    parent = type(value)
+    assert type(kin) is KIN[name] and not hasattr(kin, "__dict__")
+    # the setter table is the parent's own, and its state names every slot
+    assert KIN[name]._setters is parent._setters
+    assert tuple(parent._setters) == parent.__slots__
+    assert kin.__getstate__() == {slot: getattr(value, slot) for slot in parent.__slots__}
+    # the same fields, derived ones included, as the parent builds, frozen
+    for field in parent.__slots__:
+        before = getattr(kin, field)
+        assert before == getattr(value, field)
+        with pytest.raises(AttributeError, match="^cannot assign to field %r$" % field):
+            setattr(kin, field, before)
+        with pytest.raises(AttributeError, match="^cannot delete field %r$" % field):
+            delattr(kin, field)
+        assert getattr(kin, field) is before
+    for again in (copy.copy(kin), copy.deepcopy(kin), pickle.loads(pickle.dumps(kin))):
+        assert type(again) is KIN[name]
+        assert again == kin and hash(again) == hash(kin) and repr(again) == repr(kin)
+        for field in parent.__slots__:
+            assert getattr(again, field) == getattr(value, field)
+    # a subclass is never equal to its parent, as the contract test checks
+    assert kin != value
+
+
+def test_setter_table_holds_every_slot_along_the_mro():
+    assert tuple(TaggedCrease._setters) == ("position", "angle", "layer_shift", "tag")
+    crease = TaggedCrease(1.0, ExactAngle(1, 3))
+    TaggedCrease._setters["tag"](crease, "seam")
+    again = pickle.loads(pickle.dumps(crease))
+    assert (again.position, again.angle, again.layer_shift, again.tag) == \
+        (1.0, ExactAngle(1, 3), 1, "seam")
+    with pytest.raises(AttributeError, match="^cannot assign to field 'tag'$"):
+        again.tag = "other"
+
+
+def test_malformed_panel_in_a_layout_is_rejected():
+    # the panel is rejected before any layout holds it
+    with pytest.raises(InvalidInputError, match="^panel vertices must be four pairs"):
+        FoldedLayout((Panel(None, "x", 0),), ())
+
+
+_SQUARE = ((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))
+
+
+@pytest.mark.parametrize("vertices", [
+    None, list(_SQUARE), _SQUARE[:3], _SQUARE + ((0.0, 0.5),), ((0.0, 0.0, 0.0),) + _SQUARE[1:],
+    ([0.0, 0.0],) + _SQUARE[1:], ((math.nan, 0.0),) + _SQUARE[1:],
+    ((0.0, math.inf),) + _SQUARE[1:], ((10**400, 0.0),) + _SQUARE[1:],
+    ((True, 0.0),) + _SQUARE[1:], (("0", 0.0),) + _SQUARE[1:],
+], ids=["none", "list", "three", "five", "triple", "list-vertex", "nan", "inf", "huge-int",
+        "bool", "string"])
+def test_panel_rejects_malformed_vertices(vertices):
+    with pytest.raises(InvalidInputError,
+                       match="^panel vertices must be four pairs of finite numbers$"):
+        Panel(vertices, 0, 0)
+
+
+@pytest.mark.parametrize("field", ["layer", "index"])
+@pytest.mark.parametrize("bad", ["x", True, 1.0, None])
+def test_panel_rejects_a_layer_or_index_that_is_not_an_int(field, bad):
+    args = {"vertices": _SQUARE, "layer": 0, "index": 0, field: bad}
+    with pytest.raises(InvalidInputError, match="^panel %s must be an int$" % field):
+        Panel(**args)
+
+
+def test_panel_takes_ints_and_points():
+    panel = Panel(tuple(Point(float(x), y) for x, y in _SQUARE), -3, 7)
+    assert (panel.layer, panel.index) == (-3, 7)
+    assert Panel(((0, 0), (1, 0), (1, 1), (0, 1)), 0, 0).orientation == 1
+
+
+@pytest.mark.parametrize("changes, message", [
+    ({"panels": None}, "panels must be a tuple of Panel"),
+    ({"panels": []}, "panels must be a tuple of Panel"),
+    ({"panels": (_SQUARE,)}, "panels must be a tuple of Panel"),
+    ({"centerline": None}, "centerline must be a tuple of point pairs"),
+    ({"centerline": [((0.0, 0.0), (1.0, 0.0))]}, "centerline must be a tuple of point pairs"),
+    ({"centerline": (((0.0, 0.0),),)}, "centerline must be a tuple of point pairs"),
+    ({"centerline": (((0.0, 0.0), (math.nan, 0.0)),)},
+     "centerline must be a tuple of point pairs"),
+    ({"centerline": (((0.0, 0.0), None),)}, "centerline must be a tuple of point pairs"),
+    ({"source": "closed"}, "source must be a FoldProgram or None"),
+    ({"source": FamilyId("odd_wrap", 2)}, "source must be a FoldProgram or None"),
+], ids=["panels-none", "panels-list", "panels-not-panel", "centerline-none",
+        "centerline-list", "segment-one-point", "segment-nan", "segment-none",
+        "source-string", "source-family"])
+def test_folded_layout_rejects_malformed_fields(changes, message):
+    args = {"panels": (Panel(_SQUARE, 0, 0),), "centerline": (((0.0, 0.5), (1.0, 0.5)),),
+            "source": None}
+    FoldedLayout(**args)
+    args.update(changes)
+    with pytest.raises(InvalidInputError, match="^layout %s$" % message):
+        FoldedLayout(**args)
+
+
+@pytest.mark.parametrize("family", [FamilyId("odd_wrap", 3), FamilyId("star_polygon", 7)])
+def test_layout_stores_what_the_checking_inits_would_build(family):
+    # layout fills its panels and its layout without their __init__; the
+    # same fields pass those checks and give equal records
+    lay = layout(build(family))
+    for panel in lay.panels:
+        assert Panel(panel.vertices, panel.layer, panel.index) == panel
+    assert FoldedLayout(lay.panels, lay.centerline, lay.source) == lay
+    assert lay.__dict__ == {"panels": lay.panels, "centerline": lay.centerline,
+                            "source": lay.source}
