@@ -56,17 +56,24 @@ def _tolerance(text: str) -> float:
     return value
 
 
-def _family_id(args: argparse.Namespace) -> FamilyId:
-    name = args.family
+def _family_id(args: argparse.Namespace) -> Tuple[FamilyId, float]:
+    """The family the flags name and the epsilon its builder reads; a flag
+    that the family does not read is refused, one it needs is required."""
+    name, variant = args.family, args.variant
     tag, spec = next((tag, spec) for tag, spec in _FAMILIES.items()
-                     if spec.cli_name == name and spec.variant in (None, args.variant))
+                     if spec.cli_name == name and spec.variant in (None, variant or 2))
     for flag in ("q", "p"):
         given = getattr(args, flag) is not None
         if flag == spec.flag and not given:
             raise _UsageError("--family %s needs --%s" % (name, flag))
         if flag != spec.flag and given:
             raise _UsageError("--family %s takes no --%s" % (name, flag))
-    return FamilyId(tag, getattr(args, spec.flag) if spec.flag else None)
+    if variant is not None and spec.variant is None:
+        raise _UsageError("--family %s takes no --variant" % name)
+    if args.epsilon is not None and not spec.limit:
+        raise _UsageError("--family %s takes no --epsilon" % name)
+    family = FamilyId(tag, getattr(args, spec.flag) if spec.flag else None)
+    return family, 1e-3 if args.epsilon is None else args.epsilon
 
 
 def _read_program(path: str) -> FoldProgram:
@@ -97,7 +104,8 @@ def _write_text(path: Optional[str], text: str) -> None:
 
 
 def _run_build(args: argparse.Namespace) -> int:
-    program = build(_family_id(args), presentation=args.presentation, epsilon=args.epsilon)
+    family, epsilon = _family_id(args)
+    program = build(family, presentation=args.presentation, epsilon=epsilon)
     _write_text(args.output, program.to_json() + "\n")
     return 0
 
@@ -105,10 +113,12 @@ def _run_build(args: argparse.Namespace) -> int:
 def _run_verify(args: argparse.Namespace) -> int:
     from .formulas import closed_form_ratio
 
-    family = _family_id(args)
+    family, epsilon = _family_id(args)
+    if args.knot_check and args.presentation != "closed":
+        raise _UsageError("verify --knot-check needs --presentation closed")
     formula = closed_form_ratio(family, args.presentation)
     # build first: a rejected parameter exits 2 before anything is written
-    program = build(family, presentation=args.presentation, epsilon=args.epsilon)
+    program = build(family, presentation=args.presentation, epsilon=epsilon)
     out = sys.stdout
     out.write("family=%s presentation=%s\n" % (family.tag, args.presentation))
     try:
@@ -123,7 +133,7 @@ def _run_verify(args: argparse.Namespace) -> int:
                  " [limit]" if formula.limit else ""))
     if formula.limit:
         defect = formula.value - measured
-        allowed = 10.0 * args.epsilon
+        allowed = 10.0 * epsilon
         ok = 0.0 < defect <= allowed
         out.write("limit_defect=%r allowed=%r -> %s\n"
                   % (defect, allowed, "OK" if ok else "FAIL"))
@@ -176,14 +186,14 @@ def _run_identify(args: argparse.Namespace) -> int:
     if (args.input is None) == (args.family is None):
         raise _UsageError("identify needs exactly one of --input or --family")
     if args.input is not None:
-        for flag in ("q", "p"):
+        for flag in ("q", "p", "variant", "epsilon"):
             if getattr(args, flag) is not None:
                 raise _UsageError("identify --input takes no --%s" % flag)
         program = _read_program(args.input)
     else:
-        program = build(_family_id(args), epsilon=args.epsilon)
-    report = certification_report(extract_diagram(layout(program), args.perturbation),
-                                  args.expected)
+        family, epsilon = _family_id(args)
+        program = build(family, epsilon=epsilon)
+    report = certification_report(extract_diagram(layout(program)), args.expected)
     delta = report.alexander
     gauss = [[i, bool(over), sign] for i, over, sign in report.gauss]
     if args.as_json:
@@ -216,9 +226,9 @@ def _add_family_arguments(parser: argparse.ArgumentParser, required: bool = True
     parser.add_argument("--family", choices=_FAMILY_CHOICES, required=required)
     parser.add_argument("--q", type=int, help="turning parameter for wrap families")
     parser.add_argument("--p", type=int, help="point count for the star family")
-    parser.add_argument("--variant", type=int, choices=(2, 4), default=2,
+    parser.add_argument("--variant", type=int, choices=(2, 4),
                         help="panel surplus for even-wrap (default 2)")
-    parser.add_argument("--epsilon", type=float, default=1e-3,
+    parser.add_argument("--epsilon", type=float,
                         help="offset for the short variants (default 1e-3)")
 
 
@@ -278,8 +288,6 @@ def _parser() -> argparse.ArgumentParser:
     _add_family_arguments(identify_p, required=False)
     identify_p.add_argument("--expected", type=_expected,
                             help="torus parameters 'p,q' to certify against")
-    identify_p.add_argument("--perturbation", type=float,
-                            help="displacement for coincident runs")
     identify_p.add_argument("--json", dest="as_json", action="store_true")
     return parser
 

@@ -24,7 +24,7 @@ import math
 import sys
 from fractions import Fraction
 from itertools import starmap
-from typing import Dict, NamedTuple, Optional, Sequence, Tuple, Union
+from typing import NamedTuple, Optional, Sequence, Tuple, Union
 
 from .errors import (
     ClosureError,
@@ -41,7 +41,7 @@ CLOSURE_TOLERANCE = 1e-9
 # over the star families at q <= 60 and p <= 301, and at star p = 1001
 _UNFOLD_ANGLE_TOLERANCE = 1e-11
 
-WEAVE_MODES = ("torus", "explicit")
+WEAVE_MODES = ("torus",)
 
 # a reduced angle's integers then have at most 601 digits; no setting of
 # CPython's int-string limit applies below 640, so every angle's JSON reads back
@@ -261,50 +261,16 @@ class WeaveRule(_Record):
     A program with no rule reads panel heights and rejects a crossing of
     two equal layers.  A rule replaces the layer order at every crossing:
     "torus" puts over the passage that lies further along its own
-    segment, which on a regular star is the outward-bound one, and
-    "explicit" lists signed crossing pairs directly: (i, j, 1) puts
-    segment i over segment j, and (i, j, -1) or (j, i, 1) puts j over i.
-    A segment pair may be listed again only with the same meaning.
+    segment, which on a regular star is the outward-bound one.
     """
 
-    _fields = __match_args__ = ("mode", "pairs")
+    _fields = __match_args__ = ("mode",)
     mode: str
-    pairs: Tuple[Tuple[int, int, int], ...]
-    # each listed pair's sign keyed (lower, higher), +1 for the lower over;
-    # derived from ``pairs``, so outside ==, hash and repr
-    senses: Dict[Tuple[int, int], int]
 
-    def __init__(self, mode: str, pairs: Sequence[Tuple[int, int, int]] = ()):
+    def __init__(self, mode: str):
         if mode not in WEAVE_MODES:
             raise MalformedProgramError("unknown weave mode %r" % (mode,))
-        if not isinstance(pairs, (tuple, list)):
-            raise MalformedProgramError("weave pairs must be a sequence of triples")
-        entries, senses = [], {}
-        for entry in pairs:
-            if not isinstance(entry, (tuple, list)) or len(entry) != 3:
-                raise MalformedProgramError("weave pair must be a triple (i, j, +-1)")
-            i, j, s = entry
-            if (
-                isinstance(i, bool)
-                or isinstance(j, bool)
-                or isinstance(s, bool)
-                or not isinstance(i, int)
-                or not isinstance(j, int)
-                or not isinstance(s, int)
-            ):
-                raise MalformedProgramError("weave pair entries must be integers")
-            if i == j or s not in (-1, 1):
-                raise MalformedProgramError("weave pair must be (i, j, +-1) with i != j")
-            key, sense = ((i, j), s) if i < j else ((j, i), -s)
-            if senses.setdefault(key, sense) != sense:
-                raise MalformedProgramError(
-                    "weave pair (%d, %d, %d) contradicts an earlier pair" % (i, j, s))
-            entries.append((i, j, s))
-        if entries and mode != "explicit":
-            raise MalformedProgramError("weave pairs are only valid in explicit mode")
-        if mode == "explicit" and not entries:
-            raise MalformedProgramError("explicit weave needs at least one pair")
-        self.__dict__.update(mode=mode, pairs=tuple(entries), senses=senses)
+        self.__dict__.update(mode=mode)
 
 
 def _require(cond: bool, message: str) -> None:
@@ -343,14 +309,13 @@ def _json_line(
     return entry["position"], angle
 
 
-# one crease, one cut and one explicit weave pair of FoldProgram.to_json,
-# indented as json.dumps(..., indent=2) indents them in the document
+# one crease and one cut of FoldProgram.to_json, indented as
+# json.dumps(..., indent=2) indents them in the document
 _CREASE_JSON = (
     '    {\n      "angle_den": %d,\n      "angle_num": %d,\n'
     '      "layer_shift": %d,\n      "position": %r\n    }'
 )
 _CUT_JSON = '{\n    "angle_den": %d,\n    "angle_num": %d,\n    "position": %r\n  }'
-_PAIR_JSON = "      [\n        %d,\n        %d,\n        %d\n      ]"
 
 
 def _cut_json(cut: CutSpec) -> str:
@@ -494,13 +459,7 @@ class FoldProgram(_Record):
         if self.start_cut is not None:
             fields.append('  "start_cut": ' + _cut_json(self.start_cut))
         if self.weave is not None:
-            if self.weave.mode == "explicit":
-                pairs = ",\n".join([_PAIR_JSON % pair for pair in self.weave.pairs])
-                fields.append(
-                    '  "weave": {\n    "mode": "explicit",\n    "pairs": [\n%s\n    ]\n  }' % pairs
-                )
-            else:
-                fields.append('  "weave": ' + json.dumps(self.weave.mode))
+            fields.append('  "weave": ' + json.dumps(self.weave.mode))
         fields.append('  "width": %r' % (self.width,))
         return ",\n".join(fields) + "\n}\n"
 
@@ -529,18 +488,10 @@ class FoldProgram(_Record):
         for name in ("start_cut", "end_cut"):
             if name in doc and doc[name] is not None:
                 cuts[name] = CutSpec(*_json_line(doc[name], name, angles))
-        weave = None
-        if "weave" in doc and doc["weave"] is not None:
-            raw = doc["weave"]
-            if isinstance(raw, str):
-                weave = WeaveRule(raw)
-            elif isinstance(raw, dict):
-                _require("mode" in raw, "weave object missing field 'mode'")
-                pairs = raw.get("pairs", [])
-                _require(isinstance(pairs, list), "weave pairs must be a list")
-                weave = WeaveRule(raw["mode"], tuple(pairs))
-            else:
-                raise MalformedProgramError("weave must be a string or object")
+        weave = doc.get("weave")
+        if weave is not None:
+            _require(isinstance(weave, str), "weave must be a string")
+            weave = WeaveRule(weave)
         return cls(
             width=doc["width"],
             creases=tuple(creases),

@@ -15,10 +15,8 @@ and its polynomial is the torus knot's without any elimination.
 from __future__ import annotations
 
 import math
-import sys
 from collections.abc import Mapping
 from fractions import Fraction
-from numbers import Real
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .braid import torus_handedness
@@ -606,12 +604,12 @@ def _decide_over(hits, layers, weave):
     """Over/under decision per crossing; returns over_is_i flags.
 
     ``hits`` are the parallel lists of ``_find_crossings``.  With no rule
-    the higher panel layer goes over; "explicit" reads the rule's pairs;
-    "torus" puts over the passage further along its own segment (t > s)
-    and rejects a tie within 1e-9.  The chords of a regular star share
-    one length and have their midpoints at the feet of the perpendiculars
-    from the centre, so there that passage is the one bound further
-    outward, which gives the standard closed-braid diagram.
+    the higher panel layer goes over; "torus" puts over the passage
+    further along its own segment (t > s) and rejects a tie within 1e-9.
+    The chords of a regular star share one length and have their
+    midpoints at the feet of the perpendiculars from the centre, so there
+    that passage is the one bound further outward, which gives the
+    standard closed-braid diagram.
     """
     his, hts, hjs, hss, _, _ = hits
     if weave is None:
@@ -623,19 +621,6 @@ def _decide_over(hits, layers, weave):
                 )
             flags.append(layers[i] > layers[j])
         return flags
-    if weave.mode == "explicit":
-        # every hit has i < j, the order senses are keyed in; a pair naming
-        # no segment matches no hit
-        senses = weave.senses
-        flags = []
-        for i, j in zip(his, hjs):
-            s = senses.get((i, j))
-            if s is None:
-                raise LayeringInconsistencyError(
-                    "explicit weave has no entry for segments %d and %d" % (i, j)
-                )
-            flags.append(s > 0)
-        return flags
     flags = []
     for i, t, j, s in zip(his, hts, hjs, hss):
         if abs(t - s) < 1e-9:
@@ -646,23 +631,21 @@ def _decide_over(hits, layers, weave):
     return flags
 
 
-def extract_diagram(
-    lay: FoldedLayout,
-    perturbation: Optional[float] = None,
-) -> KnotDiagram:
+def extract_diagram(lay: FoldedLayout) -> KnotDiagram:
     """Knot diagram of a closed layout's folded centerline.
 
     Exactly coincident collinear runs (of the built families only the
-    7_4 rectangle has them) are displaced apart by ``perturbation`` along
-    their shared normal before intersecting.  When there are such runs,
-    the extraction is re-run at half the displacement and must produce
-    the identical Gauss code, which guards against the displacement
-    itself creating or destroying crossings.  With none, nothing is
-    displaced and the search runs once, on the centerline's start points.
-    Their polyline turns each direction by at most the widest closure gap
-    over the shortest segment; under 1e-7 the direction window still holds
-    the search's parallel pairs and the grid margin every other pair, so
-    one direction sort serves both the group test and the search.
+    7_4 rectangle has them) are displaced apart by
+    ``DEFAULT_PERTURBATION_SCALE`` times the width along their shared
+    normal before intersecting.  When there are such runs, the extraction
+    is re-run at half the displacement and must produce the identical
+    Gauss code, which guards against the displacement itself creating or
+    destroying crossings.  With none, nothing is displaced and the search
+    runs once, on the centerline's start points.  Their polyline turns
+    each direction by at most the widest closure gap over the shortest
+    segment; under 1e-7 the direction window still holds the search's
+    parallel pairs and the grid margin every other pair, so one direction
+    sort serves both the group test and the search.
     """
     _expect_type(lay, FoldedLayout)
     src = lay.source
@@ -674,13 +657,6 @@ def extract_diagram(
     if len(lay.panels) != len(lay.centerline):
         raise InconsistencyError("panel and centerline counts disagree")
     w = lay.width
-    if perturbation is None:
-        perturbation = DEFAULT_PERTURBATION_SCALE * w
-    # a bool is an int and a str does not compare with 0, so check the type
-    # first; the float bound also keeps an int too large for a float out
-    if (isinstance(perturbation, bool) or not isinstance(perturbation, Real)
-            or not 0 < perturbation <= sys.float_info.max):
-        raise InvalidInputError("perturbation must be a positive real")
     tol_close = 1e-6 * max(w, 1.0)
     dxs, dys, lengths = [], [], []
     scale = widest_gap = 0.0
@@ -708,6 +684,7 @@ def extract_diagram(
     shared = partners if not groups and widest_gap < 1e-7 * min(lengths) else None
     layers = [p.layer for p in lay.panels]
     weave = src.weave if src is not None else None
+    perturbation = DEFAULT_PERTURBATION_SCALE * w
     first = _extract_once(lay.centerline, groups, shared, scale, layers, weave, perturbation)
     if groups:
         second = _extract_once(lay.centerline, groups, None, scale, layers, weave, perturbation / 2)

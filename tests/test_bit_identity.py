@@ -252,10 +252,7 @@ def json_oracle(program):
                 "angle_den": cut.angle.denominator,
             }
     if program.weave is not None:
-        if program.weave.mode == "explicit":
-            doc["weave"] = {"mode": "explicit", "pairs": [list(p) for p in program.weave.pairs]}
-        else:
-            doc["weave"] = program.weave.mode
+        doc["weave"] = program.weave.mode
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
@@ -349,7 +346,6 @@ def test_to_json_matches_json_dumps_on_edge_cases():
     closed = (CreaseSpec(1.0, ExactAngle(1, 3), 1),
               CreaseSpec(2.0, ExactAngle(2, 3), -1))
     programs = [
-        FoldProgram(1.0, closed, weave=WeaveRule("explicit", ((0, 1, 1), (1, 0, -1), (-3, 7, 1)))),
         FoldProgram(1.0, closed, weave=WeaveRule("torus")),
         FoldProgram(1.0, closed, label='say "hi" \\ back\tslash\x00\x1f\x7f caf\u00e9 \u6298\U0001f380'),
         FoldProgram(0.5, (), presentation="truncated",

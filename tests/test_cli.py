@@ -297,7 +297,7 @@ def test_identify_json_deterministic(capsys):
         ("build", "--family", "odd-wrap", "--q", "3", "--p", "4"),
         ("identify", "--family", "star", "--p", "7", "--q", "2"),
         # family flags next to a program file
-        ("identify", "--input", "/nonexistent/path.json", "--q", "3"),
+        ("identify", "--input", "{prog}", "--q", "3"),
         # a tolerance must be finite and >= 0
         ("verify", "--family", "rect74", "--tolerance", "nan"),
         ("verify", "--family", "rect74", "--tolerance", "-1"),
@@ -308,14 +308,39 @@ def test_identify_json_deterministic(capsys):
         ("identify", "--family", "star", "--p", "7", "--expected", "99999999999999999999,2"),
         # a parameter past 10**5 panels, rejected before anything is built
         ("verify", "--family", "odd-wrap", "--q", "10000000"),
-        # a displacement so large that it collapses a segment of rect74
-        ("identify", "--family", "rect74", "--perturbation", "0.5"),
+        # a removed flag: coincident runs are displaced by 1e-3 widths
+        ("identify", "--family", "rect74", "--perturbation", "0.3"),
+        # open strips have no knot diagram, refused before any line is written
+        ("verify", "--family", "odd-wrap", "--q", "3", "--presentation", "truncated",
+         "--knot-check"),
+        # --variant and --epsilon where nothing reads them
+        ("identify", "--input", "{prog}", "--epsilon", "0.01"),
+        ("identify", "--input", "{prog}", "--variant", "2"),
+        ("build", "--family", "odd-wrap", "--q", "3", "--variant", "4"),
+        ("verify", "--family", "star", "--p", "7", "--variant", "2"),
+        ("identify", "--family", "rect74", "--variant", "2"),
+        ("build", "--family", "rect74", "--epsilon", "0.01"),
+        ("verify", "--family", "even-wrap", "--q", "3", "--epsilon", "1e-3"),
+        ("identify", "--family", "odd-wrap", "--q", "3", "--epsilon", "0.01"),
     ],
 )
-def test_usage_errors_exit_two(capsys, argv):
-    code, out, err = run_cli(capsys, *argv)
+def test_usage_errors_exit_two(capsys, tmp_path, argv):
+    # {prog} is a valid program file, so only the flags can be refused
+    prog = tmp_path / "prog.json"
+    prog.write_text(run_cli(capsys, "build", "--family", "star", "--p", "7")[1])
+    code, out, err = run_cli(capsys, *[arg.replace("{prog}", str(prog)) for arg in argv])
     assert code == 2
     assert out == "" and err
+    assert "Traceback" not in err
+
+
+def test_even_wrap_defaults_to_variant_two(capsys):
+    plain = run_cli(capsys, "build", "--family", "even-wrap", "--q", "3")
+    assert plain == run_cli(capsys, "build", "--family", "even-wrap", "--q", "3",
+                            "--variant", "2")
+    assert plain[0] == 0
+    assert plain != run_cli(capsys, "build", "--family", "even-wrap", "--q", "3",
+                            "--variant", "4")
 
 
 # each case maps the start cut object to its malformed replacement, and
@@ -406,26 +431,21 @@ def test_angle_denominator_past_the_bound_exits_two(capsys, tmp_path, command):
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("pairs", [[[0, 1]], [5], [[0, 2, 1], [2, 0, 1]]])
-def test_malformed_weave_pairs_exit_two(capsys, tmp_path, pairs):
-    doc = json.loads(run_cli(capsys, "build", "--family", "star", "--p", "7")[1])
-    doc["weave"] = {"mode": "explicit", "pairs": pairs}
-    bad = tmp_path / "weave.json"
-    bad.write_text(json.dumps(doc))
-    code, out, err = run_cli(capsys, "identify", "--input", str(bad))
-    assert code == 2
-    assert out == "" and "weave pair" in err
-
-
-@pytest.mark.parametrize("mode", ["alternating", "layers"])
-def test_removed_weave_mode_exits_two(capsys, tmp_path, mode):
+@pytest.mark.parametrize("mode,message", [
+    ("alternating", "unknown weave mode"),
+    ("layers", "unknown weave mode"),
+    ("explicit", "unknown weave mode"),
+    ({"mode": "torus"}, "weave must be a string"),
+    ({"mode": "explicit", "pairs": [[0, 2, 1]]}, "weave must be a string"),
+], ids=["alternating", "layers", "explicit", "torus-object", "explicit-object"])
+def test_removed_weave_mode_exits_two(capsys, tmp_path, mode, message):
     doc = json.loads(run_cli(capsys, "build", "--family", "star", "--p", "7")[1])
     doc["weave"] = mode
     bad = tmp_path / "weave.json"
     bad.write_text(json.dumps(doc))
     code, out, err = run_cli(capsys, "identify", "--input", str(bad))
     assert code == 2
-    assert out == "" and "unknown weave mode" in err
+    assert out == "" and message in err
     assert "Traceback" not in err
 
 

@@ -837,17 +837,6 @@ def test_json_round_trip_with_cuts_and_weave():
     )
     again = FoldProgram.from_json(prog.to_json())
     assert again == prog
-    explicit = FoldProgram(
-        width=1.0,
-        creases=(
-            CreaseSpec(1.0, ExactAngle(1, 3), 1),
-            CreaseSpec(2.0, ExactAngle(2, 3), -1),
-        ),
-        presentation="closed",
-        weave=WeaveRule("explicit", ((0, 1, 1),)),
-    )
-    again = FoldProgram.from_json(explicit.to_json())
-    assert again.weave == explicit.weave
 
 
 def test_json_rejects_unsorted_creases():
@@ -941,28 +930,19 @@ def test_json_rejects_non_integer_cut_angles(cut, malform):
         FoldProgram.from_json(json.dumps(doc))
 
 
-def test_weave_rule_validation():
-    with pytest.raises(MalformedProgramError):
+def test_weave_rule_has_one_field():
+    rule = WeaveRule("torus")
+    assert WeaveRule.__match_args__ == ("mode",)
+    assert repr(rule) == "WeaveRule(mode='torus')"
+    with pytest.raises(MalformedProgramError, match="unknown weave mode 'braided'"):
         WeaveRule("braided")
-    with pytest.raises(MalformedProgramError, match="only valid in explicit mode"):
-        WeaveRule("torus", ((0, 1, 1),))
-    with pytest.raises(MalformedProgramError):
-        WeaveRule("explicit")
-    with pytest.raises(MalformedProgramError):
-        WeaveRule("explicit", ((0, 0, 1),))
-    with pytest.raises(MalformedProgramError):
-        WeaveRule("explicit", ((0, 1, 2),))
-    with pytest.raises(MalformedProgramError):
-        WeaveRule("explicit", ((0, 1),))
-    with pytest.raises(MalformedProgramError):
-        WeaveRule("explicit", (5,))
-    with pytest.raises(MalformedProgramError):
-        WeaveRule("explicit", 5)
+    with pytest.raises(MalformedProgramError, match="unknown weave mode"):
+        WeaveRule({"mode": "torus"})
 
 
-@pytest.mark.parametrize("mode", ["alternating", "layers"])
+@pytest.mark.parametrize("mode", ["alternating", "layers", "explicit"])
 def test_removed_weave_modes_are_malformed(mode):
-    assert WEAVE_MODES == ("torus", "explicit")
+    assert WEAVE_MODES == ("torus",)
     with pytest.raises(MalformedProgramError, match="unknown weave mode %r" % mode):
         WeaveRule(mode)
     doc = json.loads(build(FamilyId("star_polygon", 7)).to_json())
@@ -972,38 +952,19 @@ def test_removed_weave_modes_are_malformed(mode):
         FoldProgram.from_json(json.dumps(doc))
 
 
-@pytest.mark.parametrize("pairs", [
-    ((0, 2, 1), (0, 2, -1)),
-    ((0, 2, -1), (0, 2, 1)),
-    ((0, 2, 1), (2, 0, 1)),
-    ((2, 0, 1), (0, 2, 1)),
-])
-def test_weave_rule_rejects_contradictory_pairs(pairs):
-    with pytest.raises(MalformedProgramError, match="contradicts an earlier pair"):
-        WeaveRule("explicit", pairs)
-
-
-def test_weave_rule_accepts_a_pair_repeated_with_one_meaning():
-    pairs = ((0, 2, 1), (2, 0, -1), (0, 2, 1))
-    assert WeaveRule("explicit", pairs).pairs == pairs
-
-
-def test_weave_rule_senses_key_each_pair_lower_segment_first():
-    rule = WeaveRule("explicit", ((2, 0, 1), (0, 3, 1), (0, 2, -1), (5, 4, -1)))
-    assert rule.senses == {(0, 2): -1, (0, 3): 1, (4, 5): 1}
-    assert WeaveRule("torus").senses == {}
-    # derived from the pairs, so outside ==, hash, repr and match_args
-    same = WeaveRule("explicit", rule.pairs)
-    assert same == rule and hash(same) == hash(rule)
-    assert repr(rule) == "WeaveRule(mode='explicit', pairs=%r)" % (rule.pairs,)
-    assert WeaveRule.__match_args__ == ("mode", "pairs")
-
-
-@pytest.mark.parametrize("pairs", [[[0, 2, 1], [0, 2, -1]], [[0, 2, 1], [2, 0, 1]]])
-def test_contradictory_weave_pairs_in_json(pairs):
-    doc = json.loads(build(FamilyId("odd_wrap", 2)).to_json())
-    doc["weave"] = {"mode": "explicit", "pairs": pairs}
-    with pytest.raises(MalformedProgramError, match="contradicts an earlier pair"):
+# a weave is a mode string or null; the object form that once listed
+# explicit crossing pairs is refused whatever it holds
+@pytest.mark.parametrize("weave", [
+    {"mode": "torus"},
+    {"mode": "explicit", "pairs": [[0, 2, 1]]},
+    {"pairs": [[0, 2, 1]]},
+    ["torus"],
+    1,
+], ids=["torus-object", "explicit-object", "no-mode", "list", "int"])
+def test_weave_that_is_not_a_string_is_malformed(weave):
+    doc = json.loads(build(FamilyId("star_polygon", 7)).to_json())
+    doc["weave"] = weave
+    with pytest.raises(MalformedProgramError, match="^weave must be a string$"):
         FoldProgram.from_json(json.dumps(doc))
 
 

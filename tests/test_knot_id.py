@@ -10,7 +10,6 @@ from ribbonfold import (
     InvalidDiagramError,
     InvalidInputError,
     LayeringInconsistencyError,
-    MalformedProgramError,
     Point,
     WeaveRule,
     layout,
@@ -527,55 +526,8 @@ def test_torus_weave_rejects_a_crossing_at_one_parameter_on_both_segments():
         extract_diagram(layout(prog))
 
 
-def test_pentagram_gauss_is_stable_under_perturbation_choice():
-    prog = pentagram_program([0, 1, 2, 3, 4], weave=WeaveRule("torus"))
-    lay = layout(prog)
-    d1 = extract_diagram(lay, perturbation=1e-4)
-    d2 = extract_diagram(lay, perturbation=1e-5)
-    assert d1.gauss == d2.gauss
-
-
 def test_layer_tie_is_a_hard_error():
     prog = pentagram_program([0, 1, 0, 1, 2])
-    with pytest.raises(LayeringInconsistencyError):
-        extract_diagram(layout(prog))
-
-
-def test_explicit_weave_matches_layer_heights():
-    spiral = pentagram_program([0, 1, 2, 3, 4])
-    pairs = tuple(
-        (j, i, 1) for i in range(5) for j in range(i + 2, 5) if (i, j) != (0, 4)
-    )
-    explicit = pentagram_program([0, 1, 2, 3, 4], weave=WeaveRule("explicit", pairs))
-    d_layers = extract_diagram(layout(spiral))
-    d_explicit = extract_diagram(layout(explicit))
-    assert d_layers.gauss == d_explicit.gauss
-    # a pair naming no segment of the five matches no crossing
-    stray = pairs + ((-1, 2, -1), (0, 5, 1), (-3, 9, 1))
-    padded = pentagram_program([0, 1, 2, 3, 4], weave=WeaveRule("explicit", stray))
-    assert extract_diagram(layout(padded)).gauss == d_layers.gauss
-
-
-@pytest.mark.parametrize("first", [True, False], ids=["listed-first", "listed-last"])
-def test_explicit_weave_rejects_a_pair_against_the_layers(first):
-    # the layers of odd_wrap q=2 put segment 2 over segment 0; with
-    # (0, 2, 1) listed as well, the verdict once hung on the listing order
-    prog = build(FamilyId("odd_wrap", 2))
-    layers = [p.layer for p in layout(prog).panels]
-    derived = tuple((i, j, 1 if layers[i] > layers[j] else -1)
-                    for i, j in ((0, 2), (0, 3), (1, 3), (1, 4), (2, 4)))
-    assert derived[0] == (0, 2, -1)
-    explicit = prog._replace(weave=WeaveRule("explicit", derived))
-    assert alexander_polynomial(extract_diagram(layout(explicit))) == poly(1, -1, 1)
-    pairs = ((0, 2, 1),) + derived if first else derived + ((0, 2, 1),)
-    with pytest.raises(MalformedProgramError, match="contradicts an earlier pair"):
-        WeaveRule("explicit", pairs)
-
-
-def test_explicit_weave_missing_pair_is_an_error():
-    prog = pentagram_program(
-        [0, 1, 2, 3, 4], weave=WeaveRule("explicit", ((2, 0, 1),))
-    )
     with pytest.raises(LayeringInconsistencyError):
         extract_diagram(layout(prog))
 

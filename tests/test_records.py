@@ -44,8 +44,7 @@ RECORDS = {
                    ({"position": -1.0}, MalformedProgramError), ()),
     "CutSpec": (lambda: CutSpec(0.5, ExactAngle(1, 3)),
                 ({"position": math.nan}, MalformedProgramError), ()),
-    "WeaveRule": (lambda: WeaveRule("explicit", ((0, 2, 1), (3, 1, -1))),
-                  ({"mode": "torus"}, MalformedProgramError), ("senses",)),
+    "WeaveRule": (lambda: WeaveRule("torus"), ({"mode": "explicit"}, MalformedProgramError), ()),
     "FoldProgram": (lambda: build(FamilyId("odd_wrap", 3), presentation="truncated"),
                     ({"width": -1.0}, MalformedProgramError), ()),
     "Panel": (lambda: _trefoil_layout().panels[1], None, ()),
