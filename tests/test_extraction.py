@@ -191,6 +191,16 @@ def test_displacement_that_collapses_a_segment_is_rejected(monkeypatch):
         extract_diagram(lay)
 
 
+@pytest.mark.parametrize("call", [
+    lambda lay: extract_diagram(lay, 1e-3),
+    lambda lay: extract_diagram(lay, perturbation=1e-3),
+], ids=["positional", "keyword"])
+def test_extract_diagram_takes_only_the_layout(call):
+    lay = layout(build(FamilyId("odd_wrap", 3)))
+    with pytest.raises(TypeError):
+        call(lay)
+
+
 def gauss_digest(diagram):
     return hashlib.sha256(json.dumps(diagram.gauss).encode()).hexdigest()
 
@@ -217,6 +227,16 @@ PINNED_GAUSS = {
 @pytest.mark.parametrize("family", list(PINNED_GAUSS), ids=str)
 def test_gauss_codes_pinned(family):
     assert gauss_digest(extract_diagram(layout(build(family)))) == PINNED_GAUSS[family]
+
+
+# rect_74 is the one built member with coincident runs; every displacement
+# from 1e-6 widths up to 0.3 (0.4 and 0.5 collapse a segment) gives
+# the pinned Gauss code of the default 1e-3
+@pytest.mark.parametrize("scale", [1e-6, 1e-5, 1e-4, 1e-2, 0.1, 0.3])
+def test_rect74_gauss_is_stable_under_displacement_scale(scale, monkeypatch):
+    lay = layout(build(FamilyId("rect_74")))
+    monkeypatch.setattr(knot_id, "DEFAULT_PERTURBATION_SCALE", scale)
+    assert gauss_digest(extract_diagram(lay)) == PINNED_GAUSS[FamilyId("rect_74")]
 
 
 def test_odd_wrap_80_extracts():

@@ -940,6 +940,16 @@ def test_weave_rule_has_one_field():
         WeaveRule({"mode": "torus"})
 
 
+# the crossing pairs that the explicit mode took are no longer a parameter
+@pytest.mark.parametrize("call", [
+    lambda: WeaveRule("torus", ((0, 2, 1),)),
+    lambda: WeaveRule(mode="torus", pairs=((0, 2, 1),)),
+], ids=["positional", "keyword"])
+def test_weave_rule_takes_no_pairs(call):
+    with pytest.raises(TypeError):
+        call()
+
+
 @pytest.mark.parametrize("mode", ["alternating", "layers", "explicit"])
 def test_removed_weave_modes_are_malformed(mode):
     assert WEAVE_MODES == ("torus",)
