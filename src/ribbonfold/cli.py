@@ -114,6 +114,8 @@ def _run_verify(args: argparse.Namespace) -> int:
     from .formulas import closed_form_ratio
 
     family, epsilon = _family_id(args)
+    if args.tolerance is not None and _FAMILIES[family.tag].limit:
+        raise _UsageError("--family %s takes no --tolerance" % args.family)
     if args.knot_check and args.presentation != "closed":
         raise _UsageError("verify --knot-check needs --presentation closed")
     formula = closed_form_ratio(family, args.presentation)
@@ -139,9 +141,10 @@ def _run_verify(args: argparse.Namespace) -> int:
                   % (defect, allowed, "OK" if ok else "FAIL"))
     else:
         rel = abs(measured - formula.value) / abs(formula.value)
-        ok = rel <= args.tolerance
+        tolerance = 1e-9 if args.tolerance is None else args.tolerance
+        ok = rel <= tolerance
         out.write("relative_error=%r tolerance=%r -> %s\n"
-                  % (rel, args.tolerance, "OK" if ok else "FAIL"))
+                  % (rel, tolerance, "OK" if ok else "FAIL"))
     if args.knot_check:
         from .knot_id import certification_report, extract_diagram
 
@@ -157,10 +160,15 @@ def _run_verify(args: argparse.Namespace) -> int:
 def _run_table(args: argparse.Namespace) -> int:
     from .formulas import _bounds_text, quotient_table
 
+    # a cap left out keeps quotient_table's own default
+    caps = {key: value for key, value in vars(args).items()
+            if key in ("q_max", "p_max") and value is not None}
     if args.table_kind == "bounds":
+        if caps:
+            raise _UsageError("table --bounds takes no --q-max or --p-max")
         text = _bounds_text(args.format)
     else:
-        text = quotient_table(args.q_max, args.p_max, args.format)
+        text = quotient_table(format=args.format, **caps)
     _write_text(args.output, text)
     return 0
 
@@ -252,10 +260,10 @@ def _parser() -> argparse.ArgumentParser:
     _add_family_arguments(verify_p)
     verify_p.add_argument("--presentation", choices=("closed", "truncated"),
                           default="closed")
-    verify_p.add_argument("--tolerance", type=_tolerance, default=1e-9,
-                          help="relative tolerance (default 1e-9); short variants"
-                               " instead allow a defect of up to 10*epsilon below"
-                               " their limit ratio")
+    verify_p.add_argument("--tolerance", type=_tolerance,
+                          help="relative tolerance (default 1e-9); the short variants"
+                               " take none: they allow a defect of up to 10*epsilon"
+                               " below their limit ratio")
     verify_p.add_argument("--knot-check", action="store_true",
                           help="also certify the knot type from the diagram")
 
@@ -267,8 +275,8 @@ def _parser() -> argparse.ArgumentParser:
     group.add_argument("--bounds", dest="table_kind", action="store_const",
                        const="bounds")
     table_p.add_argument("--format", choices=("csv", "markdown"), default="csv")
-    table_p.add_argument("--q-max", type=int, default=12)
-    table_p.add_argument("--p-max", type=int, default=25)
+    table_p.add_argument("--q-max", type=int, help="largest q of --quotients (default 12)")
+    table_p.add_argument("--p-max", type=int, help="largest p of --quotients (default 25)")
     table_p.add_argument("--output", help="path to write (default stdout)")
 
     render_p = sub.add_parser("render", help="draw a fold program JSON as SVG")

@@ -28,7 +28,6 @@ from .fold_core import (
     ExactAngle,
     FoldProgram,
     Point,
-    WeaveRule,
     _limit_denominator,
     _pi_turns,
 )
@@ -224,8 +223,7 @@ def _star_polygon(p: int) -> FoldProgram:
     """
     width = math.sin(2.0 * math.pi / p)
     chord = 1.0 + math.cos(2.0 * math.pi / p)
-    return _star_program(p, 2, chord, width, range(p), "star_polygon p=%d" % p,
-                         WeaveRule("torus"))
+    return _star_program(p, 2, chord, width, range(p), "star_polygon p=%d" % p, "torus")
 
 
 def _pinwheel(q: int) -> FoldProgram:
@@ -237,7 +235,7 @@ def _pinwheel(q: int) -> FoldProgram:
     """
     n = 2 * q + 1
     chord = 1.0 / math.tan(math.pi / (2 * n))
-    return _star_program(n, q, chord, 1.0, range(n), "pinwheel q=%d" % q, WeaveRule("torus"))
+    return _star_program(n, q, chord, 1.0, range(n), "pinwheel q=%d" % q, "torus")
 
 
 def _even_wrap(q: int, variant: int) -> FoldProgram:
@@ -249,8 +247,7 @@ def _even_wrap(q: int, variant: int) -> FoldProgram:
     n = 2 * q + variant
     width = math.sin(q * math.pi / n)
     chord = width / math.tan(math.pi / n)
-    return _star_program(n, q, chord, width, range(n), "even_wrap q=%d n=%d" % (q, n),
-                         WeaveRule("torus"))
+    return _star_program(n, q, chord, width, range(n), "even_wrap q=%d n=%d" % (q, n), "torus")
 
 
 # Strip-and-collar centerline shared by the two short variants: a stack

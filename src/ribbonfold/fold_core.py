@@ -8,8 +8,9 @@ reflects everything past a crease across the crease line; applying the
 creases left to right places every panel in the plane as a flat quad.
 
 A fold program is the complete recipe: width, an ordered crease list,
-whether the strip closes into a loop, and optional end cuts for open
-presentations.  ``layout`` realizes a program as placed panels.
+whether the strip closes into a loop or is cut open at both ends, and
+the weave that may set its crossings.  ``layout`` realizes a program as
+placed panels.
 
 ``layout_from_centerline`` places panels straight from a centerline
 polyline and ``unfold`` recovers a program from placed panels.  No
@@ -255,24 +256,6 @@ class CutSpec(_Record):
 _set_cut_position, _set_cut_angle = CutSpec._setters.values()
 
 
-class WeaveRule(_Record):
-    """How crossings decide over/under in place of the panel heights.
-
-    A program with no rule reads panel heights and rejects a crossing of
-    two equal layers.  A rule replaces the layer order at every crossing:
-    "torus" puts over the passage that lies further along its own
-    segment, which on a regular star is the outward-bound one.
-    """
-
-    _fields = __match_args__ = ("mode",)
-    mode: str
-
-    def __init__(self, mode: str):
-        if mode not in WEAVE_MODES:
-            raise MalformedProgramError("unknown weave mode %r" % (mode,))
-        self.__dict__.update(mode=mode)
-
-
 def _require(cond: bool, message: str) -> None:
     if not cond:
         raise MalformedProgramError(message)
@@ -326,9 +309,13 @@ class FoldProgram(_Record):
     """A complete flat-fold recipe for one ribbon strip.
 
     ``presentation`` is "closed" for a loop whose last crease doubles
-    as the seam, or "truncated" for an open strip with straight end
-    cuts.  Crease positions are strictly increasing and, for closed
-    programs, the final position is the loop's strip length.
+    as the seam, or "truncated" for an open strip that ``start_cut`` and
+    ``end_cut`` both end; a closed program takes neither.  Crease
+    positions are strictly increasing and, for closed programs, the
+    final position is the loop's strip length.  ``weave`` is None, and
+    the panel heights decide each crossing, or a mode of ``WEAVE_MODES``:
+    "torus" puts over the passage that lies further along its own
+    segment, which on a regular star is the outward-bound one.
     """
 
     _fields = __match_args__ = (
@@ -339,7 +326,7 @@ class FoldProgram(_Record):
     label: str
     start_cut: Optional[CutSpec]
     end_cut: Optional[CutSpec]
-    weave: Optional[WeaveRule]
+    weave: Optional[str]
 
     def __init__(
         self,
@@ -349,7 +336,7 @@ class FoldProgram(_Record):
         label: str = "",
         start_cut: Optional[CutSpec] = None,
         end_cut: Optional[CutSpec] = None,
-        weave: Optional[WeaveRule] = None,
+        weave: Optional[str] = None,
     ):
         w = _real(width, "width")
         _require(math.isfinite(w) and w > 0.0, "width must be finite and positive")
@@ -380,64 +367,24 @@ class FoldProgram(_Record):
             )
             _require(total == 0, "closed program layer shifts must sum to zero")
         else:
-            for cut in (start_cut, end_cut):
-                _require(
-                    cut is None or isinstance(cut, CutSpec),
-                    "cuts must be CutSpec instances",
-                )
-            if start_cut is not None and creases:
-                _require(
-                    start_cut.position < creases[0].position,
-                    "start cut must precede the first crease",
-                )
-            if end_cut is not None and creases:
-                _require(
-                    creases[-1].position < end_cut.position,
-                    "end cut must follow the last crease",
-                )
-            if start_cut is not None and end_cut is not None:
-                _require(
-                    start_cut.position < end_cut.position,
-                    "start cut must precede end cut",
-                )
-            if not creases:
-                _require(
-                    start_cut is not None and end_cut is not None,
-                    "a truncated program with no creases needs both end cuts",
-                )
-        if weave is not None:
-            _require(isinstance(weave, WeaveRule), "weave must be a WeaveRule")
+            _require(
+                isinstance(start_cut, CutSpec) and isinstance(end_cut, CutSpec),
+                "a truncated program needs a CutSpec at each end",
+            )
+            # previous is the last crease's position, or -inf with none
+            first = creases[0].position if creases else end_cut.position
+            _require(start_cut.position < first, "start cut must precede the creases and end cut")
+            _require(previous < end_cut.position, "end cut must follow the creases")
+        if weave is not None and weave not in WEAVE_MODES:
+            raise MalformedProgramError("unknown weave mode %r" % (weave,))
         self.__dict__.update(width=w, creases=creases, presentation=presentation, label=label,
                              start_cut=start_cut, end_cut=end_cut, weave=weave)
-
-    def effective_cuts(self) -> Tuple[CutSpec, CutSpec]:
-        """End cuts with defaults filled in.
-
-        A missing cut defaults to a square cut through the point where
-        the nearest crease meets the earlier (or later) ribbon edge, so
-        the end panel is as short as possible without clipping the
-        crease segment.
-        """
-        if self.presentation != "truncated":
-            raise MalformedProgramError("only truncated programs have end cuts")
-        start, end = self.start_cut, self.end_cut
-        half = 0.5 * self.width
-        if start is None:
-            first = self.creases[0]
-            reach = abs(half / math.tan(first.angle.radians))
-            start = CutSpec(first.position - reach)
-        if end is None:
-            last = self.creases[-1]
-            reach = abs(half / math.tan(last.angle.radians))
-            end = CutSpec(last.position + reach)
-        return start, end
 
     def length(self) -> float:
         """Strip length of the flat ribbon before folding."""
         if self.presentation == "closed":
             return self.creases[-1].position
-        start, end = self.effective_cuts()
-        return end.position - start.position
+        return self.end_cut.position - self.start_cut.position
 
     def to_json(self) -> str:
         """The program as the bytes of ``json.dumps(doc, sort_keys=True, indent=2)``.
@@ -459,7 +406,7 @@ class FoldProgram(_Record):
         if self.start_cut is not None:
             fields.append('  "start_cut": ' + _cut_json(self.start_cut))
         if self.weave is not None:
-            fields.append('  "weave": ' + json.dumps(self.weave.mode))
+            fields.append('  "weave": ' + json.dumps(self.weave))
         fields.append('  "width": %r' % (self.width,))
         return ",\n".join(fields) + "\n}\n"
 
@@ -484,22 +431,18 @@ class FoldProgram(_Record):
         for entry in raw_creases:
             position, angle = _json_line(entry, "crease", angles, _CREASE_KEYS)
             creases.append(CreaseSpec(position, angle, entry["layer_shift"]))
-        cuts = {}
-        for name in ("start_cut", "end_cut"):
-            if name in doc and doc[name] is not None:
-                cuts[name] = CutSpec(*_json_line(doc[name], name, angles))
+        # FoldProgram checks that a truncated program has both cuts
+        cuts = {name: CutSpec(*_json_line(doc[name], name, angles))
+                for name in ("start_cut", "end_cut") if doc.get(name) is not None}
         weave = doc.get("weave")
-        if weave is not None:
-            _require(isinstance(weave, str), "weave must be a string")
-            weave = WeaveRule(weave)
+        _require(weave is None or isinstance(weave, str), "weave must be a string")
         return cls(
             width=doc["width"],
             creases=tuple(creases),
             presentation=doc["presentation"],
             label=doc.get("label", ""),
-            start_cut=cuts.get("start_cut"),
-            end_cut=cuts.get("end_cut"),
             weave=weave,
+            **cuts,
         )
 
 
@@ -611,20 +554,16 @@ class FoldedLayout(_Record):
 
 def _boundaries(program: FoldProgram) -> list:
     """Panel boundary lines as (position, ExactAngle, is_crease)."""
+    creases = [(c.position, c.angle, True) for c in program.creases]
     if program.presentation == "closed":
         seam = program.creases[-1].angle
         if len(program.creases) % 2 == 1:
             # an odd crease count closes with a reflection, which shows
             # the seam line to the first panel at the supplementary angle
             seam = seam.supplement()
-        bounds = [(0.0, seam, False)]
-        bounds += [(c.position, c.angle, True) for c in program.creases]
-        return bounds
-    start, end = program.effective_cuts()
-    bounds = [(start.position, start.angle, False)]
-    bounds += [(c.position, c.angle, True) for c in program.creases]
-    bounds.append((end.position, end.angle, False))
-    return bounds
+        return [(0.0, seam, False)] + creases
+    start, end = program.start_cut, program.end_cut
+    return [(start.position, start.angle, False)] + creases + [(end.position, end.angle, False)]
 
 
 def layout(program: FoldProgram) -> FoldedLayout:

@@ -30,7 +30,6 @@ from ribbonfold import (
     FoldProgram,
     FoldedLayout,
     RenderOptions,
-    WeaveRule,
     build,
     centerline_length,
     layout,
@@ -252,7 +251,7 @@ def json_oracle(program):
                 "angle_den": cut.angle.denominator,
             }
     if program.weave is not None:
-        doc["weave"] = program.weave.mode
+        doc["weave"] = program.weave
     return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
@@ -346,7 +345,7 @@ def test_to_json_matches_json_dumps_on_edge_cases():
     closed = (CreaseSpec(1.0, ExactAngle(1, 3), 1),
               CreaseSpec(2.0, ExactAngle(2, 3), -1))
     programs = [
-        FoldProgram(1.0, closed, weave=WeaveRule("torus")),
+        FoldProgram(1.0, closed, weave="torus"),
         FoldProgram(1.0, closed, label='say "hi" \\ back\tslash\x00\x1f\x7f caf\u00e9 \u6298\U0001f380'),
         FoldProgram(0.5, (), presentation="truncated",
                     start_cut=CutSpec(-2.5, ExactAngle(1, 3)), end_cut=CutSpec(4.0)),
@@ -360,7 +359,7 @@ def test_to_json_matches_json_dumps_on_edge_cases():
             end_cut=CutSpec(1.7976931348623157e308),
         ),
         FoldProgram(1e300, (CreaseSpec(1e300, ExactAngle(1, 2)),), presentation="truncated",
-                    start_cut=CutSpec(-0.0)),
+                    start_cut=CutSpec(-0.0), end_cut=CutSpec(2e300, ExactAngle(2, 5))),
     ]
     for program in programs:
         assert_json_matches_oracle(program)

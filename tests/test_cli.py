@@ -12,7 +12,7 @@ import pytest
 from ribbonfold.cli import main
 from ribbonfold.constructions import FamilyId, build
 from ribbonfold.errors import ClosureError
-from ribbonfold.fold_core import CreaseSpec, ExactAngle, FoldProgram, layout
+from ribbonfold.fold_core import CreaseSpec, CutSpec, ExactAngle, FoldProgram, layout
 
 
 def run_cli(capsys, *argv):
@@ -322,6 +322,14 @@ def test_identify_json_deterministic(capsys):
         ("build", "--family", "rect74", "--epsilon", "0.01"),
         ("verify", "--family", "even-wrap", "--q", "3", "--epsilon", "1e-3"),
         ("identify", "--family", "odd-wrap", "--q", "3", "--epsilon", "0.01"),
+        # the short variants are checked against 10*epsilon, not a tolerance
+        ("verify", "--family", "short-52", "--tolerance", "0"),
+        ("verify", "--family", "short-52", "--tolerance", "1e-300"),
+        ("verify", "--family", "short-72", "--epsilon", "3e-3", "--tolerance", "1e-9"),
+        # the bounds table has no q or p to cap
+        ("table", "--bounds", "--q-max", "1"),
+        ("table", "--bounds", "--q-max", "5", "--p-max", "9"),
+        ("table", "--bounds", "--format", "markdown", "--p-max", "25"),
     ],
 )
 def test_usage_errors_exit_two(capsys, tmp_path, argv):
@@ -407,12 +415,28 @@ def test_malformed_program_file_exits_two(capsys, tmp_path, command, content):
 def test_crease_line_lost_to_rounding_exits_two(capsys, tmp_path):
     # FoldProgram accepts this crease; layout finds no line to reflect across
     program = FoldProgram(1.0, (CreaseSpec(1e17, ExactAngle(1, 10**17)),),
-                          presentation="truncated")
+                          presentation="truncated", start_cut=CutSpec(0.0),
+                          end_cut=CutSpec(2e17))
     src = tmp_path / "steep.json"
     src.write_text(program.to_json())
     code, out, err = run_cli(capsys, "render", "--input", str(src))
     assert code == 2
     assert out == "" and "crease 0 at position 1e+17" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("gone", ["start_cut", "end_cut"])
+@pytest.mark.parametrize("command", ["identify", "render"])
+def test_truncated_program_without_a_cut_exits_two(capsys, tmp_path, command, gone):
+    # a truncated document names both of its cuts
+    doc = json.loads(run_cli(capsys, "build", "--family", "odd-wrap", "--q", "3",
+                             "--presentation", "truncated")[1])
+    del doc[gone]
+    bad = tmp_path / "open.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = run_cli(capsys, command, "--input", str(bad))
+    assert code == 2
+    assert out == "" and "a truncated program needs a CutSpec at each end" in err
     assert "Traceback" not in err
 
 

@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+import ribbonfold
 from ribbonfold import (
     ClosureError,
     CreaseSpec,
@@ -23,7 +24,6 @@ from ribbonfold import (
     MalformedProgramError,
     Panel,
     Point,
-    WeaveRule,
     build,
     centerline_length,
     layout,
@@ -49,7 +49,7 @@ def assert_points_close(actual, expected, tol=1e-12):
     assert flat_a == pytest.approx(flat_e, abs=tol)
 
 
-def make_truncated(creases, width=1.0, start=None, end=None, **kw):
+def make_truncated(creases, *, start, end, width=1.0, **kw):
     return FoldProgram(
         width=width,
         creases=tuple(creases),
@@ -233,7 +233,8 @@ def test_exact_angle_bounds_its_reduced_denominator():
     # the bound is on the reduced fraction; the shorts' 10**12 is far inside
     assert ExactAngle(10**5000, 2 * 10**5000) == ExactAngle(1, 2)
     assert ExactAngle(1, 10**12).denominator == 10**12
-    largest = make_truncated([CreaseSpec(1.0, ExactAngle(10**600 // 2 + 1, 10**600))])
+    largest = make_truncated([CreaseSpec(1.0, ExactAngle(10**600 // 2 + 1, 10**600))],
+                             start=CutSpec(0.0), end=CutSpec(2.0))
     assert FoldProgram.from_json(largest.to_json()) == largest
 
 
@@ -286,7 +287,7 @@ def test_reflect_point_fixes_points_on_the_line():
     for _ in range(40):
         x += rng.uniform(2.0, 3.0)
         creases.append(CreaseSpec(x, ExactAngle(rng.randint(1, 5), 6)))
-    lay = layout(make_truncated(creases))
+    lay = layout(make_truncated(creases, start=CutSpec(0.0), end=CutSpec(x + 2.0)))
     for left, right in zip(lay.panels, lay.panels[1:]):
         shared = (left.vertices[1], left.vertices[2])
         assert_points_close((right.vertices[0], right.vertices[3]), shared, tol=1e-9)
@@ -458,16 +459,36 @@ def test_cut_ordering_validation():
         make_truncated([c], start=CutSpec(1.5), end=CutSpec(2.0))
     with pytest.raises(MalformedProgramError):
         make_truncated([c], start=CutSpec(0.0), end=CutSpec(0.5))
+    # with no crease between them, the start cut must still come first
+    with pytest.raises(MalformedProgramError, match="start cut must precede"):
+        make_truncated([], start=CutSpec(2.0), end=CutSpec(2.0))
 
 
-def test_effective_cut_defaults():
-    prog = make_truncated([CreaseSpec(3.0, ExactAngle(1, 3))])
-    start, end = prog.effective_cuts()
-    reach = 0.5 / math.tan(math.pi / 3)
-    assert start.position == pytest.approx(3.0 - reach)
-    assert end.position == pytest.approx(3.0 + reach)
-    assert start.angle == ExactAngle(1, 2)
-    assert prog.length() == pytest.approx(2 * reach)
+@pytest.mark.parametrize("gone", [("start_cut",), ("end_cut",), ("start_cut", "end_cut")],
+                         ids=["no-start", "no-end", "neither"])
+def test_truncated_program_needs_a_cut_at_each_end(gone):
+    # a truncated program states both of its ends, in Python as in JSON
+    cuts = {"start_cut": CutSpec(0.0), "end_cut": CutSpec(2.0)}
+    creases = (CreaseSpec(1.0, ExactAngle(1, 3)),)
+    needs = "^a truncated program needs a CutSpec at each end$"
+    whole = FoldProgram(1.0, creases, "truncated", **cuts)
+    assert whole.length() == 2.0
+    for name in gone:
+        cuts[name] = None
+    with pytest.raises(MalformedProgramError, match=needs):
+        FoldProgram(1.0, creases, "truncated", **cuts)
+    doc = json.loads(whole.to_json())
+    for name in gone:
+        del doc[name]
+    with pytest.raises(MalformedProgramError, match=needs):
+        FoldProgram.from_json(json.dumps(doc))
+    doc[gone[0]] = None
+    with pytest.raises(MalformedProgramError, match=needs):
+        FoldProgram.from_json(json.dumps(doc))
+    # an end that is no CutSpec is refused the same way
+    cuts[gone[0]] = ExactAngle(1, 2)
+    with pytest.raises(MalformedProgramError, match=needs):
+        FoldProgram(1.0, creases, "truncated", **cuts)
 
 
 # -------------------------------------------------------------------- layout
@@ -530,9 +551,11 @@ def test_crossing_boundary_lines_are_rejected():
         [
             CreaseSpec(1.0, ExactAngle(1, 6)),
             CreaseSpec(1.5, ExactAngle(5, 6), -1),
-        ]
+        ],
+        start=CutSpec(0.0),
+        end=CutSpec(3.0),
     )
-    with pytest.raises(MalformedProgramError):
+    with pytest.raises(MalformedProgramError, match="boundary lines 1 and 2 cross"):
         layout(prog)
 
 
@@ -807,7 +830,8 @@ def test_crease_line_lost_to_rounding_is_malformed():
     # at position 1e17, (xb + cos) - xb rounds to 0 for the angle pi/1e17,
     # whose sine is 3e-17, so no crease line is left to reflect across;
     # layout once raised InvalidInputError about two points here
-    prog = make_truncated([CreaseSpec(1e17, ExactAngle(1, 10**17))])
+    prog = make_truncated([CreaseSpec(1e17, ExactAngle(1, 10**17))],
+                          start=CutSpec(0.0), end=CutSpec(2e17))
     with pytest.raises(MalformedProgramError, match=r"crease 0 at position 1e\+17"):
         layout(prog)
 
@@ -833,7 +857,7 @@ def test_json_round_trip_with_cuts_and_weave():
         width=0.75,
         start=CutSpec(0.0, ExactAngle(1, 2)),
         end=CutSpec(3.0, ExactAngle(1, 3)),
-        weave=WeaveRule("torus"),
+        weave="torus",
     )
     again = FoldProgram.from_json(prog.to_json())
     assert again == prog
@@ -875,14 +899,15 @@ CREASE_FIELDS = ("position", "angle_num", "angle_den", "layer_shift")
 
 @pytest.mark.parametrize("gone", list(itertools.combinations(CREASE_FIELDS, 2)))
 def test_json_names_the_first_missing_field(gone):
-    doc = json.loads(make_truncated([CreaseSpec(1.0, ExactAngle(1, 2))]).to_json())
+    text = make_truncated([CreaseSpec(1.0, ExactAngle(1, 2))],
+                          start=CutSpec(0.0), end=CutSpec(2.0)).to_json()
+    doc = json.loads(text)
     for key in gone:
         del doc["creases"][0][key]
     with pytest.raises(MalformedProgramError, match="crease missing field %r$" % gone[0]):
         FoldProgram.from_json(json.dumps(doc))
     if "layer_shift" not in gone:
-        doc = json.loads(make_truncated([CreaseSpec(1.0, ExactAngle(1, 2))],
-                                        start=CutSpec(0.0)).to_json())
+        doc = json.loads(text)
         for key in gone:
             del doc["start_cut"][key]
         with pytest.raises(MalformedProgramError,
@@ -930,32 +955,13 @@ def test_json_rejects_non_integer_cut_angles(cut, malform):
         FoldProgram.from_json(json.dumps(doc))
 
 
-def test_weave_rule_has_one_field():
-    rule = WeaveRule("torus")
-    assert WeaveRule.__match_args__ == ("mode",)
-    assert repr(rule) == "WeaveRule(mode='torus')"
-    with pytest.raises(MalformedProgramError, match="unknown weave mode 'braided'"):
-        WeaveRule("braided")
-    with pytest.raises(MalformedProgramError, match="unknown weave mode"):
-        WeaveRule({"mode": "torus"})
-
-
-# the crossing pairs that the explicit mode took are no longer a parameter
-@pytest.mark.parametrize("call", [
-    lambda: WeaveRule("torus", ((0, 2, 1),)),
-    lambda: WeaveRule(mode="torus", pairs=((0, 2, 1),)),
-], ids=["positional", "keyword"])
-def test_weave_rule_takes_no_pairs(call):
-    with pytest.raises(TypeError):
-        call()
-
-
 @pytest.mark.parametrize("mode", ["alternating", "layers", "explicit"])
 def test_removed_weave_modes_are_malformed(mode):
     assert WEAVE_MODES == ("torus",)
+    star = build(FamilyId("star_polygon", 7))
     with pytest.raises(MalformedProgramError, match="unknown weave mode %r" % mode):
-        WeaveRule(mode)
-    doc = json.loads(build(FamilyId("star_polygon", 7)).to_json())
+        FoldProgram(star.width, star.creases, weave=mode)
+    doc = json.loads(star.to_json())
     assert doc["weave"] == "torus"
     doc["weave"] = mode
     with pytest.raises(MalformedProgramError, match="unknown weave mode %r" % mode):
@@ -976,6 +982,31 @@ def test_weave_that_is_not_a_string_is_malformed(weave):
     doc["weave"] = weave
     with pytest.raises(MalformedProgramError, match="^weave must be a string$"):
         FoldProgram.from_json(json.dumps(doc))
+
+
+# the weave is the mode string itself, in Python as in JSON: neither the
+# empty string, a number nor the object form of the removed rule record
+@pytest.mark.parametrize("weave", ["explicit", "", 1, {"mode": "torus"}],
+                         ids=["explicit", "empty", "int", "torus-object"])
+def test_weave_that_is_no_mode_string_is_an_unknown_mode(weave):
+    star = build(FamilyId("star_polygon", 7))
+    with pytest.raises(MalformedProgramError, match="^unknown weave mode "):
+        FoldProgram(star.width, star.creases, weave=weave)
+    with pytest.raises(MalformedProgramError, match="^unknown weave mode "):
+        star._replace(weave=weave)
+
+
+def test_torus_weave_survives_replace_pickle_and_json():
+    star = build(FamilyId("star_polygon", 7))
+    assert star.weave == "torus"
+    for again in (star._replace(label="again"), pickle.loads(pickle.dumps(star)),
+                  FoldProgram.from_json(star.to_json())):
+        assert again.weave == "torus"
+    assert FoldProgram.from_json(star.to_json()) == star
+    assert star._replace(weave=None).weave is None
+    # the record that wrapped the mode string is gone from the package
+    with pytest.raises(AttributeError, match="WeaveRule"):
+        ribbonfold.WeaveRule
 
 
 @pytest.mark.parametrize("pairs", [[[0, 1]], [5], [[0, 1, 1, 1]], ["abc"], [None]])

@@ -11,7 +11,6 @@ from ribbonfold import (
     InvalidInputError,
     LayeringInconsistencyError,
     Point,
-    WeaveRule,
     layout,
     layout_from_centerline,
     to_svg,
@@ -508,7 +507,7 @@ def test_extraction_rejects_crossing_free_loops():
 
 
 def test_pentagram_torus_weave_is_the_5_2_knot():
-    prog = pentagram_program([0, 1, 2, 3, 4], weave=WeaveRule("torus"))
+    prog = pentagram_program([0, 1, 2, 3, 4], weave="torus")
     diagram = extract_diagram(layout(prog))
     assert diagram.crossing_count == 5
     delta = alexander_polynomial(diagram)
@@ -521,7 +520,7 @@ def test_torus_weave_rejects_a_crossing_at_one_parameter_on_both_segments():
     # at both their midpoints, so neither lies further along its own
     pts = [Point(0, 0), Point(2, 2), Point(2, 0), Point(0, 2)]
     lay = layout_from_centerline(pts, 0.1, [0, 1, 2, 3], closed=True)
-    prog = unfold(lay)._replace(weave=WeaveRule("torus"))
+    prog = unfold(lay)._replace(weave="torus")
     with pytest.raises(LayeringInconsistencyError, match="cannot order segments 0 and 2"):
         extract_diagram(layout(prog))
 
@@ -533,7 +532,7 @@ def test_layer_tie_is_a_hard_error():
 
 
 def test_gauss_validity_of_extracted_diagram():
-    prog = pentagram_program([0, 1, 2, 3, 4], weave=WeaveRule("torus"))
+    prog = pentagram_program([0, 1, 2, 3, 4], weave="torus")
     diagram = extract_diagram(layout(prog))
     assert KnotDiagram(diagram.gauss).crossing_count == 5
     assert sorted(cid for cid, _, _ in diagram.gauss) == sorted(
@@ -545,7 +544,7 @@ def test_gauss_validity_of_extracted_diagram():
 
 
 def test_verify_knot_type_match_and_mismatch():
-    prog = pentagram_program([0, 1, 2, 3, 4], weave=WeaveRule("torus"))
+    prog = pentagram_program([0, 1, 2, 3, 4], weave="torus")
     good = verify_knot_type(prog, (5, 2))
     assert isinstance(good, CertificationReport)
     assert good.matches

@@ -4,6 +4,8 @@ import importlib
 import json
 import math
 import os
+import pkgutil
+import re
 import subprocess
 import sys
 
@@ -17,6 +19,9 @@ from ribbonfold.render import render_table_figure
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), os.pardir, "src"))
 SUBMODULES = ("errors", "fold_core", "constructions", "formulas", "render")
+README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+# heads of the dotted names in README.md that are no part of the package
+FOREIGN_HEADS = {"dataclasses", "json", "self", "lay", "pyproject"}
 
 
 @pytest.mark.parametrize("name", ribbonfold.__all__)
@@ -106,3 +111,46 @@ def test_commands_import_neither_dataclasses_nor_inspect():
 def test_malformed_public_input_raises_invalid_input(call, message):
     with pytest.raises(InvalidInputError, match=message):
         call()
+
+
+def readme_dotted_names():
+    """Each dotted name inside a backticked span of README.md; a name after
+    a slash is a file path's tail, as in ``demos/certify_knots.py``."""
+    with open(README, encoding="utf-8") as handle:
+        spans = re.findall(r"`([^`\n]+)`", handle.read())
+    return sorted({name for span in spans
+                   for name in re.findall(r"(?<![\w/.])[A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+", span)})
+
+
+def _readme_head(head):
+    """The package, the submodule or the object of a submodule that a
+    name's head names, or None."""
+    if head == "ribbonfold":
+        return ribbonfold
+    modules = sorted(info.name for info in pkgutil.iter_modules(ribbonfold.__path__))
+    if head in modules:
+        return importlib.import_module("ribbonfold." + head)
+    for name in modules:
+        namespace = vars(importlib.import_module("ribbonfold." + name))
+        if head in namespace and not isinstance(namespace[head], type(ribbonfold)):
+            return namespace[head]
+    return None
+
+
+def _resolves(dotted):
+    """Whether a name leads to an attribute, or to a field that its class
+    annotates, as ``KnotDiagram.crossings`` is one."""
+    head, *path, last = dotted.split(".")
+    obj = _readme_head(head)
+    for attr in path:
+        obj = getattr(obj, attr, None)
+    return obj is not None and (hasattr(obj, last) or any(
+        last in vars(cls).get("__annotations__", {}) for cls in getattr(obj, "__mro__", ())))
+
+
+def test_readme_dotted_names_resolve():
+    names = readme_dotted_names()
+    assert "ExactAngle.radians" in names and "KnotDiagram.crossings" in names
+    unresolved = [name for name in names
+                  if name.split(".")[0] not in FOREIGN_HEADS and not _resolves(name)]
+    assert unresolved == []

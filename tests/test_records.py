@@ -20,7 +20,6 @@ from ribbonfold.fold_core import (
     FoldedLayout,
     Panel,
     Point,
-    WeaveRule,
     layout,
 )
 from ribbonfold.formulas import bounds_table, closed_form_ratio, ratio_report
@@ -44,7 +43,6 @@ RECORDS = {
                    ({"position": -1.0}, MalformedProgramError), ()),
     "CutSpec": (lambda: CutSpec(0.5, ExactAngle(1, 3)),
                 ({"position": math.nan}, MalformedProgramError), ()),
-    "WeaveRule": (lambda: WeaveRule("torus"), ({"mode": "explicit"}, MalformedProgramError), ()),
     "FoldProgram": (lambda: build(FamilyId("odd_wrap", 3), presentation="truncated"),
                     ({"width": -1.0}, MalformedProgramError), ()),
     "Panel": (lambda: _trefoil_layout().panels[1], None, ()),
