@@ -18,7 +18,7 @@ _EXPORTS = {
     ),
     "fold_core": (
         "CreaseSpec", "CutSpec", "ExactAngle", "FoldProgram", "FoldedLayout", "Panel",
-        "Point", "centerline_length", "layout", "layout_from_centerline", "ratio", "unfold",
+        "centerline_length", "layout", "layout_from_centerline", "ratio", "unfold",
     ),
     "constructions": (
         "FAMILY_TAGS", "FamilyId", "TorusKnotParams", "build", "knot_type",

@@ -90,17 +90,21 @@ def _write_text(path: Optional[str], text: str) -> None:
         sys.stdout.write(text)
         return
     target = os.path.abspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".ribbonfold-")
     try:
-        with os.fdopen(fd, "w") as handle:
-            handle.write(text)
-        os.replace(tmp, target)
-    except BaseException:
+        fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".ribbonfold-")
         try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
+            with os.fdopen(fd, "w") as handle:
+                handle.write(text)
+            os.replace(tmp, target)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+    except OSError as exc:
+        # name the requested path, not the temporary file's random name
+        raise OSError(exc.errno, exc.strerror, path) from exc
 
 
 def _run_build(args: argparse.Namespace) -> int:

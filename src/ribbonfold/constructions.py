@@ -27,7 +27,6 @@ from .fold_core import (
     CutSpec,
     ExactAngle,
     FoldProgram,
-    Point,
     _limit_denominator,
     _pi_turns,
 )
@@ -299,7 +298,7 @@ def _limit_length(raw, joins: int) -> float:
     return total
 
 
-def _short_centerline(epsilon: float, scale: float, drifts) -> List[Point]:
+def _short_centerline(epsilon: float, scale: float, drifts) -> List[Tuple[float, float]]:
     # closed unit-width centerline of a short variant, one point per vertex
     c = {k: v * scale for k, v in _SHORT_RAW.items()}
     # join pair k runs from height D + y_k down to y_k, its offsets y_k
@@ -308,8 +307,8 @@ def _short_centerline(epsilon: float, scale: float, drifts) -> List[Point]:
     last = len(drifts) // 2 - 1
     offsets = [half * (2 * k / last - 1) for k in range(last + 1)]
     ys = [y for offset in offsets for y in (c["D"] + offset, offset)]
-    pts = [Point(drift * epsilon, y) for drift, y in zip(drifts, ys)]
-    return pts + [Point(x, y) for x, y in _collar(c)]
+    pts = [(drift * epsilon, y) for drift, y in zip(drifts, ys)]
+    return pts + list(_collar(c))
 
 
 def _short(tag: str, epsilon: float) -> FoldProgram:
@@ -337,7 +336,7 @@ def _short(tag: str, epsilon: float) -> FoldProgram:
     scale = coefficient * (1.0 / math.tan(math.pi / d)) / _limit_length(_SHORT_RAW, joins)
     pts = _short_centerline(epsilon, scale, drifts)
     n = len(pts)
-    legs = [(b.x - a.x, b.y - a.y) for a, b in zip(pts, pts[1:] + pts[:1])]
+    legs = [(bx - ax, by - ay) for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1])]
     lines = []
     for k in range(1, n + 1):
         # crease k bisects the signed turn at vertex k, seen from the face

@@ -25,7 +25,7 @@ import math
 import sys
 from fractions import Fraction
 from itertools import starmap
-from typing import NamedTuple, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 from .errors import (
     ClosureError,
@@ -47,11 +47,6 @@ WEAVE_MODES = ("torus",)
 # a reduced angle's integers then have at most 601 digits; no setting of
 # CPython's int-string limit applies below 640, so every angle's JSON reads back
 _MAX_ANGLE_DENOMINATOR = 10**600
-
-
-class Point(NamedTuple):
-    x: float
-    y: float
 
 
 def _cross(ax: float, ay: float, bx: float, by: float) -> float:
@@ -464,11 +459,18 @@ class Panel(_Record):
     """
 
     __slots__ = _fields = __match_args__ = ("vertices", "layer", "index")
-    vertices: Tuple[Point, Point, Point, Point]
+    vertices: Tuple[
+        Tuple[float, float], Tuple[float, float], Tuple[float, float], Tuple[float, float]]
     layer: int
     index: int
 
-    def __init__(self, vertices: Tuple[Point, Point, Point, Point], layer: int, index: int):
+    def __init__(
+        self,
+        vertices: Tuple[
+            Tuple[float, float], Tuple[float, float], Tuple[float, float], Tuple[float, float]],
+        layer: int,
+        index: int,
+    ):
         if not (isinstance(vertices, tuple) and len(vertices) == 4
                 and all(map(_is_point, vertices))):
             raise InvalidInputError("panel vertices must be four pairs of finite numbers")
@@ -479,7 +481,7 @@ class Panel(_Record):
         _set_layer(self, layer)
         _set_index(self, index)
 
-    def side(self, k: int) -> Tuple[Point, Point]:
+    def side(self, k: int) -> Tuple[Tuple[float, float], Tuple[float, float]]:
         a = self.vertices[k % 4]
         b = self.vertices[(k + 1) % 4]
         return (a, b)
@@ -504,13 +506,13 @@ class FoldedLayout(_Record):
 
     _fields = __match_args__ = ("panels", "centerline", "source")
     panels: Tuple[Panel, ...]
-    centerline: Tuple[Tuple[Point, Point], ...]
+    centerline: Tuple[Tuple[Tuple[float, float], Tuple[float, float]], ...]
     source: Optional[FoldProgram]
 
     def __init__(
         self,
         panels: Tuple[Panel, ...],
-        centerline: Tuple[Tuple[Point, Point], ...],
+        centerline: Tuple[Tuple[Tuple[float, float], Tuple[float, float]], ...],
         source: Optional[FoldProgram] = None,
     ):
         if not isinstance(panels, tuple) or not all(isinstance(p, Panel) for p in panels):
@@ -607,10 +609,9 @@ def layout(program: FoldProgram) -> FoldedLayout:
     segments = []
     # the running map sends (x, y) to (a*x + b*y + tx, c*x + d*y + ty)
     a, b, tx, c, d, ty = 1.0, 0.0, 0.0, 0.0, 1.0, 0.0
-    # builds a Point without the Python-level call of Point's own __new__;
     # every field is computed here, so each Panel and the FoldedLayout are
     # stored without the checks of their __init__
-    new_point, new_record = tuple.__new__, object.__new__
+    new_record = object.__new__
     layer = 0
     count = len(bounds) - 1
     for k in range(count):
@@ -621,18 +622,18 @@ def layout(program: FoldProgram) -> FoldedLayout:
         # (xb + cb, half) and (xa + ca, half)
         x0, x1, x2, x3 = xa - ca, xb - cb, xb + cb, xa + ca
         placed = (
-            new_point(Point, (a * x0 + b * -half + tx, c * x0 + d * -half + ty)),
-            new_point(Point, (a * x1 + b * -half + tx, c * x1 + d * -half + ty)),
-            new_point(Point, (a * x2 + b * half + tx, c * x2 + d * half + ty)),
-            new_point(Point, (a * x3 + b * half + tx, c * x3 + d * half + ty)),
+            (a * x0 + b * -half + tx, c * x0 + d * -half + ty),
+            (a * x1 + b * -half + tx, c * x1 + d * -half + ty),
+            (a * x2 + b * half + tx, c * x2 + d * half + ty),
+            (a * x3 + b * half + tx, c * x3 + d * half + ty),
         )
         panel = new_record(Panel)
         _set_vertices(panel, placed)
         _set_layer(panel, layer)
         _set_index(panel, k)
         panels.append(panel)
-        segments.append((new_point(Point, (a * xa + b * 0.0 + tx, c * xa + d * 0.0 + ty)),
-                         new_point(Point, (a * xb + b * 0.0 + tx, c * xb + d * 0.0 + ty))))
+        segments.append(((a * xa + b * 0.0 + tx, c * xa + d * 0.0 + ty),
+                         (a * xb + b * 0.0 + tx, c * xb + d * 0.0 + ty)))
         if b_is_crease:
             # the mirror (ma, mb, mtx, mb, -ma, mty) across the line through
             # (xb, 0) and (xb + cos, sin); sin is positive on (0, pi)
@@ -720,7 +721,7 @@ def ratio(obj: Union[FoldProgram, FoldedLayout]) -> float:
 
 
 def _recovered_angle(
-    seg: Tuple[Point, Point],
+    seg: Tuple[Tuple[float, float], Tuple[float, float]],
     side: Tuple[float, float],
     orientation: int,
     memo: list,
@@ -841,17 +842,19 @@ def unfold(lay: FoldedLayout) -> FoldProgram:
     )
 
 
-def _intersect_lines(p: Point, ux: float, uy: float, q: Point, vx: float, vy: float) -> Point:
+def _intersect_lines(
+    p: Tuple[float, float], ux: float, uy: float, q: Tuple[float, float], vx: float, vy: float
+) -> Tuple[float, float]:
     """Intersection of the lines p + t*u and q + s*v."""
     denom = _cross(ux, uy, vx, vy)
     if abs(denom) < 1e-13 * max(math.hypot(ux, uy) * math.hypot(vx, vy), 1e-30):
         raise MalformedProgramError("boundary line is parallel to a ribbon edge")
     t = _cross(q[0] - p[0], q[1] - p[1], vx, vy) / denom
-    return Point(p[0] + t * ux, p[1] + t * uy)
+    return (p[0] + t * ux, p[1] + t * uy)
 
 
 def layout_from_centerline(
-    points: Sequence[Point],
+    points: Sequence[Tuple[float, float]],
     width: float,
     heights: Sequence[int],
     *,
@@ -870,7 +873,7 @@ def layout_from_centerline(
     unfolded program with the one the builder emits.
     """
     try:
-        pts = [Point(float(x), float(y)) for x, y in points]
+        pts = [(float(x), float(y)) for x, y in points]
     except (TypeError, ValueError, OverflowError):
         raise InvalidInputError("centerline vertices must be pairs of numbers") from None
     if not all(math.isfinite(x) and math.isfinite(y) for x, y in pts):
@@ -932,8 +935,8 @@ def layout_from_centerline(
         b = pts[(k + 1) % len(pts)]
         ux, uy = dirs[k]
         nx, ny = -uy, ux
-        bottom = Point(a[0] - nx * half, a[1] - ny * half)
-        top = Point(a[0] + nx * half, a[1] + ny * half)
+        bottom = (a[0] - nx * half, a[1] - ny * half)
+        top = (a[0] + nx * half, a[1] + ny * half)
         da, db = borders[k], borders[k + 1]
         p0 = _intersect_lines(bottom, ux, uy, a, da[0], da[1])
         p1 = _intersect_lines(bottom, ux, uy, b, db[0], db[1])

@@ -31,7 +31,7 @@ from .errors import (
     _expect_type,
     _Record,
 )
-from .fold_core import FoldProgram, FoldedLayout, Point, layout
+from .fold_core import FoldProgram, FoldedLayout, layout
 
 DEFAULT_PERTURBATION_SCALE = 1e-3
 _DEGREE_LIMIT = 10**6
@@ -330,7 +330,7 @@ def torus_alexander(p: int, q: int) -> LaurentPolynomial:
 # -------------------------------------------------------------- extraction
 
 
-def _canonical_line(a: Point, ux: float, uy: float) -> Tuple[float, float, float]:
+def _canonical_line(a: Tuple[float, float], ux: float, uy: float) -> Tuple[float, float, float]:
     """Line through a with direction u as (nx, ny, d), sign-canonical."""
     nx, ny = -uy, ux
     norm = math.hypot(nx, ny)
@@ -338,7 +338,7 @@ def _canonical_line(a: Point, ux: float, uy: float) -> Tuple[float, float, float
     ny /= norm
     if nx < 0 or (nx == 0 and ny < 0):
         nx, ny = -nx, -ny
-    return nx, ny, nx * a.x + ny * a.y
+    return nx, ny, nx * a[0] + ny * a[1]
 
 
 # directions closer than this mod pi always count as parallel candidates;
@@ -377,7 +377,7 @@ def _collinear_groups(centerline, scale: float, partners=None) -> List[List[int]
     given) can match, so a segment with none gets no line.
     """
     if partners is None:
-        partners = _parallel_partners(*zip(*[(b.x - a.x, b.y - a.y) for a, b in centerline]))
+        partners = _parallel_partners(*zip(*[(b[0] - a[0], b[1] - a[1]) for a, b in centerline]))
     keys: Dict[int, Tuple[float, float, float]] = {}
     # groups by leading segment, in order of creation
     groups: Dict[int, List[int]] = {}
@@ -387,7 +387,7 @@ def _collinear_groups(centerline, scale: float, partners=None) -> List[List[int]
         if not mask:
             continue
         a, b = centerline[i]
-        ux, uy = b.x - a.x, b.y - a.y
+        ux, uy = b[0] - a[0], b[1] - a[1]
         norm = math.hypot(ux, uy)
         nx, ny, d = keys[i] = _canonical_line(a, ux / norm, uy / norm)
         mask &= leaders
@@ -418,7 +418,7 @@ def _perturbed_polyline(centerline, groups: List[List[int]], epsilon: float):
     so with no groups the vertices do not depend on ``epsilon``.
     """
     m = len(centerline)
-    vectors = [(b.x - a.x, b.y - a.y) for a, b in centerline]
+    vectors = [(bx - ax, by - ay) for (ax, ay), (bx, by) in centerline]
     bases = [a for a, _ in centerline]
     for group in groups:
         g = len(group)
@@ -429,31 +429,31 @@ def _perturbed_polyline(centerline, groups: List[List[int]], epsilon: float):
         nx, ny, _ = _canonical_line(bases[group[0]], v0x / n0, v0y / n0)
         for rank, idx in enumerate(group):
             offset = epsilon * (rank - 0.5 * (g - 1))
-            a = bases[idx]
-            bases[idx] = Point(a.x + offset * nx, a.y + offset * ny)
+            ax, ay = bases[idx]
+            bases[idx] = (ax + offset * nx, ay + offset * ny)
     lines = []
     for base, (ux, uy) in zip(bases, vectors):
         norm = math.hypot(ux, uy)
         lines.append((base, ux / norm, uy / norm))
     vertices = []
     for k in range(m):
-        (pa, ax, ay) = lines[(k - 1) % m]
-        (pb, bx, by) = lines[k]
+        ((pax, pay), ax, ay) = lines[(k - 1) % m]
+        ((pbx, pby), bx, by) = lines[k]
         denom = ax * by - ay * bx
         if abs(denom) < 1e-9:
             raise DegenerateDiagramError(
                 "consecutive centerline segments are parallel at vertex %d" % k
             )
-        t = ((pb.x - pa.x) * by - (pb.y - pa.y) * bx) / denom
-        vertices.append(Point(pa.x + t * ax, pa.y + t * ay))
+        t = ((pbx - pax) * by - (pby - pay) * bx) / denom
+        vertices.append((pax + t * ax, pay + t * ay))
     # displaced too far: a segment direction must never flip
     for k in range(m):
-        a = vertices[k]
-        b = vertices[(k + 1) % m]
+        x0, y0 = vertices[k]
+        x1, y1 = vertices[(k + 1) % m]
         ux, uy = vectors[k]
-        if (b.x - a.x) * ux + (b.y - a.y) * uy <= 0:
+        if (x1 - x0) * ux + (y1 - y0) * uy <= 0:
             raise DegenerateDiagramError("perturbation collapsed segment %d" % k)
-    if not all(math.isfinite(v.x) and math.isfinite(v.y) for v in vertices):
+    if not all(math.isfinite(x) and math.isfinite(y) for x, y in vertices):
         raise DegenerateDiagramError("perturbed centerline is not finite")
     return vertices
 
@@ -698,7 +698,7 @@ def extract_diagram(lay: FoldedLayout) -> KnotDiagram:
 def _extract_once(centerline, groups, partners, scale, layers, weave, epsilon) -> KnotDiagram:
     if groups:
         vertices = _perturbed_polyline(centerline, groups, epsilon)
-        scale = max(max(abs(v.x), abs(v.y)) for v in vertices)
+        scale = max(max(abs(x), abs(y)) for x, y in vertices)
     else:
         vertices = [a for a, _ in centerline]
     (dxs, dys), hits = _find_crossings(vertices, scale, partners)

@@ -15,7 +15,7 @@ from operator import attrgetter
 from typing import TYPE_CHECKING, List, Sequence, Tuple
 
 from .errors import InvalidInputError, ParameterError, _expect_type, _Record
-from .fold_core import FoldedLayout, Point
+from .fold_core import FoldedLayout
 
 if TYPE_CHECKING:
     from .formulas import RatioReport
@@ -101,10 +101,10 @@ def _num(x: float) -> str:
     return "%.6g" % (x + 0.0)
 
 
-def _centerline_center(layout: FoldedLayout) -> Point:
+def _centerline_center(layout: FoldedLayout) -> Tuple[float, float]:
     starts = [seg[0] for seg in layout.centerline]
     n = float(len(starts))
-    return Point(sum(p[0] for p in starts) / n, sum(p[1] for p in starts) / n)
+    return (sum(p[0] for p in starts) / n, sum(p[1] for p in starts) / n)
 
 
 def to_svg(layout: FoldedLayout, options: RenderOptions = RenderOptions()) -> str:
@@ -173,9 +173,10 @@ def to_svg(layout: FoldedLayout, options: RenderOptions = RenderOptions()) -> st
     view_h = s * (max_y - min_y)
     # after the y flip the top of the viewport is -max_y
     viewport = (s * min_x, -s * max_y, view_w, view_h)
-    # a finite scale can still overflow once it meets the drawing's extent
+    # a finite scale or layer offset can still overflow the drawing's extent
     if not all(math.isfinite(v) for v in viewport + (s * max_x, -s * min_y)):
-        raise ParameterError("scale %r gives a viewport that is not finite" % s)
+        raise ParameterError("scale %r with epsilon_display %r gives a viewport that is "
+                             "not finite" % (s, eps))
     view = " ".join(_num(v) for v in viewport)
 
     parts = [

@@ -36,7 +36,6 @@ from ribbonfold.errors import (
 from ribbonfold.fold_core import (
     ExactAngle,
     FoldProgram,
-    Point,
     _recovered_angle,
     layout_from_centerline,
     unfold,
@@ -410,11 +409,11 @@ def dense_alexander(diagram, row=None, col=None, method="auto"):
 # ------------------------------------------------- star-polyline oracle
 
 
-def star_points(n: int, step: int, chord: float) -> List[Point]:
+def star_points(n: int, step: int, chord: float) -> List[Tuple[float, float]]:
     """Vertices of the {n/step} star polyline with the given chord length."""
     radius = chord / (2.0 * math.sin(step * math.pi / n))
     return [
-        Point(
+        (
             radius * math.cos(2.0 * math.pi * step * k / n),
             radius * math.sin(2.0 * math.pi * step * k / n),
         )
@@ -468,7 +467,7 @@ def all_pairs_crossings(vertices, scale: float):
     for k in range(m):
         a = vertices[k]
         b = vertices[(k + 1) % m]
-        segs.append((a, b.x - a.x, b.y - a.y))
+        segs.append((a, b[0] - a[0], b[1] - a[1]))
     tol_param = 1e-9
     hits = []
     for i in range(m):
@@ -482,14 +481,14 @@ def all_pairs_crossings(vertices, scale: float):
             if abs(denom) < 1e-12 * max(norm, 1e-30):
                 # parallel tracks never cross; a coincident overlap is
                 # degenerate
-                rx, ry = aj.x - ai.x, aj.y - ai.y
+                rx, ry = aj[0] - ai[0], aj[1] - ai[1]
                 dist = abs(rx * diy - ry * dix) / math.hypot(dix, diy)
                 if dist < 1e-12 * max(scale, 1.0):
                     raise DegenerateDiagramError(
                         "segments %d and %d remain coincident" % (i, j)
                     )
                 continue
-            rx, ry = aj.x - ai.x, aj.y - ai.y
+            rx, ry = aj[0] - ai[0], aj[1] - ai[1]
             t = (rx * djy - ry * djx) / denom
             s = (rx * diy - ry * dix) / denom
             if t < -tol_param or t > 1 + tol_param or s < -tol_param or s > 1 + tol_param:
@@ -500,11 +499,11 @@ def all_pairs_crossings(vertices, scale: float):
                 raise DegenerateDiagramError(
                     "segments %d and %d touch at an endpoint" % (i, j)
                 )
-            hits.append((i, t, j, s, Point(ai.x + t * dix, ai.y + t * diy)))
+            hits.append((i, t, j, s, (ai[0] + t * dix, ai[1] + t * diy)))
     for a in range(len(hits)):
         for b in range(a + 1, len(hits)):
             pa, pb = hits[a][4], hits[b][4]
-            if math.hypot(pa.x - pb.x, pa.y - pb.y) < 1e-12 * max(scale, 1.0):
+            if math.hypot(pa[0] - pb[0], pa[1] - pb[1]) < 1e-12 * max(scale, 1.0):
                 raise DegenerateDiagramError("multiple crossings coincide at one point")
     return segs, hits
 
@@ -515,16 +514,16 @@ def crossing_outcome(search, vertices):
     ``scale`` is taken as extraction takes it, the largest coordinate
     magnitude.  Hits given as the six parallel lists (i, t, j, s, x, y) of
     ``knot_id._find_crossings`` are written as the oracle's list of
-    (i, t, j, s, Point) first, so that every float is compared by repr.
+    (i, t, j, s, (x, y)) first, so that every float is compared by repr.
     """
     try:
-        hits = search(vertices, max(max(abs(v.x), abs(v.y)) for v in vertices))[1]
+        hits = search(vertices, max(max(abs(x), abs(y)) for x, y in vertices))[1]
     except DegenerateDiagramError as exc:
         return type(exc), str(exc)
     if isinstance(hits, tuple):
         assert len(hits) == 6 and len({len(column) for column in hits}) == 1
         his, ts, hjs, ss, xs, ys = hits
-        hits = [(i, t, j, s, Point(x, y)) for i, t, j, s, x, y in zip(his, ts, hjs, ss, xs, ys)]
+        hits = [(i, t, j, s, (x, y)) for i, t, j, s, x, y in zip(his, ts, hjs, ss, xs, ys)]
     return repr(hits)
 
 
@@ -536,7 +535,7 @@ def all_groups_collinear(centerline, scale: float):
     """
     keys = []
     for (a, b) in centerline:
-        ux, uy = b.x - a.x, b.y - a.y
+        ux, uy = b[0] - a[0], b[1] - a[1]
         norm = math.hypot(ux, uy)
         keys.append(_canonical_line(a, ux / norm, uy / norm))
     groups = []
@@ -592,7 +591,7 @@ def snapped_boundary_angle(seg, side, orientation: int) -> ExactAngle:
     return ExactAngle.from_float(theta, tolerance=1e-11)
 
 
-_ALONG_X = (Point(0.0, 0.0), Point(1.0, 0.0))
+_ALONG_X = ((0.0, 0.0), (1.0, 0.0))
 
 
 def _outcome(measure, theta: float):

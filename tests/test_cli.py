@@ -342,6 +342,23 @@ def test_usage_errors_exit_two(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("output", ["missing/x.json", "outdir"],
+                         ids=["missing-directory", "existing-directory"])
+def test_unwritable_output_names_the_requested_path(capsys, tmp_path, output):
+    (tmp_path / "outdir").mkdir()
+    path = str(tmp_path / output)
+    argv = ("build", "--family", "odd-wrap", "--q", "3", "--output", path)
+    first, second = run_cli(capsys, *argv), run_cli(capsys, *argv)
+    assert first == second
+    code, out, err = first
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.endswith(": %r\n" % path)
+    assert ".ribbonfold-" not in err
+    # the temporary file of the write-then-rename is gone
+    assert [p.name for p in tmp_path.iterdir()] == ["outdir"]
+    assert list((tmp_path / "outdir").iterdir()) == []
+
+
 def test_even_wrap_defaults_to_variant_two(capsys):
     plain = run_cli(capsys, "build", "--family", "even-wrap", "--q", "3")
     assert plain == run_cli(capsys, "build", "--family", "even-wrap", "--q", "3",

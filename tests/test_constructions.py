@@ -18,7 +18,7 @@ from ribbonfold import (
     ratio,
 )
 from ribbonfold import constructions, formulas
-from ribbonfold.fold_core import ExactAngle, Point, layout_from_centerline, unfold
+from ribbonfold.fold_core import ExactAngle, layout_from_centerline, unfold
 from ribbonfold.knot_id import (
     LaurentPolynomial,
     alexander_polynomial,
@@ -473,8 +473,7 @@ def test_truncated_odd_wrap_is_the_closed_wrap_less_one_panel(q):
 
 def test_rect_74_matches_polyline_oracle():
     corners = ((0.5, 0.5), (2.5, 0.5), (2.5, 1.5), (0.5, 1.5)) * 4
-    lay = layout_from_centerline([Point(x, y) for x, y in corners], 1.0,
-                                 constructions._RECT_74_HEIGHTS, closed=True)
+    lay = layout_from_centerline(corners, 1.0, constructions._RECT_74_HEIGHTS, closed=True)
     assert_same_creases(build(FamilyId("rect_74")), unfold(lay))
 
 

@@ -11,7 +11,7 @@ import math
 import pytest
 
 from ribbonfold import (DegenerateDiagramError, FamilyId, FoldedLayout, InconsistencyError,
-                        InvalidInputError, Point, build, layout, layout_from_centerline)
+                        InvalidInputError, build, layout, layout_from_centerline)
 from ribbonfold import knot_id
 from ribbonfold.knot_id import (
     DEFAULT_PERTURBATION_SCALE,
@@ -56,7 +56,7 @@ def test_crossing_search_matches_all_pairs_oracle(family):
 
 
 def _polyline(points):
-    return [Point(float(x), float(y)) for x, y in points]
+    return [(float(x), float(y)) for x, y in points]
 
 
 # segments 0 and 4 lie on one line, ten units apart: far outside each
@@ -133,7 +133,7 @@ def test_crossing_search_near_the_float_limit():
 
 
 def pentagram(radius):
-    points = [Point(radius * math.cos(0.8 * math.pi * k), radius * math.sin(0.8 * math.pi * k))
+    points = [(radius * math.cos(0.8 * math.pi * k), radius * math.sin(0.8 * math.pi * k))
               for k in range(5)]
     return layout_from_centerline(points, 0.1, [0, 1, 2, 3, 4], closed=True)
 
@@ -175,7 +175,7 @@ def test_open_centerline_is_rejected():
     # segment 0 ends 1e-3 off segment 1's start, far past the closure gap
     lay = layout(build(FamilyId("odd_wrap", 3)))
     (a, b), rest = lay.centerline[0], lay.centerline[1:]
-    segs = ((a, Point(b.x + 1e-3, b.y)),) + rest
+    segs = ((a, (b[0] + 1e-3, b[1])),) + rest
     with pytest.raises(DegenerateDiagramError, match="centerline is not a closed loop"):
         extract_diagram(FoldedLayout(lay.panels, segs, lay.source))
 
@@ -330,7 +330,7 @@ def test_parallel_partners_match_all_pairs_reference(name):
     case = PARTNER_CASES[name]
     if isinstance(case, FamilyId):
         centerline = layout(build(case)).centerline
-        case = [b.x - a.x for a, b in centerline], [b.y - a.y for a, b in centerline]
+        case = [b[0] - a[0] for a, b in centerline], [b[1] - a[1] for a, b in centerline]
     partners = knot_id._parallel_partners(*case)
     assert partners == all_pairs_partners(*case, WINDOW)
     if name in ("near-0-and-pi", "wrap-inside", "wrap-chain"):
@@ -391,7 +391,7 @@ def test_extraction_searches_match_all_pairs_oracle(family, monkeypatch):
     extract_diagram(layout(build(family)))
     assert len(calls) == (2 if family == FamilyId("rect_74") else 1)
     for vertices, scale, partners in calls:
-        assert scale == max(max(abs(v.x), abs(v.y)) for v in vertices)
+        assert scale == max(max(abs(x), abs(y)) for x, y in vertices)
         assert crossing_outcome(lambda v, s: _find_crossings(v, s, partners), vertices) == \
             crossing_outcome(all_pairs_crossings, vertices)
 
@@ -404,9 +404,9 @@ def test_closure_gaps_decide_whether_the_search_shares_the_sort(gap, sorts, monk
     lay = pentagram(1.0)
     segs = []
     for a, b in lay.centerline:
-        ux, uy = b.x - a.x, b.y - a.y
+        ux, uy = b[0] - a[0], b[1] - a[1]
         n = math.hypot(ux, uy)
-        segs.append((a, Point(b.x - gap * uy / n, b.y + gap * ux / n)))
+        segs.append((a, (b[0] - gap * uy / n, b[1] + gap * ux / n)))
     gapped = FoldedLayout(lay.panels, tuple(segs), None)
     expected = extract_diagram(lay)
     calls = count_direction_sorts(monkeypatch)

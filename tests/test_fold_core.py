@@ -1,6 +1,7 @@
 """Unit tests for the planar fold kernel."""
 
 import copy
+import gc
 import itertools
 import json
 import math
@@ -23,7 +24,6 @@ from ribbonfold import (
     InvalidInputError,
     MalformedProgramError,
     Panel,
-    Point,
     build,
     centerline_length,
     layout,
@@ -62,7 +62,7 @@ def make_truncated(creases, *, start, end, width=1.0, **kw):
 
 def triangle_program(width=0.2):
     s = math.sqrt(3.0) / 2.0
-    pts = [Point(0.0, 0.0), Point(1.0, 0.0), Point(0.5, s)]
+    pts = [(0.0, 0.0), (1.0, 0.0), (0.5, s)]
     lay = layout_from_centerline(pts, width, [0, 1, 2], closed=True)
     return unfold(lay)._replace(label="triangle")
 
@@ -249,13 +249,13 @@ def mirror(p, line):
     ux, uy = bx - ax, by - ay
     t = ((p[0] - ax) * ux + (p[1] - ay) * uy) / (ux * ux + uy * uy)
     fx, fy = ax + t * ux, ay + t * uy
-    return Point(2.0 * fx - p[0], 2.0 * fy - p[1])
+    return (2.0 * fx - p[0], 2.0 * fy - p[1])
 
 
 def strip_line(crease):
     """The crease line in strip coordinates, before any folding."""
     r = crease.angle.radians
-    return (Point(crease.position, 0.0), Point(crease.position + math.cos(r), math.sin(r)))
+    return ((crease.position, 0.0), (crease.position + math.cos(r), math.sin(r)))
 
 
 def test_reflect_point_axes():
@@ -529,7 +529,7 @@ def test_single_diagonal_crease_layout():
     for panel in lay.panels:
         (a, b) = panel.side(0)
         (c, d) = panel.side(2)
-        cross = (b.x - a.x) * (d.y - c.y) - (b.y - a.y) * (d.x - c.x)
+        cross = (b[0] - a[0]) * (d[1] - c[1]) - (b[1] - a[1]) * (d[0] - c[0])
         assert abs(cross) < 1e-12
 
 
@@ -589,7 +589,7 @@ def test_closed_triangle_closes_and_round_trips():
 def test_layout_closure_is_the_presentation_or_the_centerline_gap():
     assert layout(build(FamilyId("odd_wrap", 3))).closed
     assert not layout(build(FamilyId("odd_wrap", 3), presentation="truncated")).closed
-    pts = [Point(0, 0), Point(2, 0), Point(2, 2), Point(0, 2)]
+    pts = [(0, 0), (2, 0), (2, 2), (0, 2)]
     square = layout_from_centerline(pts, 0.5, [0, 1, 2, 1], closed=True)
     assert square.closed
     assert unfold(square).presentation == "closed"
@@ -599,10 +599,34 @@ def test_layout_closure_is_the_presentation_or_the_centerline_gap():
     # a sourceless loop may miss by up to 1e-6 * max(width, 1)
     (a, b), rest = square.centerline[-1], square.centerline[:-1]
     for miss, closed in ((0.9e-6, True), (1.1e-6, False)):
-        ends = rest + ((a, Point(b.x, b.y + miss)),)
+        ends = rest + ((a, (b[0], b[1] + miss)),)
         assert FoldedLayout(square.panels, ends).closed is closed
     with pytest.raises(InvalidInputError, match="layout has no panels"):
         FoldedLayout((), ()).closed
+
+
+@pytest.mark.parametrize("family, presentation", [
+    (FamilyId("odd_wrap", 5), "closed"),
+    (FamilyId("odd_wrap", 5), "truncated"),
+    (FamilyId("star_polygon", 1001), "closed"),
+    (FamilyId("rect_74"), "closed"),
+], ids=["odd_wrap-5-closed", "odd_wrap-5-truncated", "star-1001", "rect_74"])
+def test_layout_points_are_float_pairs_the_collector_untracks(family, presentation):
+    # an exact tuple of two floats is untracked by the cyclic collector
+    # once it has been examined; a tuple subclass never is
+    lay = layout(build(family, presentation=presentation))
+    closed = presentation == "closed"
+    vertices = [a for a, _ in lay.centerline] + ([] if closed else [lay.centerline[-1][1]])
+    heights = [panel.layer for panel in lay.panels]
+    rebuilt = layout_from_centerline(vertices, lay.width, heights, closed=closed)
+    points = [v for placed in (lay, rebuilt)
+              for v in itertools.chain(*(panel.vertices for panel in placed.panels),
+                                       *placed.centerline)]
+    assert len(points) == 12 * len(lay.panels)
+    assert all(type(v) is tuple and len(v) == 2 and type(v[0]) is float
+               and type(v[1]) is float for v in points)
+    gc.collect()
+    assert sum(map(gc.is_tracked, points)) == 0
 
 
 @pytest.mark.parametrize("segments", [0, 2], ids=["no-centerline", "two-segments"])
@@ -615,7 +639,7 @@ def test_sourceless_layout_with_mismatched_centerline_is_rejected(segments):
         to_svg(short)
 
 
-SQUARE = [Point(0, 0), Point(2, 0), Point(2, 2), Point(0, 2)]
+SQUARE = [(0, 0), (2, 0), (2, 2), (0, 2)]
 
 
 def _square_of_width(width):
@@ -635,10 +659,10 @@ def _square_of_width(width):
     (lambda: _square_of_width(10**400), "^width must be finite and positive$"),
     (lambda: _square_of_width("a"), "^width must be a number, got str$"),
     (lambda: _square_of_width(True), "^width must be a number, got bool$"),
-    (lambda: layout_from_centerline([Point(0, 0), Point(2, 0), Point(2, math.nan), Point(0, 2)],
+    (lambda: layout_from_centerline([(0, 0), (2, 0), (2, math.nan), (0, 2)],
                                     0.5, [0, 1, 2, 1], closed=True),
      "^centerline vertices must be finite$"),
-    (lambda: layout_from_centerline([Point(0, 0), Point(math.inf, 0), Point(2, 2), Point(0, 2)],
+    (lambda: layout_from_centerline([(0, 0), (math.inf, 0), (2, 2), (0, 2)],
                                     0.5, [0, 1, 2, 1], closed=True),
      "^centerline vertices must be finite$"),
     (lambda: layout_from_centerline(SQUARE, 0.5, ["a", "b", "c", "d"], closed=True),
@@ -654,7 +678,7 @@ def test_malformed_argument_names_what_it_expects(call, message):
 
 
 def test_closed_square_closes():
-    pts = [Point(0, 0), Point(2, 0), Point(2, 2), Point(0, 2)]
+    pts = [(0, 0), (2, 0), (2, 2), (0, 2)]
     lay = layout_from_centerline(pts, 0.5, [0, 1, 2, 1], closed=True)
     prog = unfold(lay)
     assert [c.layer_shift for c in prog.creases] == [1, 1, -1, -1]
@@ -713,7 +737,7 @@ def test_unfold_rejects_inconsistent_widths():
     lay = layout(prog)
     good = lay.panels[0]
     skewed = Panel(
-        (good.vertices[0], good.vertices[1], Point(5.0, 0.9), good.vertices[3]),
+        (good.vertices[0], good.vertices[1], (5.0, 0.9), good.vertices[3]),
         good.layer,
         good.index,
     )
@@ -815,7 +839,7 @@ def test_prefix_sums_match_fsum_on_wide_and_non_finite_values():
 
 
 def test_open_centerline_builder_round_trips():
-    pts = [Point(0, 0), Point(3, 0), Point(3, 2)]
+    pts = [(0, 0), (3, 0), (3, 2)]
     lay = layout_from_centerline(pts, 0.4, [0, 1], closed=False)
     prog = unfold(lay)
     assert len(prog.creases) == 1
@@ -1023,7 +1047,7 @@ def test_closed_round_trip_panel_shapes_with_odd_crease_count():
     # replayed layout must reproduce the direct panels shape for shape
     radius = 1.0 / (2.0 * math.sin(math.pi / 5))
     pts = [
-        Point(radius * math.cos(4.0 * math.pi * k / 5), radius * math.sin(4.0 * math.pi * k / 5))
+        (radius * math.cos(4.0 * math.pi * k / 5), radius * math.sin(4.0 * math.pi * k / 5))
         for k in range(5)
     ]
     width = math.cos(math.pi / 10)

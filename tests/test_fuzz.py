@@ -44,7 +44,6 @@ from ribbonfold import (
     InconsistencyError,
     InvalidDiagramError,
     ParameterError,
-    Point,
     RenderOptions,
     RibbonError,
     build,
@@ -342,7 +341,7 @@ def closed_polylines(draw):
     if kind == "diameters":
         points = [q for x, y in points for q in ((x, y), (-x, -y))]
     assume(all(points[k] != points[k - 1] for k in range(len(points))))
-    return [Point(x, y) for x, y in points]
+    return points
 
 
 @settings(_FUZZ, max_examples=300)

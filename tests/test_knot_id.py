@@ -10,7 +10,6 @@ from ribbonfold import (
     InvalidDiagramError,
     InvalidInputError,
     LayeringInconsistencyError,
-    Point,
     layout,
     layout_from_centerline,
     to_svg,
@@ -52,7 +51,7 @@ def poly(*coeffs):
 def pentagram_program(heights, weave=None, width=0.1):
     """Closed program whose centerline is a regular five-point star."""
     pts = [
-        Point(math.cos(2.0 * math.pi * (2 * k) / 5.0), math.sin(2.0 * math.pi * (2 * k) / 5.0))
+        (math.cos(2.0 * math.pi * (2 * k) / 5.0), math.sin(2.0 * math.pi * (2 * k) / 5.0))
         for k in range(5)
     ]
     lay = layout_from_centerline(pts, width, heights, closed=True)
@@ -490,7 +489,7 @@ def test_alexander_symmetry_from_braids():
 
 
 def test_extraction_rejects_open_strips():
-    pts = [Point(0, 0), Point(3, 0), Point(3, 2)]
+    pts = [(0, 0), (3, 0), (3, 2)]
     lay = layout_from_centerline(pts, 0.4, [0, 1], closed=False)
     prog = unfold(lay)
     with pytest.raises(DegenerateDiagramError):
@@ -499,7 +498,7 @@ def test_extraction_rejects_open_strips():
 
 def test_extraction_rejects_crossing_free_loops():
     s = math.sqrt(3.0) / 2.0
-    pts = [Point(0.0, 0.0), Point(1.0, 0.0), Point(0.5, s)]
+    pts = [(0.0, 0.0), (1.0, 0.0), (0.5, s)]
     lay = layout_from_centerline(pts, 0.1, [0, 1, 2], closed=True)
     prog = unfold(lay)
     with pytest.raises(DegenerateDiagramError):
@@ -518,7 +517,7 @@ def test_pentagram_torus_weave_is_the_5_2_knot():
 def test_torus_weave_rejects_a_crossing_at_one_parameter_on_both_segments():
     # a bowtie: segments 0 and 2 are the diagonals of a square and cross
     # at both their midpoints, so neither lies further along its own
-    pts = [Point(0, 0), Point(2, 2), Point(2, 0), Point(0, 2)]
+    pts = [(0, 0), (2, 2), (2, 0), (0, 2)]
     lay = layout_from_centerline(pts, 0.1, [0, 1, 2, 3], closed=True)
     prog = unfold(lay)._replace(weave="torus")
     with pytest.raises(LayeringInconsistencyError, match="cannot order segments 0 and 2"):

@@ -19,7 +19,6 @@ from ribbonfold.fold_core import (
     ExactAngle,
     FoldedLayout,
     Panel,
-    Point,
     layout,
 )
 from ribbonfold.formulas import bounds_table, closed_form_ratio, ratio_report
@@ -198,7 +197,7 @@ def test_panel_rejects_a_layer_or_index_that_is_not_an_int(field, bad):
 
 
 def test_panel_takes_ints_and_points():
-    panel = Panel(tuple(Point(float(x), y) for x, y in _SQUARE), -3, 7)
+    panel = Panel(tuple((float(x), y) for x, y in _SQUARE), -3, 7)
     assert (panel.layer, panel.index) == (-3, 7)
     assert Panel(((0, 0), (1, 0), (1, 1), (0, 1)), 0, 0).orientation == 1
 

@@ -7,7 +7,7 @@ import pytest
 
 from ribbonfold.constructions import FamilyId, build
 from ribbonfold.errors import InvalidInputError, ParameterError
-from ribbonfold.fold_core import FoldedLayout, Point, layout, layout_from_centerline, unfold
+from ribbonfold.fold_core import FoldedLayout, layout, layout_from_centerline, unfold
 from ribbonfold.formulas import ratio_report, ratio_reports
 from ribbonfold.render import RenderOptions, render_table_figure, to_svg
 
@@ -74,7 +74,7 @@ def test_empty_layout_rejected():
 
 
 def test_single_panel_is_one_rectangle():
-    strip = layout_from_centerline([Point(0, 0), Point(3, 0)], 1.0, [0], closed=False)
+    strip = layout_from_centerline([(0, 0), (3, 0)], 1.0, [0], closed=False)
     svg = to_svg(strip)
     assert svg_children(svg) == ["polygon"]
     points = [
@@ -169,6 +169,9 @@ def test_overflowing_viewport_is_rejected():
         to_svg(heptagon_layout(), RenderOptions(scale=1e308))
     with pytest.raises(ParameterError):
         to_svg(heptagon_layout(), RenderOptions(scale=1e300, epsilon_display=1e10))
+    # a layer offset that overflows once blamed the default scale alone
+    with pytest.raises(ParameterError, match=r"^scale 40\.0 with epsilon_display 1e\+308 "):
+        to_svg(heptagon_layout(), RenderOptions(epsilon_display=1e308))
 
 
 def test_chart_rejects_empty_list():
