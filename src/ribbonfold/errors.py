@@ -54,9 +54,10 @@ class _Record:
     equal, hashes and shows those fields, and cannot have a field set or
     deleted: each record's ``__init__`` checks its arguments and stores
     every field once, a slotted record through the setters in
-    ``_setters`` and any other with one ``self.__dict__.update``.
-    ``__match_args__`` names the fields ``__init__`` takes, which
-    ``_replace`` may change.
+    ``_setters`` and any other with one ``self.__dict__.update``; a
+    dict record may instead derive a field on first read, as
+    ``functools.cached_property`` does.  ``__match_args__`` names the
+    fields ``__init__`` takes, which ``_replace`` may change.
     """
 
     __slots__ = ()

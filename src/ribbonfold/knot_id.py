@@ -15,8 +15,11 @@ and its polynomial is the torus knot's without any elimination.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
+from collections.abc import Mapping, Set
 from fractions import Fraction
+from functools import cached_property
+from itertools import compress, repeat
+from operator import ge, gt, not_, sub
 from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .braid import torus_handedness
@@ -180,11 +183,12 @@ class KnotDiagram(_Record):
     ``gauss`` lists, in strand order, triples (crossing id, is_over,
     sign); each crossing id appears exactly twice, once over and once
     under, with the same sign +-1 both times.  Ids and signs are ints;
-    is_over is a bool, or the int 0 or 1, kept as a bool.  Construction
-    rejects any other code with InvalidDiagramError, and in the same walk
-    derives ``crossings``, the arc incidences of every crossing in id
-    order.  A knot diagram has as many arcs as crossings: arc k runs from
-    the k-th under-passage (exclusive) to the next one (inclusive),
+    is_over is a bool, or the int 0 or 1, kept as a bool.  A set or a
+    mapping has no strand order.  Construction rejects any other code
+    with InvalidDiagramError.  ``crossings``, the arc incidences of every
+    crossing in id order, is derived from the checked code on first read
+    and kept.  A knot diagram has as many arcs as crossings: arc k runs
+    from the k-th under-passage (exclusive) to the next one (inclusive),
     wrapping around the strand.
     """
 
@@ -194,17 +198,12 @@ class KnotDiagram(_Record):
     crossings: Tuple[Crossing, ...]
 
     def __init__(self, gauss: Sequence[Tuple[int, bool, int]]) -> None:
+        if isinstance(gauss, (Set, Mapping)):
+            raise InvalidDiagramError("a Gauss code must be ordered, not a set or a mapping")
         entries = []
-        # per crossing id, twice the arc before its over-passage and twice
-        # the out-arc of its under-passage (whose in-arc is one less), each
-        # plus 1 for a positive sign
-        over_arc = {}
-        under = {}
-        # the strand is on arc k - 1 before the k-th under-passage, and on
-        # the last arc, -1 mod the final count of under-passages, before
-        # the first
-        arc = -1
-        passed = 0
+        # per crossing id, the sign of its over-passage and of its under-passage
+        over_sign = {}
+        under_sign = {}
         try:
             code = iter(gauss)
         except TypeError:
@@ -222,11 +221,9 @@ class KnotDiagram(_Record):
                     raise InvalidDiagramError("over flag must be a bool, 0 or 1")
                 over = over == 1
             if over:
-                over_arc[cid] = arc + arc + (sign > 0)
+                over_sign[cid] = sign
             else:
-                under[cid] = passed + passed + (sign > 0)
-                arc = passed
-                passed += 1
+                under_sign[cid] = sign
             # a tuple whose flag was a bool already is (int, bool, int)
             entries.append(entry if type(entry) is tuple and entry[1] is over
                            else (cid, over, sign))
@@ -236,22 +233,39 @@ class KnotDiagram(_Record):
         # hold one record per entry only when no passage repeats; with the
         # same keys, each crossing then passes once over and once under
         # (which also rules out an odd length)
-        if len(over_arc) + len(under) != len(entries) or over_arc.keys() != under.keys():
+        if (len(over_sign) + len(under_sign) != len(entries)
+                or over_sign.keys() != under_sign.keys()):
             raise InvalidDiagramError("every crossing must pass once over and once under")
-        crossings = []
-        for cid in sorted(under):
-            o, u = over_arc[cid], under[cid]
-            if (o ^ u) & 1:
-                raise InvalidDiagramError("crossing %d has inconsistent signs" % cid)
-            out_arc = u >> 1
-            # tuple.__new__ skips the Python-level call of Crossing._make
-            crossings.append(tuple.__new__(Crossing, (
-                cid, (o >> 1) % passed, (out_arc - 1) % passed, out_arc, 1 if u & 1 else -1)))
-        self.__dict__.update(gauss=tuple(entries), crossings=tuple(crossings))
+        # one comparison tests every sign; the smallest inconsistent id is named
+        if over_sign != under_sign:
+            raise InvalidDiagramError("crossing %d has inconsistent signs" % min(
+                cid for cid, sign in under_sign.items() if over_sign[cid] != sign))
+        self.__dict__.update(gauss=tuple(entries))
+
+    @cached_property
+    def crossings(self) -> Tuple[Crossing, ...]:
+        # arc k starts at the k-th under-passage, so the strand starts on
+        # the last arc, and the k-th under-passage leads from the arc it
+        # came in on to arc k
+        over_arc = {}
+        under = []
+        arc = (len(self.gauss) >> 1) - 1
+        out = 0
+        for cid, over, sign in self.gauss:
+            if over:
+                over_arc[cid] = arc
+            else:
+                under.append((cid, arc, out, sign))
+                arc = out
+                out += 1
+        under.sort()
+        # tuple.__new__ skips the Python-level call of Crossing._make
+        return tuple([tuple.__new__(Crossing, (cid, over_arc[cid], in_arc, out_arc, sign))
+                      for cid, in_arc, out_arc, sign in under])
 
     @property
     def crossing_count(self) -> int:
-        return len(self.crossings)
+        return len(self.gauss) >> 1
 
 
 # --------------------------------------------------------------- Alexander
@@ -358,8 +372,13 @@ def _parallel_partners(dxs: List[float], dys: List[float]) -> List[int]:
     thetas = [a % math.pi for a in map(math.atan2, dys, dxs)]
     # a stable sort: equal angles stay in index order
     order = sorted(range(m), key=thetas.__getitem__)
+    ts = list(map(thetas.__getitem__, order))
+    # the gap from each sorted angle to the next, the last one across pi;
+    # the walk starts only where the first step stays inside the window
+    gaps = map(sub, ts[1:] + [t + math.pi for t in ts[:1]], ts)
     partners = [0] * m
-    for r, k in enumerate(order):
+    for r in compress(range(m), map(not_, map(gt, gaps, repeat(_DIRECTION_WINDOW)))):
+        k = order[r]
         for step in range(1, m):
             j = order[(r + step) % m]
             if thetas[j] + (math.pi if r + step >= m else 0.0) - thetas[k] > _DIRECTION_WINDOW:
@@ -590,8 +609,11 @@ def _near_hit_pairs(xs: List[float], ys: List[float], reach: float) -> List[Tupl
     cx, cy = _AXIS
     keys = [x * cx + y * cy for x, y in zip(xs, ys)]
     order = sorted(range(len(keys)), key=keys.__getitem__)
+    ks = list(map(keys.__getitem__, order))
     pairs = []
-    for a, ha in enumerate(order):
+    # the walk starts only where the next key is within reach
+    for a in compress(range(len(ks)), map(not_, map(ge, map(sub, ks[1:], ks), repeat(reach)))):
+        ha = order[a]
         for b in range(a + 1, len(order)):
             hb = order[b]
             if keys[hb] - keys[ha] >= reach:

@@ -7,13 +7,15 @@ form ``KnotDiagram`` is built from, so the Alexander machinery can be
 checked against knots whose polynomials are known in closed form.  The
 right-handed trefoil is typed in, to pin the sign convention.
 ``gauss_oracle`` validates a code and derives its crossing records in
-two separate walks: the oracle for the one walk that builds a
-``KnotDiagram``.  A
+two separate walks, as ``KnotDiagram`` checks its code on construction
+and derives ``crossings`` on first read.  A
 dense determinant oracle, with Z[t] arithmetic of its own, checks the
 sparse one on any diagram, and a
 star-polyline oracle checks the exact crease data of the star families
 against the geometry of their centerlines.  All-pairs oracles check the
-crossing search and the collinear grouping of diagram extraction.
+crossing search and the collinear grouping of diagram extraction, and
+loop copies check the early exits of the direction sort and the
+hit-pair check.
 ``snapped_boundary_angle`` measures a boundary angle with no memo, as
 ``unfold`` once did for every crease; ``boundary_outcomes`` holds the
 memoized measurement against it, and ``farey_memo`` preloads the memo
@@ -40,7 +42,8 @@ from ribbonfold.fold_core import (
     layout_from_centerline,
     unfold,
 )
-from ribbonfold.knot_id import Crossing, LaurentPolynomial, _canonical_line
+from ribbonfold.knot_id import (_AXIS, _DIRECTION_WINDOW, Crossing, LaurentPolynomial,
+                                _canonical_line)
 
 
 def torus_braid_gauss(p: int, q: int) -> List[Tuple[int, bool, int]]:
@@ -572,6 +575,42 @@ def all_pairs_partners(dxs, dys, window: float) -> List[int]:
             if min(angle, math.pi - angle) <= window:
                 partners[i] |= 1 << j
                 partners[j] |= 1 << i
+    return partners
+
+
+# --------------------------------------------- loops without early exits
+
+
+def near_hit_pairs_loop(xs, ys, reach: float) -> List[Tuple[int, int]]:
+    """The reference for ``knot_id._near_hit_pairs``: the walk along the
+    sorted projections starts from every position."""
+    cx, cy = _AXIS
+    keys = [x * cx + y * cy for x, y in zip(xs, ys)]
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    pairs = []
+    for a, ha in enumerate(order):
+        for b in range(a + 1, len(order)):
+            hb = order[b]
+            if keys[hb] - keys[ha] >= reach:
+                break
+            pairs.append((ha, hb))
+    return pairs
+
+
+def parallel_partners_loop(dxs, dys) -> List[int]:
+    """The reference for ``knot_id._parallel_partners``: the walk along the
+    sorted angles, on past pi, starts from every position."""
+    m = len(dxs)
+    thetas = [a % math.pi for a in map(math.atan2, dys, dxs)]
+    order = sorted(range(m), key=thetas.__getitem__)
+    partners = [0] * m
+    for r, k in enumerate(order):
+        for step in range(1, m):
+            j = order[(r + step) % m]
+            if thetas[j] + (math.pi if r + step >= m else 0.0) - thetas[k] > _DIRECTION_WINDOW:
+                break
+            partners[k] |= 1 << j
+            partners[j] |= 1 << k
     return partners
 
 

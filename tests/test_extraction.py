@@ -7,11 +7,13 @@ and its search, and layouts whose panels do not match their centerline."""
 import hashlib
 import json
 import math
+import random
 
 import pytest
 
 from ribbonfold import (DegenerateDiagramError, FamilyId, FoldedLayout, InconsistencyError,
-                        InvalidInputError, build, layout, layout_from_centerline)
+                        InvalidInputError, LayeringInconsistencyError, build, layout,
+                        layout_from_centerline)
 from ribbonfold import knot_id
 from ribbonfold.knot_id import (
     DEFAULT_PERTURBATION_SCALE,
@@ -23,7 +25,7 @@ from ribbonfold.knot_id import (
 )
 
 from diagram_sources import (all_groups_collinear, all_pairs_crossings, all_pairs_partners,
-                             crossing_outcome)
+                             crossing_outcome, near_hit_pairs_loop, parallel_partners_loop)
 
 # the members the benchmark's knot workload certifies or extracts
 WORKLOAD_MEMBERS = (
@@ -336,6 +338,94 @@ def test_parallel_partners_match_all_pairs_reference(name):
     if name in ("near-0-and-pi", "wrap-inside", "wrap-chain"):
         # the first two directions meet only across the wrap past pi
         assert partners[0] >> 1 & 1
+
+
+def window_gap_directions():
+    """Directions (1, 0) and (1, dy) whose angles, as the direction sort
+    computes them, differ by exactly the window: 0.0 and WINDOW."""
+    dy = math.tan(WINDOW)
+    for _ in range(64):
+        theta = math.atan2(dy, 1.0) % math.pi
+        if theta == WINDOW:
+            return [1.0, 1.0], [0.0, dy]
+        dy = math.nextafter(dy, math.inf if theta < WINDOW else 0.0)
+    raise AssertionError("no direction at angle WINDOW")
+
+
+def seeded_directions(rng, m):
+    """m directions of random length and travel sense, their angles drawn
+    near 0, near pi, in clusters a fraction of a window apart or anywhere."""
+    base = rng.uniform(0.0, math.pi)
+    vectors = []
+    for _ in range(m):
+        kind = rng.randrange(4)
+        if kind == 0:
+            angle = rng.choice([1.0, -1.0]) * rng.uniform(0.0, 3 * WINDOW)
+        elif kind == 1:
+            angle = math.pi + rng.choice([1.0, -1.0]) * rng.uniform(0.0, 3 * WINDOW)
+        elif kind == 2:
+            angle = base + rng.randrange(4) * 0.5 * WINDOW
+        else:
+            angle = rng.uniform(-math.pi, math.pi)
+        angle += rng.choice([0.0, math.pi])
+        length = rng.uniform(0.1, 10.0)
+        vectors.append((length * math.cos(angle), length * math.sin(angle)))
+    return [dx for dx, _ in vectors], [dy for _, dy in vectors]
+
+
+def test_parallel_partners_match_the_loop_from_every_position():
+    # the sort's walk starts only where the first step stays inside the
+    # window; the loop that starts everywhere must give every mask
+    dxs, dys = window_gap_directions()
+    cases = [(dxs, dys), (dxs + [0.5], dys + [0.5]), ([], [])]
+    cases += [([-dx for dx in dxs], dys)]
+    rng = random.Random(35)
+    cases += [seeded_directions(rng, m) for m in (1, 2, 3) for _ in range(50)]
+    cases += [seeded_directions(rng, rng.randrange(4, 40)) for _ in range(300)]
+    for case in cases:
+        assert knot_id._parallel_partners(*case) == parallel_partners_loop(*case), case
+    # the gap of exactly one window pairs, as "> window" breaks
+    assert knot_id._parallel_partners(dxs, dys) == [2, 1]
+    assert sum(1 for case in cases if any(parallel_partners_loop(*case))) > 100
+
+
+def test_near_hit_pairs_match_the_loop_from_every_position():
+    # the walk starts only where the next key is within reach; reaches
+    # equal to each gap between sorted keys, and one ulp either side, must
+    # give the pairs of the loop that starts everywhere
+    cx, cy = knot_id._AXIS
+    rng = random.Random(35)
+    checked = paired = 0
+    for n in [0, 1, 2, 3] * 10 + [rng.randrange(4, 30) for _ in range(60)]:
+        xs, ys = [], []
+        for _ in range(n):
+            if xs and rng.random() < 0.4:
+                k = rng.randrange(len(xs))
+                xs.append(xs[k] + rng.uniform(-1e-3, 1e-3))
+                ys.append(ys[k] + rng.uniform(-1e-3, 1e-3))
+            else:
+                xs.append(rng.uniform(-5.0, 5.0))
+                ys.append(rng.uniform(-5.0, 5.0))
+        keys = sorted(x * cx + y * cy for x, y in zip(xs, ys))
+        reaches = {1e-3}
+        for gap in (b - a for a, b in zip(keys, keys[1:])):
+            reaches.update((gap, math.nextafter(gap, math.inf), math.nextafter(gap, 0.0)))
+        for reach in sorted(reaches):
+            pairs = near_hit_pairs_loop(xs, ys, reach)
+            assert _near_hit_pairs(xs, ys, reach) == pairs, (xs, ys, reach)
+            checked += 1
+            paired += bool(pairs)
+    assert paired > checked // 2
+
+
+def test_torus_rule_names_the_first_tie_in_hit_order():
+    # hits 0 and 1 are ordered; hits 2 and 3 tie within 1e-9, and hit
+    # 2's segments are named
+    hits = ([0, 1, 2, 3], [0.2, 0.4, 0.5, 0.7], [5, 6, 7, 8],
+            [0.3, 0.1, 0.5 + 5e-10, 0.7 - 5e-10], [0.0] * 4, [0.0] * 4)
+    with pytest.raises(LayeringInconsistencyError) as caught:
+        knot_id._decide_over(hits, None, "torus")
+    assert str(caught.value) == "torus rule cannot order segments 2 and 7"
 
 
 def count_direction_sorts(monkeypatch):

@@ -1,6 +1,8 @@
 """Unit tests for diagram extraction and Alexander certification."""
 
+import copy
 import math
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -31,16 +33,19 @@ from ribbonfold.knot_id import (
 )
 
 from diagram_sources import (
+    RIGHT_TREFOIL,
     _pdiv_exact,
     _pmul,
     _poly_bareiss as oracle_bareiss,
+    crossings_from_gauss,
     dense_alexander,
     dense_minor,
     pretzel_gauss,
     torus_braid_gauss,
 )
-# the 37 members the benchmark's knot workload certifies
-from test_bit_identity import KNOT_CERTIFY, member_id, program_of
+# the 37 members the benchmark's knot workload certifies, and the 6 it
+# only extracts
+from test_bit_identity import KNOT_CERTIFY, KNOT_EXTRACT, member_id, program_of
 
 
 def poly(*coeffs):
@@ -203,37 +208,62 @@ def test_torus_alexander_matches_the_division_oracle():
 # -------------------------------------------------------------- Gauss codes
 
 
-def test_knot_diagram_rejects_malformed_codes():
-    for gauss in ([],
-                  [(1, True, 1)],
-                  [(1, True, 1), (1, True, 1)],
-                  [(1, True, 1), (1, False, -1)],
-                  [(1, True, 1), (1, False, 1), (2, True, 1), (2, True, -1)],
-                  [(1, True, 2), (1, False, 2)],
-                  [(1, True, 0), (1, False, 0)],
-                  [(1, True, 1), (2, False, 1)],
-                  [(1, True, 1), (1, True, 1), (1, True, 1), (1, False, 1)],
-                  [(1, True, 1), (1, False, 1), (1, True, 1), (1, False, 1)],
-                  # entries that int() and truth value would coerce
-                  [(1.5, "no", 1.9), (1, "", 1)],
-                  [(1.0, True, 1), (1.0, False, 1)],
-                  [("1", True, 1), ("1", False, 1)],
-                  [(True, True, 1), (True, False, 1)],
-                  [(1, True, 1.0), (1, False, 1.0)],
-                  [(1, True, True), (1, False, True)],
-                  [(1, 2, 1), (1, 0, 1)],
-                  [(1, 1.0, 1), (1, 0, 1)],
-                  [(1, "yes", 1), (1, None, 1)],
-                  # not a sequence of triples
-                  5,
-                  None,
-                  [(1, True)],
-                  [(1, True, 1), (1, False)],
-                  [(1, True, 1, 0), (1, False, 1, 0)],
-                  [5, 6],
-                  [None]):
-        with pytest.raises(InvalidDiagramError):
-            KnotDiagram(gauss)
+PASS_ONCE = "every crossing must pass once over and once under"
+ID_OR_SIGN = "crossing ids must be ints, signs the ints +1 or -1"
+OVER_FLAG = "over flag must be a bool, 0 or 1"
+TRIPLE = "each Gauss code entry must be a triple"
+UNORDERED = "a Gauss code must be ordered, not a set or a mapping"
+
+
+@pytest.mark.parametrize("gauss, message", [
+    pytest.param([], "empty Gauss code", id="empty"),
+    pytest.param([(1, True, 1)], PASS_ONCE, id="over-only"),
+    pytest.param([(1, True, 1), (1, True, 1)], PASS_ONCE, id="over-twice"),
+    pytest.param([(1, True, 1), (1, False, -1)], "crossing 1 has inconsistent signs",
+                 id="inconsistent-signs"),
+    pytest.param([(1, True, 1), (1, False, 1), (2, True, 1), (2, True, -1)], PASS_ONCE,
+                 id="second-crossing-over-twice"),
+    pytest.param([(1, True, 2), (1, False, 2)], ID_OR_SIGN, id="sign-2"),
+    pytest.param([(1, True, 0), (1, False, 0)], ID_OR_SIGN, id="sign-0"),
+    pytest.param([(1, True, 1), (2, False, 1)], PASS_ONCE, id="different-ids"),
+    pytest.param([(1, True, 1), (1, True, 1), (1, True, 1), (1, False, 1)], PASS_ONCE,
+                 id="over-three-times"),
+    pytest.param([(1, True, 1), (1, False, 1), (1, True, 1), (1, False, 1)], PASS_ONCE,
+                 id="two-rounds"),
+    # the larger id comes first in strand order, the smaller is named
+    pytest.param([(5, True, 1), (3, True, -1), (5, False, -1), (3, False, 1)],
+                 "crossing 3 has inconsistent signs", id="two-inconsistent"),
+    # entries that int() and truth value would coerce
+    pytest.param([(1.5, "no", 1.9), (1, "", 1)], ID_OR_SIGN, id="float-and-string"),
+    pytest.param([(1.0, True, 1), (1.0, False, 1)], ID_OR_SIGN, id="float-id"),
+    pytest.param([("1", True, 1), ("1", False, 1)], ID_OR_SIGN, id="string-id"),
+    pytest.param([(True, True, 1), (True, False, 1)], ID_OR_SIGN, id="bool-id"),
+    pytest.param([(1, True, 1.0), (1, False, 1.0)], ID_OR_SIGN, id="float-sign"),
+    pytest.param([(1, True, True), (1, False, True)], ID_OR_SIGN, id="bool-sign"),
+    pytest.param([(1, 2, 1), (1, 0, 1)], OVER_FLAG, id="over-2"),
+    pytest.param([(1, 1.0, 1), (1, 0, 1)], OVER_FLAG, id="float-over"),
+    pytest.param([(1, "yes", 1), (1, None, 1)], OVER_FLAG, id="string-over"),
+    # not a sequence of triples
+    pytest.param(5, "a Gauss code must be an iterable of triples", id="int"),
+    pytest.param(None, "a Gauss code must be an iterable of triples", id="none"),
+    pytest.param([(1, True)], TRIPLE, id="pair"),
+    pytest.param([(1, True, 1), (1, False)], TRIPLE, id="triple-then-pair"),
+    pytest.param([(1, True, 1, 0), (1, False, 1, 0)], TRIPLE, id="quadruples"),
+    pytest.param([5, 6], TRIPLE, id="ints"),
+    pytest.param([None], TRIPLE, id="none-entry"),
+    # no strand order: iterated, each gives some other code of the trefoil
+    pytest.param(set(RIGHT_TREFOIL), UNORDERED, id="set"),
+    pytest.param(frozenset(RIGHT_TREFOIL), UNORDERED, id="frozenset"),
+    pytest.param(dict.fromkeys(RIGHT_TREFOIL), UNORDERED, id="mapping"),
+    pytest.param(dict.fromkeys(RIGHT_TREFOIL).keys(), UNORDERED, id="keys-view"),
+])
+def test_knot_diagram_rejects_malformed_codes(gauss, message):
+    with pytest.raises(InvalidDiagramError) as caught:
+        KnotDiagram(gauss)
+    assert str(caught.value) == message
+
+
+def test_knot_diagram_reads_int_over_flags_as_bools():
     # the ints 0 and 1 stand for the over flags False and True
     assert KnotDiagram([(1, 1, -1), (1, 0, -1)]).gauss == ((1, True, -1), (1, False, -1))
 
@@ -245,6 +275,48 @@ def test_knot_diagram_is_built_from_its_gauss_code_only():
     with pytest.raises(ValueError):
         diagram._replace(crossings=diagram.crossings[:-1])
     assert diagram._replace() == diagram
+
+
+@pytest.mark.parametrize("member", KNOT_CERTIFY + KNOT_EXTRACT, ids=member_id)
+def test_extraction_leaves_crossings_to_their_first_read(member):
+    diagram = extract_diagram(layout(program_of(member)))
+    assert "crossings" not in vars(diagram)
+    assert diagram.crossing_count == len(diagram.gauss) // 2
+    crossings = diagram.crossings
+    assert crossings == crossings_from_gauss(diagram.gauss)
+    assert vars(diagram)["crossings"] is crossings is diagram.crossings
+
+
+@pytest.mark.parametrize("family", [FamilyId("star_polygon", 7), FamilyId("pinwheel", 3)],
+                         ids=str)
+def test_diagram_match_leaves_crossings_underived(family):
+    diagram = extract_diagram(layout(build(family)))
+    report = certification_report(diagram, family)
+    assert (report.certificate, report.matches) == ("diagram", True)
+    assert "crossings" not in vars(diagram)
+
+
+def test_underived_diagram_behaves_as_a_derived_one():
+    code = torus_braid_gauss(5, 3)
+    derived = KnotDiagram(code)
+    assert derived.crossings == crossings_from_gauss(derived.gauss)
+    for read in (lambda d: d, hash, repr):
+        assert read(KnotDiagram(code)) == read(derived)
+    assert derived == KnotDiagram(code)
+    for copied in (copy.deepcopy, lambda d: pickle.loads(pickle.dumps(d))):
+        underived = KnotDiagram(code)
+        twin = copied(underived)
+        assert "crossings" not in vars(underived) and "crossings" not in vars(twin)
+        assert type(twin) is KnotDiagram and twin == derived == copied(derived)
+        assert vars(copied(derived)) == vars(derived)
+    underived = KnotDiagram(code)
+    with pytest.raises(ValueError):
+        underived._replace(crossings=derived.crossings)
+    with pytest.raises(AttributeError, match="cannot assign to field 'crossings'"):
+        underived.crossings = derived.crossings
+    with pytest.raises(AttributeError, match="cannot delete field 'crossings'"):
+        del underived.crossings
+    assert "crossings" not in vars(underived)
 
 
 def test_crossing_is_a_named_tuple_of_its_fields():
